@@ -82,7 +82,7 @@ from .transforms import (
 from .validation import (
     CvRunSummary,
     FoldAssignment,
-    FoldFailure,
+    FoldOutcome,
     HOLDOUT,
     KFOLD,
     LOOCV,

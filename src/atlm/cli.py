@@ -58,8 +58,6 @@ def _add_dataset_options(parser) -> None:
 
 def _add_run_options(parser) -> None:
     parser.add_argument("--seed", type=int, default=1, help="PRNG seed (default 1)")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="parallel fold workers (default 1)")
     parser.add_argument("--unseen-level", choices=UNSEEN_POLICIES,
                         default=UNSEEN_ERROR,
                         help="policy for factor levels unseen in training")
@@ -108,7 +106,7 @@ def _cmd_inspect(args) -> int:
 def _cmd_evaluate(args) -> int:
     ds, recipe = _resolve_dataset(args)
     plan = ValidationPlan.parse(args.plan, seed=args.seed)
-    result = run_validation(ds, plan, unseen_level=args.unseen_level, jobs=args.jobs)
+    result = run_validation(ds, plan, unseen_level=args.unseen_level)
     if args.format == "json":
         _emit(to_json_text(result_to_json_dict(result, notes=recipe.notes)), args.out)
     elif args.format == "csv":
@@ -126,8 +124,7 @@ def _cmd_export_folds(args) -> int:
     return 0
 
 
-def _reproduce_summary_table(names: tuple[str, ...], plan_text: str,
-                             jobs: int) -> tuple[str, dict]:
+def _reproduce_summary_table(names: tuple[str, ...], plan_text: str) -> tuple[str, dict]:
     rows = []
     payload = {"plan": plan_text, "seed": REPRODUCE_SEED, "datasets": {}}
     for name in names:
@@ -135,7 +132,7 @@ def _reproduce_summary_table(names: tuple[str, ...], plan_text: str,
         recipe = builtin_recipe(name)
         ds = apply_recipe(raw, recipe)
         plan = ValidationPlan.parse(plan_text, seed=REPRODUCE_SEED)
-        result = run_validation(ds, plan, jobs=jobs)
+        result = run_validation(ds, plan)
         rows.append((name, result.summary))
         payload["datasets"][name] = result_to_json_dict(result, notes=recipe.notes)
     return summary_table(rows), payload
@@ -146,7 +143,7 @@ def _cmd_reproduce(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.experiment in _REPRODUCE_PLANS:
         names, plan_text = _REPRODUCE_PLANS[args.experiment]
-        table, payload = _reproduce_summary_table(names, plan_text, args.jobs)
+        table, payload = _reproduce_summary_table(names, plan_text)
         (out_dir / f"{args.experiment}.txt").write_text(table, encoding="utf-8")
         (out_dir / f"{args.experiment}.json").write_text(to_json_text(payload),
                                                          encoding="utf-8")
@@ -154,8 +151,7 @@ def _cmd_reproduce(args) -> int:
         return 0
     # figure1: between-run variation of tenfold cross-validation
     ds = apply_recipe(load_builtin_raw("cocomo81"), builtin_recipe("cocomo81"))
-    runs = repeat_cv_experiment(ds, k=10, runs=FIGURE1_RUNS,
-                                base_seed=REPRODUCE_SEED, jobs=args.jobs)
+    runs = repeat_cv_experiment(ds, k=10, runs=FIGURE1_RUNS, base_seed=REPRODUCE_SEED)
     lines = ["run,re_star_mean,re_star_stderr"]
     for s in runs:
         lines.append(f"{s.run},{format_number(s.re_star_mean)},"
@@ -188,7 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reproduce", help="rerun the documented benchmark experiments")
     p.add_argument("experiment", choices=("table1", "table2", "figure1"))
     p.add_argument("--out", default="reports", help="output directory (default: reports)")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_reproduce)
 
     p = sub.add_parser("export-folds", help="write fold assignments as JSON")

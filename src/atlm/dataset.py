@@ -1,22 +1,24 @@
 """In-memory tabular datasets, CSV ingestion, and preparation recipes.
 
 A :class:`Dataset` is immutable: every operation that changes anything
-returns a new instance, so datasets can be shared freely across folds and
-threads.  Rows keep the identifiers they were assigned when the raw file
-was loaded (0-based line order), which is what fold assignments, prediction
-sets, and recipes refer to.
+returns a new instance, so datasets can be shared freely across folds.
+Rows keep the identifiers they were assigned when the raw file was loaded
+(0-based line order), which is what fold assignments, prediction sets, and
+recipes refer to.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .errors import (
+    AtlmError,
     MissingValueError,
     ParseError,
     RecipeError,
@@ -136,12 +138,17 @@ class Dataset:
         return h.hexdigest()
 
     def require_no_missing(self, context: str) -> None:
-        active = [(c.name, self.column_index(c.name)) for c in self.active_columns()]
+        """Reject a missing cell, or a non-finite numeric cell, in an active column."""
+        active = [(c.name, self.column_index(c.name), c.kind == NUMERIC)
+                  for c in self.active_columns()]
         for rid, row in zip(self.ids, self.rows):
-            for name, i in active:
-                if row[i] is None:
+            for name, i, numeric in active:
+                value = row[i]
+                if value is None or (numeric and not math.isfinite(value)):
+                    what = ("a missing value" if value is None
+                            else f"the non-finite value {value!r}")
                     raise MissingValueError(
-                        f"{context}: dataset {self.name!r} has a missing value "
+                        f"{context}: dataset {self.name!r} has {what} "
                         f"in column {name!r}, row {rid}")
 
 
@@ -153,13 +160,22 @@ def _canonical_cell(value) -> str:
     return str(value)
 
 
+def _read_text(path: Path, error: type[AtlmError], what: str) -> str:
+    """The file's UTF-8 text; no such file, a directory or bad bytes raise ``error``."""
+    if not path.is_file():
+        raise error(f"{what} file not found: {path}")
+    try:
+        return path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text at byte {exc.start}: {exc.reason}") from None
+
+
 def load_schema(path: str | Path) -> tuple[ColumnSchema, ...]:
     """Read a sidecar schema: one ``name kind role`` line per column."""
     path = Path(path)
-    if not path.exists():
-        raise SchemaError(f"schema file not found: {path}")
     columns = []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(_read_text(path, SchemaError, "schema").splitlines(),
+                                  start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -181,9 +197,8 @@ def load_csv(path: str | Path, schema: tuple[ColumnSchema, ...],
     cells become missing markers to be resolved by a recipe.
     """
     path = Path(path)
-    if not path.exists():
-        raise ParseError(f"data file not found: {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
+    text = _read_text(path, ParseError, "data")
+    with io.StringIO(text, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -272,10 +287,8 @@ class PrepRecipe:
     @classmethod
     def from_json_file(cls, path: str | Path) -> "PrepRecipe":
         path = Path(path)
-        if not path.exists():
-            raise RecipeError(f"recipe file not found: {path}")
         try:
-            raw = json.loads(path.read_text())
+            raw = json.loads(_read_text(path, RecipeError, "recipe"))
         except json.JSONDecodeError as exc:
             raise RecipeError(f"{path}: invalid JSON: {exc}") from None
         known = {"drop_rows_with_missing", "drop_row_ids", "cast_to_categorical",

@@ -59,19 +59,6 @@ def dummy_label(factor: str, level: str) -> str:
     return f"{factor}={level}"
 
 
-def design_width(ds: Dataset) -> int:
-    """Number of design columns the dataset's schema implies."""
-    width = 1
-    for col in ds.active_columns():
-        if col.role == RESPONSE:
-            continue
-        if col.kind == NUMERIC:
-            width += 1
-        else:
-            width += max(len(_observed_levels(ds, col.name)) - 1, 0)
-    return width
-
-
 def _observed_levels(ds: Dataset, name: str) -> tuple[str, ...]:
     seen: list[str] = []
     for v in ds.column(name):

@@ -1,11 +1,11 @@
 """The end-to-end baseline model.
 
-Fitting computes the transform table on the training data only, fits the
-linear model on the transformed training data, and remembers a fingerprint
-of the training dataset.  Prediction applies the training-chosen transforms
-to the test data, evaluates the linear model, and inverts the response
-transform so predictions land on the original effort scale next to the
-untouched actual values.  There are no tunable parameters.
+Fitting computes the transform table on the training data only and fits
+the linear model on the transformed training data.  Prediction applies the
+training-chosen transforms to the test data, evaluates the linear model,
+and inverts the response transform so predictions land on the original
+effort scale next to the untouched actual values.  There are no tunable
+parameters.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .linear import (
     FittedLinearModel,
     UNSEEN_ERROR,
     build_design,
-    design_width,
     fit_ols,
     predict as linear_predict,
 )
@@ -37,7 +36,6 @@ from .transforms import (
 class AtlmModel:
     transforms: TransformTable
     linear: FittedLinearModel
-    training_fingerprint: str
 
 
 @dataclass(frozen=True)
@@ -91,18 +89,17 @@ def atlm_fit(training: Dataset) -> AtlmModel:
         raise DegenerateSampleError(
             f"training dataset {training.name!r} has {len(training)} rows; "
             f"skewness selection needs at least 3")
-    width = design_width(training)
+    transforms = calculate_transforms(training)
+    transformed = apply_transforms(transforms, training)
+    design = build_design(transformed)
+    width = design.matrix.shape[1]
     if len(training) < width:
         raise FitError(
             f"dataset {training.name!r} has {len(training)} rows but its schema "
             f"implies {width} design columns; need at least as many rows")
-    transforms = calculate_transforms(training)
-    transformed = apply_transforms(transforms, training)
-    design = build_design(transformed)
     y = np.asarray(transformed.response_column(), dtype=float)
     linear = fit_ols(design, y, response_name=training.response_name)
-    return AtlmModel(transforms=transforms, linear=linear,
-                     training_fingerprint=training.fingerprint())
+    return AtlmModel(transforms=transforms, linear=linear)
 
 
 def atlm_predict(model: AtlmModel, test: Dataset,

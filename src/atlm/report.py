@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 
 from .dataset import format_number
-from .metrics import METRIC_FIELDS
+from .metrics import METRIC_FIELDS, MetricReport
 from .transforms import TRANSFORM_KINDS, TransformTable
 from .validation import ValidationResult
 
@@ -16,19 +16,13 @@ TABLE_METRICS = (("lsd", "LSD"), ("mmre", "MMRE"),
 
 def result_to_json_dict(result: ValidationResult, notes=()) -> dict:
     folds = []
-    failed = {f.fold: f for f in result.failures}
-    for i in range(result.n_folds):
-        if i in failed:
-            folds.append({"fold": i, "failed": failed[i].code,
-                          "message": failed[i].message})
+    for o in result.outcomes:
+        if o.failed:
+            folds.append({"fold": o.fold, "failed": o.code, "message": o.message})
+        elif o.report is not None:
+            folds.append({"fold": o.fold, **o.report.to_json_dict()})
         else:
-            entry = {"fold": i}
-            fold_report = result.fold_reports[i]
-            if fold_report is not None:
-                entry.update(fold_report.to_json_dict())
-            else:
-                entry["n"] = len(result.fold_predictions[i])
-            folds.append(entry)
+            folds.append({"fold": o.fold, "n": len(o.predictions)})
     return {
         "dataset": result.dataset_name,
         "dataset_fingerprint": result.dataset_fingerprint,
@@ -49,24 +43,20 @@ def to_json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def _metric_cells(r: MetricReport) -> str:
+    return ",".join([str(r.n)] + [format_number(getattr(r, m)) for m in METRIC_FIELDS])
+
+
 def result_to_csv_text(result: ValidationResult) -> str:
     header = "fold,status," + ",".join(("n",) + METRIC_FIELDS)
     lines = [header]
-    failed = {f.fold: f for f in result.failures}
-    for i in range(result.n_folds):
-        if i in failed:
-            lines.append(f"{i},{failed[i].code}," + "," * len(METRIC_FIELDS))
-            continue
-        fold_report = result.fold_reports[i]
-        if fold_report is None:
-            continue
-        cells = [str(fold_report.n)] + [format_number(getattr(fold_report, m))
-                                        for m in METRIC_FIELDS]
-        lines.append(f"{i},ok," + ",".join(cells))
+    for o in result.outcomes:
+        if o.failed:
+            lines.append(f"{o.fold},{o.code}," + "," * len(METRIC_FIELDS))
+        elif o.report is not None:
+            lines.append(f"{o.fold},ok," + _metric_cells(o.report))
     if result.pooled_report is not None:
-        r = result.pooled_report
-        cells = [str(r.n)] + [format_number(getattr(r, m)) for m in METRIC_FIELDS]
-        lines.append("pooled,ok," + ",".join(cells))
+        lines.append("pooled,ok," + _metric_cells(result.pooled_report))
     if result.summary is not None:
         for stat, source in (("mean", result.summary.means), ("std", result.summary.stds)):
             cells = [""] + [format_number(source[m]) for m in METRIC_FIELDS]

@@ -192,4 +192,6 @@ def invert_predictions(table: TransformTable, predictions) -> list[float]:
     if table.response not in table:
         raise SchemaError(f"transform table has no response entry {table.response!r}")
     kind = table.response_kind()
-    return [float(v) for v in inverse_values(kind, predictions)]
+    # an overflow to inf is reported as E_PREDICT by PredictionSet, not as a warning
+    with np.errstate(over="ignore"):
+        return [float(v) for v in inverse_values(kind, predictions)]

@@ -8,14 +8,17 @@ models evaluated under the same plan see byte-identical splits.
 Metric handling differs by regime.  Leave-one-out produces singleton test
 sets on which the variance-based measures are undefined, so its metrics
 are computed once over the pooled predictions of all folds; k-fold and
-repeated holdout compute metrics per fold and aggregate them.  A fold that
-fails (transform domain violation, unseen factor level, ...) is recorded
-with its reason and excluded from aggregation, never silently dropped.
+repeated holdout compute metrics per fold and aggregate them.
+
+Every fold leaves one :class:`FoldOutcome`, in fold order.  A fold that
+succeeds carries its predictions and, outside leave-one-out, its metric
+report.  A fold that fails (transform domain violation, unseen factor
+level, ...) carries the error's code and message instead; it is excluded
+from aggregation but never silently dropped.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,10 +169,23 @@ def generate_folds(ds: Dataset, plan: ValidationPlan) -> FoldAssignment:
 
 
 @dataclass(frozen=True)
-class FoldFailure:
+class FoldOutcome:
+    """What one fold of a plan produced.
+
+    A successful fold has ``predictions``, plus a metric ``report`` under
+    k-fold and holdout plans.  A failed fold has the ``code`` and
+    ``message`` of the error that stopped it, and no predictions.
+    """
+
     fold: int
-    code: str
-    message: str
+    predictions: PredictionSet | None = None
+    report: MetricReport | None = None
+    code: str | None = None
+    message: str | None = None
+
+    @property
+    def failed(self) -> bool:
+        return self.code is not None
 
 
 @dataclass(frozen=True)
@@ -177,92 +193,65 @@ class ValidationResult:
     dataset_name: str
     dataset_fingerprint: str
     plan: ValidationPlan
-    fold_predictions: tuple
-    fold_reports: tuple
-    failures: tuple
+    outcomes: tuple[FoldOutcome, ...]
     pooled_report: MetricReport | None
     summary: MetricSummary | None
 
     @property
     def n_folds(self) -> int:
-        return len(self.fold_predictions)
+        return len(self.outcomes)
+
+    @property
+    def failures(self) -> tuple[FoldOutcome, ...]:
+        return tuple(o for o in self.outcomes if o.failed)
 
     @property
     def n_succeeded(self) -> int:
         return self.n_folds - len(self.failures)
 
 
-def _run_fold(ds: Dataset, fold, unseen_level: str):
+def _run_fold(ds: Dataset, index: int, fold, plan: ValidationPlan,
+              unseen_level: str) -> FoldOutcome:
     train_ids, test_ids = fold
-    train, test = split(ds, train_ids, test_ids)
-    model = atlm_fit(train)
-    predictions = atlm_predict(model, test, unseen_level=unseen_level)
+    try:
+        train, test = split(ds, train_ids, test_ids)
+        predictions = atlm_predict(atlm_fit(train), test, unseen_level=unseen_level)
+    except AtlmError as exc:
+        return FoldOutcome(index, code=exc.code, message=str(exc))
+    if plan.kind == LOOCV:
+        return FoldOutcome(index, predictions)
     training_response = np.asarray(train.response_column(), dtype=float)
-    return predictions, training_response
+    return FoldOutcome(index, predictions, report(predictions, training_response))
 
 
 def run_validation(ds: Dataset, plan: ValidationPlan, *,
-                   unseen_level: str = UNSEEN_ERROR,
-                   jobs: int = 1) -> ValidationResult:
+                   unseen_level: str = UNSEEN_ERROR) -> ValidationResult:
     """Fit/predict/score every fold of the plan."""
     assignment = generate_folds(ds, plan)
-
-    def attempt(index_fold):
-        index, fold = index_fold
-        try:
-            return index, _run_fold(ds, fold, unseen_level), None
-        except AtlmError as exc:
-            return index, None, FoldFailure(index, exc.code, str(exc))
-
-    work = list(enumerate(assignment.folds))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(attempt, work))
-    else:
-        outcomes = [attempt(item) for item in work]
-    outcomes.sort(key=lambda o: o[0])
-
-    predictions: list[PredictionSet | None] = []
-    responses: list[np.ndarray | None] = []
-    failures: list[FoldFailure] = []
-    for _, result, failure in outcomes:
-        if failure is not None:
-            failures.append(failure)
-            predictions.append(None)
-            responses.append(None)
-        else:
-            ps, training_response = result
-            predictions.append(ps)
-            responses.append(training_response)
-
-    succeeded = [(ps, tr) for ps, tr in zip(predictions, responses) if ps is not None]
+    outcomes = tuple(_run_fold(ds, index, fold, plan, unseen_level)
+                     for index, fold in enumerate(assignment.folds))
+    succeeded = [o for o in outcomes if not o.failed]
     if not succeeded:
         raise ValidationError(
-            f"all {len(assignment.folds)} folds failed for {ds.name!r}; "
-            f"first failure: {failures[0].message}")
+            f"all {len(outcomes)} folds failed for {ds.name!r}; "
+            f"first failure: {outcomes[0].message}")
 
     pooled_report = None
-    fold_reports: list[MetricReport | None] = [None] * len(predictions)
     if plan.kind == LOOCV:
         # singleton test sets: score the pooled predictions once, with the
         # full response sample as the random-guess reference
-        all_preds = pooled([ps for ps, _ in succeeded])
+        all_preds = pooled([o.predictions for o in succeeded])
         full_response = np.asarray(ds.response_column(), dtype=float)
         pooled_report = report(all_preds, full_response)
         summary = aggregate([pooled_report])
     else:
-        for i, (ps, tr) in enumerate(zip(predictions, responses)):
-            if ps is not None:
-                fold_reports[i] = report(ps, tr)
-        summary = aggregate([r for r in fold_reports if r is not None])
+        summary = aggregate([o.report for o in succeeded])
 
     return ValidationResult(
         dataset_name=ds.name,
         dataset_fingerprint=assignment.dataset_fingerprint,
         plan=plan,
-        fold_predictions=tuple(predictions),
-        fold_reports=tuple(fold_reports),
-        failures=tuple(failures),
+        outcomes=outcomes,
         pooled_report=pooled_report,
         summary=summary,
     )
@@ -279,8 +268,7 @@ class CvRunSummary:
 
 
 def repeat_cv_experiment(ds: Dataset, k: int, runs: int, base_seed: int = 1, *,
-                         unseen_level: str = UNSEEN_ERROR,
-                         jobs: int = 1) -> tuple[CvRunSummary, ...]:
+                         unseen_level: str = UNSEEN_ERROR) -> tuple[CvRunSummary, ...]:
     """Independent k-fold runs with seeds base_seed, base_seed+1, ..."""
     if runs < 2:
         raise PlanError(f"repeat experiment needs at least 2 runs, got {runs}")
@@ -288,8 +276,8 @@ def repeat_cv_experiment(ds: Dataset, k: int, runs: int, base_seed: int = 1, *,
     for run in range(runs):
         seed = base_seed + run
         plan = ValidationPlan(kind=KFOLD, seed=seed, k=k)
-        result = run_validation(ds, plan, unseen_level=unseen_level, jobs=jobs)
-        values = np.array([r.re_star for r in result.fold_reports if r is not None])
+        result = run_validation(ds, plan, unseen_level=unseen_level)
+        values = np.array([o.report.re_star for o in result.outcomes if not o.failed])
         stderr = 0.0 if values.size < 2 else float(values.std(ddof=1) / np.sqrt(values.size))
         summaries.append(CvRunSummary(
             run=run,

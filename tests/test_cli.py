@@ -97,14 +97,6 @@ class TestEvaluate:
         assert main(["evaluate", "--dataset", "nope", "--plan", "loocv"]) == 2
         assert "error[E_CONFIG]" in capsys.readouterr().err
 
-    def test_jobs_flag_gives_same_output(self, capsys):
-        argv = ["evaluate", "--dataset", "cocomo81", "--plan", "kfold:5",
-                "--format", "json"]
-        assert main(argv) == 0
-        solo = capsys.readouterr().out
-        assert main(argv + ["--jobs", "4"]) == 0
-        assert capsys.readouterr().out == solo
-
 
 class TestExportFolds:
     def test_loocv_singletons(self, capsys):
@@ -140,5 +132,41 @@ class TestUsage:
     def test_usage_error_is_machine_parseable(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["evaluate", "--dataset", "cocomo81"])  # missing --plan
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("error[E_USAGE]")
+
+
+class TestErrorContract:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("fault", ["not-utf8", "directory"])
+    @pytest.mark.parametrize("target, code", [("csv", "E_PARSE"), ("schema", "E_SCHEMA"),
+                                              ("recipe", "E_RECIPE")])
+    def test_unreadable_input_file_is_one_error_line(self, tmp_path, capsys,
+                                                     target, code, fault):
+        paths = {"csv": tmp_path / "d.csv", "schema": tmp_path / "d.schema",
+                 "recipe": tmp_path / "r.json"}
+        paths["csv"].write_text("x,y\n1,2\n2,3\n3,5\n4,4\n")
+        paths["schema"].write_text("x numeric explanatory\ny numeric response\n")
+        paths["recipe"].write_text("{}")
+        broken = paths[target]
+        broken.unlink()
+        if fault == "directory":
+            broken.mkdir()
+        else:
+            broken.write_bytes(b"x,y\n1,\xff\n")  # 0xff never occurs in UTF-8
+        status = main(["inspect", "--dataset", str(paths["csv"]),
+                       "--schema", str(paths["schema"]), "--recipe", str(paths["recipe"])])
+        assert status == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error[{code}]: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["evaluate", "--dataset", "cocomo81", "--plan", "kfold:10"],
+        ["reproduce", "table1"],
+    ])
+    def test_jobs_flag_is_a_usage_error(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path / "out"), "--jobs", "2"])
         assert exc.value.code == 2
         assert capsys.readouterr().err.startswith("error[E_USAGE]")

@@ -9,7 +9,6 @@ from atlm.linear import (
     INTERCEPT,
     UNSEEN_AS_REFERENCE,
     build_design,
-    design_width,
     fit_ols,
     predict,
 )
@@ -64,9 +63,6 @@ class TestBuildDesign:
                            unseen_level=UNSEEN_AS_REFERENCE)
         assert out.matrix[0].tolist() == [1.0, 0.0]  # treated as the reference level
         assert out.matrix[1].tolist() == [1.0, 1.0]
-
-    def test_design_width_counts_dummies(self, factor_dataset):
-        assert design_width(factor_dataset) == 1 + 1 + 2  # intercept + x + 2 dummies
 
 
 class TestFitOls:

@@ -11,6 +11,7 @@ from atlm.errors import (
     DegenerateSampleError,
     FitError,
     MissingValueError,
+    PredictionError,
     TransformDomainError,
     UnseenLevelError,
 )
@@ -51,6 +52,15 @@ class TestFit:
         with pytest.raises(MissingValueError):
             atlm_fit(ds)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_values_rejected(self, exact_linear, bad):
+        ds = make_dataset({"x": [1, bad, 3, 4], "y": [1, 2, 3, 4]}, response="y")
+        with pytest.raises(MissingValueError, match="non-finite value"):
+            atlm_fit(ds)
+        test = make_dataset({"x": [bad], "y": [1.0]}, response="y")
+        with pytest.raises(MissingValueError, match="non-finite value"):
+            atlm_predict(atlm_fit(exact_linear), test)
+
     def test_too_few_rows_for_design(self):
         ds = make_dataset(
             {"f": ["a", "b", "c", "d"], "x": [1, 2, 3, 4], "y": [1, 2, 3, 4]},
@@ -58,10 +68,6 @@ class TestFit:
         # design needs 1 + 1 + 3 = 5 columns but only 4 rows exist
         with pytest.raises(FitError):
             atlm_fit(ds)
-
-    def test_fingerprint_records_training_data(self, exact_linear):
-        model = atlm_fit(exact_linear)
-        assert model.training_fingerprint == exact_linear.fingerprint()
 
 
 class TestPredict:
@@ -97,6 +103,16 @@ class TestPredict:
         assert model.transforms["x"].kind == LOG
         test = make_dataset({"x": [-1.0], "y": [5.0]}, response="y")
         with pytest.raises(TransformDomainError, match="row 0"):
+            atlm_predict(model, test)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_on_inversion_is_a_prediction_error(self):
+        # log response: a linear predictor of 1000 overflows exp()
+        xs = [1.0, 2.0, 3.0, 4.0, 5.0]
+        ds = make_dataset({"x": xs, "y": [math.exp(v) for v in xs]}, response="y")
+        model = atlm_fit(ds)
+        test = make_dataset({"x": [1000.0], "y": [1.0]}, response="y")
+        with pytest.raises(PredictionError):
             atlm_predict(model, test)
 
     def test_unseen_level_policy_threads_through(self):
