@@ -204,7 +204,7 @@ def main(argv=None) -> int:
     except AtlmError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
         return exc.exit_status
-    except FileNotFoundError as exc:
+    except OSError as exc:  # e.g. --out names a directory, or a file where one is needed
         print(f"error[E_CONFIG]: {exc}", file=sys.stderr)
         return 2
 

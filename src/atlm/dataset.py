@@ -1,10 +1,11 @@
 """In-memory tabular datasets, CSV ingestion, and preparation recipes.
 
-A :class:`Dataset` is immutable: every operation that changes anything
-returns a new instance, so datasets can be shared freely across folds.
-Rows keep the identifiers they were assigned when the raw file was loaded
-(0-based line order), which is what fold assignments, prediction sets, and
-recipes refer to.
+A :class:`Dataset` is immutable and columnar: one (columns x rows) matrix
+holds every column, so per-fold work is whole-array operations, and every
+change returns a new instance that folds can share.  Rows keep the
+identifiers they were assigned when the raw file was loaded (0-based line
+order), which is what fold assignments, prediction sets, and recipes refer
+to.
 """
 
 from __future__ import annotations
@@ -14,8 +15,11 @@ import hashlib
 import io
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
+
+import numpy as np
 
 from .errors import (
     AtlmError,
@@ -59,19 +63,23 @@ class ColumnSchema:
             raise SchemaError(f"unknown column role {self.role!r} for {self.name!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """Named columns of numeric or categorical cells plus a numeric response.
+    """Named columns plus a numeric response, stored as one matrix.
 
-    ``ids`` are the original row identifiers; ``source_rows`` remembers how
-    many rows the originally loaded file had, which is the universe that
-    recipe row references are validated against.
+    ``values`` is a (columns x rows) float64 array in schema order holding a
+    numeric column's numbers or a factor's codes into its ``levels`` tuple;
+    missing cells are NaN and set in ``missing``.  ``ids`` are the original
+    row identifiers; ``source_rows`` is the row count of the loaded file,
+    which recipe row references are validated against.
     """
 
     name: str
     schema: tuple[ColumnSchema, ...]
     ids: tuple[int, ...]
-    rows: tuple[tuple[object, ...], ...]
+    values: np.ndarray
+    missing: np.ndarray
+    levels: tuple[tuple[str, ...], ...]
     source_rows: int = -1
 
     def __post_init__(self) -> None:
@@ -85,79 +93,126 @@ class Dataset:
                 f"found {len(responses)}")
         if responses[0].kind != NUMERIC:
             raise SchemaError(f"response column {responses[0].name!r} must be numeric")
-        if len(self.ids) != len(self.rows):
-            raise SchemaError("row ids and rows must have equal length")
+        if not (self.values.shape == self.missing.shape == (len(names), len(self.ids))
+                and len(self.levels) == len(names)):
+            raise SchemaError(f"column arrays of {self.name!r} do not fit its schema")
         if len(set(self.ids)) != len(self.ids):
             raise SchemaError("row ids must be unique")
-        width = len(self.schema)
-        for rid, row in zip(self.ids, self.rows):
-            if len(row) != width:
-                raise SchemaError(f"row {rid} has {len(row)} cells, expected {width}")
         if self.source_rows < 0:
-            object.__setattr__(self, "source_rows", len(self.rows))
+            object.__setattr__(self, "source_rows", len(self.ids))
+
+    @classmethod
+    def from_columns(cls, name: str, schema, ids, columns,
+                     source_rows: int = -1) -> "Dataset":
+        """Build from one sequence of cells per schema column: numbers, or
+        strings for factors; None where missing.  Codes follow first appearance."""
+        schema, ids = tuple(schema), tuple(ids)
+        rows = [_codes(cells) if col.kind == CATEGORICAL else (cells, ())
+                for col, cells in zip(schema, columns)]
+        values = np.array([row for row, _ in rows], dtype=float)  # None becomes NaN
+        missing = np.isnan(values)
+        for i in np.flatnonzero(missing.any(axis=1)).tolist():
+            missing[i] = [v is None for v in columns[i]]  # a NaN cell is not a gap
+        return cls(name, schema, ids, values, missing,
+                   tuple(levels for _, levels in rows), source_rows)
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.ids)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Dataset) and (
+            (self.name, self.schema, self.ids, self.source_rows, self.rows)
+            == (other.name, other.schema, other.ids, other.source_rows, other.rows))
+
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        return {c.name: i for i, c in enumerate(self.schema)}
+
+    @cached_property
+    def _positions(self) -> dict[int, int]:
+        return {rid: i for i, rid in enumerate(self.ids)}
 
     @property
     def response_name(self) -> str:
         return next(c.name for c in self.schema if c.role == RESPONSE)
 
     def column_index(self, name: str) -> int:
-        for i, c in enumerate(self.schema):
-            if c.name == name:
-                return i
-        raise SchemaError(f"no column named {name!r} in dataset {self.name!r}")
+        if name not in self._index:
+            raise SchemaError(f"no column named {name!r} in dataset {self.name!r}")
+        return self._index[name]
 
     def column_schema(self, name: str) -> ColumnSchema:
         return self.schema[self.column_index(name)]
 
     def column(self, name: str) -> tuple:
+        """The column's cells: floats or level strings, None where missing."""
         i = self.column_index(name)
-        return tuple(row[i] for row in self.rows)
+        cells, levels = self.values[i].tolist(), self.levels[i]  # no levels: numeric
+        if levels or self.missing[i].any():
+            cells = [None if gap else levels[int(v)] if levels else v
+                     for v, gap in zip(cells, self.missing[i].tolist())]
+        return tuple(cells)
 
-    def response_column(self) -> tuple:
-        return self.column(self.response_name)
+    @property
+    def rows(self) -> tuple[tuple[object, ...], ...]:
+        return tuple(zip(*(self.column(c.name) for c in self.schema)))
+
+    def response_column(self) -> np.ndarray:
+        return self.values[self.column_index(self.response_name)]
 
     def active_columns(self) -> tuple[ColumnSchema, ...]:
         """Schema columns that take part in modelling (not ignored)."""
         return tuple(c for c in self.schema if c.role != IGNORED)
 
     def has_missing(self) -> bool:
-        active = [self.column_index(c.name) for c in self.active_columns()]
-        return any(row[i] is None for row in self.rows for i in active)
+        return self._first_gap(non_finite=False) is not None
 
     def fingerprint(self) -> str:
         """SHA-256 over schema and cell content (display name excluded)."""
         h = hashlib.sha256()
         for c in self.schema:
             h.update(f"{c.name}|{c.kind}|{c.role}\n".encode())
-        for rid, row in zip(self.ids, self.rows):
-            cells = ",".join(_canonical_cell(v) for v in row)
-            h.update(f"{rid}:{cells}\n".encode())
+        columns = [["?" if v is None else format_number(v) if c.kind == NUMERIC else v
+                    for v in self.column(c.name)] for c in self.schema]
+        for rid, cells in zip(self.ids, zip(*columns)):
+            h.update(f"{rid}:{','.join(cells)}\n".encode())
         return h.hexdigest()
 
     def require_no_missing(self, context: str) -> None:
         """Reject a missing cell, or a non-finite numeric cell, in an active column."""
-        active = [(c.name, self.column_index(c.name), c.kind == NUMERIC)
-                  for c in self.active_columns()]
-        for rid, row in zip(self.ids, self.rows):
-            for name, i, numeric in active:
-                value = row[i]
-                if value is None or (numeric and not math.isfinite(value)):
-                    what = ("a missing value" if value is None
-                            else f"the non-finite value {value!r}")
-                    raise MissingValueError(
-                        f"{context}: dataset {self.name!r} has {what} "
-                        f"in column {name!r}, row {rid}")
+        gap = self._first_gap(non_finite=True)
+        if gap is not None:
+            name, rid, value = gap
+            what = "a missing value" if value is None else f"the non-finite value {value!r}"
+            raise MissingValueError(
+                f"{context}: dataset {self.name!r} has {what} "
+                f"in column {name!r}, row {rid}")
+
+    def _first_gap(self, non_finite: bool):
+        """(column, row id, cell) of the first missing cell of an active column,
+        row by row, or None; with ``non_finite`` NaN and infinite cells count too."""
+        active = [i for i, c in enumerate(self.schema) if c.role != IGNORED]
+        gaps = ~np.isfinite(self.values[active]) if non_finite else self.missing[active]
+        rows = gaps.any(axis=0)
+        if not rows.any():
+            return None
+        row = int(rows.argmax())
+        name = self.schema[active[int(gaps[:, row].argmax())]].name
+        return name, self.ids[row], self.column(name)[row]
+
+    def _take(self, ids) -> "Dataset":
+        """The rows with these ids, in this order."""
+        ids = tuple(ids)
+        at = np.fromiter(map(self._positions.__getitem__, ids), dtype=np.intp, count=len(ids))
+        return replace(self, ids=ids, values=self.values.take(at, axis=1),
+                       missing=self.missing.take(at, axis=1))
 
 
-def _canonical_cell(value) -> str:
-    if value is None:
-        return "?"
-    if isinstance(value, float):
-        return format_number(value)
-    return str(value)
+def _codes(cells) -> tuple[list, tuple[str, ...]]:
+    """Factor cells as codes (None where missing) into levels in order of appearance."""
+    levels = tuple(dict.fromkeys(v for v in cells if v is not None))
+    index = {level: k for k, level in enumerate(levels)}
+    return [index.get(v) for v in cells], levels
 
 
 def _read_text(path: Path, error: type[AtlmError], what: str) -> str:
@@ -214,40 +269,36 @@ def load_csv(path: str | Path, schema: tuple[ColumnSchema, ...],
                 + (f"; missing {sorted(missing)}" if missing else "")
                 + (f"; unexpected {sorted(extra)}" if extra else ""))
         order = [header.index(n) for n in wanted]
-        rows = []
+        columns: list[list] = [[] for _ in schema]
+        fields = [(cells.append, col.name, col.kind == NUMERIC, src)
+                  for cells, col, src in zip(columns, schema, order)]
         for lineno, record in enumerate(reader, start=2):
             if not record:
                 continue
             if len(record) != len(header):
                 raise ParseError(f"{path}:{lineno}: expected {len(header)} cells, "
                                  f"got {len(record)}")
-            cells = []
-            for col, src in zip(schema, order):
+            for append, column, numeric, src in fields:
                 text = record[src].strip()
                 if text in MISSING_TOKENS:
-                    cells.append(None)
-                elif col.kind == NUMERIC:
+                    append(None)
+                elif numeric:
                     try:
                         value = float(text)
                     except ValueError:
                         raise ParseError(
-                            f"{path}:{lineno}: column {col.name!r}: "
+                            f"{path}:{lineno}: column {column!r}: "
                             f"cannot parse {text!r} as a number") from None
                     if not math.isfinite(value):
                         raise ParseError(
-                            f"{path}:{lineno}: column {col.name!r}: "
+                            f"{path}:{lineno}: column {column!r}: "
                             f"non-finite value {text!r}")
-                    cells.append(value)
+                    append(value)
                 else:
-                    cells.append(text)
-            rows.append(tuple(cells))
-    return Dataset(
-        name=name if name is not None else path.stem,
-        schema=tuple(schema),
-        ids=tuple(range(len(rows))),
-        rows=tuple(rows),
-        source_rows=len(rows),
-    )
+                    append(text)
+    n = len(columns[0]) if columns else 0
+    return Dataset.from_columns(name if name is not None else path.stem, schema,
+                                range(n), columns, source_rows=n)
 
 
 def write_csv(ds: Dataset, path: str | Path) -> None:
@@ -291,19 +342,28 @@ class PrepRecipe:
             raw = json.loads(_read_text(path, RecipeError, "recipe"))
         except json.JSONDecodeError as exc:
             raise RecipeError(f"{path}: invalid JSON: {exc}") from None
-        known = {"drop_rows_with_missing", "drop_row_ids", "cast_to_categorical",
-                 "set_response", "ignore_columns", "notes"}
-        unknown = set(raw) - known
+        if not isinstance(raw, dict):
+            raise RecipeError(f"{path}: a recipe must be a JSON object")
+        unknown = set(raw) - set(_RECIPE_FIELDS)
         if unknown:
             raise RecipeError(f"{path}: unknown recipe fields {sorted(unknown)}")
-        return cls(
-            drop_rows_with_missing=bool(raw.get("drop_rows_with_missing", False)),
-            drop_row_ids=tuple(raw.get("drop_row_ids", ())),
-            cast_to_categorical=tuple(raw.get("cast_to_categorical", ())),
-            set_response=raw.get("set_response"),
-            ignore_columns=tuple(raw.get("ignore_columns", ())),
-            notes=tuple(raw.get("notes", ())),
-        )
+        for key, value in raw.items():
+            if not _has_type(value, _RECIPE_FIELDS[key]):
+                raise RecipeError(f"{path}: field {key!r} has the wrong type: {value!r}")
+        return cls(**{key: tuple(value) if isinstance(value, list) else value
+                      for key, value in raw.items()})
+
+
+#: each recipe field's JSON type: a type, a tuple of types, or [type] for a list
+_RECIPE_FIELDS = {"drop_rows_with_missing": bool, "drop_row_ids": [int],
+                  "cast_to_categorical": [str], "set_response": (str, type(None)),
+                  "ignore_columns": [str], "notes": [str]}
+
+
+def _has_type(value, want) -> bool:
+    if isinstance(want, list):
+        return isinstance(value, list) and all(_has_type(v, want[0]) for v in value)
+    return isinstance(value, want) and (want is bool or not isinstance(value, bool))
 
 
 def apply_recipe(raw: Dataset, recipe: PrepRecipe) -> Dataset:
@@ -321,7 +381,7 @@ def apply_recipe(raw: Dataset, recipe: PrepRecipe) -> Dataset:
                 f"rows 0..{raw.source_rows - 1}")
 
     drop = set(recipe.drop_row_ids)
-    kept = [(rid, row) for rid, row in zip(raw.ids, raw.rows) if rid not in drop]
+    ds = raw._take(rid for rid in raw.ids if rid not in drop)
 
     schema = list(raw.schema)
     casts = set(recipe.cast_to_categorical)
@@ -338,37 +398,22 @@ def apply_recipe(raw: Dataset, recipe: PrepRecipe) -> Dataset:
                 role = EXPLANATORY
         schema[i] = ColumnSchema(col.name, kind, role)
 
-    cast_idx = [i for i, c in enumerate(raw.schema) if c.name in casts and c.kind == NUMERIC]
-    if cast_idx:
-        converted = []
-        for rid, row in kept:
-            cells = list(row)
-            for i in cast_idx:
-                if cells[i] is not None:
-                    cells[i] = _category_label(cells[i])
-            converted.append((rid, tuple(cells)))
-        kept = converted
+    values, levels = ds.values.copy(), list(ds.levels)
+    for i in [i for i, (c, old) in enumerate(zip(schema, raw.schema)) if c.kind != old.kind]:
+        values[i], levels[i] = _codes([None if v is None else _category_label(v)
+                                       for v in ds.column(schema[i].name)])
+    ds = replace(ds, schema=tuple(schema), values=values, levels=tuple(levels))
 
     if recipe.drop_rows_with_missing:
-        width = range(len(schema))
-        kept = [(rid, row) for rid, row in kept
-                if not any(row[i] is None for i in width)]
+        gaps = ds.missing.any(axis=0).tolist()
+        ds = ds._take(rid for rid, gap in zip(ds.ids, gaps) if not gap)
 
-    prepared = Dataset(
-        name=raw.name,
-        schema=tuple(schema),
-        ids=tuple(rid for rid, _ in kept),
-        rows=tuple(row for _, row in kept),
-        source_rows=raw.source_rows,
-    )
-    active = [(c.name, prepared.column_index(c.name)) for c in prepared.active_columns()]
-    for rid, row in zip(prepared.ids, prepared.rows):
-        for colname, i in active:
-            if row[i] is None:
-                raise RecipeError(
-                    f"prepared dataset still has a missing value in column "
-                    f"{colname!r}, row {rid}; drop the row or ignore the column")
-    return prepared
+    gap = ds._first_gap(non_finite=False)
+    if gap is not None:
+        raise RecipeError(
+            f"prepared dataset still has a missing value in column "
+            f"{gap[0]!r}, row {gap[1]}; drop the row or ignore the column")
+    return ds
 
 
 def _category_label(value: float) -> str:
@@ -383,17 +428,14 @@ def split(ds: Dataset, train_ids, test_ids) -> tuple[Dataset, Dataset]:
     test_ids = tuple(test_ids)
     if not train_ids or not test_ids:
         raise SplitError("train and test id lists must both be nonempty")
-    overlap = set(train_ids) & set(test_ids)
+    train, test = set(train_ids), set(test_ids)
+    overlap = train & test
     if overlap:
         raise SplitError(f"train and test ids overlap: {sorted(overlap)}")
-    if len(set(train_ids)) != len(train_ids) or len(set(test_ids)) != len(test_ids):
+    if len(train) != len(train_ids) or len(test) != len(test_ids):
         raise SplitError("duplicate ids in split")
-    by_id = dict(zip(ds.ids, ds.rows))
-    unknown = [i for i in (*train_ids, *test_ids) if i not in by_id]
+    unknown = (train | test) - ds._positions.keys()
     if unknown:
-        raise SplitError(f"ids not present in dataset {ds.name!r}: {unknown}")
-
-    def take(ids):
-        return replace(ds, ids=ids, rows=tuple(by_id[i] for i in ids))
-
-    return take(train_ids), take(test_ids)
+        raise SplitError(f"ids not present in dataset {ds.name!r}: "
+                         f"{[i for i in (*train_ids, *test_ids) if i in unknown]}")
+    return ds._take(train_ids), ds._take(test_ids)

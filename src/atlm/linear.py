@@ -1,12 +1,13 @@
 """Least-squares linear model over a dummy-coded design matrix.
 
 Categorical predictors are expanded with treatment contrasts: a factor with
-L observed levels contributes L-1 indicator columns against a reference
-level (the first level seen in the training column).  The fit uses a
-column-pivoted Householder QR; columns whose pivoted diagonal falls below
-``RANK_TOL`` times the leading diagonal are aliased (dropped with no
-coefficient), so deliberately collinear feature sets still fit, with
-predictions unaffected by which member of a dependent group is dropped.
+L observed levels contributes L-1 indicator columns, compared from its
+codes, against a reference level (the first level seen in the training
+column).  The fit uses a column-pivoted Householder QR; columns whose
+pivoted diagonal falls below ``RANK_TOL`` times the leading diagonal are
+aliased (dropped with no coefficient), so deliberately collinear feature
+sets still fit, with predictions unaffected by which member of a dependent
+group is dropped.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .dataset import CATEGORICAL, Dataset, NUMERIC, RESPONSE
+from .dataset import Dataset, NUMERIC, RESPONSE
 from .errors import FitError, SchemaError, UnseenLevelError
 
 INTERCEPT = "intercept"
@@ -34,10 +35,6 @@ class DesignMatrix:
     labels: tuple[str, ...]
     matrix: np.ndarray
     factor_levels: dict
-
-    @property
-    def row_count(self) -> int:
-        return self.matrix.shape[0]
 
 
 @dataclass(frozen=True)
@@ -59,21 +56,13 @@ def dummy_label(factor: str, level: str) -> str:
     return f"{factor}={level}"
 
 
-def _observed_levels(ds: Dataset, name: str) -> tuple[str, ...]:
-    seen: list[str] = []
-    for v in ds.column(name):
-        if v not in seen:
-            seen.append(v)
-    return tuple(seen)
-
-
 def build_design(ds: Dataset, levels: dict | None = None,
                  unseen_level: str = UNSEEN_ERROR) -> DesignMatrix:
-    """Intercept + numeric columns + L-1 dummy columns per factor.
+    """Intercept + numeric columns + L-1 dummy columns per factor, in schema order.
 
     ``levels`` is supplied at prediction time with the training level
-    dictionaries; without it (training time) levels are recorded in first
-    appearance order, reference level first.
+    dictionaries; without it (training time) a factor's levels are the ones
+    its codes use, in first appearance order, reference level first.
     """
     if unseen_level not in UNSEEN_POLICIES:
         raise SchemaError(f"unknown unseen-level policy {unseen_level!r}")
@@ -81,35 +70,38 @@ def build_design(ds: Dataset, levels: dict | None = None,
     if not explanatory:
         raise SchemaError(f"dataset {ds.name!r} has no explanatory columns")
 
-    n = len(ds)
     labels: list[str] = [INTERCEPT]
-    columns: list[np.ndarray] = [np.ones(n)]
+    # the design's columns, built as the rows of its transpose
+    rows: list[np.ndarray] = [np.ones((1, len(ds)))]
     factor_levels: dict[str, tuple[str, ...]] = {}
 
     for col in explanatory:
+        i = ds.column_index(col.name)
         if col.kind == NUMERIC:
             labels.append(col.name)
-            columns.append(np.asarray(ds.column(col.name), dtype=float))
+            rows.append(ds.values[i:i + 1])
             continue
-        cells = ds.column(col.name)
-        if levels is not None:
-            if col.name not in levels:
-                raise SchemaError(f"no training levels recorded for factor {col.name!r}")
+        codes, names = ds.values[i].astype(np.intp), ds.levels[i]
+        if levels is None:
+            lvls = tuple(names[c] for c in dict.fromkeys(codes.tolist()))
+        elif col.name in levels:
             lvls = tuple(levels[col.name])
-            for rid, v in zip(ds.ids, cells):
-                if v not in lvls and unseen_level == UNSEEN_ERROR:
-                    raise UnseenLevelError(
-                        f"factor {col.name!r} has level {v!r} in row {rid} "
-                        f"that was not seen in training")
         else:
-            lvls = _observed_levels(ds, col.name)
+            raise SchemaError(f"no training levels recorded for factor {col.name!r}")
+        # each row's position in lvls; -1 for a level training never saw
+        position = {level: k for k, level in enumerate(lvls)}
+        index = np.array([position.get(level, -1) for level in names], dtype=np.intp)[codes]
+        if unseen_level == UNSEEN_ERROR and (index < 0).any():
+            row = int(index.argmin())
+            raise UnseenLevelError(
+                f"factor {col.name!r} has level {names[codes[row]]!r} in row "
+                f"{ds.ids[row]} that was not seen in training")
         factor_levels[col.name] = lvls
-        for level in lvls[1:]:
-            labels.append(dummy_label(col.name, level))
-            columns.append(np.array([1.0 if v == level else 0.0 for v in cells]))
+        labels.extend(dummy_label(col.name, level) for level in lvls[1:])
+        rows.append(np.arange(1, len(lvls))[:, None] == index)
 
     return DesignMatrix(labels=tuple(labels),
-                        matrix=np.column_stack(columns),
+                        matrix=np.ascontiguousarray(np.concatenate(rows, dtype=float).T),
                         factor_levels=factor_levels)
 
 

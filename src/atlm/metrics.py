@@ -53,10 +53,9 @@ class MetricSummary:
 
 
 def _relative_errors(ps: PredictionSet) -> np.ndarray:
-    actual = ps.actual
-    if np.any(actual <= 0.0):
+    if np.any(ps.actual <= 0.0):
         raise MetricError("relative error undefined: actual values must be > 0")
-    return np.abs(ps.predicted - actual) / actual
+    return np.abs(ps.predicted - ps.actual) / ps.actual
 
 
 def mmre(ps: PredictionSet) -> float:
@@ -89,12 +88,10 @@ def re_star(ps: PredictionSet) -> float:
     """
     if len(ps) < 2:
         raise MetricError("re_star needs at least 2 rows")
-    actual = ps.actual
-    var_actual = float(np.var(actual, ddof=1))
+    var_actual = float(np.var(ps.actual, ddof=1))
     if var_actual == 0.0:
         raise MetricError("re_star undefined for constant actuals")
-    residuals = ps.predicted - actual
-    return float(np.var(residuals, ddof=1) / var_actual)
+    return float(np.var(ps.predicted - ps.actual, ddof=1) / var_actual)
 
 
 def lsd(ps: PredictionSet) -> float:
@@ -105,11 +102,9 @@ def lsd(ps: PredictionSet) -> float:
     """
     if len(ps) < 2:
         raise MetricError("lsd needs at least 2 rows")
-    actual = ps.actual
-    predicted = ps.predicted
-    if np.any(actual <= 0.0) or np.any(predicted <= 0.0):
+    if np.any(ps.actual <= 0.0) or np.any(ps.predicted <= 0.0):
         raise MetricError("lsd undefined: actuals and predictions must be > 0")
-    e = np.log(actual) - np.log(predicted)
+    e = np.log(ps.actual) - np.log(ps.predicted)
     s2 = float(np.var(e, ddof=1))
     return float(math.sqrt(np.sum((e + s2 / 2.0) ** 2) / (len(ps) - 1)))
 

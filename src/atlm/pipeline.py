@@ -4,13 +4,13 @@ Fitting computes the transform table on the training data only and fits
 the linear model on the transformed training data.  Prediction applies the
 training-chosen transforms to the test data, evaluates the linear model,
 and inverts the response transform so predictions land on the original
-effort scale next to the untouched actual values.  There are no tunable
+effort scale next to the untouched actual values.  Every stage works on
+whole arrays, down to the :class:`PredictionSet`.  There are no tunable
 parameters.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,48 +38,47 @@ class AtlmModel:
     linear: FittedLinearModel
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PredictionSet:
-    """Ordered (row id, predicted, actual) triples on the original scale."""
+    """Row ids with aligned arrays of predicted and actual values, original scale."""
 
-    rows: tuple[tuple[int, float, float], ...]
+    row_ids: tuple[int, ...]
+    predicted: np.ndarray
+    actual: np.ndarray
 
     def __post_init__(self) -> None:
-        for rid, pred, actual in self.rows:
-            if not (math.isfinite(pred) and math.isfinite(actual)):
-                raise PredictionError(
-                    f"non-finite prediction or actual for row {rid}: "
-                    f"({pred!r}, {actual!r})")
+        for name in ("predicted", "actual"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        bad = ~(np.isfinite(self.predicted) & np.isfinite(self.actual))
+        if bad.any():
+            i = int(bad.argmax())
+            raise PredictionError(
+                f"non-finite prediction or actual for row {self.row_ids[i]}: "
+                f"({float(self.predicted[i])!r}, {float(self.actual[i])!r})")
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.row_ids)
 
-    @property
-    def row_ids(self) -> tuple[int, ...]:
-        return tuple(r[0] for r in self.rows)
-
-    @property
-    def predicted(self) -> np.ndarray:
-        return np.array([r[1] for r in self.rows])
-
-    @property
-    def actual(self) -> np.ndarray:
-        return np.array([r[2] for r in self.rows])
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, PredictionSet) and self.row_ids == other.row_ids
+                and np.array_equal(self.predicted, other.predicted)
+                and np.array_equal(self.actual, other.actual))
 
     def to_csv_text(self) -> str:
         from .dataset import format_number
         lines = ["row_id,predicted,actual"]
-        for rid, pred, actual in self.rows:
+        for rid, pred, actual in zip(self.row_ids, self.predicted.tolist(),
+                                     self.actual.tolist()):
             lines.append(f"{rid},{format_number(pred)},{format_number(actual)}")
         return "\n".join(lines) + "\n"
 
 
 def pooled(prediction_sets) -> PredictionSet:
     """Concatenate fold prediction sets, preserving fold order."""
-    rows: list[tuple[int, float, float]] = []
-    for ps in prediction_sets:
-        rows.extend(ps.rows)
-    return PredictionSet(rows=tuple(rows))
+    sets = list(prediction_sets)
+    return PredictionSet(tuple(rid for ps in sets for rid in ps.row_ids),
+                         np.concatenate([np.empty(0)] + [ps.predicted for ps in sets]),
+                         np.concatenate([np.empty(0)] + [ps.actual for ps in sets]))
 
 
 def atlm_fit(training: Dataset) -> AtlmModel:
@@ -97,8 +96,8 @@ def atlm_fit(training: Dataset) -> AtlmModel:
         raise FitError(
             f"dataset {training.name!r} has {len(training)} rows but its schema "
             f"implies {width} design columns; need at least as many rows")
-    y = np.asarray(transformed.response_column(), dtype=float)
-    linear = fit_ols(design, y, response_name=training.response_name)
+    linear = fit_ols(design, transformed.response_column(),
+                     response_name=training.response_name)
     return AtlmModel(transforms=transforms, linear=linear)
 
 
@@ -108,8 +107,6 @@ def atlm_predict(model: AtlmModel, test: Dataset,
     test.require_no_missing("predict")
     transformed = apply_transforms(model.transforms, test)
     raw = linear_predict(model.linear, transformed, unseen_level=unseen_level)
-    preds = invert_predictions(model.transforms, raw)
-    actuals = test.response_column()
-    return PredictionSet(rows=tuple(
-        (rid, float(p), float(a))
-        for rid, p, a in zip(test.ids, preds, actuals)))
+    return PredictionSet(row_ids=test.ids,
+                         predicted=invert_predictions(model.transforms, raw),
+                         actual=test.response_column())

@@ -7,11 +7,15 @@ the one with the smallest absolute b1 sample skewness wins, ties broken
 toward the weaker transform (none > log > sqrt).  Categorical variables are
 left alone.  The inverse transforms (identity, exp, square) are total, so
 predictions can always be mapped back to the original scale.
+
+Both directions work on rows of the dataset's (columns x rows) matrix: one
+moments pass scores every candidate of every variable, and the b1 values
+equal :func:`skewness_b1` of each transformed column bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,30 +34,13 @@ DEGENERATE = "degenerate"
 
 _FORWARD = {NONE: lambda a: a, LOG: np.log, SQRT: np.sqrt}
 _INVERSE = {NONE: lambda a: a, LOG: np.exp, SQRT: np.square}
-
-
-def forward_value(kind: str, value: float) -> float:
-    return float(_FORWARD[kind](value))
+#: where each transform is defined
+_DOMAIN = {NONE: lambda a: np.full(a.shape, True), LOG: lambda a: a > 0.0,
+           SQRT: lambda a: a >= 0.0}
 
 
 def inverse_values(kind: str, values) -> np.ndarray:
     return np.asarray(_INVERSE[kind](np.asarray(values, dtype=float)), dtype=float)
-
-
-def admissible(kind: str, values: np.ndarray) -> bool:
-    if kind == LOG:
-        return bool(np.all(values > 0.0))
-    if kind == SQRT:
-        return bool(np.all(values >= 0.0))
-    return True
-
-
-def in_domain(kind: str, value: float) -> bool:
-    if kind == LOG:
-        return value > 0.0
-    if kind == SQRT:
-        return value >= 0.0
-    return True
 
 
 def skewness_b1(values) -> float:
@@ -69,7 +56,7 @@ def skewness_b1(values) -> float:
     mean = a.mean()
     d = a - mean
     m2 = np.mean(d * d)
-    if m2 == 0.0:
+    if m2 ** 1.5 == 0.0:  # zero, or so small that its 3/2 power underflows
         raise DegenerateSampleError("skewness undefined for a zero-variance sample")
     m3 = np.mean(d * d * d)
     g1 = m3 / m2 ** 1.5
@@ -122,69 +109,81 @@ class TransformTable:
         }
 
 
+def _skewness_rows(a: np.ndarray) -> list:
+    """:func:`skewness_b1` of each row of a C-contiguous 2-D array, or DEGENERATE.
+
+    Summing along the contiguous last axis keeps the 1-D mean's pairwise
+    order; the last step stays on Python floats, as array ``** 1.5`` can
+    differ from scalar ``pow`` in the last bit."""
+    n = a.shape[1]
+    if n < 3:
+        return [DEGENERATE] * a.shape[0]
+    d = a - np.add.reduce(a, axis=1, keepdims=True) / n
+    dd = d * d
+    m2 = (np.add.reduce(dd, axis=1) / n).tolist()
+    m3 = (np.add.reduce(dd * d, axis=1) / n).tolist()
+    scale = ((n - 1) / n) ** 1.5
+    return [DEGENERATE if (spread := s2 ** 1.5) == 0.0 else s3 / spread * scale
+            for s2, s3 in zip(m2, m3)]
+
+
 def calculate_transforms(training: Dataset) -> TransformTable:
     """Choose, per variable, the admissible transform of least |b1| skew."""
+    numeric = [c.name for c in training.active_columns() if c.kind == NUMERIC]
+    values = training.values[[training.column_index(name) for name in numeric]]
+    admissible = {kind: _DOMAIN[kind](values).all(axis=1) for kind in TRANSFORM_KINDS}
+    b1 = iter(_skewness_rows(np.concatenate(
+        [_FORWARD[kind](values[ok]) for kind, ok in admissible.items()])))
+    skews: dict[str, dict] = {name: {} for name in numeric}
+    for kind, ok in admissible.items():
+        for name, valid in zip(numeric, ok.tolist()):
+            skews[name][kind] = next(b1) if valid else INADMISSIBLE
+
     entries: dict[str, TransformEntry] = {}
     for col in training.active_columns():
         if col.kind == CATEGORICAL:
             entries[col.name] = TransformEntry(col.name, NONE, None, {}, categorical=True)
             continue
-        values = np.asarray(training.column(col.name), dtype=float)
-        skew_all: dict[str, object] = {}
-        best_kind = NONE
-        best_abs: float | None = None
-        for kind in TRANSFORM_KINDS:
-            if not admissible(kind, values):
-                skew_all[kind] = INADMISSIBLE
-                continue
-            try:
-                b1 = skewness_b1(_FORWARD[kind](values))
-            except DegenerateSampleError:
-                skew_all[kind] = DEGENERATE
-                continue
-            skew_all[kind] = b1
-            if best_abs is None or abs(b1) < best_abs:
-                best_abs = abs(b1)
-                best_kind = kind
-        chosen = skew_all.get(best_kind)
-        entries[col.name] = TransformEntry(
-            col.name, best_kind,
-            chosen if isinstance(chosen, float) else None,
-            skew_all)
+        skew_all = skews[col.name]
+        best_kind, best = NONE, None
+        for kind, value in skew_all.items():
+            # strictly less, so ties go to the weaker transform
+            if isinstance(value, float) and (best is None or abs(value) < abs(best)):
+                best_kind, best = kind, value
+        entries[col.name] = TransformEntry(col.name, best_kind, best, skew_all)
     return TransformTable(entries=entries, response=training.response_name)
 
 
 def apply_transforms(table: TransformTable, ds: Dataset) -> Dataset:
-    """Forward-transform every numeric cell; categorical cells untouched.
+    """Forward-transform every active numeric column; factors untouched.
 
-    Raises a domain error naming the variable and row when a cell falls
-    outside the domain of the transform chosen on training data (the
-    typical case: log was chosen and a test value is <= 0).
-    """
-    active_numeric = [c.name for c in ds.active_columns() if c.kind == NUMERIC]
-    for name in active_numeric:
+    Raises a domain error naming the variable and the first row whose value
+    lies outside the domain of the transform chosen on training data (the
+    typical case: log was chosen and a test value is <= 0); missing cells
+    are passed over."""
+    numeric = [c.name for c in ds.active_columns() if c.kind == NUMERIC]
+    for name in numeric:
         if name not in table:
             raise SchemaError(f"transform table has no entry for variable {name!r}")
 
-    columns: dict[str, int] = {n: ds.column_index(n) for n in active_numeric}
-    new_rows = []
-    for rid, row in zip(ds.ids, ds.rows):
-        cells = list(row)
-        for name, i in columns.items():
-            kind = table[name].kind
-            if kind == NONE:
-                continue
-            value = cells[i]
-            if value is None:
-                continue
-            if not in_domain(kind, value):
-                raise TransformDomainError(
-                    f"value {value!r} of variable {name!r} in row {rid} is outside "
-                    f"the domain of the training-chosen {kind!r} transform")
-            cells[i] = forward_value(kind, value)
-        new_rows.append(tuple(cells))
-    return Dataset(name=ds.name, schema=ds.schema, ids=ds.ids,
-                   rows=tuple(new_rows), source_rows=ds.source_rows)
+    columns = {kind: [ds.column_index(n) for n in numeric if table[n].kind == kind]
+               for kind in (LOG, SQRT)}
+    outside = np.zeros_like(ds.missing)
+    for kind, at in columns.items():
+        outside[at] = ~_DOMAIN[kind](ds.values[at])
+    outside &= ~ds.missing
+    if outside.any():
+        row = int(outside.any(axis=0).argmax())
+        i = int(outside[:, row].argmax())
+        name = ds.schema[i].name
+        raise TransformDomainError(
+            f"value {float(ds.values[i, row])!r} of variable {name!r} in row "
+            f"{ds.ids[row]} is outside the domain of the training-chosen "
+            f"{table[name].kind!r} transform")
+    out = ds.values.copy()
+    for kind, at in columns.items():
+        out[at] = _FORWARD[kind](ds.values[at])
+    return replace(ds, values=out)
 
 
 def invert_predictions(table: TransformTable, predictions) -> list[float]:
@@ -194,4 +193,4 @@ def invert_predictions(table: TransformTable, predictions) -> list[float]:
     kind = table.response_kind()
     # an overflow to inf is reported as E_PREDICT by PredictionSet, not as a warning
     with np.errstate(over="ignore"):
-        return [float(v) for v in inverse_values(kind, predictions)]
+        return inverse_values(kind, predictions).tolist()

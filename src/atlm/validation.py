@@ -117,55 +117,35 @@ class FoldAssignment:
         }
 
 
-def _plan_rng(plan: ValidationPlan, fingerprint: str) -> Pcg32:
-    stream = int(fingerprint[:16], 16)
-    return Pcg32(plan.seed, stream=stream)
-
-
 def generate_folds(ds: Dataset, plan: ValidationPlan) -> FoldAssignment:
     """Deterministic folds for the plan; see the module docstring."""
     n = len(ds)
     ids = list(ds.ids)
     fingerprint = ds.fingerprint()
-
     if plan.kind == LOOCV:
-        folds = tuple(
-            (tuple(i for i in ids if i != test_id), (test_id,))
-            for test_id in ids)
-        return FoldAssignment(plan, fingerprint, folds)
-
-    rng = _plan_rng(plan, fingerprint)
+        return FoldAssignment(plan, fingerprint,
+                              tuple((tuple(i for i in ids if i != t), (t,)) for t in ids))
+    rng = Pcg32(plan.seed, stream=int(fingerprint[:16], 16))
     if plan.kind == KFOLD:
         if plan.k > n:
             raise PlanError(f"kfold k={plan.k} exceeds {n} rows of {ds.name!r}")
         shuffled = list(ids)
         rng.shuffle(shuffled)
         base, extra = divmod(n, plan.k)
-        folds = []
-        start = 0
-        for i in range(plan.k):
-            size = base + (1 if i < extra else 0)
-            test = set(shuffled[start:start + size])
-            start += size
-            folds.append((
-                tuple(i for i in ids if i not in test),
-                tuple(i for i in ids if i in test),
-            ))
-        return FoldAssignment(plan, fingerprint, tuple(folds))
-
-    if plan.test_size >= n:
-        raise PlanError(
-            f"holdout test_size={plan.test_size} must be below {n} rows of {ds.name!r}")
-    folds = []
-    for _ in range(plan.repeats):
-        shuffled = list(ids)
-        rng.shuffle(shuffled)
-        test = set(shuffled[:plan.test_size])
-        folds.append((
-            tuple(i for i in ids if i not in test),
-            tuple(i for i in ids if i in test),
-        ))
-    return FoldAssignment(plan, fingerprint, tuple(folds))
+        starts = [i * base + min(i, extra) for i in range(plan.k + 1)]
+        tests = [set(shuffled[a:b]) for a, b in zip(starts, starts[1:])]
+    else:
+        if plan.test_size >= n:
+            raise PlanError(
+                f"holdout test_size={plan.test_size} must be below {n} rows of {ds.name!r}")
+        tests = []
+        for _ in range(plan.repeats):
+            shuffled = list(ids)
+            rng.shuffle(shuffled)
+            tests.append(set(shuffled[:plan.test_size]))
+    folds = tuple((tuple(i for i in ids if i not in test), tuple(i for i in ids if i in test))
+                  for test in tests)
+    return FoldAssignment(plan, fingerprint, folds)
 
 
 @dataclass(frozen=True)
@@ -220,8 +200,7 @@ def _run_fold(ds: Dataset, index: int, fold, plan: ValidationPlan,
         return FoldOutcome(index, code=exc.code, message=str(exc))
     if plan.kind == LOOCV:
         return FoldOutcome(index, predictions)
-    training_response = np.asarray(train.response_column(), dtype=float)
-    return FoldOutcome(index, predictions, report(predictions, training_response))
+    return FoldOutcome(index, predictions, report(predictions, train.response_column()))
 
 
 def run_validation(ds: Dataset, plan: ValidationPlan, *,
@@ -240,9 +219,8 @@ def run_validation(ds: Dataset, plan: ValidationPlan, *,
     if plan.kind == LOOCV:
         # singleton test sets: score the pooled predictions once, with the
         # full response sample as the random-guess reference
-        all_preds = pooled([o.predictions for o in succeeded])
-        full_response = np.asarray(ds.response_column(), dtype=float)
-        pooled_report = report(all_preds, full_response)
+        pooled_report = report(pooled([o.predictions for o in succeeded]),
+                               ds.response_column())
         summary = aggregate([pooled_report])
     else:
         summary = aggregate([o.report for o in succeeded])

@@ -14,14 +14,10 @@ def make_dataset(columns: dict, response: str, *, name: str = "test",
         role = RESPONSE if col == response else ("ignored" if col in ignored else EXPLANATORY)
         schema.append(ColumnSchema(col, kind, role))
     n = len(next(iter(columns.values())))
-    rows = []
-    for i in range(n):
-        rows.append(tuple(
-            str(columns[c][i]) if c in categorical else
-            (None if columns[c][i] is None else float(columns[c][i]))
-            for c in columns))
-    return Dataset(name=name, schema=tuple(schema),
-                   ids=tuple(range(n)), rows=tuple(rows))
+    cells = [[str(v) for v in values] if c in categorical else
+             [None if v is None else float(v) for v in values]
+             for c, values in columns.items()]
+    return Dataset.from_columns(name, schema, range(n), cells)
 
 
 @pytest.fixture

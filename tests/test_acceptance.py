@@ -55,8 +55,7 @@ def test_criterion_1_constant_predictor_re_star_is_one():
             actuals = test.response_column()
             if max(actuals) == min(actuals):
                 continue
-            ps = PredictionSet(rows=tuple(
-                (rid, constant, float(a)) for rid, a in zip(test.ids, actuals)))
+            ps = PredictionSet(test.ids, [constant] * len(test), actuals)
             assert re_star(ps) == pytest.approx(1.0, abs=1e-12), name
     print("ACCEPTANCE 1 (constant-predictor RE* calibration = 1.0): PASS")
 
@@ -216,9 +215,7 @@ def test_criterion_7_metric_micro_corpus():
 
     def run_case(predicted, actual):
         nonlocal cases
-        ps = PredictionSet(rows=tuple(
-            (i, float(p), float(a))
-            for i, (p, a) in enumerate(zip(predicted, actual))))
+        ps = PredictionSet(tuple(range(len(actual))), predicted, actual)
         train = trainings[cases % len(trainings)]
         _check_metric(lambda: mmre(ps), _oracle_mmre(predicted, actual))
         _check_metric(lambda: pred(ps, 25), _oracle_pred25(predicted, actual))

@@ -161,6 +161,22 @@ class TestErrorContract:
         assert err.startswith(f"error[{code}]: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv, existing", [
+        (["inspect", "--dataset", "cocomo81"], "directory"),
+        (["reproduce", "table1"], "file"),
+    ])
+    def test_unwritable_out_is_one_error_line(self, tmp_path, capsys, argv, existing):
+        out = tmp_path / "out"
+        if existing == "directory":
+            out.mkdir()
+        else:
+            out.write_text("")
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[E_CONFIG]: ")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("argv", [
         ["evaluate", "--dataset", "cocomo81", "--plan", "kfold:10"],
         ["reproduce", "table1"],

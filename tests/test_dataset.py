@@ -74,9 +74,8 @@ def test_schema_requires_single_numeric_response():
     with pytest.raises(SchemaError):
         make_dataset({"x": [1, 2], "y": [1, 2]}, response="nope")
     with pytest.raises(SchemaError):
-        Dataset(name="bad",
-                schema=(ColumnSchema("y", CATEGORICAL, "response"),),
-                ids=(0,), rows=(("a",),))
+        Dataset.from_columns("bad", (ColumnSchema("y", CATEGORICAL, "response"),),
+                             (0,), (("a",),))
 
 
 def test_serialize_reload_is_identity(tmp_path):
@@ -151,6 +150,31 @@ class TestApplyRecipe:
         once = apply_recipe(ds, recipe)
         twice = apply_recipe(once, recipe)
         assert once == twice
+
+
+class TestRecipeFile:
+    def test_fields_load_as_tuples(self, tmp_path):
+        path = tmp_path / "r.json"
+        path.write_text('{"drop_rows_with_missing": true, "drop_row_ids": [3, 1], '
+                        '"cast_to_categorical": ["lang"], "set_response": "y", '
+                        '"ignore_columns": [], "notes": ["n"]}')
+        assert PrepRecipe.from_json_file(path) == PrepRecipe(
+            drop_rows_with_missing=True, drop_row_ids=(3, 1),
+            cast_to_categorical=("lang",), set_response="y", notes=("n",))
+
+    @pytest.mark.parametrize("text", [
+        "5", "[]", '"recipe"', "null",
+        '{"drop_rows_with_missing": 1}',
+        '{"drop_row_ids": "ab"}', '{"drop_row_ids": [1.5]}', '{"drop_row_ids": [true]}',
+        '{"cast_to_categorical": "mode"}', '{"cast_to_categorical": [1]}',
+        '{"set_response": 3}', '{"set_response": ["y"]}',
+        '{"ignore_columns": null}', '{"notes": [null]}',
+    ])
+    def test_wrong_shape_is_a_recipe_error(self, tmp_path, text):
+        path = tmp_path / "r.json"
+        path.write_text(text)
+        with pytest.raises(RecipeError, match="r.json"):
+            PrepRecipe.from_json_file(path)
 
 
 class TestSplit:

@@ -13,8 +13,7 @@ from atlm.pipeline import PredictionSet
 
 
 def ps(predicted, actual):
-    return PredictionSet(rows=tuple(
-        (i, float(p), float(a)) for i, (p, a) in enumerate(zip(predicted, actual))))
+    return PredictionSet(tuple(range(len(actual))), predicted, actual)
 
 
 # literal re-implementations used as oracles

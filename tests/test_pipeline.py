@@ -75,8 +75,8 @@ class TestPredict:
         model = atlm_fit(exact_linear)
         test = make_dataset({"x": [7.0], "y": [14.0]}, response="y")
         predictions = atlm_predict(model, test)
-        assert predictions.rows[0][1] == pytest.approx(14.0, rel=1e-10)
-        assert predictions.rows[0][2] == 14.0
+        assert predictions.predicted[0] == pytest.approx(14.0, rel=1e-10)
+        assert predictions.actual[0] == 14.0
 
     def test_training_set_identity(self):
         # square full-rank design (intercept + 3 dummies over 4 rows), so the
@@ -142,11 +142,11 @@ class TestPredict:
 
 
 def test_pooled_preserves_order():
-    a = PredictionSet(rows=((0, 1.0, 2.0),))
-    b = PredictionSet(rows=((5, 3.0, 4.0),))
+    a = PredictionSet((0,), [1.0], [2.0])
+    b = PredictionSet((5,), [3.0], [4.0])
     assert pooled([a, b]).row_ids == (0, 5)
 
 
 def test_prediction_set_rejects_non_finite():
     with pytest.raises(Exception):
-        PredictionSet(rows=((0, float("inf"), 1.0),))
+        PredictionSet((0,), [float("inf")], [1.0])

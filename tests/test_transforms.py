@@ -17,7 +17,6 @@ from atlm.transforms import (
     TRANSFORM_KINDS,
     apply_transforms,
     calculate_transforms,
-    forward_value,
     inverse_values,
     invert_predictions,
     skewness_b1,
@@ -169,6 +168,16 @@ class TestApplyInvert:
         with pytest.raises(TransformDomainError, match="'x'.*row 1"):
             apply_transforms(table, test)
 
+    @pytest.mark.parametrize("a, b, where", [
+        ([1, 2, 0], [4, -1, -1], "'b' in row 1"),  # the earlier row wins across kinds
+        ([1, 0, 2], [4, -1, 9], "'a' in row 1"),  # then the earlier column
+    ])
+    def test_domain_violation_reports_the_first_bad_cell(self, a, b, where):
+        table = fixed_table({"a": LOG, "b": SQRT, "y": NONE}, response="y")
+        test = make_dataset({"a": a, "b": b, "y": [1, 2, 3]}, response="y")
+        with pytest.raises(TransformDomainError, match=where):
+            apply_transforms(table, test)
+
     def test_invert_identity_exp_square(self):
         def with_kind(kind):
             return fixed_table({"x": NONE, "y": kind}, response="y")
@@ -190,7 +199,73 @@ class TestApplyInvert:
         back = invert_predictions(table, transformed.column("y"))
         assert back == pytest.approx(list(ds.column("y")), rel=1e-12)
 
-    def test_forward_value_inverse_pairing(self):
+    def test_forward_inverse_pairing(self):
         for kind, x in ((NONE, -3.5), (LOG, 2.25), (SQRT, 7.0)):
-            y = forward_value(kind, x)
+            ds = make_dataset({"x": [x], "y": [1.0]}, response="y")
+            forward = apply_transforms(fixed_table({"x": kind, "y": NONE}, "y"), ds)
+            y = forward.column("x")[0]
             assert inverse_values(kind, [y])[0] == pytest.approx(x, rel=1e-12)
+
+
+_REFERENCE = {NONE: lambda v: v, LOG: np.log, SQRT: np.sqrt}
+
+
+@st.composite
+def numeric_columns(draw):
+    """A few equal-length numeric columns: positive, two-valued, or holding
+    zeros and negatives so that log and sqrt can be inadmissible."""
+    n = draw(st.integers(min_value=3, max_value=25))
+
+    def cells(elements):
+        return st.lists(elements, min_size=n, max_size=n)
+
+    two_valued = st.tuples(st.floats(0.01, 1e4), st.floats(0.01, 1e4),
+                           cells(st.booleans())).map(
+        lambda t: [t[0] if pick else t[1] for pick in t[2]])
+    column = st.one_of(
+        cells(st.floats(min_value=0.001, max_value=1e6)),
+        two_valued,
+        cells(st.sampled_from([0.0, 0.5, 1.0, 3.0, 40.0])),
+        cells(st.floats(min_value=-1e3, max_value=1e3)),
+    )
+    return [draw(column) for _ in range(draw(st.integers(min_value=2, max_value=5)))]
+
+
+def _frame(columns):
+    names = [f"v{i}" for i in range(len(columns))]
+    return make_dataset(dict(zip(names, columns)), response=names[-1]), names
+
+
+class TestColumnarExactness:
+    """The whole-array paths equal the scalar reference with ==, not approx."""
+
+    @given(numeric_columns())
+    @settings(max_examples=150, deadline=None)
+    def test_every_b1_equals_skewness_b1_of_the_transformed_column(self, columns):
+        ds, names = _frame(columns)
+        table = calculate_transforms(ds)
+        for name, values in zip(names, columns):
+            x = np.asarray(values, dtype=float)
+            domain = {NONE: True, LOG: bool(np.all(x > 0)), SQRT: bool(np.all(x >= 0))}
+            for kind in TRANSFORM_KINDS:
+                got = table[name].skewness_all[kind]
+                if not domain[kind]:
+                    assert got == INADMISSIBLE
+                    continue
+                try:
+                    want = skewness_b1(_REFERENCE[kind](x))
+                except DegenerateSampleError:
+                    want = DEGENERATE
+                assert got == want, (name, kind)
+                assert type(got) is type(want)
+
+    @given(numeric_columns())
+    @settings(max_examples=150, deadline=None)
+    def test_apply_equals_the_ufunc_of_each_value(self, columns):
+        ds, names = _frame(columns)
+        kinds = {name: LOG if min(values) > 0 else SQRT if min(values) >= 0 else NONE
+                 for name, values in zip(names, columns)}
+        out = apply_transforms(fixed_table(kinds, response=names[-1]), ds)
+        for name, values in zip(names, columns):
+            want = tuple(float(_REFERENCE[kinds[name]](v)) for v in values)
+            assert out.column(name) == want, name
