@@ -6,6 +6,14 @@ change returns a new instance that folds can share.  Rows keep the
 identifiers they were assigned when the raw file was loaded (0-based line
 order), which is what fold assignments, prediction sets, and recipes refer
 to.
+
+A dataset's columns are a :class:`Schema`: a tuple of :class:`ColumnSchema`
+that also holds the positions every layer indexes the matrix by (name to
+position, the active, numeric and explanatory columns, the response) and
+whether it is well formed.  They are worked out once, when the schema is
+built; every dataset derived from it (splits, transformed copies) carries
+the same schema object, so no per-fold step looks a column up by name or
+checks the schema again.
 """
 
 from __future__ import annotations
@@ -63,19 +71,59 @@ class ColumnSchema:
             raise SchemaError(f"unknown column role {self.role!r} for {self.name!r}")
 
 
+class Schema(tuple):
+    """Columns in order, with the positions each layer indexes by.
+
+    ``index`` maps a column name to its position; ``active`` holds the
+    positions of the columns that take part in modelling (not ignored),
+    ``numeric`` those of the active numeric columns (response included) and
+    ``explanatory`` the ``(position, column)`` pairs of the active columns
+    other than the response.  ``response`` is the response's position, or
+    None when the names repeat or there is not exactly one numeric response;
+    :meth:`check` then says which.
+    """
+
+    def __new__(cls, columns):
+        self = super().__new__(cls, columns)
+        self.index = {c.name: i for i, c in enumerate(self)}
+        self.active = tuple(i for i, c in enumerate(self) if c.role != IGNORED)
+        self.numeric = tuple(i for i in self.active if self[i].kind == NUMERIC)
+        self.explanatory = tuple((i, self[i]) for i in self.active
+                                 if self[i].role != RESPONSE)
+        responses = [i for i in self.active if self[i].role == RESPONSE]
+        well_formed = (len(self.index) == len(self) and len(responses) == 1
+                       and self[responses[0]].kind == NUMERIC)
+        self.response = responses[0] if well_formed else None
+        return self
+
+    def check(self, dataset: str) -> None:
+        """Raise SchemaError, naming the dataset, unless the schema is well formed."""
+        if self.response is not None:
+            return
+        if len(self.index) != len(self):
+            raise SchemaError(f"duplicate column names in {dataset!r}")
+        responses = [c for c in self if c.role == RESPONSE]
+        if len(responses) != 1:
+            raise SchemaError(
+                f"dataset {dataset!r} must have exactly one response column, "
+                f"found {len(responses)}")
+        raise SchemaError(f"response column {responses[0].name!r} must be numeric")
+
+
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """Named columns plus a numeric response, stored as one matrix.
 
     ``values`` is a (columns x rows) float64 array in schema order holding a
     numeric column's numbers or a factor's codes into its ``levels`` tuple;
-    missing cells are NaN and set in ``missing``.  ``ids`` are the original
-    row identifiers; ``source_rows`` is the row count of the loaded file,
-    which recipe row references are validated against.
+    missing cells are NaN and set in ``missing``.  A ``schema`` given as a
+    plain sequence of columns is stored as a :class:`Schema`.  ``ids`` are
+    the original row identifiers; ``source_rows`` is the row count of the
+    loaded file, which recipe row references are validated against.
     """
 
     name: str
-    schema: tuple[ColumnSchema, ...]
+    schema: Schema
     ids: tuple[int, ...]
     values: np.ndarray
     missing: np.ndarray
@@ -83,18 +131,12 @@ class Dataset:
     source_rows: int = -1
 
     def __post_init__(self) -> None:
-        names = [c.name for c in self.schema]
-        if len(set(names)) != len(names):
-            raise SchemaError(f"duplicate column names in {self.name!r}")
-        responses = [c for c in self.schema if c.role == RESPONSE]
-        if len(responses) != 1:
-            raise SchemaError(
-                f"dataset {self.name!r} must have exactly one response column, "
-                f"found {len(responses)}")
-        if responses[0].kind != NUMERIC:
-            raise SchemaError(f"response column {responses[0].name!r} must be numeric")
-        if not (self.values.shape == self.missing.shape == (len(names), len(self.ids))
-                and len(self.levels) == len(names)):
+        if not isinstance(self.schema, Schema):
+            object.__setattr__(self, "schema", Schema(self.schema))
+        self.schema.check(self.name)
+        width = len(self.schema)
+        if not (self.values.shape == self.missing.shape == (width, len(self.ids))
+                and len(self.levels) == width):
             raise SchemaError(f"column arrays of {self.name!r} do not fit its schema")
         if len(set(self.ids)) != len(self.ids):
             raise SchemaError("row ids must be unique")
@@ -125,21 +167,17 @@ class Dataset:
             == (other.name, other.schema, other.ids, other.source_rows, other.rows))
 
     @cached_property
-    def _index(self) -> dict[str, int]:
-        return {c.name: i for i, c in enumerate(self.schema)}
-
-    @cached_property
     def _positions(self) -> dict[int, int]:
         return {rid: i for i, rid in enumerate(self.ids)}
 
     @property
     def response_name(self) -> str:
-        return next(c.name for c in self.schema if c.role == RESPONSE)
+        return self.schema[self.schema.response].name
 
     def column_index(self, name: str) -> int:
-        if name not in self._index:
+        if name not in self.schema.index:
             raise SchemaError(f"no column named {name!r} in dataset {self.name!r}")
-        return self._index[name]
+        return self.schema.index[name]
 
     def column_schema(self, name: str) -> ColumnSchema:
         return self.schema[self.column_index(name)]
@@ -158,11 +196,7 @@ class Dataset:
         return tuple(zip(*(self.column(c.name) for c in self.schema)))
 
     def response_column(self) -> np.ndarray:
-        return self.values[self.column_index(self.response_name)]
-
-    def active_columns(self) -> tuple[ColumnSchema, ...]:
-        """Schema columns that take part in modelling (not ignored)."""
-        return tuple(c for c in self.schema if c.role != IGNORED)
+        return self.values[self.schema.response]
 
     def has_missing(self) -> bool:
         return self._first_gap(non_finite=False) is not None
@@ -191,13 +225,13 @@ class Dataset:
     def _first_gap(self, non_finite: bool):
         """(column, row id, cell) of the first missing cell of an active column,
         row by row, or None; with ``non_finite`` NaN and infinite cells count too."""
-        active = [i for i, c in enumerate(self.schema) if c.role != IGNORED]
-        gaps = ~np.isfinite(self.values[active]) if non_finite else self.missing[active]
-        rows = gaps.any(axis=0)
-        if not rows.any():
+        active = self.schema.active
+        filled = (np.isfinite(self.values.take(active, axis=0)) if non_finite
+                  else ~self.missing.take(active, axis=0))
+        if filled.all():
             return None
-        row = int(rows.argmax())
-        name = self.schema[active[int(gaps[:, row].argmax())]].name
+        row = int(filled.all(axis=0).argmin())
+        name = self.schema[active[int(filled[:, row].argmin())]].name
         return name, self.ids[row], self.column(name)[row]
 
     def _take(self, ids) -> "Dataset":
@@ -225,7 +259,7 @@ def _read_text(path: Path, error: type[AtlmError], what: str) -> str:
         raise error(f"{path}: not UTF-8 text at byte {exc.start}: {exc.reason}") from None
 
 
-def load_schema(path: str | Path) -> tuple[ColumnSchema, ...]:
+def load_schema(path: str | Path) -> Schema:
     """Read a sidecar schema: one ``name kind role`` line per column."""
     path = Path(path)
     columns = []
@@ -240,7 +274,7 @@ def load_schema(path: str | Path) -> tuple[ColumnSchema, ...]:
         columns.append(ColumnSchema(*parts))
     if not columns:
         raise SchemaError(f"{path}: schema defines no columns")
-    return tuple(columns)
+    return Schema(columns)
 
 
 def load_csv(path: str | Path, schema: tuple[ColumnSchema, ...],
@@ -368,7 +402,7 @@ def _has_type(value, want) -> bool:
 
 def apply_recipe(raw: Dataset, recipe: PrepRecipe) -> Dataset:
     """Drop rows, re-type and ignore columns, designate the response."""
-    known = {c.name for c in raw.schema}
+    known = raw.schema.index
     for col in (*recipe.cast_to_categorical, *recipe.ignore_columns):
         if col not in known:
             raise RecipeError(f"recipe references unknown column {col!r}")
@@ -434,8 +468,8 @@ def split(ds: Dataset, train_ids, test_ids) -> tuple[Dataset, Dataset]:
         raise SplitError(f"train and test ids overlap: {sorted(overlap)}")
     if len(train) != len(train_ids) or len(test) != len(test_ids):
         raise SplitError("duplicate ids in split")
-    unknown = (train | test) - ds._positions.keys()
-    if unknown:
+    known = ds._positions.keys()
+    if not (train <= known and test <= known):
         raise SplitError(f"ids not present in dataset {ds.name!r}: "
-                         f"{[i for i in (*train_ids, *test_ids) if i in unknown]}")
+                         f"{[i for i in (*train_ids, *test_ids) if i not in known]}")
     return ds._take(train_ids), ds._take(test_ids)

@@ -8,16 +8,21 @@ pivoted diagonal falls below ``RANK_TOL`` times the leading diagonal are
 aliased (dropped with no coefficient), so deliberately collinear feature
 sets still fit, with predictions unaffected by which member of a dependent
 group is dropped.
+
+The QR fit calls LAPACK through scipy's wrappers: ``dgeqp3`` factors the
+design with column pivoting, ``dorgqr`` forms Q, and ``dtrtrs`` solves the
+leading rank x rank triangle of R against Q'y.  ``scipy.linalg`` is loaded
+on the first fit, not on import.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .dataset import Dataset, NUMERIC, RESPONSE
+from .dataset import Dataset, NUMERIC
 from .errors import FitError, SchemaError, UnseenLevelError
 
 INTERCEPT = "intercept"
@@ -66,7 +71,7 @@ def build_design(ds: Dataset, levels: dict | None = None,
     """
     if unseen_level not in UNSEEN_POLICIES:
         raise SchemaError(f"unknown unseen-level policy {unseen_level!r}")
-    explanatory = [c for c in ds.active_columns() if c.role != RESPONSE]
+    explanatory = ds.schema.explanatory
     if not explanatory:
         raise SchemaError(f"dataset {ds.name!r} has no explanatory columns")
 
@@ -75,8 +80,7 @@ def build_design(ds: Dataset, levels: dict | None = None,
     rows: list[np.ndarray] = [np.ones((1, len(ds)))]
     factor_levels: dict[str, tuple[str, ...]] = {}
 
-    for col in explanatory:
-        i = ds.column_index(col.name)
+    for i, col in explanatory:
         if col.kind == NUMERIC:
             labels.append(col.name)
             rows.append(ds.values[i:i + 1])
@@ -105,8 +109,20 @@ def build_design(ds: Dataset, levels: dict | None = None,
                         factor_levels=factor_levels)
 
 
+@functools.cache
+def _lapack():
+    """LAPACK's float64 geqp3, orgqr and trtrs, resolved on the first fit so
+    that importing the package does not load ``scipy.linalg``."""
+    from scipy.linalg import get_lapack_funcs
+    return get_lapack_funcs(("geqp3", "orgqr", "trtrs"), dtype=np.float64)
+
+
 def fit_ols(design: DesignMatrix, y, response_name: str = "y") -> FittedLinearModel:
-    """Minimize ||y - X b|| by column-pivoted QR with rank detection."""
+    """Minimize ||y - X b|| by column-pivoted QR with rank detection.
+
+    The LAPACK calls are the ones ``scipy.linalg.qr(x, mode="economic",
+    pivoting=True)`` and ``solve_triangular`` make, with the same workspace
+    sizes and triangle layout, so the coefficients equal theirs bit for bit."""
     x = design.matrix
     yv = np.asarray(y, dtype=float)
     n, p = x.shape
@@ -114,18 +130,30 @@ def fit_ols(design: DesignMatrix, y, response_name: str = "y") -> FittedLinearMo
         raise FitError(f"design has {n} rows but response has {yv.size}")
     if n < 2:
         raise FitError("need at least 2 rows to fit")
+    if not (np.isfinite(x).all() and np.isfinite(yv).all()):
+        raise FitError("the design or the response has a non-finite value")
+    if p == 0:
+        raise FitError("no usable design columns")
 
-    q, r, piv = scipy.linalg.qr(x, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    if diag.size == 0 or diag[0] <= 0.0:
+    geqp3, orgqr, trtrs = _lapack()
+    qr = np.array(x, dtype=float, order="F")  # factored in place
+    # blocking changes the rounding, so use the optimal workspace scipy asks for
+    lwork = int(geqp3(qr, lwork=-1, overwrite_a=1)[3][0])
+    qr, piv, tau, _, _ = geqp3(qr, lwork=lwork, overwrite_a=1)
+    diag = np.abs(qr.diagonal())
+    if diag[0] <= 0.0:
         raise FitError("no usable design columns")
     rank = int(np.count_nonzero(diag >= RANK_TOL * diag[0]))
-    if rank == 0:
-        raise FitError("no usable design columns")
+    # R's leading triangle, transposed in Fortran order: solve_triangular hands
+    # trtrs the C-ordered R this way, and the other layout rounds differently
+    triangle = qr[:rank, :rank].T.copy(order="F")
+    # Q's first min(n, p) columns, formed in place of the reflectors
+    reflectors = qr[:, :min(n, p)]
+    q = orgqr(reflectors, tau, lwork=int(orgqr(reflectors, tau, lwork=-1)[1][0]),
+              overwrite_a=1)[0]
+    beta = trtrs(triangle, (q.T @ yv)[:rank], lower=1, trans=1)[0]
 
-    qty = q.T @ yv
-    beta = scipy.linalg.solve_triangular(r[:rank, :rank], qty[:rank])
-
+    piv = (piv - 1).tolist()  # geqp3 numbers columns from 1
     coefficients = {design.labels[piv[i]]: float(beta[i]) for i in range(rank)}
     aliased = frozenset(design.labels[piv[i]] for i in range(rank, p))
     return FittedLinearModel(

@@ -49,9 +49,9 @@ class PredictionSet:
     def __post_init__(self) -> None:
         for name in ("predicted", "actual"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        bad = ~(np.isfinite(self.predicted) & np.isfinite(self.actual))
-        if bad.any():
-            i = int(bad.argmax())
+        finite = np.isfinite(self.predicted) & np.isfinite(self.actual)
+        if not finite.all():
+            i = int(finite.argmin())
             raise PredictionError(
                 f"non-finite prediction or actual for row {self.row_ids[i]}: "
                 f"({float(self.predicted[i])!r}, {float(self.actual[i])!r})")

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataset import CATEGORICAL, Dataset, NUMERIC
+from .dataset import CATEGORICAL, Dataset
 from .errors import DegenerateSampleError, SchemaError, TransformDomainError
 
 NONE = "none"
@@ -129,22 +129,26 @@ def _skewness_rows(a: np.ndarray) -> list:
 
 def calculate_transforms(training: Dataset) -> TransformTable:
     """Choose, per variable, the admissible transform of least |b1| skew."""
-    numeric = [c.name for c in training.active_columns() if c.kind == NUMERIC]
-    values = training.values[[training.column_index(name) for name in numeric]]
-    admissible = {kind: _DOMAIN[kind](values).all(axis=1) for kind in TRANSFORM_KINDS}
+    schema = training.schema
+    numeric = schema.numeric
+    values = training.values.take(numeric, axis=0)
+    # each domain is a half-line, so a row lies in it when its minimum does
+    low = values.min(axis=1, initial=np.inf)
+    admissible = {kind: _DOMAIN[kind](low) for kind in TRANSFORM_KINDS}
     b1 = iter(_skewness_rows(np.concatenate(
         [_FORWARD[kind](values[ok]) for kind, ok in admissible.items()])))
-    skews: dict[str, dict] = {name: {} for name in numeric}
+    skews: dict[int, dict] = {i: {} for i in numeric}
     for kind, ok in admissible.items():
-        for name, valid in zip(numeric, ok.tolist()):
-            skews[name][kind] = next(b1) if valid else INADMISSIBLE
+        for i, valid in zip(numeric, ok.tolist()):
+            skews[i][kind] = next(b1) if valid else INADMISSIBLE
 
     entries: dict[str, TransformEntry] = {}
-    for col in training.active_columns():
+    for i in schema.active:
+        col = schema[i]
         if col.kind == CATEGORICAL:
             entries[col.name] = TransformEntry(col.name, NONE, None, {}, categorical=True)
             continue
-        skew_all = skews[col.name]
+        skew_all = skews[i]
         best_kind, best = NONE, None
         for kind, value in skew_all.items():
             # strictly less, so ties go to the weaker transform
@@ -161,13 +165,27 @@ def apply_transforms(table: TransformTable, ds: Dataset) -> Dataset:
     lies outside the domain of the transform chosen on training data (the
     typical case: log was chosen and a test value is <= 0); missing cells
     are passed over."""
-    numeric = [c.name for c in ds.active_columns() if c.kind == NUMERIC]
-    for name in numeric:
-        if name not in table:
-            raise SchemaError(f"transform table has no entry for variable {name!r}")
+    schema, entries = ds.schema, table.entries
+    columns: dict[str, list[int]] = {LOG: [], SQRT: []}
+    for i in schema.numeric:
+        entry = entries.get(schema[i].name)
+        if entry is None:
+            raise SchemaError(f"transform table has no entry for variable {schema[i].name!r}")
+        if entry.kind in columns:
+            columns[entry.kind].append(i)
+    columns = {kind: at for kind, at in columns.items() if at}
+    out = ds.values.copy()
+    for kind, at in columns.items():
+        part = out[at]
+        if not _DOMAIN[kind](part).all():  # a value outside, or a missing cell
+            _check_domain(table, ds, columns)
+        out[at] = _FORWARD[kind](part)
+    return replace(ds, values=out)
 
-    columns = {kind: [ds.column_index(n) for n in numeric if table[n].kind == kind]
-               for kind in (LOG, SQRT)}
+
+def _check_domain(table: TransformTable, ds: Dataset, columns: dict) -> None:
+    """Raise for the first row, then column, whose value (not a missing cell)
+    lies outside the domain of the transform chosen for its column."""
     outside = np.zeros_like(ds.missing)
     for kind, at in columns.items():
         outside[at] = ~_DOMAIN[kind](ds.values[at])
@@ -180,10 +198,6 @@ def apply_transforms(table: TransformTable, ds: Dataset) -> Dataset:
             f"value {float(ds.values[i, row])!r} of variable {name!r} in row "
             f"{ds.ids[row]} is outside the domain of the training-chosen "
             f"{table[name].kind!r} transform")
-    out = ds.values.copy()
-    for kind, at in columns.items():
-        out[at] = _FORWARD[kind](ds.values[at])
-    return replace(ds, values=out)
 
 
 def invert_predictions(table: TransformTable, predictions) -> list[float]:

@@ -120,11 +120,11 @@ class FoldAssignment:
 def generate_folds(ds: Dataset, plan: ValidationPlan) -> FoldAssignment:
     """Deterministic folds for the plan; see the module docstring."""
     n = len(ds)
-    ids = list(ds.ids)
+    ids = tuple(ds.ids)
     fingerprint = ds.fingerprint()
     if plan.kind == LOOCV:
         return FoldAssignment(plan, fingerprint,
-                              tuple((tuple(i for i in ids if i != t), (t,)) for t in ids))
+                              tuple((ids[:k] + ids[k + 1:], (t,)) for k, t in enumerate(ids)))
     rng = Pcg32(plan.seed, stream=int(fingerprint[:16], 16))
     if plan.kind == KFOLD:
         if plan.k > n:

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import atlm
 from atlm.cli import main
 
 # chosen transforms for the bundled cocomo81 file, recorded once as a golden
@@ -186,3 +191,38 @@ class TestErrorContract:
             main(argv + ["--out", str(tmp_path / "out"), "--jobs", "2"])
         assert exc.value.code == 2
         assert capsys.readouterr().err.startswith("error[E_USAGE]")
+
+
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports this checkout's atlm."""
+    src = str(Path(atlm.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+
+
+class TestFreshProcess:
+    def test_python_dash_m_atlm_runs_the_cli(self, capsys):
+        done = run_python("-m", "atlm", "inspect", "--dataset", "cocomo81")
+        assert main(["inspect", "--dataset", "cocomo81"]) == 0
+        assert (done.returncode, done.stdout, done.stderr) == (0, capsys.readouterr().out, "")
+
+    def test_scipy_linalg_loads_only_when_a_model_is_fitted(self):
+        script = """
+import contextlib, io, sys
+import atlm
+from atlm.cli import main
+loaded = lambda: "scipy.linalg" in sys.modules
+seen = [loaded()]
+atlm.load_builtin("desharnais")
+seen.append(loaded())
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(["inspect", "--dataset", "maxwell"]),
+             main(["export-folds", "--dataset", "cocomo81", "--plan", "kfold:10"])]
+    seen.append(loaded())
+    codes.append(main(["evaluate", "--dataset", "cocomo81", "--plan", "kfold:3"]))
+seen.append(loaded())
+print(codes, seen)
+"""
+        done = run_python("-c", script)
+        assert done.stdout.strip() == "[0, 0, 0] [False, False, False, True]", done.stderr

@@ -70,6 +70,27 @@ def test_load_csv_missing_markers(tmp_path):
     assert ds.has_missing()
 
 
+def _columns(*specs):
+    return [ColumnSchema(*spec.split()) for spec in specs]
+
+
+@pytest.mark.parametrize("schema, message", [
+    (_columns("x numeric response", "y numeric response"),
+     "dataset 'bad' must have exactly one response column, found 2"),
+    (_columns("x numeric explanatory", "y numeric explanatory"),
+     "dataset 'bad' must have exactly one response column, found 0"),
+    (_columns("x numeric explanatory", "x numeric response"),
+     "duplicate column names in 'bad'"),
+    (_columns("x numeric explanatory", "y categorical response"),
+     "response column 'y' must be numeric"),
+])
+def test_schema_errors_keep_their_text(schema, message):
+    cells = [["a"] if c.kind == CATEGORICAL else [1.0] for c in schema]
+    with pytest.raises(SchemaError) as caught:
+        Dataset.from_columns("bad", schema, (0,), cells)
+    assert str(caught.value) == message
+
+
 def test_schema_requires_single_numeric_response():
     with pytest.raises(SchemaError):
         make_dataset({"x": [1, 2], "y": [1, 2]}, response="nope")

@@ -2,11 +2,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from atlm.errors import FitError, SchemaError, UnseenLevelError
 from atlm.linear import (
     DesignMatrix,
     INTERCEPT,
+    RANK_TOL,
     UNSEEN_AS_REFERENCE,
     build_design,
     fit_ols,
@@ -130,6 +135,87 @@ class TestFitOls:
         slim_pred = x @ slim_model.coefficient_vector()
         wide_pred = wide @ wide_model.coefficient_vector()
         assert wide_pred == pytest.approx(slim_pred.tolist(), rel=1e-8, abs=1e-8)
+
+    def test_wide_design_interpolates_with_the_extra_columns_aliased(self):
+        rng = Pcg32(19, stream=5)
+        x, y = random_system(rng, 3, 5)
+        labels = tuple(f"c{i}" for i in range(5))
+        model = fit_ols(DesignMatrix(labels, x, {}), y)
+        assert len(model.aliased) == 2 and len(model.coefficients) == 3
+        assert x @ model.coefficient_vector() == pytest.approx(y.tolist(), rel=1e-8)
+
+    @pytest.mark.parametrize("where", ["design", "response"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_is_a_fit_error(self, where, bad):
+        x = np.column_stack([np.ones(4), [1.0, 2.0, 3.0, 5.0]])
+        y = np.array([2.0, 4.0, 6.0, 9.0])
+        (x if where == "design" else y)[2, ...] = bad
+        with pytest.raises(FitError, match="non-finite") as caught:
+            fit_ols(DesignMatrix((INTERCEPT, "x"), x, {}), y)
+        assert caught.value.code == "E_FIT"
+
+
+def scipy_fit(design: DesignMatrix, y):
+    """The fit through ``scipy.linalg.qr`` and ``solve_triangular``: the
+    reference that ``fit_ols``'s direct LAPACK calls must match bit for bit.
+    Returns (coefficients, aliased) and raises FitError where it must."""
+    x, y = design.matrix, np.asarray(y, dtype=float)
+    n, p = x.shape
+    if n < 2:
+        raise FitError("need at least 2 rows to fit")
+    q, r, piv = scipy.linalg.qr(x, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(r))
+    if diag.size == 0 or diag[0] <= 0.0:
+        raise FitError("no usable design columns")
+    rank = int(np.count_nonzero(diag >= RANK_TOL * diag[0]))
+    beta = scipy.linalg.solve_triangular(r[:rank, :rank], (q.T @ y)[:rank])
+    return ({design.labels[piv[i]]: float(beta[i]) for i in range(rank)},
+            frozenset(design.labels[piv[i]] for i in range(rank, p)))
+
+
+@st.composite
+def designs(draw):
+    """(design, y): full rank, with a duplicated column, intercept plus 0/1
+    dummies (some all zero), or wider than it is tall."""
+    shape = draw(st.sampled_from(["full", "collinear", "dummies", "wide"]))
+    n = draw(st.integers(min_value=1 if shape == "wide" else 2, max_value=30))
+    p = draw(st.integers(n + 1, n + 5) if shape == "wide" else st.integers(1, min(n, 8)))
+    values = st.floats(min_value=-1e4, max_value=1e4)
+    if shape == "dummies":
+        x = draw(arrays(float, (n, p), elements=st.sampled_from([0.0, 1.0])))
+        x[:, 0] = 1.0
+    else:
+        x = draw(arrays(float, (n, p), elements=values))
+    if shape == "collinear" and p >= 2:
+        x[:, -1] = x[:, draw(st.integers(0, p - 2))]
+    y = draw(arrays(float, n, elements=values))
+    return DesignMatrix(tuple(f"c{i}" for i in range(p)), x, {}), y
+
+
+class TestFitOlsMatchesScipy:
+    @given(designs())
+    @settings(max_examples=300, deadline=None)
+    def test_coefficients_aliasing_and_errors_are_identical(self, case):
+        design, y = case
+        try:
+            want = scipy_fit(design, y)
+        except FitError as exc:
+            with pytest.raises(FitError) as caught:
+                fit_ols(design, y)
+            assert str(caught.value) == str(exc)
+            return
+        model = fit_ols(design, y)
+        assert model.coefficients == want[0]
+        assert model.aliased == want[1]
+
+    def test_a_design_wide_enough_for_blocked_steps(self):
+        # LAPACK blocks the factorisation only past about 128 columns, and
+        # the blocks, set by the workspace size, change the rounding
+        rng = Pcg32(23, stream=6)
+        x, y = random_system(rng, 200, 160)
+        design = DesignMatrix(tuple(f"c{i}" for i in range(160)), x, {})
+        model = fit_ols(design, y)
+        assert (model.coefficients, model.aliased) == scipy_fit(design, y)
 
 
 class TestPredict:

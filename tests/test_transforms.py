@@ -104,6 +104,12 @@ class TestCalculateTransforms:
         assert entry.skewness_chosen is None
         assert entry.skewness_all[NONE] == DEGENERATE
 
+    def test_a_dataset_without_rows_is_degenerate_not_fatal(self):
+        table = calculate_transforms(make_dataset({"x": [], "y": []}, response="y"))
+        for name in ("x", "y"):
+            assert table[name].kind == NONE
+            assert set(table[name].skewness_all.values()) == {DEGENERATE}
+
     def test_categorical_gets_none(self, factor_dataset):
         entry = calculate_transforms(factor_dataset)["f"]
         assert entry.kind == NONE and entry.categorical
@@ -177,6 +183,14 @@ class TestApplyInvert:
         test = make_dataset({"a": a, "b": b, "y": [1, 2, 3]}, response="y")
         with pytest.raises(TransformDomainError, match=where):
             apply_transforms(table, test)
+
+    def test_missing_cells_are_passed_over(self):
+        table = fixed_table({"a": LOG, "b": SQRT, "y": NONE}, response="y")
+        test = make_dataset({"a": [1, None, math.e], "b": [4, 9, None], "y": [1, 2, 3]},
+                            response="y")
+        out = apply_transforms(table, test)
+        assert out.column("a") == (0.0, None, 1.0)
+        assert out.column("b") == (2.0, 3.0, None)
 
     def test_invert_identity_exp_square(self):
         def with_kind(kind):

@@ -67,6 +67,11 @@ class TestGenerateFolds:
             assert set(train) | set(test) == set(ds.ids)
             assert not set(train) & set(test)
 
+    def test_loocv_trains_on_every_other_row_in_dataset_order(self):
+        ds = load_builtin("desharnais")  # dropped rows leave gaps in the ids
+        folds = generate_folds(ds, ValidationPlan(kind="loocv")).folds
+        assert folds == tuple((tuple(i for i in ds.ids if i != t), (t,)) for t in ds.ids)
+
     def test_kfold_sizes_on_63_rows(self):
         ds = load_builtin("cocomo81")
         assignment = generate_folds(ds, ValidationPlan(kind="kfold", k=10, seed=1))
