@@ -238,8 +238,18 @@ class Dataset:
         """The rows with these ids, in this order."""
         ids = tuple(ids)
         at = np.fromiter(map(self._positions.__getitem__, ids), dtype=np.intp, count=len(ids))
-        return replace(self, ids=ids, values=self.values.take(at, axis=1),
-                       missing=self.missing.take(at, axis=1))
+        return self._derive(ids, self.values.take(at, axis=1), self.missing.take(at, axis=1))
+
+    def _derive(self, ids: tuple[int, ...], values: np.ndarray,
+                missing: np.ndarray) -> "Dataset":
+        """This dataset with other rows or cell values, built without the
+        constructor's checks: the caller guarantees that ``values`` and
+        ``missing`` fit the schema and ``ids`` and that the ids are unique."""
+        new = object.__new__(Dataset)
+        new.__dict__.update(name=self.name, schema=self.schema, ids=ids, values=values,
+                            missing=missing, levels=self.levels,
+                            source_rows=self.source_rows)
+        return new
 
 
 def _codes(cells) -> tuple[list, tuple[str, ...]]:

@@ -5,6 +5,13 @@ denominator throughout.  Rows with nonpositive actuals make the relative
 measures (MMRE, PRED, LSD) undefined and raise instead of being skipped,
 since silently changing n corrupts comparisons; the variance-ratio and
 standardized-accuracy measures stay computable.
+
+The six functions :func:`mmre`, :func:`pred`, :func:`lsd`,
+:func:`re_star`, :func:`sa` and :func:`mar` are the definitions.
+:func:`report_stack` scores a whole group of equal-sized folds in one
+stacked pass (validation calls it once per group of k-fold or holdout
+folds with the same test and training sizes; :func:`report` is a stack of
+one); it equals the six definitions bit for bit and raises their errors.
 """
 
 from __future__ import annotations
@@ -129,15 +136,80 @@ def sa(ps: PredictionSet, training_response) -> float:
 
 def report(ps: PredictionSet, training_response) -> MetricReport:
     """All measures for one prediction set."""
-    return MetricReport(
-        n=len(ps),
-        mmre=mmre(ps),
-        pred25=pred(ps, 25.0),
-        lsd=lsd(ps),
-        re_star=re_star(ps),
-        sa=sa(ps, training_response),
-        mar=mar(ps),
-    )
+    train = np.asarray(training_response, dtype=float).reshape(1, -1)
+    return report_stack(ps.predicted[None], ps.actual[None], train)[0]
+
+
+def report_stack(predicted, actual, training) -> list[MetricReport]:
+    """All measures for each row of (sets x n) stacks of predicted and actual
+    values, with a (sets x m) stack of each set's training response.
+
+    Residuals, errors and log ratios are computed once.  Every mean, sum and
+    variance is one ``np.add.reduce`` along the contiguous last axis, which
+    adds a row in the same pairwise order as the 1-D ``np.mean``,
+    ``np.sum`` and ``np.var`` of the definitions, so each field equals them
+    bit for bit; MAR_P0 reduces each set's flattened (test x training)
+    block.  A failing set raises the MetricError of its first failing
+    measure, in report order; the first failing set wins."""
+    predicted, actual, training = (np.ascontiguousarray(a, dtype=float)
+                                   for a in (predicted, actual, training))
+    sets, n = actual.shape
+    with np.errstate(all="ignore"):  # a set that this spoils raises below
+        residual = predicted - actual
+        absolute = np.abs(residual)
+        relative = absolute / actual
+        log_ratio = np.log(actual) - np.log(predicted)
+        s2 = _var(log_ratio)
+        lsd_ = np.sqrt(_sum(np.square(log_ratio + (s2 / 2.0)[:, None])) / (n - 1))
+        var_actual = _var(actual)
+        mar_ = _sum(absolute) / n
+        pairs = n * training.shape[1]
+        mar_p0 = _sum(np.abs(actual[:, :, None] - training[:, None, :])
+                      .reshape(sets, pairs)) / pairs
+        measures = {
+            "mmre": _sum(relative) / n,
+            "pred25": _sum(relative <= 0.25) / n,
+            "lsd": lsd_,
+            "re_star": _var(residual) / var_actual,
+            "sa": 1.0 - mar_ / mar_p0,
+            "mar": mar_,
+        }
+    _raise_first_failure(sets, (
+        (n == 0, "empty prediction set"),
+        ((actual <= 0.0).any(axis=1),
+         "relative error undefined: actual values must be > 0"),
+        (n < 2, "lsd needs at least 2 rows"),
+        ((predicted <= 0.0).any(axis=1),
+         "lsd undefined: actuals and predictions must be > 0"),
+        (var_actual == 0.0, "re_star undefined for constant actuals"),
+        (training.shape[1] == 0, "sa needs a nonempty training response sample"),
+        (mar_p0 == 0.0, "sa undefined: all actual and training values identical"),
+    ))
+    columns = [measures[name].tolist() for name in METRIC_FIELDS]
+    return [MetricReport(n, *values) for values in zip(*columns)]
+
+
+def _sum(a: np.ndarray) -> np.ndarray:
+    return np.add.reduce(a, axis=1, dtype=float)
+
+
+def _var(a: np.ndarray) -> np.ndarray:
+    """Each row's ``np.var(row, ddof=1)``, bit for bit."""
+    n = a.shape[1]
+    d = a - (_sum(a) / n)[:, None]
+    return _sum(d * d) / (n - 1)
+
+
+def _raise_first_failure(sets: int, checks) -> None:
+    """Raise the message of the first true check of the first set with one;
+    a check is a bool, or a bool per set."""
+    failing = np.zeros(sets, dtype=bool)
+    for fails, _ in checks:
+        failing |= fails
+    if failing.any():
+        row = int(failing.argmax())
+        raise MetricError(next(message for fails, message in checks
+                               if np.broadcast_to(fails, sets)[row]))
 
 
 def aggregate(reports) -> MetricSummary:

@@ -15,7 +15,8 @@ equal :func:`skewness_b1` of each transformed column bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,8 +64,9 @@ def skewness_b1(values) -> float:
     return float(g1 * ((n - 1) / n) ** 1.5)
 
 
-@dataclass(frozen=True)
-class TransformEntry:
+class TransformEntry(NamedTuple):
+    """One variable's choice; a named tuple, as one is built per variable per fold."""
+
     variable: str
     kind: str
     skewness_chosen: float | None
@@ -180,7 +182,7 @@ def apply_transforms(table: TransformTable, ds: Dataset) -> Dataset:
         if not _DOMAIN[kind](part).all():  # a value outside, or a missing cell
             _check_domain(table, ds, columns)
         out[at] = _FORWARD[kind](part)
-    return replace(ds, values=out)
+    return ds._derive(ds.ids, out, ds.missing)
 
 
 def _check_domain(table: TransformTable, ds: Dataset, columns: dict) -> None:

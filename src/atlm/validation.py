@@ -8,7 +8,11 @@ models evaluated under the same plan see byte-identical splits.
 Metric handling differs by regime.  Leave-one-out produces singleton test
 sets on which the variance-based measures are undefined, so its metrics
 are computed once over the pooled predictions of all folds; k-fold and
-repeated holdout compute metrics per fold and aggregate them.
+repeated holdout compute metrics per fold and aggregate them.  Every fold
+is fitted first; the fitted folds are then scored together, one stacked
+:func:`~atlm.metrics.report_stack` pass per group of folds with the same
+test and training sizes (at most two groups under k-fold, one under
+holdout), with the reports and errors that scoring fold by fold would give.
 
 Every fold leaves one :class:`FoldOutcome`, in fold order.  A fold that
 succeeds carries its predictions and, outside leave-one-out, its metric
@@ -26,7 +30,7 @@ import numpy as np
 from .dataset import Dataset, split
 from .errors import AtlmError, PlanError, ValidationError
 from .linear import UNSEEN_ERROR
-from .metrics import MetricReport, MetricSummary, aggregate, report
+from .metrics import MetricReport, MetricSummary, aggregate, report, report_stack
 from .pipeline import PredictionSet, atlm_fit, atlm_predict, pooled
 from .rng import Pcg32
 
@@ -190,25 +194,51 @@ class ValidationResult:
         return self.n_folds - len(self.failures)
 
 
-def _run_fold(ds: Dataset, index: int, fold, plan: ValidationPlan,
-              unseen_level: str) -> FoldOutcome:
-    train_ids, test_ids = fold
+def _fit_fold(ds: Dataset, index: int, fold, per_fold: bool, unseen_level: str):
+    """The fold's predictions and, for plans scored per fold, a copy of its
+    training response (a view would keep the whole training matrix alive);
+    or, when the fold fails, its finished :class:`FoldOutcome`."""
     try:
-        train, test = split(ds, train_ids, test_ids)
+        train, test = split(ds, *fold)
         predictions = atlm_predict(atlm_fit(train), test, unseen_level=unseen_level)
     except AtlmError as exc:
         return FoldOutcome(index, code=exc.code, message=str(exc))
-    if plan.kind == LOOCV:
-        return FoldOutcome(index, predictions)
-    return FoldOutcome(index, predictions, report(predictions, train.response_column()))
+    return predictions, train.response_column().copy() if per_fold else None
+
+
+def _score_folds(fitted) -> dict:
+    """Fold index -> metric report of every fitted fold, one stacked pass per
+    group of folds with the same test and training sizes.
+
+    Each group is a run of consecutive folds (k-fold puts its larger test
+    sets first, holdout has one size), and a stacked pass raises for its
+    first failing fold, so a MetricError comes from the first failing fold
+    in fold order, as when scoring fold by fold."""
+    groups: dict[tuple, list] = {}
+    for index, fit in enumerate(fitted):
+        if not isinstance(fit, FoldOutcome):
+            predictions, train = fit
+            groups.setdefault((len(predictions), len(train)), []).append((index, *fit))
+    reports = {}
+    for group in groups.values():
+        indices, predictions, trains = zip(*group)
+        reports.update(zip(indices, report_stack(np.array([ps.predicted for ps in predictions]),
+                                                 np.array([ps.actual for ps in predictions]),
+                                                 np.array(trains))))
+    return reports
 
 
 def run_validation(ds: Dataset, plan: ValidationPlan, *,
                    unseen_level: str = UNSEEN_ERROR) -> ValidationResult:
-    """Fit/predict/score every fold of the plan."""
+    """Fit and predict every fold of the plan, then score the fitted folds."""
     assignment = generate_folds(ds, plan)
-    outcomes = tuple(_run_fold(ds, index, fold, plan, unseen_level)
-                     for index, fold in enumerate(assignment.folds))
+    per_fold = plan.kind != LOOCV
+    fitted = [_fit_fold(ds, index, fold, per_fold, unseen_level)
+              for index, fold in enumerate(assignment.folds)]
+    reports = _score_folds(fitted) if per_fold else {}
+    outcomes = tuple(fit if isinstance(fit, FoldOutcome)
+                     else FoldOutcome(index, fit[0], reports.get(index))
+                     for index, fit in enumerate(fitted))
     succeeded = [o for o in outcomes if not o.failed]
     if not succeeded:
         raise ValidationError(

@@ -1,15 +1,23 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 import atlm
 from atlm.cli import main
+from atlm.errors import AtlmError
+from atlm.linear import UNSEEN_POLICIES
 
 # chosen transforms for the bundled cocomo81 file, recorded once as a golden
 COCOMO81_GOLDEN_TRANSFORMS = {
@@ -191,6 +199,108 @@ class TestErrorContract:
             main(argv + ["--out", str(tmp_path / "out"), "--jobs", "2"])
         assert exc.value.code == 2
         assert capsys.readouterr().err.startswith("error[E_USAGE]")
+
+
+def documented_statuses() -> dict:
+    """Error code -> exit status, from the error classes, plus argparse's usage errors."""
+    statuses, classes = {"E_USAGE": 2}, [AtlmError]
+    while classes:
+        cls = classes.pop()
+        statuses[cls.code] = cls.exit_status
+        classes.extend(cls.__subclasses__())
+    return statuses
+
+
+ERROR_LINE = re.compile(r"error\[(E_[A-Z_]+)\]: [^\n]*\n")
+JUNK = st.text(alphabet="abxyz:-_./019", max_size=8)
+FILES = {"data.csv": "size,effort\n" + "".join(f"{i},{3 * i + 2}\n" for i in range(1, 13)),
+         "data.schema": "size numeric explanatory\neffort numeric response\n",
+         "recipe.json": '{"notes": ["x"]}'}
+OPTION_VALUES = {
+    "--dataset": st.sampled_from(["cocomo81", "desharnais", "maxwell", "data.csv",
+                                  "gone.csv", "data.schema", "."]),
+    "--schema": st.sampled_from(["data.schema", "gone.schema", "data.csv", "."]),
+    "--recipe": st.sampled_from(["cocomo81", "maxwell", "recipe.json", "data.csv"]),
+    "--format": st.sampled_from(["table", "json", "csv"]),
+    "--plan": (st.just("loocv")
+               | st.integers(-1, 70).map("kfold:{}".format)
+               | st.tuples(st.integers(-1, 70), st.integers(0, 3)).map("holdout:{0[0]}x{0[1]}".format)),
+    "--seed": st.integers(-2, 2 ** 64 + 1).map(str),
+    "--unseen-level": st.sampled_from(UNSEEN_POLICIES),
+    # relative paths: each example runs inside its own temporary directory
+    "--out": st.sampled_from(["out.txt", "outdir", "data.csv", ".", "gone/out.json"]),
+}
+#: each subcommand's required flags, then its optional ones
+FLAGS = {"inspect": (["--dataset"], ["--schema", "--recipe", "--format", "--out"]),
+         "evaluate": (["--dataset", "--plan"], ["--schema", "--recipe", "--seed",
+                                                "--unseen-level", "--format", "--out"]),
+         "export-folds": (["--dataset", "--plan"], ["--schema", "--recipe", "--seed", "--out"]),
+         "reproduce": ([], ["--out"])}
+
+
+@st.composite
+def cli_argv(draw) -> list:
+    """A subcommand with its required flags and some of its others, each with
+    a real value; now and then a junk command, value or token, a flag of any
+    subcommand, or a value left out."""
+    def rarely() -> bool:
+        return draw(st.integers(0, 15)) == 15
+
+    command = draw(JUNK) if rarely() else draw(st.sampled_from(sorted(FLAGS)))
+    argv = [command]
+    if command == "reproduce":
+        argv.append(draw(JUNK) if rarely() else
+                    draw(st.sampled_from(["table1", "table2", "figure1"])))
+    required, optional = FLAGS.get(command, ([], []))
+    if rarely():
+        optional = [*OPTION_VALUES, "--help"]
+    flags = required + draw(st.lists(st.sampled_from(optional), max_size=3)) if optional else required
+    for flag in draw(st.permutations(flags)):
+        argv.append(flag)
+        if flag in OPTION_VALUES and not rarely():
+            argv.append(draw(JUNK) if rarely() else draw(OPTION_VALUES[flag]))
+        if rarely():
+            argv.append(draw(JUNK))
+    return argv
+
+
+class TestCliContract:
+    """Any argv ends in success, or in one error line with its code's documented status."""
+
+    STATUSES = documented_statuses()
+
+    @given(argv=cli_argv())
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_success_or_one_documented_error_line(self, argv):
+        status, err = self.run_in_scratch_directory(argv)
+        if status == 0:
+            event("success")
+            assert err == ""
+            return
+        line = ERROR_LINE.fullmatch(err)
+        assert line, (argv, err)
+        event(line.group(1))
+        assert status == self.STATUSES[line.group(1)], (argv, err)
+
+    @staticmethod
+    def run_in_scratch_directory(argv) -> tuple:
+        """Exit status and stderr of ``main(argv)`` run in a fresh directory
+        holding FILES; a traceback escapes as the test's failure."""
+        home = os.getcwd()
+        with tempfile.TemporaryDirectory() as scratch:
+            for name, text in FILES.items():
+                Path(scratch, name).write_text(text, encoding="utf-8")
+            err = io.StringIO()
+            os.chdir(scratch)
+            try:
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    try:
+                        status = main(argv)
+                    except SystemExit as exc:
+                        status = exc.code
+            finally:
+                os.chdir(home)
+        return status, err.getvalue()
 
 
 def run_python(*args: str) -> subprocess.CompletedProcess:

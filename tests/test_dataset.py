@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from atlm.bundled import builtin_recipe, load_builtin, load_builtin_raw
@@ -17,6 +19,7 @@ from atlm.dataset import (
     write_schema,
 )
 from atlm.errors import ParseError, RecipeError, SchemaError, SplitError
+from atlm.transforms import apply_transforms, calculate_transforms
 
 from conftest import make_dataset
 
@@ -212,6 +215,24 @@ class TestSplit:
     def test_unknown_id_rejected(self, factor_dataset):
         with pytest.raises(SplitError):
             split(factor_dataset, (0, 1), (99,))
+
+    def test_duplicate_ids_rejected(self, factor_dataset):
+        with pytest.raises(SplitError, match="duplicate ids in split"):
+            split(factor_dataset, (0, 1, 1), (2, 3))
+
+    def test_dataset_rejects_duplicate_row_ids(self):
+        with pytest.raises(SchemaError, match="row ids must be unique"):
+            Dataset.from_columns("bad", [ColumnSchema("y", NUMERIC, "response")],
+                                 (0, 1, 0), [[1.0, 2.0, 3.0]])
+
+    def test_derived_datasets_pass_every_constructor_check(self):
+        # split and apply_transforms build their datasets without the checks
+        ds = load_builtin("maxwell")
+        train, test = split(ds, ds.ids[5:], ds.ids[:5])
+        transformed = apply_transforms(calculate_transforms(train), test)
+        for part in (train, test, transformed):
+            assert dataclasses.replace(part) == part
+        assert (train.schema, test.schema, transformed.schema) == (ds.schema,) * 3
 
     def test_cells_preserved_exactly(self):
         ds = make_dataset({"x": [1.5, 2.5, 3.5, 4.5], "y": [9, 8, 7, 6]}, response="y")

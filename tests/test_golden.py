@@ -36,3 +36,11 @@ def test_inspect_json_matches_golden(dataset, tmp_path):
     assert main(["inspect", "--dataset", dataset, "--format", "json",
                  "--out", str(tmp_path / name)]) == 0
     assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("dataset", ["cocomo81", "desharnais", "maxwell"])
+def test_evaluate_loocv_json_matches_golden(dataset, tmp_path):
+    name = f"evaluate_loocv_{dataset}.json"
+    assert main(["evaluate", "--dataset", dataset, "--plan", "loocv", "--format", "json",
+                 "--out", str(tmp_path / name)]) == 0
+    assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()

@@ -4,11 +4,23 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from atlm.errors import MetricError
-from atlm.metrics import aggregate, lsd, mar, mmre, pred, re_star, report, sa
+from atlm.metrics import (
+    MetricReport,
+    aggregate,
+    lsd,
+    mar,
+    mmre,
+    pred,
+    re_star,
+    report,
+    report_stack,
+    sa,
+)
 from atlm.pipeline import PredictionSet
 
 
@@ -234,3 +246,84 @@ class TestMicroCorpusOracleEquivalence:
         predicted = [3.0, 8.0, 1.0]
         actual = [1.0, 9.0, 4.0]
         assert mar(ps(predicted, actual)) == pytest.approx(2.0, rel=1e-15)
+
+
+def definitions(predicted, actual, train) -> MetricReport:
+    """The six single-set functions, in report order."""
+    case = ps(predicted, actual)
+    return MetricReport(len(case), mmre(case), pred(case, 25.0), lsd(case), re_star(case),
+                        sa(case, train), mar(case))
+
+
+def first_error(predicted, actual, training):
+    """The MetricError text the first failing row's definitions raise, or None."""
+    for row in zip(predicted, actual, training):
+        try:
+            definitions(*row)
+        except MetricError as exc:
+            return str(exc)
+    return None
+
+
+positive = st.floats(min_value=0.01, max_value=1e5)
+
+
+@st.composite
+def stack(draw, n=st.integers(2, 30)):
+    """A (rows x n) predicted and actual stack with a (rows x m) training stack."""
+    rows, n, m = draw(st.integers(1, 12)), draw(n), draw(st.integers(1, 20))
+    return tuple(draw(arrays(float, (rows, width), elements=positive, fill=st.nothing()))
+                 for width in (n, n, m))
+
+
+class TestReportStack:
+    """report_stack is the six definitions, row by row, bit for bit."""
+
+    @given(st.lists(stack(), min_size=1, max_size=3))
+    @settings(max_examples=100, deadline=None)
+    def test_each_row_equals_the_definitions(self, groups):
+        # groups of different sizes, each scored in its own stacked pass
+        for predicted, actual, training in groups:
+            expected_error = first_error(predicted, actual, training)
+            event("valid" if expected_error is None else expected_error)
+            if expected_error is not None:
+                with pytest.raises(MetricError) as exc:
+                    report_stack(predicted, actual, training)
+                assert str(exc.value) == expected_error
+                continue
+            assert report_stack(predicted, actual, training) == [
+                definitions(*row) for row in zip(predicted, actual, training)]
+
+    FAULTS = ("nonpositive actual", "nonpositive prediction", "constant actuals",
+              "actual and training identical", "empty training response",
+              "fewer than 2 rows")
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_first_failing_row_raises_its_first_error(self, fault, data):
+        predicted, actual, training = data.draw(
+            stack(n=st.integers(0, 1) if fault == "fewer than 2 rows" else st.integers(2, 12)))
+        rows, n = actual.shape
+        bad = data.draw(st.lists(st.integers(0, rows - 1), min_size=1, unique=True))
+        value = data.draw(st.sampled_from([0.0, -1.0, 3.5]))
+        if fault == "empty training response":
+            training = np.empty((rows, 0))
+        for row in bad:
+            if fault == "nonpositive actual":
+                actual[row, data.draw(st.integers(0, n - 1))] = min(value, 0.0)
+            elif fault == "nonpositive prediction":
+                predicted[row, data.draw(st.integers(0, n - 1))] = min(value, 0.0)
+            elif fault == "constant actuals":
+                actual[row] = 3.5
+            elif fault == "actual and training identical":
+                actual[row] = training[row] = 3.5
+        expected = first_error(predicted, actual, training)
+        assert expected is not None
+        with pytest.raises(MetricError) as exc:
+            report_stack(predicted, actual, training)
+        assert str(exc.value) == expected
+
+    def test_report_is_a_stack_of_one(self):
+        case, train = ps([12.0, 24.0, 7.0], [10.0, 20.0, 9.0]), [10.0, 30.0]
+        assert report(case, train) == definitions(case.predicted, case.actual, train)

@@ -145,6 +145,13 @@ def fixed_table(kinds: dict, response: str):
     return TransformTable(entries=entries, response=response)
 
 
+def test_transform_entries_are_immutable():
+    entry = calculate_transforms(make_dataset({"v": [1.1, 2.7, 9.9, 4.2], "y": [3, 1, 4, 5]},
+                                              response="y"))["v"]
+    with pytest.raises(AttributeError):
+        entry.kind = NONE
+
+
 class TestApplyInvert:
     def test_all_none_is_identity(self, factor_dataset):
         table = fixed_table({"f": NONE, "x": NONE, "y": NONE}, response="y")

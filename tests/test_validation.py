@@ -2,14 +2,18 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from atlm.bundled import load_builtin
 from atlm.dataset import split
-from atlm.errors import PlanError, ValidationError
-from atlm.pipeline import atlm_fit, atlm_predict
+from atlm.errors import MetricError, PlanError, ValidationError
+from atlm.metrics import report
+from atlm.pipeline import PredictionSet, atlm_fit, atlm_predict
 from atlm.validation import (
     FoldAssignment,
     ValidationPlan,
@@ -166,6 +170,56 @@ class TestRunValidation:
         # the row is in training or test of every fold, so every fold fails
         with pytest.raises(ValidationError, match="non-finite value nan"):
             run_validation(ds, ValidationPlan(kind="kfold", k=3, seed=1))
+
+    @pytest.mark.parametrize("name, plan", [("cocomo81", "kfold:10"), ("maxwell", "kfold:10"),
+                                            ("desharnais", "holdout:10x5")])
+    def test_stacked_scores_equal_one_report_per_fold(self, name, plan):
+        ds = load_builtin(name)
+        for seed in (1, 2):
+            plan_ = ValidationPlan.parse(plan, seed=seed)
+            folds = generate_folds(ds, plan_).folds
+            for o in run_validation(ds, plan_).outcomes:
+                if not o.failed:
+                    train = split(ds, *folds[o.fold])[0]
+                    assert o.report == report(o.predictions, train.response_column())
+
+    FAULTS = (None, "constant actuals", "nonpositive prediction", "nonpositive actual")
+
+    @given(k=st.integers(2, 6), faults=st.lists(st.sampled_from(FAULTS), min_size=6, max_size=6))
+    @settings(max_examples=40, deadline=None)
+    def test_metric_error_comes_from_the_first_failing_fold(self, k, faults):
+        # folds of 3 and of 2 test rows are scored in separate stacked passes
+        ds = linear_dataset(13)
+        plan = ValidationPlan(kind="kfold", k=k, seed=4)
+        fold_of = {test: i for i, (_, test) in enumerate(generate_folds(ds, plan).folds)}
+
+        def predict_with_fault(model, test, unseen_level):
+            actual = np.linspace(10.0, 20.0, len(test))
+            predicted = actual * 1.1
+            fault = faults[fold_of[test.ids]]
+            if fault == "constant actuals":
+                actual[:] = 7.0
+            elif fault == "nonpositive prediction":
+                predicted[-1] = -1.0
+            elif fault == "nonpositive actual":
+                actual[0] = 0.0
+            return PredictionSet(test.ids, predicted, actual)
+
+        expected = None
+        for train_ids, test_ids in generate_folds(ds, plan).folds:
+            train, test = split(ds, train_ids, test_ids)
+            try:
+                report(predict_with_fault(None, test, None), train.response_column())
+            except MetricError as exc:
+                expected = str(exc)
+                break
+        with mock.patch("atlm.validation.atlm_predict", predict_with_fault):
+            if expected is None:
+                assert run_validation(ds, plan).n_succeeded == k
+            else:
+                with pytest.raises(MetricError) as exc:
+                    run_validation(ds, plan)
+                assert str(exc.value) == expected
 
     def test_all_folds_failing_is_an_error(self):
         # loocv on 3 rows leaves 2-row training sets: every fold degenerates
