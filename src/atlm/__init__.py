@@ -21,8 +21,6 @@ from .dataset import (
     load_csv,
     load_schema,
     split,
-    write_csv,
-    write_schema,
 )
 from .errors import (
     AtlmError,

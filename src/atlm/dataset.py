@@ -162,9 +162,13 @@ class Dataset:
         return len(self.ids)
 
     def __eq__(self, other) -> bool:
+        """Same name, schema, ids, source row count, levels and cell arrays;
+        NaN cells match."""
         return isinstance(other, Dataset) and (
-            (self.name, self.schema, self.ids, self.source_rows, self.rows)
-            == (other.name, other.schema, other.ids, other.source_rows, other.rows))
+            (self.name, self.schema, self.ids, self.source_rows, self.levels)
+            == (other.name, other.schema, other.ids, other.source_rows, other.levels)
+            and np.array_equal(self.missing, other.missing)
+            and np.array_equal(self.values, other.values, equal_nan=True))
 
     @cached_property
     def _positions(self) -> dict[int, int]:
@@ -179,9 +183,6 @@ class Dataset:
             raise SchemaError(f"no column named {name!r} in dataset {self.name!r}")
         return self.schema.index[name]
 
-    def column_schema(self, name: str) -> ColumnSchema:
-        return self.schema[self.column_index(name)]
-
     def column(self, name: str) -> tuple:
         """The column's cells: floats or level strings, None where missing."""
         i = self.column_index(name)
@@ -191,15 +192,8 @@ class Dataset:
                      for v, gap in zip(cells, self.missing[i].tolist())]
         return tuple(cells)
 
-    @property
-    def rows(self) -> tuple[tuple[object, ...], ...]:
-        return tuple(zip(*(self.column(c.name) for c in self.schema)))
-
     def response_column(self) -> np.ndarray:
         return self.values[self.schema.response]
-
-    def has_missing(self) -> bool:
-        return self._first_gap(non_finite=False) is not None
 
     def fingerprint(self) -> str:
         """SHA-256 over schema and cell content (display name excluded)."""
@@ -343,23 +337,6 @@ def load_csv(path: str | Path, schema: tuple[ColumnSchema, ...],
     n = len(columns[0]) if columns else 0
     return Dataset.from_columns(name if name is not None else path.stem, schema,
                                 range(n), columns, source_rows=n)
-
-
-def write_csv(ds: Dataset, path: str | Path) -> None:
-    """Serialize; numeric cells use shortest round-tripping decimals."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([c.name for c in ds.schema])
-        for row in ds.rows:
-            writer.writerow(["" if v is None else
-                             format_number(v) if isinstance(v, float) else str(v)
-                             for v in row])
-
-
-def write_schema(schema: tuple[ColumnSchema, ...], path: str | Path) -> None:
-    lines = [f"{c.name} {c.kind} {c.role}" for c in schema]
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 @dataclass(frozen=True)

@@ -11,13 +11,17 @@ group is dropped.
 
 The QR fit calls LAPACK through scipy's wrappers: ``dgeqp3`` factors the
 design with column pivoting, ``dorgqr`` forms Q, and ``dtrtrs`` solves the
-leading rank x rank triangle of R against Q'y.  ``scipy.linalg`` is loaded
-on the first fit, not on import.
+leading rank x rank triangle of R against Q'y.  The first fit loads scipy's
+``_flapack`` extension file on its own, so neither ``import atlm`` nor a fit
+imports ``scipy.linalg``.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,10 +115,36 @@ def build_design(ds: Dataset, levels: dict | None = None,
 
 @functools.cache
 def _lapack():
-    """LAPACK's float64 geqp3, orgqr and trtrs, resolved on the first fit so
-    that importing the package does not load ``scipy.linalg``."""
-    from scipy.linalg import get_lapack_funcs
-    return get_lapack_funcs(("geqp3", "orgqr", "trtrs"), dtype=np.float64)
+    """LAPACK's float64 geqp3, orgqr and trtrs, resolved on the first fit.
+
+    They are read from scipy's ``linalg/_flapack`` extension, loaded on its
+    own as ``atlm._flapack``, because importing ``scipy.linalg`` (and with it
+    ``numpy.f2py``, ``numpy.random`` and ``numpy.polynomial``) costs more time
+    and memory than a whole plan's fits.  Where that file lies is a scipy
+    detail: when it is not found, ``get_lapack_funcs`` supplies the same
+    wrappers."""
+    path = _flapack_file()
+    if path is None:
+        from scipy.linalg import get_lapack_funcs
+        return tuple(get_lapack_funcs(("geqp3", "orgqr", "trtrs"), dtype=np.float64))
+    loader = importlib.machinery.ExtensionFileLoader("atlm._flapack", path)
+    flapack = importlib.util.module_from_spec(
+        importlib.util.spec_from_file_location("atlm._flapack", path, loader=loader))
+    loader.exec_module(flapack)
+    return flapack.dgeqp3, flapack.dorgqr, flapack.dtrtrs
+
+
+def _flapack_file() -> str | None:
+    """The path of the installed scipy's ``linalg/_flapack`` extension, found
+    without importing scipy, or None."""
+    spec = importlib.util.find_spec("scipy")
+    roots = spec.submodule_search_locations if spec is not None else None
+    for root in roots or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "linalg", "_flapack" + suffix)
+            if os.path.isfile(path):
+                return path
+    return None
 
 
 def fit_ols(design: DesignMatrix, y, response_name: str = "y") -> FittedLinearModel:

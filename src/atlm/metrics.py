@@ -92,11 +92,15 @@ def re_star(ps: PredictionSet) -> float:
     """Variance of residuals over variance of actuals.
 
     Exactly 1 for any constant predictor; below 1 for a useful one.
+    Constant actuals are found by comparing the values themselves: the
+    computed variance of equal values is not zero when their mean does not
+    round back to them.  A variance that underflows to zero counts as
+    constant too.
     """
     if len(ps) < 2:
         raise MetricError("re_star needs at least 2 rows")
     var_actual = float(np.var(ps.actual, ddof=1))
-    if var_actual == 0.0:
+    if (ps.actual == ps.actual[0]).all() or var_actual == 0.0:
         raise MetricError("re_star undefined for constant actuals")
     return float(np.var(ps.predicted - ps.actual, ddof=1) / var_actual)
 
@@ -181,7 +185,8 @@ def report_stack(predicted, actual, training) -> list[MetricReport]:
         (n < 2, "lsd needs at least 2 rows"),
         ((predicted <= 0.0).any(axis=1),
          "lsd undefined: actuals and predictions must be > 0"),
-        (var_actual == 0.0, "re_star undefined for constant actuals"),
+        ((actual == actual[:, :1]).all(axis=1) | (var_actual == 0.0),
+         "re_star undefined for constant actuals"),
         (training.shape[1] == 0, "sa needs a nonempty training response sample"),
         (mar_p0 == 0.0, "sa undefined: all actual and training values identical"),
     ))

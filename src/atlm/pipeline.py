@@ -64,14 +64,6 @@ class PredictionSet:
                 and np.array_equal(self.predicted, other.predicted)
                 and np.array_equal(self.actual, other.actual))
 
-    def to_csv_text(self) -> str:
-        from .dataset import format_number
-        lines = ["row_id,predicted,actual"]
-        for rid, pred, actual in zip(self.row_ids, self.predicted.tolist(),
-                                     self.actual.tolist()):
-            lines.append(f"{rid},{format_number(pred)},{format_number(actual)}")
-        return "\n".join(lines) + "\n"
-
 
 def pooled(prediction_sets) -> PredictionSet:
     """Concatenate fold prediction sets, preserving fold order."""

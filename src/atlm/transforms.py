@@ -40,10 +40,6 @@ _DOMAIN = {NONE: lambda a: np.full(a.shape, True), LOG: lambda a: a > 0.0,
            SQRT: lambda a: a >= 0.0}
 
 
-def inverse_values(kind: str, values) -> np.ndarray:
-    return np.asarray(_INVERSE[kind](np.asarray(values, dtype=float)), dtype=float)
-
-
 def skewness_b1(values) -> float:
     """b1 sample skewness: g1 scaled by ((n-1)/n)^(3/2).
 
@@ -209,4 +205,4 @@ def invert_predictions(table: TransformTable, predictions) -> list[float]:
     kind = table.response_kind()
     # an overflow to inf is reported as E_PREDICT by PredictionSet, not as a warning
     with np.errstate(over="ignore"):
-        return inverse_values(kind, predictions).tolist()
+        return _INVERSE[kind](np.asarray(predictions, dtype=float)).tolist()

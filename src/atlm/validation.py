@@ -230,9 +230,16 @@ def _score_folds(fitted) -> dict:
 
 def run_validation(ds: Dataset, plan: ValidationPlan, *,
                    unseen_level: str = UNSEEN_ERROR) -> ValidationResult:
-    """Fit and predict every fold of the plan, then score the fitted folds."""
+    """Fit and predict every fold of the plan, then score the fitted folds.
+
+    A k-fold or holdout plan that leaves a test fold of one row is refused
+    before any fit, since the per-fold measures need two rows."""
     assignment = generate_folds(ds, plan)
     per_fold = plan.kind != LOOCV
+    if per_fold and min(len(test) for _, test in assignment.folds) < 2:
+        raise PlanError(
+            f"plan {plan.label()} leaves test folds of 1 row in the {len(ds)} rows of "
+            f"{ds.name!r}; per-fold measures need at least 2, so use loocv")
     fitted = [_fit_fold(ds, index, fold, per_fold, unseen_level)
               for index, fold in enumerate(assignment.folds)]
     reports = _score_folds(fitted) if per_fold else {}

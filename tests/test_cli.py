@@ -174,6 +174,26 @@ class TestErrorContract:
         assert err.startswith(f"error[{code}]: ")
         assert err.count("\n") == 1
 
+    # cocomo81 has 63 rows, so kfold:32 is the smallest k with a 1-row test fold
+    @pytest.mark.parametrize("plan", ["holdout:1x3", "kfold:32", "kfold:63"])
+    def test_a_plan_with_one_row_test_folds_is_refused_before_any_fit(
+            self, monkeypatch, capsys, plan):
+        fitted = []
+        monkeypatch.setattr(atlm.validation, "atlm_fit", fitted.append)
+        assert main(["evaluate", "--dataset", "cocomo81", "--plan", plan]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error[E_PLAN]: plan {plan} leaves test folds of 1 row")
+        assert captured.err.count("\n") == 1
+        assert (captured.out, fitted) == ("", [])
+
+    def test_one_row_test_folds_are_still_exported_and_two_row_ones_evaluated(self, capsys):
+        assert main(["export-folds", "--dataset", "cocomo81", "--plan", "holdout:1x3"]) == 0
+        folds = json.loads(capsys.readouterr().out)["folds"]
+        assert [len(f["test"]) for f in folds] == [1, 1, 1]
+        assert main(["evaluate", "--dataset", "cocomo81", "--plan", "kfold:31",
+                     "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["n_succeeded"] == 31
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("argv, existing", [
         (["inspect", "--dataset", "cocomo81"], "directory"),
@@ -317,12 +337,13 @@ class TestFreshProcess:
         assert main(["inspect", "--dataset", "cocomo81"]) == 0
         assert (done.returncode, done.stdout, done.stderr) == (0, capsys.readouterr().out, "")
 
-    def test_scipy_linalg_loads_only_when_a_model_is_fitted(self):
+    def test_scipy_never_loads_even_when_a_model_is_fitted(self):
         script = """
-import contextlib, io, sys
+import contextlib, io, json, sys
 import atlm
 from atlm.cli import main
-loaded = lambda: "scipy.linalg" in sys.modules
+loaded = lambda: ("scipy" in sys.modules, "scipy.linalg" in sys.modules,
+                  "atlm._flapack" in sys.modules)
 seen = [loaded()]
 atlm.load_builtin("desharnais")
 seen.append(loaded())
@@ -330,9 +351,31 @@ with contextlib.redirect_stdout(io.StringIO()):
     codes = [main(["inspect", "--dataset", "maxwell"]),
              main(["export-folds", "--dataset", "cocomo81", "--plan", "kfold:10"])]
     seen.append(loaded())
-    codes.append(main(["evaluate", "--dataset", "cocomo81", "--plan", "kfold:3"]))
+    codes.append(main(["evaluate", "--dataset", "cocomo81", "--plan", "kfold:10"]))
 seen.append(loaded())
-print(codes, seen)
+print(json.dumps([codes, seen]))
 """
         done = run_python("-c", script)
-        assert done.stdout.strip() == "[0, 0, 0] [False, False, False, True]", done.stderr
+        # (scipy, scipy.linalg, atlm._flapack) loaded: only the fit loads the extension
+        nothing, flapack_only = [False, False, False], [False, False, True]
+        assert json.loads(done.stdout) == [[0, 0, 0], [nothing] * 3 + [flapack_only]], done.stderr
+
+    def test_fit_before_importing_scipy_linalg_gives_the_same_coefficients(self):
+        script = """
+import sys
+import atlm
+from atlm import linear
+ds = atlm.load_builtin("maxwell")
+first = atlm.atlm_fit(ds).linear
+assert "scipy" not in sys.modules
+import scipy.linalg
+linear._flapack_file = lambda: None  # make the next fit resolve LAPACK through scipy.linalg
+linear._lapack.cache_clear()
+second = atlm.atlm_fit(ds).linear
+assert linear._lapack() == tuple(scipy.linalg.get_lapack_funcs(("geqp3", "orgqr", "trtrs"),
+                                                               dtype=float))
+print(first.coefficients == second.coefficients and first.aliased == second.aliased,
+      len(first.coefficients))
+"""
+        done = run_python("-c", script)
+        assert done.stdout.split()[0] == "True", done.stderr

@@ -15,10 +15,8 @@ from atlm.dataset import (
     load_csv,
     load_schema,
     split,
-    write_csv,
-    write_schema,
 )
-from atlm.errors import ParseError, RecipeError, SchemaError, SplitError
+from atlm.errors import MissingValueError, ParseError, RecipeError, SchemaError, SplitError
 from atlm.transforms import apply_transforms, calculate_transforms
 
 from conftest import make_dataset
@@ -68,9 +66,10 @@ def test_load_csv_unknown_header(tmp_path):
 def test_load_csv_missing_markers(tmp_path):
     path = write_small_csv(tmp_path, "kloc,mode,effort\n1,org,10\n,emb,20\n3,?,30\n")
     ds = load_csv(path, SMALL_SCHEMA)
-    assert ds.rows[1][0] is None
-    assert ds.rows[2][1] is None
-    assert ds.has_missing()
+    assert ds.column("kloc")[1] is None
+    assert ds.column("mode")[2] is None
+    with pytest.raises(MissingValueError, match="missing value in column 'kloc', row 1"):
+        ds.require_no_missing("fit")
 
 
 def _columns(*specs):
@@ -102,17 +101,23 @@ def test_schema_requires_single_numeric_response():
                              (0,), (("a",),))
 
 
-def test_serialize_reload_is_identity(tmp_path):
+def test_reloading_the_same_cells_gives_an_equal_dataset(tmp_path):
     ds = make_dataset({"x": [0.1, 2.0000000001, 3e17], "f": ["u", "v", "u"],
-                       "y": [1.25, 2.5, 3.125]},
+                       "y": [1.25, None, 3.125]},
                       response="y", categorical=("f",))
     csv_path = tmp_path / "out.csv"
     schema_path = tmp_path / "out.schema"
-    write_csv(ds, csv_path)
-    write_schema(ds.schema, schema_path)
+    csv_path.write_text("x,f,y\n0.1,u,1.25\n2.0000000001,v,\n3e17,u,3.125\n")
+    schema_path.write_text("x numeric explanatory\nf categorical explanatory\n"
+                           "y numeric response\n")
     again = load_csv(csv_path, load_schema(schema_path), name=ds.name)
-    assert again == ds
+    assert again == ds  # a missing cell is NaN in both, and equal
     assert again.fingerprint() == ds.fingerprint()
+    for changed in (dataclasses.replace(ds, name="other"),
+                    dataclasses.replace(ds, levels=(("v", "u"),) + ds.levels[1:]),
+                    dataclasses.replace(ds, values=ds.values + (ds.values == 0.1)),
+                    dataclasses.replace(ds, ids=(0, 1, 5))):
+        assert changed != ds
 
 
 def test_fingerprint_ignores_display_name():
@@ -126,13 +131,12 @@ def test_fingerprint_ignores_display_name():
 class TestApplyRecipe:
     def test_identity_recipe_keeps_rows(self, factor_dataset):
         out = apply_recipe(factor_dataset, PrepRecipe())
-        assert out.rows == factor_dataset.rows
-        assert out.ids == factor_dataset.ids
+        assert out == factor_dataset
 
     def test_set_response_moves_role(self, factor_dataset):
         out = apply_recipe(factor_dataset, PrepRecipe(set_response="x"))
         assert out.response_name == "x"
-        assert out.column_schema("y").role == "explanatory"
+        assert out.schema[out.column_index("y")].role == "explanatory"
 
     def test_drop_and_cast(self):
         ds = make_dataset({"lang": [1, 2, 3, 1], "y": [5, 6, 7, 8]}, response="y")
@@ -140,13 +144,13 @@ class TestApplyRecipe:
         out = apply_recipe(ds, recipe)
         assert out.ids == (0, 2, 3)
         assert out.column("lang") == ("1", "3", "1")
-        assert out.column_schema("lang").kind == CATEGORICAL
+        assert out.schema[out.column_index("lang")].kind == CATEGORICAL
 
     def test_drop_missing_rows(self):
         ds = make_dataset({"x": [1, None, 3, 4], "y": [5, 6, 7, 8]}, response="y")
         out = apply_recipe(ds, PrepRecipe(drop_rows_with_missing=True))
         assert out.ids == (0, 2, 3)
-        assert not out.has_missing()
+        assert not out.missing.any()
 
     def test_missing_left_behind_is_an_error(self):
         ds = make_dataset({"x": [1, None, 3], "y": [5, 6, 7]}, response="y")
@@ -157,7 +161,8 @@ class TestApplyRecipe:
         ds = make_dataset({"x": [1, None, 3], "z": [1, 2, 3], "y": [5, 6, 7]},
                           response="y")
         out = apply_recipe(ds, PrepRecipe(ignore_columns=("x",)))
-        assert not out.has_missing()
+        out.require_no_missing("fit")
+        assert out.column("x")[1] is None
 
     def test_unknown_column_is_an_error(self, factor_dataset):
         with pytest.raises(RecipeError):
@@ -237,11 +242,12 @@ class TestSplit:
     def test_cells_preserved_exactly(self):
         ds = make_dataset({"x": [1.5, 2.5, 3.5, 4.5], "y": [9, 8, 7, 6]}, response="y")
         train, test = split(ds, (3, 0), (2, 1))
-        merged = {**dict(zip(train.ids, train.rows)), **dict(zip(test.ids, test.rows))}
-        assert merged == dict(zip(ds.ids, ds.rows))
+        def cells(part):
+            return dict(zip(part.ids, zip(part.column("x"), part.column("y"))))
+        assert {**cells(train), **cells(test)} == cells(ds)
         # order follows the id lists
         assert train.ids == (3, 0)
-        assert train.rows[0] == ds.rows[3]
+        assert (train.column("x")[0], train.column("y")[0]) == cells(ds)[3]
 
 
 class TestBundled:
@@ -250,7 +256,7 @@ class TestBundled:
         assert len(ds) == 63
         numeric = [c for c in ds.schema if c.kind == NUMERIC and c.role == "explanatory"]
         assert len(numeric) == 16  # 15 cost drivers + lines of code
-        assert ds.column_schema("mode").kind == CATEGORICAL
+        assert ds.schema[ds.column_index("mode")].kind == CATEGORICAL
         assert ds.response_name == "effort"
 
     def test_desharnais_preparation(self):
@@ -258,9 +264,9 @@ class TestBundled:
         assert len(raw) == 81
         prepared = apply_recipe(raw, builtin_recipe("desharnais"))
         assert len(prepared) == 74  # 81 - 4 missing - 3 outliers
-        assert prepared.column_schema("Language").kind == CATEGORICAL
-        assert prepared.column_schema("Project").role == "ignored"
-        assert not prepared.has_missing()
+        assert prepared.schema[prepared.column_index("Language")].kind == CATEGORICAL
+        assert prepared.schema[prepared.column_index("Project")].role == "ignored"
+        prepared.require_no_missing("fit")
 
     def test_maxwell_shape(self):
         ds = load_builtin("maxwell")

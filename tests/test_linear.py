@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from atlm import linear
 from atlm.errors import FitError, SchemaError, UnseenLevelError
 from atlm.linear import (
     DesignMatrix,
@@ -216,6 +217,37 @@ class TestFitOlsMatchesScipy:
         design = DesignMatrix(tuple(f"c{i}" for i in range(160)), x, {})
         model = fit_ols(design, y)
         assert (model.coefficients, model.aliased) == scipy_fit(design, y)
+
+
+class TestLapackLoader:
+    def test_the_routines_come_from_the_extension_file_loaded_on_its_own(self):
+        assert linear._flapack_file() is not None
+        pairs = zip(linear._lapack(),
+                    scipy.linalg.get_lapack_funcs(("geqp3", "orgqr", "trtrs"), dtype=float))
+        # the same wrappers (their docstrings name the routine), as separate objects
+        assert all(r is not s and r.__doc__ == s.__doc__ for r, s in pairs)
+
+    def test_a_missed_lookup_falls_back_to_get_lapack_funcs(self, monkeypatch):
+        rng = Pcg32(29, stream=7)
+        systems = [random_system(rng, n, p) for n, p in ((12, 4), (40, 9), (200, 160))]
+        systems.append((np.column_stack([np.ones(6), np.arange(6.0), 2 * np.arange(6.0)]),
+                        np.arange(6.0) ** 2))  # one column aliased
+        fits = []
+        for lookup in (linear._flapack_file, lambda: None):
+            monkeypatch.setattr(linear, "_flapack_file", lookup)
+            linear._lapack.cache_clear()
+            try:
+                routines = linear._lapack()
+                fits.append([fit_ols(DesignMatrix(tuple(f"c{i}" for i in range(x.shape[1])),
+                                                  x, {}), y) for x, y in systems])
+            finally:
+                linear._lapack.cache_clear()
+        assert routines == tuple(scipy.linalg.get_lapack_funcs(("geqp3", "orgqr", "trtrs"),
+                                                               dtype=float))
+        direct, fallback = fits
+        assert [(m.coefficients, m.aliased) for m in direct] == \
+            [(m.coefficients, m.aliased) for m in fallback]
+        assert direct[-1].aliased
 
 
 class TestPredict:

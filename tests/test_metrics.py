@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -115,6 +115,31 @@ class TestReStar:
     def test_constant_actuals_rejected(self):
         with pytest.raises(MetricError):
             re_star(ps([1, 2], [4, 4]))
+
+    def test_constant_actuals_whose_mean_does_not_round_back_are_rejected(self):
+        assert np.var([0.1] * 3, ddof=1) > 0.0  # the case an exact-zero variance test misses
+        with pytest.raises(MetricError, match="constant actuals"):
+            re_star(ps([0.2, 0.3, 0.4], [0.1] * 3))
+
+    def test_actuals_whose_variance_underflows_are_rejected(self):
+        actual = [1e-170, 2e-170]  # distinct, but the squared deviations underflow
+        assert np.var(actual, ddof=1) == 0.0
+        with pytest.raises(MetricError, match="constant actuals"):
+            re_star(ps([1.0, 2.0], actual))
+
+    @given(st.floats(min_value=0.01, max_value=1e5), st.integers(3, 30), st.data())
+    @example(0.1, 3, None)
+    @settings(max_examples=100, deadline=None)
+    def test_constant_non_representable_actuals_are_rejected_in_both_paths(self, value, n,
+                                                                           data):
+        actual = np.full(n, value)
+        assume(np.var(actual, ddof=1) != 0.0)
+        predicted = ([value * 2.0] * n if data is None else
+                     data.draw(arrays(float, n, elements=st.floats(0.01, 1e5))))
+        with pytest.raises(MetricError, match="constant actuals"):
+            re_star(ps(predicted, actual))
+        with pytest.raises(MetricError, match="re_star undefined for constant actuals"):
+            report_stack(np.array([predicted]), actual[None], np.array([[value, value + 1]]))
 
     @given(st.lists(st.floats(min_value=1, max_value=1e4), min_size=3, max_size=12),
            st.floats(min_value=0.1, max_value=100))

@@ -133,13 +133,6 @@ class TestPredict:
         second = atlm_predict(atlm_fit(train), test)
         assert first == second  # bit-identical rows
 
-    def test_csv_export_shape(self, exact_linear):
-        model = atlm_fit(exact_linear)
-        text = atlm_predict(model, exact_linear).to_csv_text()
-        lines = text.strip().splitlines()
-        assert lines[0] == "row_id,predicted,actual"
-        assert len(lines) == len(exact_linear) + 1
-
 
 def test_pooled_preserves_order():
     a = PredictionSet((0,), [1.0], [2.0])
