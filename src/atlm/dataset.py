@@ -196,15 +196,24 @@ class Dataset:
         return self.values[self.schema.response]
 
     def fingerprint(self) -> str:
-        """SHA-256 over schema and cell content (display name excluded)."""
-        h = hashlib.sha256()
-        for c in self.schema:
-            h.update(f"{c.name}|{c.kind}|{c.role}\n".encode())
-        columns = [["?" if v is None else format_number(v) if c.kind == NUMERIC else v
-                    for v in self.column(c.name)] for c in self.schema]
-        for rid, cells in zip(self.ids, zip(*columns)):
-            h.update(f"{rid}:{','.join(cells)}\n".encode())
-        return h.hexdigest()
+        """SHA-256 over schema and cell content (display name excluded).
+
+        The hashed text is one ``name|kind|role`` line per column, then one
+        ``id:cell,cell,...`` line per row, a number as :func:`format_number`
+        writes it, a factor as its level and a missing cell as ``?``.  Each
+        column is formatted whole."""
+        columns = []
+        for row, gaps, levels in zip(self.values, self.missing, self.levels):
+            if levels:  # a factor: codes into its levels
+                cells = list(map(levels.__getitem__, np.where(gaps, 0, row).astype(int).tolist()))
+            else:
+                cells = list(map(float.__repr__, row.tolist()))
+            for i in np.flatnonzero(gaps).tolist():
+                cells[i] = "?"
+            columns.append(cells)
+        text = "".join([f"{c.name}|{c.kind}|{c.role}\n" for c in self.schema]
+                       + list(map("{}:{}\n".format, self.ids, map(",".join, zip(*columns)))))
+        return hashlib.sha256(text.encode()).hexdigest()
 
     def require_no_missing(self, context: str) -> None:
         """Reject a missing cell, or a non-finite numeric cell, in an active column."""

@@ -4,10 +4,10 @@ Categorical predictors are expanded with treatment contrasts: a factor with
 L observed levels contributes L-1 indicator columns, compared from its
 codes, against a reference level (the first level seen in the training
 column).  The fit uses a column-pivoted Householder QR; columns whose
-pivoted diagonal falls below ``RANK_TOL`` times the leading diagonal are
-aliased (dropped with no coefficient), so deliberately collinear feature
-sets still fit, with predictions unaffected by which member of a dependent
-group is dropped.
+pivoted diagonal is zero or falls below ``RANK_TOL`` times the leading
+diagonal are aliased (dropped with no coefficient), so deliberately
+collinear feature sets still fit, with predictions unaffected by which
+member of a dependent group is dropped.
 
 The QR fit calls LAPACK through scipy's wrappers: ``dgeqp3`` factors the
 design with column pivoting, ``dorgqr`` forms Q, and ``dtrtrs`` solves the
@@ -37,6 +37,10 @@ UNSEEN_POLICIES = (UNSEEN_ERROR, UNSEEN_AS_REFERENCE)
 
 #: relative pivot magnitude below which a design column is aliased
 RANK_TOL = 1e-7
+
+#: FitError messages of a fit whose triangular solve breaks down
+SINGULAR_FACTOR = "the triangular factor of the design is singular"
+NON_FINITE_COEFFICIENT = "the fit gave a non-finite coefficient"
 
 
 @dataclass(frozen=True)
@@ -173,7 +177,9 @@ def fit_ols(design: DesignMatrix, y, response_name: str = "y") -> FittedLinearMo
     diag = np.abs(qr.diagonal())
     if diag[0] <= 0.0:
         raise FitError("no usable design columns")
-    rank = int(np.count_nonzero(diag >= RANK_TOL * diag[0]))
+    # a subnormal leading pivot makes the threshold underflow to 0, so an
+    # exactly zero pivot must be ruled out by itself
+    rank = int(np.count_nonzero((diag >= RANK_TOL * diag[0]) & (diag > 0.0)))
     # R's leading triangle, transposed in Fortran order: solve_triangular hands
     # trtrs the C-ordered R this way, and the other layout rounds differently
     triangle = qr[:rank, :rank].T.copy(order="F")
@@ -181,7 +187,11 @@ def fit_ols(design: DesignMatrix, y, response_name: str = "y") -> FittedLinearMo
     reflectors = qr[:, :min(n, p)]
     q = orgqr(reflectors, tau, lwork=int(orgqr(reflectors, tau, lwork=-1)[1][0]),
               overwrite_a=1)[0]
-    beta = trtrs(triangle, (q.T @ yv)[:rank], lower=1, trans=1)[0]
+    beta, info = trtrs(triangle, (q.T @ yv)[:rank], lower=1, trans=1)
+    if info > 0:
+        raise FitError(SINGULAR_FACTOR)
+    if not np.isfinite(beta).all():
+        raise FitError(NON_FINITE_COEFFICIENT)
 
     piv = (piv - 1).tolist()  # geqp3 numbers columns from 1
     coefficients = {design.labels[piv[i]]: float(beta[i]) for i in range(rank)}

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import math
+from json.encoder import encode_basestring_ascii
 
 from .dataset import format_number
 from .metrics import METRIC_FIELDS, MetricReport
@@ -40,7 +42,65 @@ def result_to_json_dict(result: ValidationResult, notes=()) -> dict:
 
 
 def to_json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``, byte for byte,
+    for a payload whose dict keys are all strings (any other key is a
+    TypeError).
+
+    Dicts and lists (tuples too) are laid out as that call lays them out:
+    one item per line, indented two spaces per level, items separated by
+    ``","`` and keys, sorted, by ``": "``; empty ones as ``{}`` and ``[]``.
+    Scalars come from the C routines the json module uses: strings escaped
+    to ASCII, finite floats by ``float.__repr__``, ints by ``int.__repr__``,
+    and bool, None, NaN and the infinities by ``JSONEncoder``, which raises
+    TypeError for a type JSON has no form for.  A list of plain ints, the
+    row ids of a fold, is joined from one memo of id texts per call.  The
+    payload must hold no cycle."""
+    return _render(payload, "\n", _IdTexts()) + "\n"
+
+
+class _IdTexts(dict):
+    """int -> its JSON text, filled on first use."""
+
+    def __missing__(self, key: int) -> str:
+        text = self[key] = int.__repr__(key)
+        return text
+
+
+_ENCODER = json.JSONEncoder()
+
+
+def _scalar(value) -> str:
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, float) and math.isfinite(value):
+        return float.__repr__(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return int.__repr__(value)
+    return _ENCODER.encode(value)
+
+
+def _render(value, pad: str, ids: _IdTexts) -> str:
+    """``value`` as JSON text, its nested lines indented by ``pad`` (a
+    newline and the current indent)."""
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        return "{" + inner + ("," + inner).join(
+            [f"{encode_basestring_ascii(k)}: {_render(v, inner, ids)}"
+             for k, v in sorted(value.items())]) + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        # plain ints only: a bool or an integral float would hit the memo
+        # entry of the int it equals, but is written differently
+        if list(map(type, value)).count(int) == len(value):
+            items = map(ids.__getitem__, value)
+        else:
+            items = [_render(v, inner, ids) for v in value]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    return _scalar(value)
 
 
 def _metric_cells(r: MetricReport) -> str:

@@ -5,12 +5,54 @@ XSH-RR output permutation.  The reference C implementation is a dozen
 lines and has been ported to most languages, so fold assignments written
 by this package can be reproduced exactly outside Python.  Streams are
 selected with the standard odd-increment construction.
+
+:meth:`Pcg32.next_below` is the scalar reference: one LCG step and one
+rejection test per draw.  :meth:`Pcg32.draws_below` gives the same draws a
+whole array at a time by jumping ahead.  With multiplier ``a``, increment
+``c`` and state ``s`` before the first draw, the state before the k-th draw
+is ``a^k s + c (a^0 + ... + a^(k-1))`` mod 2^64.  The two coefficient
+tables are built by doubling in uint64 arrays, whose arithmetic wraps mod
+2^64 as the LCG does, and the XSH-RR output is applied to the states of up
+to 2^16 draws at once.  Rejection stays exact: the draws before the first
+rejected one are kept, the state moves past the rejected draw, and the
+rest are drawn again from there, as the scalar loop would.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 _MASK64 = (1 << 64) - 1
 _MULTIPLIER = 6364136223846793005
+#: most draws computed in one array pass, which bounds the memory a long plan takes
+_BLOCK = 1 << 16
+
+
+def _jump_tables(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """(a^k, a^0 + ... + a^(k-1)) mod 2^64 for k < count, as uint64 arrays.
+
+    Each pass doubles the filled prefix: for i below the filled size m,
+    a^(m+i) = a^m a^i and the sum up to m+i is (sum up to m) + a^m (sum up
+    to i).  Only arrays meet in the arithmetic, which wraps without the
+    overflow warnings numpy raises for scalars."""
+    mult = np.ones(count, dtype=np.uint64)
+    plus = np.zeros(count, dtype=np.uint64)
+    size, a_m, sum_m = 1, _MULTIPLIER, 1  # a^size and the sum below size
+    while size < count:
+        step = min(size, count - size)
+        np.multiply(mult[:step], np.uint64(a_m), out=mult[size:size + step])
+        np.multiply(plus[:step], np.uint64(a_m), out=plus[size:size + step])
+        plus[size:size + step] += np.uint64(sum_m)
+        size, a_m, sum_m = 2 * size, (a_m * a_m) & _MASK64, (sum_m + a_m * sum_m) & _MASK64
+    return mult, plus
+
+
+def _output(states: np.ndarray) -> np.ndarray:
+    """XSH-RR of each uint64 state, as uint64 values below 2^32."""
+    xorshifted = (((states >> np.uint64(18)) ^ states) >> np.uint64(27)).astype(np.uint32)
+    rot = (states >> np.uint64(59)).astype(np.uint32)
+    return ((xorshifted >> rot) | (xorshifted << ((np.uint32(32) - rot) & np.uint32(31)))
+            ).astype(np.uint64)
 
 
 class Pcg32:
@@ -34,17 +76,46 @@ class Pcg32:
         return self._next()
 
     def next_below(self, bound: int) -> int:
-        """Uniform draw in [0, bound), unbiased via rejection."""
-        if bound <= 0:
-            raise ValueError(f"bound must be positive, got {bound}")
+        """Uniform draw in [0, bound), unbiased via rejection; bound <= 2^32."""
+        if not 0 < bound <= 1 << 32:
+            raise ValueError(f"bound must be in 1..2^32, got {bound}")
         threshold = (1 << 32) % bound
         while True:
             r = self._next()
             if r >= threshold:
                 return r % bound
 
-    def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle, descending index order."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.next_below(i + 1)
-            items[i], items[j] = items[j], items[i]
+    def draws_below(self, bounds) -> list[int]:
+        """``[next_below(b) for b in bounds]``, leaving the same state, drawn
+        a whole array at a time (see the module docstring)."""
+        bounds = list(bounds)
+        if bounds and not (0 < min(bounds) and max(bounds) <= 1 << 32):
+            raise ValueError(f"bounds must be in 1..2^32, got {min(bounds)}..{max(bounds)}")
+        mult, plus = _jump_tables(min(len(bounds), _BLOCK))
+        pending = np.array(bounds, dtype=np.uint64)
+        thresholds = np.uint64(1 << 32) % pending
+        draws: list[int] = []
+        while pending.size:
+            m = min(pending.size, _BLOCK)
+            states = mult[:m] * np.uint64(self.state) + plus[:m] * np.uint64(self.inc)
+            outputs = _output(states)
+            rejected = np.flatnonzero(outputs < thresholds[:m])
+            kept = int(rejected[0]) if rejected.size else m
+            draws.extend((outputs[:kept] % pending[:kept]).tolist())
+            # step past the last kept draw, or past the rejected one
+            last = int(states[min(kept, m - 1)])
+            self.state = (last * _MULTIPLIER + self.inc) & _MASK64
+            pending, thresholds = pending[kept:], thresholds[kept:]
+        return draws
+
+    def shuffle(self, *lists: list) -> None:
+        """In-place Fisher-Yates shuffle of each list, descending index order.
+
+        The lists are shuffled one after another, as successive calls would
+        shuffle them, with all of their draws taken in one
+        :meth:`draws_below` call."""
+        draws = iter(self.draws_below(i + 1 for items in lists
+                                      for i in range(len(items) - 1, 0, -1)))
+        for items in lists:
+            for i, j in zip(range(len(items) - 1, 0, -1), draws):
+                items[i], items[j] = items[j], items[i]

@@ -44,16 +44,19 @@ def skewness_b1(values) -> float:
     """b1 sample skewness: g1 scaled by ((n-1)/n)^(3/2).
 
     g1 = m3 / m2^(3/2) with m_r the r-th central moment using a 1/n
-    denominator.  Needs n >= 3 and positive variance.
+    denominator.  Needs n >= 3 and values that are not all equal (tested
+    exactly, as the computed variance of a constant sample need not be 0).
     """
     a = np.asarray(values, dtype=float)
     n = a.size
     if n < 3:
         raise DegenerateSampleError(f"skewness needs at least 3 values, got {n}")
+    if (a == a[0]).all():
+        raise DegenerateSampleError("skewness undefined for a zero-variance sample")
     mean = a.mean()
     d = a - mean
     m2 = np.mean(d * d)
-    if m2 ** 1.5 == 0.0:  # zero, or so small that its 3/2 power underflows
+    if m2 ** 1.5 == 0.0:  # so small that its 3/2 power underflows
         raise DegenerateSampleError("skewness undefined for a zero-variance sample")
     m3 = np.mean(d * d * d)
     g1 = m3 / m2 ** 1.5
@@ -121,8 +124,9 @@ def _skewness_rows(a: np.ndarray) -> list:
     m2 = (np.add.reduce(dd, axis=1) / n).tolist()
     m3 = (np.add.reduce(dd * d, axis=1) / n).tolist()
     scale = ((n - 1) / n) ** 1.5
-    return [DEGENERATE if (spread := s2 ** 1.5) == 0.0 else s3 / spread * scale
-            for s2, s3 in zip(m2, m3)]
+    flat = (a == a[:, :1]).all(axis=1).tolist()
+    return [DEGENERATE if constant or (spread := s2 ** 1.5) == 0.0 else s3 / spread * scale
+            for constant, s2, s3 in zip(flat, m2, m3)]
 
 
 def calculate_transforms(training: Dataset) -> TransformTable:

@@ -122,7 +122,10 @@ class FoldAssignment:
 
 
 def generate_folds(ds: Dataset, plan: ValidationPlan) -> FoldAssignment:
-    """Deterministic folds for the plan; see the module docstring."""
+    """Deterministic folds for the plan; see the module docstring.
+
+    The shuffles permute row positions; each test set is then a mask over
+    the positions, so both sides of a fold keep the dataset's row order."""
     n = len(ds)
     ids = tuple(ds.ids)
     fingerprint = ds.fingerprint()
@@ -133,21 +136,22 @@ def generate_folds(ds: Dataset, plan: ValidationPlan) -> FoldAssignment:
     if plan.kind == KFOLD:
         if plan.k > n:
             raise PlanError(f"kfold k={plan.k} exceeds {n} rows of {ds.name!r}")
-        shuffled = list(ids)
-        rng.shuffle(shuffled)
+        order = list(range(n))
+        rng.shuffle(order)
         base, extra = divmod(n, plan.k)
-        starts = [i * base + min(i, extra) for i in range(plan.k + 1)]
-        tests = [set(shuffled[a:b]) for a, b in zip(starts, starts[1:])]
+        fold_of = np.empty(n, dtype=np.intp)
+        fold_of[order] = np.repeat(np.arange(plan.k), [base + (i < extra) for i in range(plan.k)])
+        tests = fold_of == np.arange(plan.k)[:, None]
     else:
         if plan.test_size >= n:
             raise PlanError(
                 f"holdout test_size={plan.test_size} must be below {n} rows of {ds.name!r}")
-        tests = []
-        for _ in range(plan.repeats):
-            shuffled = list(ids)
-            rng.shuffle(shuffled)
-            tests.append(set(shuffled[:plan.test_size]))
-    folds = tuple((tuple(i for i in ids if i not in test), tuple(i for i in ids if i in test))
+        orders = [list(range(n)) for _ in range(plan.repeats)]
+        rng.shuffle(*orders)
+        tests = np.zeros((plan.repeats, n), dtype=bool)
+        tests[np.arange(plan.repeats)[:, None], [o[:plan.test_size] for o in orders]] = True
+    id_array = np.array(ids)
+    folds = tuple((tuple(id_array[~test].tolist()), tuple(id_array[test].tolist()))
                   for test in tests)
     return FoldAssignment(plan, fingerprint, folds)
 

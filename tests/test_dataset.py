@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from atlm.bundled import builtin_recipe, load_builtin, load_builtin_raw
 from atlm.dataset import (
@@ -10,8 +13,10 @@ from atlm.dataset import (
     ColumnSchema,
     Dataset,
     NUMERIC,
+    RESPONSE,
     PrepRecipe,
     apply_recipe,
+    format_number,
     load_csv,
     load_schema,
     split,
@@ -118,6 +123,40 @@ def test_reloading_the_same_cells_gives_an_equal_dataset(tmp_path):
                     dataclasses.replace(ds, values=ds.values + (ds.values == 0.1)),
                     dataclasses.replace(ds, ids=(0, 1, 5))):
         assert changed != ds
+
+
+def reference_fingerprint(ds: Dataset) -> str:
+    """SHA-256 fed one line per column and per row, cell by cell."""
+    h = hashlib.sha256()
+    for c in ds.schema:
+        h.update(f"{c.name}|{c.kind}|{c.role}\n".encode())
+    columns = [["?" if v is None else format_number(v) if c.kind == NUMERIC else v
+                for v in ds.column(c.name)] for c in ds.schema]
+    for rid, cells in zip(ds.ids, zip(*columns)):
+        h.update(f"{rid}:{','.join(cells)}\n".encode())
+    return h.hexdigest()
+
+
+@st.composite
+def datasets_with_gaps(draw):
+    """Numeric and factor columns with missing cells, NaN and infinite
+    numbers, level text with commas and non-ASCII, and ids with gaps."""
+    n = draw(st.integers(0, 12))
+    ids = draw(st.permutations(range(2 * n)))[:n]
+    kinds = draw(st.lists(st.sampled_from([NUMERIC, CATEGORICAL]), min_size=1, max_size=4))
+    schema = [ColumnSchema(f"c{i}", kind) for i, kind in enumerate(kinds)]
+    schema.append(ColumnSchema("y", NUMERIC, RESPONSE))
+    numbers = st.none() | st.floats()
+    levels = st.none() | st.sampled_from(["a", "b,c", "é", "?", "1.0"])
+    columns = [draw(st.lists(levels if c.kind == CATEGORICAL else numbers,
+                             min_size=n, max_size=n)) for c in schema]
+    return Dataset.from_columns("gaps", schema, ids, columns)
+
+
+@given(datasets_with_gaps())
+@settings(max_examples=150, deadline=None)
+def test_fingerprint_equals_the_cell_by_cell_hash(ds):
+    assert ds.fingerprint() == reference_fingerprint(ds)
 
 
 def test_fingerprint_ignores_display_name():

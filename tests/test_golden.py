@@ -44,3 +44,12 @@ def test_evaluate_loocv_json_matches_golden(dataset, tmp_path):
     assert main(["evaluate", "--dataset", dataset, "--plan", "loocv", "--format", "json",
                  "--out", str(tmp_path / name)]) == 0
     assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("plan", ["loocv", "kfold:10", "holdout:10x30"])
+@pytest.mark.parametrize("dataset", ["cocomo81", "desharnais", "maxwell"])
+def test_export_folds_matches_golden(dataset, plan, tmp_path):
+    name = f"export_folds_{plan.replace(':', '_')}_{dataset}.json"
+    assert main(["export-folds", "--dataset", dataset, "--plan", plan, "--seed", "1",
+                 "--out", str(tmp_path / name)]) == 0
+    assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -12,7 +12,9 @@ from atlm.errors import FitError, SchemaError, UnseenLevelError
 from atlm.linear import (
     DesignMatrix,
     INTERCEPT,
+    NON_FINITE_COEFFICIENT,
     RANK_TOL,
+    SINGULAR_FACTOR,
     UNSEEN_AS_REFERENCE,
     build_design,
     fit_ols,
@@ -168,8 +170,13 @@ def scipy_fit(design: DesignMatrix, y):
     diag = np.abs(np.diag(r))
     if diag.size == 0 or diag[0] <= 0.0:
         raise FitError("no usable design columns")
-    rank = int(np.count_nonzero(diag >= RANK_TOL * diag[0]))
-    beta = scipy.linalg.solve_triangular(r[:rank, :rank], (q.T @ y)[:rank])
+    rank = int(np.count_nonzero((diag >= RANK_TOL * diag[0]) & (diag > 0.0)))
+    try:
+        beta = scipy.linalg.solve_triangular(r[:rank, :rank], (q.T @ y)[:rank])
+    except np.linalg.LinAlgError:
+        raise FitError(SINGULAR_FACTOR) from None
+    if not np.isfinite(beta).all():
+        raise FitError(NON_FINITE_COEFFICIENT)
     return ({design.labels[piv[i]]: float(beta[i]) for i in range(rank)},
             frozenset(design.labels[piv[i]] for i in range(rank, p)))
 
@@ -193,8 +200,15 @@ def designs(draw):
     return DesignMatrix(tuple(f"c{i}" for i in range(p)), x, {}), y
 
 
+def two_by_two(rows, y):
+    return DesignMatrix(("c0", "c1"), np.array(rows), {}), np.array(y)
+
+
 class TestFitOlsMatchesScipy:
     @given(designs())
+    # a subnormal leading pivot: its rank threshold underflows to 0
+    @example(two_by_two([[5e-324, 5e-324], [5e-324, 5e-324]], [0.0, 0.0]))
+    @example(two_by_two([[5e-324, 0.0], [5e-324, 5e-324]], [6.0, 6.0]))
     @settings(max_examples=300, deadline=None)
     def test_coefficients_aliasing_and_errors_are_identical(self, case):
         design, y = case

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from atlm import rng
 from atlm.rng import Pcg32
 
 
@@ -39,3 +42,79 @@ def test_shuffle_is_a_permutation_and_reproducible():
     items2 = list(range(50))
     Pcg32(3, stream=5).shuffle(items2)
     assert items2 == items
+
+
+def test_next_below_rejects_a_bound_above_2_to_32():
+    with pytest.raises(ValueError):
+        Pcg32(1).next_below((1 << 32) + 1)
+
+
+def scalar_draws(g: Pcg32, bounds) -> list[int]:
+    return [g.next_below(b) for b in bounds]
+
+
+#: bounds near 2^32 reject up to about half their draws
+HIGH_BOUNDS = st.integers((1 << 31) - 3, 1 << 32) | st.sampled_from(
+    [(1 << 31) + 1, (1 << 31) + 2, 3 << 30, (1 << 32) - 1])
+
+
+class TestDrawsBelow:
+    @given(st.integers(0, (1 << 64) - 1), st.integers(0, (1 << 64) - 1),
+           st.lists(st.integers(1, 300) | HIGH_BOUNDS, max_size=200))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_next_below_draw_for_draw_with_the_same_end_state(self, seed, stream,
+                                                                     bounds):
+        bulk, scalar = Pcg32(seed, stream), Pcg32(seed, stream)
+        assert bulk.draws_below(bounds) == scalar_draws(scalar, bounds)
+        assert (bulk.state, bulk.inc) == (scalar.state, scalar.inc)
+        assert bulk.next_uint32() == scalar.next_uint32()
+
+    def test_a_long_run_of_rejections_is_drawn_again(self):
+        # about half the draws below 2^31 + 1 are rejected
+        bounds = [(1 << 31) + 1] * 500
+        bulk, scalar = Pcg32(5, stream=9), Pcg32(5, stream=9)
+        assert bulk.draws_below(bounds) == scalar_draws(scalar, bounds)
+        assert bulk.state == scalar.state
+
+    def test_jump_ahead_spans_thousands_of_draws(self):
+        bounds = list(range(2, 81)) * 60
+        bulk, scalar = Pcg32(1, stream=2), Pcg32(1, stream=2)
+        assert bulk.draws_below(bounds) == scalar_draws(scalar, bounds)
+        assert bulk.state == scalar.state
+
+    @pytest.mark.parametrize("block", [1, 2, 7])
+    def test_blocks_continue_the_stream(self, monkeypatch, block):
+        monkeypatch.setattr(rng, "_BLOCK", block)
+        bounds = [5, 9, (1 << 31) + 1, 2, 2, 100, 3 << 30, 7] * 4
+        bulk, scalar = Pcg32(8, stream=3), Pcg32(8, stream=3)
+        assert bulk.draws_below(bounds) == scalar_draws(scalar, bounds)
+        assert bulk.state == scalar.state
+
+    def test_no_bounds_leave_the_state_alone(self):
+        g = Pcg32(3)
+        state = g.state
+        assert g.draws_below([]) == [] and g.state == state
+
+    @pytest.mark.parametrize("bounds", [[3, 0], [-1], [(1 << 32) + 1, 5]])
+    def test_a_bound_outside_1_to_2_to_32_is_refused(self, bounds):
+        with pytest.raises(ValueError):
+            Pcg32(1).draws_below(bounds)
+
+
+def scalar_shuffle(g: Pcg32, items: list) -> None:
+    for i in range(len(items) - 1, 0, -1):
+        j = g.next_below(i + 1)
+        items[i], items[j] = items[j], items[i]
+
+
+@given(st.integers(0, (1 << 64) - 1),
+       st.lists(st.integers(0, 40).map(lambda n: list(range(n))), max_size=6))
+@settings(max_examples=100, deadline=None)
+def test_shuffling_lists_together_equals_shuffling_them_in_turn(seed, lists):
+    together, in_turn = Pcg32(seed, stream=11), Pcg32(seed, stream=11)
+    want = [list(items) for items in lists]
+    for items in want:
+        scalar_shuffle(in_turn, items)
+    together.shuffle(*lists)
+    assert lists == want
+    assert together.state == in_turn.state

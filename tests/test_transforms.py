@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from atlm.errors import DegenerateSampleError, TransformDomainError
@@ -49,6 +49,15 @@ class TestSkewness:
     def test_constant_sample_is_degenerate(self):
         with pytest.raises(DegenerateSampleError):
             skewness_b1([1, 1, 1])
+
+    @given(st.floats(allow_nan=False, allow_infinity=False), st.integers(3, 40))
+    # the mean of these 0.1s does not round back to 0.1, so the computed
+    # variance is positive
+    @example(0.1, 3)
+    @example(0.1, 7)
+    def test_every_constant_sample_is_degenerate(self, value, n):
+        with pytest.raises(DegenerateSampleError):
+            skewness_b1([value] * n)
 
     def test_too_short_sample_is_degenerate(self):
         with pytest.raises(DegenerateSampleError):
@@ -102,6 +111,12 @@ class TestCalculateTransforms:
         assert entry.kind == NONE
         assert entry.skewness_chosen is None
         assert entry.skewness_all[NONE] == DEGENERATE
+
+    def test_constant_column_with_a_nonzero_computed_variance_is_degenerate(self):
+        ds = make_dataset({"x": [0.1] * 7, "y": [1, 2, 3, 4, 5, 6, 8]}, response="y")
+        entry = calculate_transforms(ds)["x"]
+        assert entry.kind == NONE and entry.skewness_chosen is None
+        assert set(entry.skewness_all.values()) == {DEGENERATE}
 
     def test_a_dataset_without_rows_is_degenerate_not_fatal(self):
         table = calculate_transforms(make_dataset({"x": [], "y": []}, response="y"))
@@ -233,8 +248,8 @@ _REFERENCE = {NONE: lambda v: v, LOG: np.log, SQRT: np.sqrt}
 
 @st.composite
 def numeric_columns(draw):
-    """A few equal-length numeric columns: positive, two-valued, or holding
-    zeros and negatives so that log and sqrt can be inadmissible."""
+    """A few equal-length numeric columns: positive, two-valued, constant, or
+    holding zeros and negatives so that log and sqrt can be inadmissible."""
     n = draw(st.integers(min_value=3, max_value=25))
 
     def cells(elements):
@@ -243,9 +258,11 @@ def numeric_columns(draw):
     two_valued = st.tuples(st.floats(0.01, 1e4), st.floats(0.01, 1e4),
                            cells(st.booleans())).map(
         lambda t: [t[0] if pick else t[1] for pick in t[2]])
+    constant = st.floats(min_value=-1e3, max_value=1e3).map(lambda v: [v] * n)
     column = st.one_of(
         cells(st.floats(min_value=0.001, max_value=1e6)),
         two_valued,
+        constant,
         cells(st.sampled_from([0.0, 0.5, 1.0, 3.0, 40.0])),
         cells(st.floats(min_value=-1e3, max_value=1e3)),
     )

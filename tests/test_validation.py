@@ -10,10 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from atlm.bundled import load_builtin
-from atlm.dataset import split
+from atlm.dataset import Dataset, split
 from atlm.errors import MetricError, PlanError, ValidationError
 from atlm.metrics import report
 from atlm.pipeline import PredictionSet, atlm_fit, atlm_predict
+from atlm.rng import Pcg32
 from atlm.validation import (
     FoldAssignment,
     ValidationPlan,
@@ -60,6 +61,48 @@ class TestPlan:
             generate_folds(ds, ValidationPlan(kind="kfold", k=200))
         with pytest.raises(PlanError):
             generate_folds(ds, ValidationPlan(kind="holdout", test_size=5, repeats=2))
+
+
+def reference_folds(ds, plan):
+    """The folds of a k-fold or holdout plan by scalar draws and set
+    membership: shuffle the ids, cut test sets from the shuffled order, and
+    keep the dataset's row order on both sides."""
+    ids = tuple(ds.ids)
+    rng = Pcg32(plan.seed, stream=int(ds.fingerprint()[:16], 16))
+
+    def shuffled():
+        items = list(ids)
+        for i in range(len(items) - 1, 0, -1):
+            j = rng.next_below(i + 1)
+            items[i], items[j] = items[j], items[i]
+        return items
+
+    if plan.kind == "kfold":
+        order = shuffled()
+        base, extra = divmod(len(ids), plan.k)
+        starts = [i * base + min(i, extra) for i in range(plan.k + 1)]
+        tests = [set(order[a:b]) for a, b in zip(starts, starts[1:])]
+    else:
+        tests = [set(shuffled()[:plan.test_size]) for _ in range(plan.repeats)]
+    return tuple((tuple(i for i in ids if i not in test), tuple(i for i in ids if i in test))
+                 for test in tests)
+
+
+@st.composite
+def split_plans(draw):
+    """A dataset of 2 to 90 rows with gaps in its ids, and a k-fold or
+    holdout plan that fits it."""
+    n = draw(st.integers(2, 90))
+    ids = draw(st.permutations(range(n + 3)))[:n]
+    ds = Dataset.from_columns("gaps", linear_dataset(1).schema, ids,
+                              [[float(i) for i in ids], [3.0 * i for i in ids]])
+    seed = draw(st.integers(0, (1 << 64) - 1))
+    if draw(st.booleans()):
+        plan = ValidationPlan(kind="kfold", seed=seed, k=draw(st.integers(2, n)))
+    else:
+        plan = ValidationPlan(kind="holdout", seed=seed, test_size=draw(st.integers(1, n - 1)),
+                              repeats=draw(st.integers(1, 12)))
+    return ds, plan
 
 
 class TestGenerateFolds:
@@ -112,6 +155,12 @@ class TestGenerateFolds:
         a = generate_folds(ds, ValidationPlan(kind="kfold", k=4, seed=1))
         b = generate_folds(ds, ValidationPlan(kind="kfold", k=4, seed=2))
         assert a.folds != b.folds
+
+    @given(split_plans())
+    @settings(max_examples=150, deadline=None)
+    def test_equal_to_scalar_shuffles_of_the_ids(self, case):
+        ds, plan = case
+        assert generate_folds(ds, plan).folds == reference_folds(ds, plan)
 
     def test_fingerprint_selects_stream(self):
         a = generate_folds(linear_dataset(20), ValidationPlan(kind="kfold", k=4, seed=1))
