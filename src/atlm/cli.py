@@ -12,6 +12,7 @@ Errors print a single line ``error[CODE]: message`` to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -162,7 +163,11 @@ def _cmd_reproduce(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``atlm`` parser, built on the first call and shared by every later
+    one: parsing reads it and never changes it, so each ``main`` call stays
+    independent of the ones before it."""
     parser = _Parser(prog="atlm",
                      description="Transformed linear baseline for effort estimation")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -197,8 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except AtlmError as exc:

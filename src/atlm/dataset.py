@@ -148,15 +148,8 @@ class Dataset:
                      source_rows: int = -1) -> "Dataset":
         """Build from one sequence of cells per schema column: numbers, or
         strings for factors; None where missing.  Codes follow first appearance."""
-        schema, ids = tuple(schema), tuple(ids)
-        rows = [_codes(cells) if col.kind == CATEGORICAL else (cells, ())
-                for col, cells in zip(schema, columns)]
-        values = np.array([row for row, _ in rows], dtype=float)  # None becomes NaN
-        missing = np.isnan(values)
-        for i in np.flatnonzero(missing.any(axis=1)).tolist():
-            missing[i] = [v is None for v in columns[i]]  # a NaN cell is not a gap
-        return cls(name, schema, ids, values, missing,
-                   tuple(levels for _, levels in rows), source_rows)
+        schema = tuple(schema)
+        return cls(name, schema, tuple(ids), *_matrix(schema, columns), source_rows)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -255,6 +248,18 @@ class Dataset:
         return new
 
 
+def _matrix(schema, columns) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """``values``, ``missing`` and ``levels`` of a dataset from one sequence
+    of cells per column: numbers, or strings for factors; None where missing."""
+    rows = [_codes(cells) if col.kind == CATEGORICAL else (cells, ())
+            for col, cells in zip(schema, columns)]
+    values = np.array([row for row, _ in rows], dtype=float)  # None becomes NaN
+    missing = np.isnan(values)
+    for i in np.flatnonzero(missing.any(axis=1)).tolist():
+        missing[i] = [v is None for v in columns[i]]  # a NaN cell is not a gap
+    return values, missing, tuple(levels for _, levels in rows)
+
+
 def _codes(cells) -> tuple[list, tuple[str, ...]]:
     """Factor cells as codes (None where missing) into levels in order of appearance."""
     levels = tuple(dict.fromkeys(v for v in cells if v is not None))
@@ -296,56 +301,85 @@ def load_csv(path: str | Path, schema: tuple[ColumnSchema, ...],
 
     The header must contain exactly the schema's column names (any order).
     Numeric cells must parse as finite numbers; empty, ``?`` and ``NA``
-    cells become missing markers to be resolved by a recipe.
+    cells become missing markers to be resolved by a recipe.  A bad record
+    or cell raises ParseError naming the first one, row by row.
+
+    Cells are parsed a whole column at a time.  ``float`` ignores surrounding
+    whitespace and no missing marker parses as a number, so a numeric column
+    that ``float`` takes whole needs no stripping; only a column where it
+    fails is stripped and tested for markers cell by cell.
     """
     path = Path(path)
     text = _read_text(path, ParseError, "data")
-    with io.StringIO(text, newline="") as fh:
-        reader = csv.reader(fh)
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ParseError(f"{path}: empty file") from None
+    header = [h.strip() for h in header]
+    wanted = [c.name for c in schema]
+    if sorted(header) != sorted(wanted):
+        missing = set(wanted) - set(header)
+        extra = set(header) - set(wanted)
+        raise SchemaError(
+            f"{path}: header does not match schema"
+            + (f"; missing {sorted(missing)}" if missing else "")
+            + (f"; unexpected {sorted(extra)}" if extra else ""))
+    fields = [(col.name, col.kind == NUMERIC, header.index(col.name)) for col in schema]
+    try:
+        body = [record for record in reader if record]
+        if set(map(len, body)) - {len(header)}:
+            raise ValueError("a record of the wrong width")
+        cells = list(zip(*body)) or [()] * len(header)
+        columns = [_parse_column(cells[src], numeric) for _name, numeric, src in fields]
+        values, missing, levels = _matrix(schema, columns)
+        if not (np.isfinite(values) | missing).all():
+            raise ValueError("a number that is not finite")
+    except (ValueError, csv.Error):
+        # name the first bad record or cell from a fresh reader, which an
+        # error of the reader's own in a later record does not stop first
+        reader = csv.reader(io.StringIO(text, newline=""))
+        next(reader)
+        _raise_first_bad_cell(path, reader, len(header), fields)
+        raise
+    return Dataset(name if name is not None else path.stem, schema,
+                   tuple(range(len(body))), values, missing, levels, len(body))
+
+
+def _parse_column(cells, numeric: bool) -> list:
+    """A column's cells as numbers if ``numeric``, else as stripped text; None
+    for a missing marker.  A numeric cell that does not parse raises ValueError."""
+    if numeric:
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        wanted = [c.name for c in schema]
-        if sorted(header) != sorted(wanted):
-            missing = set(wanted) - set(header)
-            extra = set(header) - set(wanted)
-            raise SchemaError(
-                f"{path}: header does not match schema"
-                + (f"; missing {sorted(missing)}" if missing else "")
-                + (f"; unexpected {sorted(extra)}" if extra else ""))
-        order = [header.index(n) for n in wanted]
-        columns: list[list] = [[] for _ in schema]
-        fields = [(cells.append, col.name, col.kind == NUMERIC, src)
-                  for cells, col, src in zip(columns, schema, order)]
-        for lineno, record in enumerate(reader, start=2):
-            if not record:
+            return list(map(float, cells))
+        except ValueError:  # a missing marker, or a bad cell
+            pass
+    texts = map(str.strip, cells)
+    if numeric:
+        return [None if text in MISSING_TOKENS else float(text) for text in texts]
+    return [None if text in MISSING_TOKENS else text for text in texts]
+
+
+def _raise_first_bad_cell(path: Path, records, width: int, fields) -> None:
+    """Raise ParseError for the first record of the wrong width or numeric
+    cell that is not a finite number, row by row; records count from line 2."""
+    for lineno, record in enumerate(records, start=2):
+        if not record:
+            continue
+        if len(record) != width:
+            raise ParseError(f"{path}:{lineno}: expected {width} cells, got {len(record)}")
+        for column, numeric, src in fields:
+            text = record[src].strip()
+            if not numeric or text in MISSING_TOKENS:
                 continue
-            if len(record) != len(header):
-                raise ParseError(f"{path}:{lineno}: expected {len(header)} cells, "
-                                 f"got {len(record)}")
-            for append, column, numeric, src in fields:
-                text = record[src].strip()
-                if text in MISSING_TOKENS:
-                    append(None)
-                elif numeric:
-                    try:
-                        value = float(text)
-                    except ValueError:
-                        raise ParseError(
-                            f"{path}:{lineno}: column {column!r}: "
-                            f"cannot parse {text!r} as a number") from None
-                    if not math.isfinite(value):
-                        raise ParseError(
-                            f"{path}:{lineno}: column {column!r}: "
-                            f"non-finite value {text!r}")
-                    append(value)
-                else:
-                    append(text)
-    n = len(columns[0]) if columns else 0
-    return Dataset.from_columns(name if name is not None else path.stem, schema,
-                                range(n), columns, source_rows=n)
+            try:
+                value = float(text)
+            except ValueError:
+                raise ParseError(f"{path}:{lineno}: column {column!r}: "
+                                 f"cannot parse {text!r} as a number") from None
+            if not math.isfinite(value):
+                raise ParseError(f"{path}:{lineno}: column {column!r}: "
+                                 f"non-finite value {text!r}")
 
 
 @dataclass(frozen=True)
@@ -430,8 +464,9 @@ def apply_recipe(raw: Dataset, recipe: PrepRecipe) -> Dataset:
 
     values, levels = ds.values.copy(), list(ds.levels)
     for i in [i for i, (c, old) in enumerate(zip(schema, raw.schema)) if c.kind != old.kind]:
-        values[i], levels[i] = _codes([None if v is None else _category_label(v)
-                                       for v in ds.column(schema[i].name)])
+        cells = ds.column(schema[i].name)
+        labels = {v: _category_label(v) for v in set(cells) - {None}}  # equal cells, one label
+        values[i], levels[i] = _codes([None if v is None else labels[v] for v in cells])
     ds = replace(ds, schema=tuple(schema), values=values, levels=tuple(levels))
 
     if recipe.drop_rows_with_missing:

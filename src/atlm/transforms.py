@@ -15,6 +15,7 @@ equal :func:`skewness_b1` of each transformed column bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -46,6 +47,7 @@ def skewness_b1(values) -> float:
     g1 = m3 / m2^(3/2) with m_r the r-th central moment using a 1/n
     denominator.  Needs n >= 3 and values that are not all equal (tested
     exactly, as the computed variance of a constant sample need not be 0).
+    A finite sample whose moments overflow is scaled down first.
     """
     a = np.asarray(values, dtype=float)
     n = a.size
@@ -53,14 +55,23 @@ def skewness_b1(values) -> float:
         raise DegenerateSampleError(f"skewness needs at least 3 values, got {n}")
     if (a == a[0]).all():
         raise DegenerateSampleError("skewness undefined for a zero-variance sample")
-    mean = a.mean()
-    d = a - mean
-    m2 = np.mean(d * d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = a - a.mean()
+        m2 = np.mean(d * d)
+        m3 = np.mean(d * d * d)
+    if not (np.isfinite(m2) and np.isfinite(m3)) and np.isfinite(a).all():
+        return skewness_b1(_scaled_down(a))  # a moment overflowed
     if m2 ** 1.5 == 0.0:  # so small that its 3/2 power underflows
         raise DegenerateSampleError("skewness undefined for a zero-variance sample")
-    m3 = np.mean(d * d * d)
     g1 = m3 / m2 ** 1.5
     return float(g1 * ((n - 1) / n) ** 1.5)
+
+
+def _scaled_down(a: np.ndarray) -> np.ndarray:
+    """Each row of finite ``a`` times the power of two that brings its largest
+    magnitude below 1, so no moment of it overflows; exact, and b1 does not
+    change with scale."""
+    return np.ldexp(a, -np.frexp(np.abs(a).max(axis=-1, keepdims=True))[1])
 
 
 class TransformEntry(NamedTuple):
@@ -119,10 +130,15 @@ def _skewness_rows(a: np.ndarray) -> list:
     n = a.shape[1]
     if n < 3:
         return [DEGENERATE] * a.shape[0]
-    d = a - np.add.reduce(a, axis=1, keepdims=True) / n
-    dd = d * d
-    m2 = (np.add.reduce(dd, axis=1) / n).tolist()
-    m3 = (np.add.reduce(dd * d, axis=1) / n).tolist()
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = a - np.add.reduce(a, axis=1, keepdims=True) / n
+        dd = d * d
+        m2 = (np.add.reduce(dd, axis=1) / n).tolist()
+        m3 = (np.add.reduce(dd * d, axis=1) / n).tolist()
+    if not math.isfinite(sum(m2) + sum(m3)):  # a moment, or their sum, overflowed
+        overflowed = np.isfinite(a).all(axis=1) & ~np.isfinite([m2, m3]).all(axis=0)
+        if overflowed.any():
+            return _skewness_rows(np.where(overflowed[:, None], _scaled_down(a), a))
     scale = ((n - 1) / n) ** 1.5
     flat = (a == a[:, :1]).all(axis=1).tolist()
     return [DEGENERATE if constant or (spread := s2 ** 1.5) == 0.0 else s3 / spread * scale

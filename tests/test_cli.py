@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 import atlm
-from atlm.cli import main
+from atlm.cli import build_parser, main
 from atlm.errors import AtlmError
 from atlm.linear import UNSEEN_POLICIES
 
@@ -284,43 +284,143 @@ def cli_argv(draw) -> list:
     return argv
 
 
+def run_in_scratch_directory(argv, files=FILES) -> tuple:
+    """Exit status, stdout, stderr and the files written of ``main(argv)``,
+    run in a fresh directory holding ``files``; a traceback escapes as the
+    test's failure."""
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as scratch:
+        for name, text in files.items():
+            Path(scratch, name).write_text(text, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        os.chdir(scratch)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    status = main(argv)
+                except SystemExit as exc:
+                    status = exc.code
+        finally:
+            os.chdir(home)
+        written = {path.relative_to(scratch).as_posix(): path.read_bytes()
+                   for path in sorted(Path(scratch).rglob("*"))
+                   if path.is_file() and path.name not in files}
+    return status, out.getvalue(), err.getvalue(), written
+
+
+def assert_success_or_one_error_line(argv, status, err) -> None:
+    if status == 0:
+        event("success")
+        assert err == ""
+        return
+    line = ERROR_LINE.fullmatch(err)
+    assert line, (argv, err)
+    event(line.group(1))
+    assert status == DOCUMENTED_STATUSES[line.group(1)], (argv, err)
+
+
+DOCUMENTED_STATUSES = documented_statuses()
+
+
 class TestCliContract:
     """Any argv ends in success, or in one error line with its code's documented status."""
-
-    STATUSES = documented_statuses()
 
     @given(argv=cli_argv())
     @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_success_or_one_documented_error_line(self, argv):
-        status, err = self.run_in_scratch_directory(argv)
-        if status == 0:
-            event("success")
-            assert err == ""
-            return
-        line = ERROR_LINE.fullmatch(err)
-        assert line, (argv, err)
-        event(line.group(1))
-        assert status == self.STATUSES[line.group(1)], (argv, err)
+        status, _out, err, _written = run_in_scratch_directory(argv)
+        assert_success_or_one_error_line(argv, status, err)
+
+
+SCHEMA_LINES = (st.tuples(st.sampled_from(["a", "b", "y", ""]),
+                          st.sampled_from(["numeric", "categorical", "text"]),
+                          st.sampled_from(["explanatory", "response", "ignored", "target"]))
+                .map(" ".join)
+                | st.sampled_from(["# comment", "", "a numeric", "b numeric explanatory x"]))
+CELLS = (st.integers(1, 400).map(str)
+         | st.floats(-1e6, 1e300, allow_nan=False).map(repr)
+         | st.sampled_from(["0", "-1", "", "?", "NA", " 2 ", "nan", "inf", "1e999", "abc",
+                            "u", "v,w"]))
+
+
+@st.composite
+def data_files(draw) -> dict:
+    """A small schema file, a CSV file whose header mostly matches it, and a
+    recipe that may drop rows with missing cells: mostly well formed, now
+    and then a junk schema line, header name, cell or record length."""
+    def rarely() -> bool:
+        return draw(st.integers(0, 9)) == 0
+
+    kind = draw(st.sampled_from(["numeric", "categorical"]))
+    lines = draw(st.permutations(["a numeric explanatory", f"b {kind} explanatory",
+                                  "y numeric response"]))
+    if rarely():
+        lines = draw(st.lists(SCHEMA_LINES, max_size=4))
+    header = [line.split()[0] for line in lines if len(line.split()) == 3]
+    if rarely():
+        header = draw(st.permutations(header + ["z"]))[:len(header)]
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        cells = [draw(CELLS) if rarely() else str(draw(st.integers(1, 400))) for _ in header]
+        if rarely():
+            cells = cells[:-1] if draw(st.booleans()) else cells + ["7"]
+        rows.append(",".join(f'"{c}"' if "," in c else c for c in cells))
+    recipe = draw(st.sampled_from(["{}", '{"drop_rows_with_missing": true}']))
+    return {"data.csv": "\n".join([",".join(header), *rows]) + "\n",
+            "data.schema": "\n".join(lines) + "\n", "recipe.json": recipe}
+
+
+class TestGeneratedInputFiles:
+    """Any small CSV and schema file ends in success, or in one error line
+    with its code's documented status."""
+
+    @given(files=data_files())
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_inspect_and_export_folds(self, files):
+        inputs = ["--dataset", "data.csv", "--schema", "data.schema", "--recipe", "recipe.json"]
+        for argv in (["inspect", *inputs, "--format", "json"],
+                     ["export-folds", *inputs, "--plan", "loocv"]):
+            status, _out, err, _written = run_in_scratch_directory(argv, files)
+            assert_success_or_one_error_line(argv, status, err)
+
+
+#: call sequences where a parser kept from an earlier call could leak into a later one
+REUSE_SEQUENCES = [
+    [["inspect", "--dataset", "data.csv", "--schema", "data.schema", "--recipe", "recipe.json"],
+     ["inspect", "--dataset", "data.csv"],
+     ["inspect", "--dataset", "cocomo81", "--recipe", "maxwell"],
+     ["inspect", "--dataset", "cocomo81"]],
+    [["evaluate", "--dataset", "cocomo81"],
+     ["export-folds", "--dataset", "cocomo81", "--plan", "kfold:3", "--out", "f.json"]],
+    [["export-folds", "--dataset", "maxwell", "--plan", "loocv", "--seed", "x"],
+     ["export-folds", "--dataset", "maxwell", "--plan", "loocv"]],
+    [["--help"], ["inspect", "--help"], ["inspect", "--dataset", "desharnais", "--format", "json"]],
+]
+
+
+class TestParserReuse:
+    """Each call through the parser kept from the first one gives what a
+    freshly built parser gives: stdout, stderr, exit status and files."""
+
+    @pytest.mark.parametrize("sequence", REUSE_SEQUENCES)
+    def test_hand_picked_sequences(self, sequence):
+        self.check(sequence)
+
+    @given(st.lists(cli_argv(), min_size=2, max_size=4))
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_generated_sequences(self, sequence):
+        self.check(sequence)
 
     @staticmethod
-    def run_in_scratch_directory(argv) -> tuple:
-        """Exit status and stderr of ``main(argv)`` run in a fresh directory
-        holding FILES; a traceback escapes as the test's failure."""
-        home = os.getcwd()
-        with tempfile.TemporaryDirectory() as scratch:
-            for name, text in FILES.items():
-                Path(scratch, name).write_text(text, encoding="utf-8")
-            err = io.StringIO()
-            os.chdir(scratch)
-            try:
-                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                    try:
-                        status = main(argv)
-                    except SystemExit as exc:
-                        status = exc.code
-            finally:
-                os.chdir(home)
-        return status, err.getvalue()
+    def check(sequence):
+        build_parser.cache_clear()
+        reused = [run_in_scratch_directory(argv) for argv in sequence]
+        assert build_parser.cache_info().misses == 1
+        fresh = []
+        for argv in sequence:
+            build_parser.cache_clear()
+            fresh.append(run_in_scratch_directory(argv))
+        assert reused == fresh
 
 
 def run_python(*args: str) -> subprocess.CompletedProcess:
@@ -336,6 +436,10 @@ class TestFreshProcess:
         done = run_python("-m", "atlm", "inspect", "--dataset", "cocomo81")
         assert main(["inspect", "--dataset", "cocomo81"]) == 0
         assert (done.returncode, done.stdout, done.stderr) == (0, capsys.readouterr().out, "")
+
+    def test_importing_the_cli_builds_no_parser(self):
+        done = run_python("-c", "import atlm.cli as cli; print(cli.build_parser.cache_info())")
+        assert "currsize=0" in done.stdout, done.stderr
 
     def test_scipy_never_loads_even_when_a_model_is_fitted(self):
         script = """

@@ -1,15 +1,21 @@
 from __future__ import annotations
 
+import csv
 import dataclasses
 import hashlib
+import io
+import math
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from atlm.bundled import builtin_recipe, load_builtin, load_builtin_raw
 from atlm.dataset import (
     CATEGORICAL,
+    MISSING_TOKENS,
     ColumnSchema,
     Dataset,
     NUMERIC,
@@ -21,7 +27,14 @@ from atlm.dataset import (
     load_schema,
     split,
 )
-from atlm.errors import MissingValueError, ParseError, RecipeError, SchemaError, SplitError
+from atlm.errors import (
+    AtlmError,
+    MissingValueError,
+    ParseError,
+    RecipeError,
+    SchemaError,
+    SplitError,
+)
 from atlm.transforms import apply_transforms, calculate_transforms
 
 from conftest import make_dataset
@@ -75,6 +88,152 @@ def test_load_csv_missing_markers(tmp_path):
     assert ds.column("mode")[2] is None
     with pytest.raises(MissingValueError, match="missing value in column 'kloc', row 1"):
         ds.require_no_missing("fit")
+
+
+def reference_load_csv(path, schema, name=None) -> Dataset:
+    """The cell-by-cell loader: strip, missing test, ``float`` and
+    ``math.isfinite`` for each cell, record by record."""
+    path = Path(path)
+    text = path.read_bytes().decode("utf-8")
+    with io.StringIO(text, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ParseError(f"{path}: empty file") from None
+        header = [h.strip() for h in header]
+        wanted = [c.name for c in schema]
+        if sorted(header) != sorted(wanted):
+            missing = set(wanted) - set(header)
+            extra = set(header) - set(wanted)
+            raise SchemaError(
+                f"{path}: header does not match schema"
+                + (f"; missing {sorted(missing)}" if missing else "")
+                + (f"; unexpected {sorted(extra)}" if extra else ""))
+        order = [header.index(n) for n in wanted]
+        columns = [[] for _ in schema]
+        for lineno, record in enumerate(reader, start=2):
+            if not record:
+                continue
+            if len(record) != len(header):
+                raise ParseError(f"{path}:{lineno}: expected {len(header)} cells, "
+                                 f"got {len(record)}")
+            for cells, col, src in zip(columns, schema, order):
+                text = record[src].strip()
+                if text in MISSING_TOKENS:
+                    cells.append(None)
+                elif col.kind == NUMERIC:
+                    try:
+                        value = float(text)
+                    except ValueError:
+                        raise ParseError(f"{path}:{lineno}: column {col.name!r}: "
+                                         f"cannot parse {text!r} as a number") from None
+                    if not math.isfinite(value):
+                        raise ParseError(f"{path}:{lineno}: column {col.name!r}: "
+                                         f"non-finite value {text!r}")
+                    cells.append(value)
+                else:
+                    cells.append(text)
+    n = len(columns[0]) if columns else 0
+    return Dataset.from_columns(name if name is not None else path.stem, schema,
+                                range(n), columns, source_rows=n)
+
+
+#: whitespace ``str.strip`` removes; ``float`` refuses the separators \x1c-\x1f
+PADS = st.sampled_from(["", "", " ", "  ", "\t", "\u2003", "\xa0", "\x1c", "\x1f "])
+NUMBERS = (st.floats(allow_nan=False, allow_infinity=False).map(repr)
+           | st.integers(-10 ** 20, 10 ** 20).map(str)
+           | st.sampled_from(["-0", ".5", "1e5", "1_000", "+3", "0x10", "\u0661\u0662"]))
+NON_FINITE = st.sampled_from(["nan", "NaN", "inf", "-inf", "Infinity", "1e999", "-1e999"])
+MISSING = st.sampled_from(MISSING_TOKENS + ("na", "N/A"))
+LABELS = st.sampled_from(["a", "b", "c,d", 'say "hi"', "é", "1.0", "x\ny"])
+
+
+def quoted(cell: str, force: bool) -> str:
+    if force or any(c in cell for c in ',"\r\n'):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
+@st.composite
+def csv_files(draw):
+    """(CSV text, schema): padded numbers and labels, padded missing markers,
+    blank lines and quoted cells, with CRLF or LF line ends.  In half the
+    files a cell may also be NaN, infinite or unparseable, or a record short
+    or long."""
+    def one_in(k: int) -> bool:
+        return draw(st.integers(1, k)) == 1
+
+    faulty = draw(st.booleans())
+    kinds = draw(st.lists(st.sampled_from([NUMERIC, CATEGORICAL]), max_size=3))
+    schema = [ColumnSchema(f"c{i}", kind) for i, kind in enumerate(kinds)]
+    schema.append(ColumnSchema("y", NUMERIC, RESPONSE))
+    order = draw(st.permutations(schema))
+    lines = [",".join(draw(PADS) + col.name + draw(PADS) for col in order)]
+    for _ in range(draw(st.integers(0, 8))):
+        if one_in(8):
+            lines.append("")
+        cells = []
+        for col in order:
+            if faulty and one_in(12):
+                text = draw(NON_FINITE | LABELS)
+            elif one_in(6):
+                text = draw(MISSING)
+            else:
+                text = draw(NUMBERS if col.kind == NUMERIC else LABELS)
+            cells.append(quoted(draw(PADS) + text + draw(PADS), one_in(8)))
+        if faulty and one_in(10):
+            cells = cells[:-1] if draw(st.booleans()) else cells + ["1"]
+        lines.append(",".join(cells))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from(["", end])), tuple(schema)
+
+
+def load_both(text: str, schema) -> tuple:
+    """What each loader gives for the file: a Dataset, or (error type, message)."""
+    outcomes = []
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch, "data.csv")
+        path.write_bytes(text.encode("utf-8"))
+        for loader in (load_csv, reference_load_csv):
+            try:
+                outcomes.append(loader(path, schema))
+            except (AtlmError, csv.Error) as exc:
+                outcomes.append((type(exc), str(exc)))
+    return tuple(outcomes)
+
+
+SCHEMA_XFY = (ColumnSchema("x", NUMERIC), ColumnSchema("f", CATEGORICAL),
+              ColumnSchema("y", NUMERIC, RESPONSE))
+
+
+@given(csv_files())
+@settings(max_examples=300, deadline=None)
+@example(("", SCHEMA_XFY))  # empty
+@example(("x,f,y\n", SCHEMA_XFY))  # header only
+@example(("x,f,y\r\n 1 , a ,\t2\r\n\r\n\x1c3\x1c,?, 4e0 \r\n", SCHEMA_XFY))
+@example(("x,f,y\n1,a,2\n NA ,\" \",?\n 3,b, 4\n", SCHEMA_XFY))  # padded markers
+@example(('x,f,y\n1,"c,d",2\n"2",,"3"\n', SCHEMA_XFY))  # quoted cells
+@example(("x,f,y\n1,a\nnan,a,2\n", SCHEMA_XFY))  # a short row, then a bad cell
+@example(("x,f,y\nnan,a,2\n1,a\n", SCHEMA_XFY))  # a bad cell, then a short row
+@example(("x,f,y\n1,a,inf\n1e999,a,2\n", SCHEMA_XFY))  # the later column, the earlier row
+@example(("x,f,y\n1,a,NA\n1,a,abc\n2,a,nan\n", SCHEMA_XFY))  # a marker, then bad cells
+def test_load_csv_equals_the_cell_by_cell_loader(file):
+    text, schema = file
+    fast, reference = load_both(text, schema)
+    assert fast == reference
+    if isinstance(fast, Dataset):
+        assert fast.values.tobytes() == reference.values.tobytes()  # -0.0 and NaN bits too
+
+
+def test_a_bad_cell_is_named_before_a_later_record_stops_the_reader():
+    huge = '"' + "9" * (csv.field_size_limit() + 1) + '"'
+    fast, reference = load_both(f"x,f,y\n1,a,abc\n{huge},a,2\n", SCHEMA_XFY)
+    assert fast == reference
+    assert fast[0] is ParseError and fast[1].endswith(":2: column 'y': cannot parse 'abc' as a number")
+    fast, reference = load_both(f"x,f,y\n1,a,3\n{huge},a,2\n", SCHEMA_XFY)
+    assert fast == reference
+    assert fast[0] is csv.Error  # with no bad cell before it, the reader's own error escapes
 
 
 def _columns(*specs):
@@ -218,6 +377,20 @@ class TestApplyRecipe:
         once = apply_recipe(ds, recipe)
         twice = apply_recipe(once, recipe)
         assert once == twice
+
+    @given(st.lists(st.none() | st.floats() | st.sampled_from([0.0, -0.0, 1.0, 2.5]),
+                    max_size=12))
+    @settings(max_examples=150, deadline=None)
+    @example([-0.0, 0.0, None, -0.0])  # one level "0"
+    @example([float("nan"), 1.0, float("nan"), None])  # one level "nan"
+    def test_cast_labels_equal_the_cell_by_cell_labels(self, cells):
+        ds = make_dataset({"x": cells, "y": range(len(cells))}, response="y")
+        out = apply_recipe(ds, PrepRecipe(cast_to_categorical=("x",), ignore_columns=("x",)))
+        labels = [None if v is None else str(int(v)) if v.is_integer() else repr(v)
+                  for v in cells]
+        assert out.column("x") == tuple(labels)
+        assert out.levels[0] == tuple(dict.fromkeys(v for v in labels if v is not None))
+        assert out.schema[0].kind == CATEGORICAL
 
 
 class TestRecipeFile:

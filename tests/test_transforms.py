@@ -63,6 +63,12 @@ class TestSkewness:
         with pytest.raises(DegenerateSampleError):
             skewness_b1([1, 2])
 
+    def test_a_sample_whose_moments_overflow_is_scaled_down(self):
+        xs = [1.0, 2.0, 3.0, 4.0, 100.0]
+        for factor in (2.0 ** 400, 2.0 ** 1000):  # the cubes, or the squares too, overflow
+            assert skewness_b1([x * factor for x in xs]) == pytest.approx(
+                skewness_b1(xs), rel=1e-14)
+
     def test_frozen_oracle_value(self):
         # value computed by oracle_b1 before the implementation was written
         assert skewness_b1([1, 2, 3, 4, 100]) == pytest.approx(
@@ -265,6 +271,7 @@ def numeric_columns(draw):
         constant,
         cells(st.sampled_from([0.0, 0.5, 1.0, 3.0, 40.0])),
         cells(st.floats(min_value=-1e3, max_value=1e3)),
+        cells(st.floats(min_value=1e100, max_value=1e300)),  # moments overflow
     )
     return [draw(column) for _ in range(draw(st.integers(min_value=2, max_value=5)))]
 
