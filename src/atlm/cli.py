@@ -16,7 +16,7 @@ import functools
 import sys
 from pathlib import Path
 
-from .bundled import builtin_names, builtin_recipe, load_builtin_raw
+from .bundled import builtin_names, builtin_recipe, load_builtin, load_builtin_raw
 from .dataset import Dataset, PrepRecipe, apply_recipe, format_number, load_csv, load_schema
 from .errors import AtlmError, ConfigError
 from .linear import UNSEEN_ERROR, UNSEEN_POLICIES
@@ -129,13 +129,11 @@ def _reproduce_summary_table(names: tuple[str, ...], plan_text: str) -> tuple[st
     rows = []
     payload = {"plan": plan_text, "seed": REPRODUCE_SEED, "datasets": {}}
     for name in names:
-        raw = load_builtin_raw(name)
-        recipe = builtin_recipe(name)
-        ds = apply_recipe(raw, recipe)
         plan = ValidationPlan.parse(plan_text, seed=REPRODUCE_SEED)
-        result = run_validation(ds, plan)
+        result = run_validation(load_builtin(name), plan)
         rows.append((name, result.summary))
-        payload["datasets"][name] = result_to_json_dict(result, notes=recipe.notes)
+        payload["datasets"][name] = result_to_json_dict(result,
+                                                        notes=builtin_recipe(name).notes)
     return summary_table(rows), payload
 
 
@@ -151,8 +149,8 @@ def _cmd_reproduce(args) -> int:
         sys.stdout.write(table)
         return 0
     # figure1: between-run variation of tenfold cross-validation
-    ds = apply_recipe(load_builtin_raw("cocomo81"), builtin_recipe("cocomo81"))
-    runs = repeat_cv_experiment(ds, k=10, runs=FIGURE1_RUNS, base_seed=REPRODUCE_SEED)
+    runs = repeat_cv_experiment(load_builtin("cocomo81"), k=10, runs=FIGURE1_RUNS,
+                                base_seed=REPRODUCE_SEED)
     lines = ["run,re_star_mean,re_star_stderr"]
     for s in runs:
         lines.append(f"{s.run},{format_number(s.re_star_mean)},"

@@ -316,6 +316,8 @@ def load_csv(path: str | Path, schema: tuple[ColumnSchema, ...],
         header = next(reader)
     except StopIteration:
         raise ParseError(f"{path}: empty file") from None
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        raise ParseError(f"{path}:1: {exc}") from None
     header = [h.strip() for h in header]
     wanted = [c.name for c in schema]
     if sorted(header) != sorted(wanted):
@@ -336,8 +338,8 @@ def load_csv(path: str | Path, schema: tuple[ColumnSchema, ...],
         if not (np.isfinite(values) | missing).all():
             raise ValueError("a number that is not finite")
     except (ValueError, csv.Error):
-        # name the first bad record or cell from a fresh reader, which an
-        # error of the reader's own in a later record does not stop first
+        # name the first bad record or cell from a fresh reader; a record that
+        # the reader itself refuses is a bad record too
         reader = csv.reader(io.StringIO(text, newline=""))
         next(reader)
         _raise_first_bad_cell(path, reader, len(header), fields)
@@ -361,25 +363,29 @@ def _parse_column(cells, numeric: bool) -> list:
 
 
 def _raise_first_bad_cell(path: Path, records, width: int, fields) -> None:
-    """Raise ParseError for the first record of the wrong width or numeric
-    cell that is not a finite number, row by row; records count from line 2."""
-    for lineno, record in enumerate(records, start=2):
-        if not record:
-            continue
-        if len(record) != width:
-            raise ParseError(f"{path}:{lineno}: expected {width} cells, got {len(record)}")
-        for column, numeric, src in fields:
-            text = record[src].strip()
-            if not numeric or text in MISSING_TOKENS:
+    """Raise ParseError for the first record that the csv reader refuses, has the
+    wrong width or holds a non-finite numeric cell; records count from line 2."""
+    lineno = 1
+    try:
+        for lineno, record in enumerate(records, start=2):
+            if not record:
                 continue
-            try:
-                value = float(text)
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: column {column!r}: "
-                                 f"cannot parse {text!r} as a number") from None
-            if not math.isfinite(value):
-                raise ParseError(f"{path}:{lineno}: column {column!r}: "
-                                 f"non-finite value {text!r}")
+            if len(record) != width:
+                raise ParseError(f"{path}:{lineno}: expected {width} cells, got {len(record)}")
+            for column, numeric, src in fields:
+                text = record[src].strip()
+                if not numeric or text in MISSING_TOKENS:
+                    continue
+                try:
+                    value = float(text)
+                except ValueError:
+                    raise ParseError(f"{path}:{lineno}: column {column!r}: "
+                                     f"cannot parse {text!r} as a number") from None
+                if not math.isfinite(value):
+                    raise ParseError(f"{path}:{lineno}: column {column!r}: "
+                                     f"non-finite value {text!r}")
+    except csv.Error as exc:  # raised while reading the record after ``lineno``
+        raise ParseError(f"{path}:{lineno + 1}: {exc}") from None
 
 
 @dataclass(frozen=True)

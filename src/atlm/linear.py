@@ -58,7 +58,6 @@ class FittedLinearModel:
     aliased: frozenset
     factor_levels: dict
     design_labels: tuple[str, ...]
-    response_name: str
 
     def coefficient_vector(self) -> np.ndarray:
         return np.array([self.coefficients.get(label, 0.0)
@@ -151,7 +150,7 @@ def _flapack_file() -> str | None:
     return None
 
 
-def fit_ols(design: DesignMatrix, y, response_name: str = "y") -> FittedLinearModel:
+def fit_ols(design: DesignMatrix, y) -> FittedLinearModel:
     """Minimize ||y - X b|| by column-pivoted QR with rank detection.
 
     The LAPACK calls are the ones ``scipy.linalg.qr(x, mode="economic",
@@ -201,7 +200,6 @@ def fit_ols(design: DesignMatrix, y, response_name: str = "y") -> FittedLinearMo
         aliased=aliased,
         factor_levels=dict(design.factor_levels),
         design_labels=design.labels,
-        response_name=response_name,
     )
 
 
@@ -213,4 +211,6 @@ def predict(model: FittedLinearModel, test: Dataset,
         raise SchemaError(
             "test design does not match training design: "
             f"expected columns {list(model.design_labels)}, got {list(design.labels)}")
-    return design.matrix @ model.coefficient_vector()
+    # an overflow to inf is reported as E_PREDICT by PredictionSet, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        return design.matrix @ model.coefficient_vector()

@@ -225,9 +225,18 @@ def aggregate(reports) -> MetricSummary:
     means = {}
     stds = {}
     for name in METRIC_FIELDS:
-        values = np.array([getattr(r, name) for r in reports])
-        means[name] = float(values.mean())
-        stds[name] = 0.0 if len(reports) == 1 else float(values.std(ddof=1))
+        means[name], stds[name] = _mean_std(np.array([getattr(r, name) for r in reports]))
     return MetricSummary(means=means, stds=stds,
                          n_reports=len(reports),
                          single_sample=len(reports) == 1)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite result is kept as it is
+def _mean_std(values: np.ndarray) -> tuple[float, float]:
+    """Mean and n-1 standard deviation (0 for one value); finite values whose
+    sum or squares overflow are scaled down by a power of two first (exact)."""
+    mean, std = values.mean(), values.std(ddof=1) if values.size > 1 else 0.0
+    if not (np.isfinite(mean) and np.isfinite(std)) and np.isfinite(values).all():
+        exponent = int(np.frexp(np.abs(values).max())[1])
+        mean, std = (np.ldexp(v, exponent) for v in _mean_std(np.ldexp(values, -exponent)))
+    return float(mean), float(std)

@@ -88,8 +88,7 @@ def atlm_fit(training: Dataset) -> AtlmModel:
         raise FitError(
             f"dataset {training.name!r} has {len(training)} rows but its schema "
             f"implies {width} design columns; need at least as many rows")
-    linear = fit_ols(design, transformed.response_column(),
-                     response_name=training.response_name)
+    linear = fit_ols(design, transformed.response_column())
     return AtlmModel(transforms=transforms, linear=linear)
 
 

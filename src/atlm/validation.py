@@ -5,25 +5,21 @@ PCG32 stream is selected by the dataset fingerprint and seeded by the plan
 seed, so identical inputs give identical folds on any machine, and two
 models evaluated under the same plan see byte-identical splits.
 
-Metric handling differs by regime.  Leave-one-out produces singleton test
-sets on which the variance-based measures are undefined, so its metrics
-are computed once over the pooled predictions of all folds; k-fold and
-repeated holdout compute metrics per fold and aggregate them.  Every fold
-is fitted first; the fitted folds are then scored together, one stacked
+Every fold is fitted to one :class:`FoldOutcome`, in fold order, then
+scored.  A fold that fails (transform domain violation, unseen factor
+level, ...) carries the error's code and message instead of predictions;
+it is excluded from aggregation but never silently dropped.  Leave-one-out
+test sets are singletons, on which the variance-based measures are
+undefined, so its metrics are computed once over the pooled predictions.
+k-fold and holdout fill in each fold's report, one stacked
 :func:`~atlm.metrics.report_stack` pass per group of folds with the same
-test and training sizes (at most two groups under k-fold, one under
-holdout), with the reports and errors that scoring fold by fold would give.
-
-Every fold leaves one :class:`FoldOutcome`, in fold order.  A fold that
-succeeds carries its predictions and, outside leave-one-out, its metric
-report.  A fold that fails (transform domain violation, unseen factor
-level, ...) carries the error's code and message instead; it is excluded
-from aggregation but never silently dropped.
+test and training sizes, with the reports and errors that scoring fold by
+fold would give, and aggregate them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -130,6 +126,8 @@ def generate_folds(ds: Dataset, plan: ValidationPlan) -> FoldAssignment:
     ids = tuple(ds.ids)
     fingerprint = ds.fingerprint()
     if plan.kind == LOOCV:
+        if n == 0:
+            raise PlanError(f"loocv has no folds in the 0 rows of {ds.name!r}")
         return FoldAssignment(plan, fingerprint,
                               tuple((ids[:k] + ids[k + 1:], (t,)) for k, t in enumerate(ids)))
     rng = Pcg32(plan.seed, stream=int(fingerprint[:16], 16))
@@ -198,38 +196,39 @@ class ValidationResult:
         return self.n_folds - len(self.failures)
 
 
-def _fit_fold(ds: Dataset, index: int, fold, per_fold: bool, unseen_level: str):
-    """The fold's predictions and, for plans scored per fold, a copy of its
-    training response (a view would keep the whole training matrix alive);
-    or, when the fold fails, its finished :class:`FoldOutcome`."""
+def _fit_fold(ds: Dataset, index: int, fold, unseen_level: str) -> FoldOutcome:
+    """The fold's predictions, or the code and message of the error that
+    stopped it; the report is filled in when the plan's folds are scored."""
     try:
         train, test = split(ds, *fold)
         predictions = atlm_predict(atlm_fit(train), test, unseen_level=unseen_level)
     except AtlmError as exc:
         return FoldOutcome(index, code=exc.code, message=str(exc))
-    return predictions, train.response_column().copy() if per_fold else None
+    return FoldOutcome(index, predictions)
 
 
-def _score_folds(fitted) -> dict:
-    """Fold index -> metric report of every fitted fold, one stacked pass per
-    group of folds with the same test and training sizes.
+def _score_folds(ds: Dataset, folds, outcomes) -> tuple[FoldOutcome, ...]:
+    """The outcomes with each fitted fold's metric report filled in, from one
+    stacked pass per group of folds with the same test and training sizes.
 
     Each group is a run of consecutive folds (k-fold puts its larger test
     sets first, holdout has one size), and a stacked pass raises for its
     first failing fold, so a MetricError comes from the first failing fold
     in fold order, as when scoring fold by fold."""
     groups: dict[tuple, list] = {}
-    for index, fit in enumerate(fitted):
-        if not isinstance(fit, FoldOutcome):
-            predictions, train = fit
-            groups.setdefault((len(predictions), len(train)), []).append((index, *fit))
-    reports = {}
+    for outcome, (train, test) in zip(outcomes, folds):
+        if not outcome.failed:
+            groups.setdefault((len(test), len(train)), []).append(outcome)
+    response, position = ds.response_column(), {rid: k for k, rid in enumerate(ds.ids)}
+    scored = list(outcomes)
     for group in groups.values():
-        indices, predictions, trains = zip(*group)
-        reports.update(zip(indices, report_stack(np.array([ps.predicted for ps in predictions]),
-                                                 np.array([ps.actual for ps in predictions]),
-                                                 np.array(trains))))
-    return reports
+        trains = [[position[rid] for rid in folds[o.fold][0]] for o in group]
+        reports = report_stack(np.array([o.predictions.predicted for o in group]),
+                               np.array([o.predictions.actual for o in group]),
+                               response[np.array(trains)])
+        for outcome, fold_report in zip(group, reports):
+            scored[outcome.fold] = replace(outcome, report=fold_report)
+    return tuple(scored)
 
 
 def run_validation(ds: Dataset, plan: ValidationPlan, *,
@@ -239,41 +238,28 @@ def run_validation(ds: Dataset, plan: ValidationPlan, *,
     A k-fold or holdout plan that leaves a test fold of one row is refused
     before any fit, since the per-fold measures need two rows."""
     assignment = generate_folds(ds, plan)
-    per_fold = plan.kind != LOOCV
-    if per_fold and min(len(test) for _, test in assignment.folds) < 2:
+    if plan.kind != LOOCV and min(len(test) for _, test in assignment.folds) < 2:
         raise PlanError(
             f"plan {plan.label()} leaves test folds of 1 row in the {len(ds)} rows of "
             f"{ds.name!r}; per-fold measures need at least 2, so use loocv")
-    fitted = [_fit_fold(ds, index, fold, per_fold, unseen_level)
-              for index, fold in enumerate(assignment.folds)]
-    reports = _score_folds(fitted) if per_fold else {}
-    outcomes = tuple(fit if isinstance(fit, FoldOutcome)
-                     else FoldOutcome(index, fit[0], reports.get(index))
-                     for index, fit in enumerate(fitted))
+    outcomes = tuple(_fit_fold(ds, index, fold, unseen_level)
+                     for index, fold in enumerate(assignment.folds))
+    if plan.kind != LOOCV:
+        outcomes = _score_folds(ds, assignment.folds, outcomes)
     succeeded = [o for o in outcomes if not o.failed]
     if not succeeded:
         raise ValidationError(
             f"all {len(outcomes)} folds failed for {ds.name!r}; "
             f"first failure: {outcomes[0].message}")
-
-    pooled_report = None
     if plan.kind == LOOCV:
         # singleton test sets: score the pooled predictions once, with the
         # full response sample as the random-guess reference
-        pooled_report = report(pooled([o.predictions for o in succeeded]),
-                               ds.response_column())
-        summary = aggregate([pooled_report])
+        pooled_report = report(pooled([o.predictions for o in succeeded]), ds.response_column())
+        reports = [pooled_report]
     else:
-        summary = aggregate([o.report for o in succeeded])
-
-    return ValidationResult(
-        dataset_name=ds.name,
-        dataset_fingerprint=assignment.dataset_fingerprint,
-        plan=plan,
-        outcomes=outcomes,
-        pooled_report=pooled_report,
-        summary=summary,
-    )
+        pooled_report, reports = None, [o.report for o in succeeded]
+    return ValidationResult(ds.name, assignment.dataset_fingerprint, plan, outcomes,
+                            pooled_report, aggregate(reports))
 
 
 @dataclass(frozen=True)
@@ -296,13 +282,11 @@ def repeat_cv_experiment(ds: Dataset, k: int, runs: int, base_seed: int = 1, *,
         seed = base_seed + run
         plan = ValidationPlan(kind=KFOLD, seed=seed, k=k)
         result = run_validation(ds, plan, unseen_level=unseen_level)
-        values = np.array([o.report.re_star for o in result.outcomes if not o.failed])
-        stderr = 0.0 if values.size < 2 else float(values.std(ddof=1) / np.sqrt(values.size))
         summaries.append(CvRunSummary(
             run=run,
             seed=seed,
-            re_star_mean=float(values.mean()),
-            re_star_stderr=stderr,
+            re_star_mean=result.summary.means["re_star"],
+            re_star_stderr=float(result.summary.stds["re_star"] / np.sqrt(result.n_succeeded)),
             n_folds=result.n_folds,
             n_succeeded=result.n_succeeded,
         ))

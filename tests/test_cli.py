@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import csv
 import io
 import json
 import os
@@ -26,6 +27,16 @@ COCOMO81_GOLDEN_TRANSFORMS = {
     "vexp": "log", "lexp": "log", "modp": "log", "tool": "none", "sced": "log",
     "loc": "log", "mode": "none", "effort": "log",
 }
+
+
+def run_on_csv(tmp_path, text: str, argv) -> int:
+    """The exit status of ``main(argv)`` on ``text`` as a CSV file of numeric
+    columns ``a``, ``b`` and response ``y``."""
+    (tmp_path / "data.csv").write_text(text, encoding="utf-8")
+    (tmp_path / "data.schema").write_text(
+        "a numeric explanatory\nb numeric explanatory\ny numeric response\n")
+    return main([*argv, "--dataset", str(tmp_path / "data.csv"),
+                 "--schema", str(tmp_path / "data.schema")])
 
 
 class TestInspect:
@@ -105,6 +116,16 @@ class TestEvaluate:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert any("outlier assumption" in note for note in payload["notes"])
+
+    def test_metrics_whose_squares_overflow_keep_a_finite_std(self, tmp_path, capsys):
+        # the re_star of the two folds are 2.18e174 and 1.0005
+        text = "a,b,y\n1,1,1\n0.0,1,1\n1,1,2\n1,1,10\n134,1,1\n1,1,2\n"
+        argv = ["evaluate", "--plan", "kfold:2", "--format", "json"]
+        assert run_on_csv(tmp_path, text, argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)["aggregate"]["metrics"]["re_star"] == {
+            "mean": 1.0889035741469953e+174, "std": 1.539942202675218e+174}
 
     def test_unknown_dataset_exits_2(self, capsys):
         assert main(["evaluate", "--dataset", "nope", "--plan", "loocv"]) == 2
@@ -193,6 +214,35 @@ class TestErrorContract:
         assert main(["evaluate", "--dataset", "cocomo81", "--plan", "kfold:31",
                      "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["n_succeeded"] == 31
+
+    @pytest.mark.parametrize("command", ["evaluate", "export-folds"])
+    def test_loocv_on_a_header_only_csv_is_refused(self, tmp_path, capsys, command):
+        assert run_on_csv(tmp_path, "a,b,y\n", [command, "--plan", "loocv"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error[E_PLAN]: loocv has no folds in the 0 rows of 'data'\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("text, line", [
+        ('"' + "x" * (csv.field_size_limit() + 1) + '",b,y\n1,1,1\n', 1),
+        ("a,b,y\n1,1,1\n2,\"" + "9" * (csv.field_size_limit() + 1) + '",1\n', 3),
+    ], ids=["header", "record"])
+    def test_a_field_over_the_csv_size_limit_is_one_parse_error(self, tmp_path, capsys,
+                                                                 text, line):
+        assert run_on_csv(tmp_path, text, ["inspect"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[E_PARSE]: ")
+        assert err.endswith(f"data.csv:{line}: field larger than field limit "
+                            f"({csv.field_size_limit()})\n")
+        assert err.count("\n") == 1
+
+    def test_a_prediction_that_overflows_fails_its_fold_without_a_warning(self, tmp_path,
+                                                                          capsys):
+        # the fold that leaves out row 2 predicts past the float range
+        text = "a,b,y\n1,1,1\n5.650703843544496e+67,1,1\n1,1,6.362722891294486e+240\n0.0,1,1\n"
+        assert run_on_csv(tmp_path, text, ["evaluate", "--plan", "loocv"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[E_METRIC]: ")
+        assert err.count("\n") == 1
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("argv, existing", [
@@ -376,10 +426,12 @@ class TestGeneratedInputFiles:
 
     @given(files=data_files())
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    def test_inspect_and_export_folds(self, files):
+    def test_inspect_export_folds_and_evaluate(self, files):
         inputs = ["--dataset", "data.csv", "--schema", "data.schema", "--recipe", "recipe.json"]
         for argv in (["inspect", *inputs, "--format", "json"],
-                     ["export-folds", *inputs, "--plan", "loocv"]):
+                     ["export-folds", *inputs, "--plan", "loocv"],
+                     ["evaluate", *inputs, "--plan", "loocv", "--format", "json"],
+                     ["evaluate", *inputs, "--plan", "kfold:2", "--format", "json"]):
             status, _out, err, _written = run_in_scratch_directory(argv, files)
             assert_success_or_one_error_line(argv, status, err)
 

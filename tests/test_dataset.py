@@ -92,15 +92,25 @@ def test_load_csv_missing_markers(tmp_path):
 
 def reference_load_csv(path, schema, name=None) -> Dataset:
     """The cell-by-cell loader: strip, missing test, ``float`` and
-    ``math.isfinite`` for each cell, record by record."""
+    ``math.isfinite`` for each cell, record by record.  An error of the csv
+    reader is a ParseError naming the line of the record it was reading."""
     path = Path(path)
     text = path.read_bytes().decode("utf-8")
     with io.StringIO(text, newline="") as fh:
         reader = csv.reader(fh)
+        records = []
         try:
-            header = next(reader)
+            for record in reader:
+                records.append(record)
+        except csv.Error as exc:
+            records.append(ParseError(f"{path}:{len(records) + 1}: {exc}"))
+        records = iter(records)
+        try:
+            header = next(records)
         except StopIteration:
             raise ParseError(f"{path}: empty file") from None
+        if isinstance(header, ParseError):
+            raise header
         header = [h.strip() for h in header]
         wanted = [c.name for c in schema]
         if sorted(header) != sorted(wanted):
@@ -112,7 +122,9 @@ def reference_load_csv(path, schema, name=None) -> Dataset:
                 + (f"; unexpected {sorted(extra)}" if extra else ""))
         order = [header.index(n) for n in wanted]
         columns = [[] for _ in schema]
-        for lineno, record in enumerate(reader, start=2):
+        for lineno, record in enumerate(records, start=2):
+            if isinstance(record, ParseError):
+                raise record
             if not record:
                 continue
             if len(record) != len(header):
@@ -233,7 +245,17 @@ def test_a_bad_cell_is_named_before_a_later_record_stops_the_reader():
     assert fast[0] is ParseError and fast[1].endswith(":2: column 'y': cannot parse 'abc' as a number")
     fast, reference = load_both(f"x,f,y\n1,a,3\n{huge},a,2\n", SCHEMA_XFY)
     assert fast == reference
-    assert fast[0] is csv.Error  # with no bad cell before it, the reader's own error escapes
+    # with no bad cell before it, the reader's own error is named with its line
+    assert fast[0] is ParseError
+    assert fast[1].endswith(f":3: field larger than field limit ({csv.field_size_limit()})")
+
+
+def test_a_header_the_reader_refuses_is_a_parse_error():
+    huge = '"' + "x" * (csv.field_size_limit() + 1) + '"'
+    fast, reference = load_both(f"{huge},f,y\n1,a,3\n", SCHEMA_XFY)
+    assert fast == reference
+    assert fast[0] is ParseError
+    assert fast[1].endswith(f":1: field larger than field limit ({csv.field_size_limit()})")
 
 
 def _columns(*specs):

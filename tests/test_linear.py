@@ -267,19 +267,19 @@ class TestLapackLoader:
 class TestPredict:
     def test_linear_evaluation(self, exact_linear):
         design = build_design(exact_linear)
-        model = fit_ols(design, exact_linear.response_column(), response_name="y")
+        model = fit_ols(design, exact_linear.response_column())
         test = make_dataset({"x": [10], "y": [0]}, response="y")
         assert predict(model, test) == pytest.approx([20.0], rel=1e-10)
 
     def test_interpolates_consistent_system(self, factor_dataset):
         design = build_design(factor_dataset)
         y = np.asarray(factor_dataset.response_column())
-        model = fit_ols(design, y, response_name="y")
+        model = fit_ols(design, y)
         assert predict(model, factor_dataset) == pytest.approx(y.tolist(), rel=1e-8)
 
     def test_schema_mismatch_detected(self, exact_linear):
         design = build_design(exact_linear)
-        model = fit_ols(design, exact_linear.response_column(), response_name="y")
+        model = fit_ols(design, exact_linear.response_column())
         other = make_dataset({"z": [1.0], "y": [0]}, response="y")
         with pytest.raises(SchemaError):
             predict(model, other)

@@ -242,6 +242,41 @@ class TestAggregate:
         with pytest.raises(MetricError):
             aggregate([])
 
+    @staticmethod
+    def summary_of(values):
+        """The summary of one report per value, holding it in every measure."""
+        return aggregate([MetricReport(2, *[float(v)] * 6) for v in values])
+
+    def test_a_finite_row_whose_squares_overflow_is_scaled_down(self):
+        # re_star of the two folds of a kfold:2 plan on a CSV with a 134 among ones
+        values = [2.1778071482939906e+174, 1.0005]
+        summary = self.summary_of(values)
+        assert summary.means["re_star"] == float(np.mean(values))
+        assert summary.stds["re_star"] == pytest.approx((values[0] - values[1]) / math.sqrt(2),
+                                                        rel=1e-15)
+
+    def test_a_row_whose_sum_overflows_is_scaled_down(self):
+        summary = self.summary_of([1.5e308, 1.5e308, 1.5e308])
+        assert (summary.means["mar"], summary.stds["mar"]) == (1.5e308, 0.0)
+
+    @given(st.lists(st.floats(-1e10, 1e10).filter(lambda v: v == 0 or abs(v) > 1e-100),
+                    min_size=1, max_size=12),
+           st.integers(0, 1100))
+    @settings(max_examples=200)
+    def test_a_power_of_two_scales_the_summary_exactly(self, values, exponent):
+        """A finite summary keeps the bits of numpy's mean and std, and values
+        scaled by 2**exponent give it scaled by 2**exponent, also where their
+        squares or their sum overflow."""
+        with np.errstate(over="ignore"):
+            scaled = np.ldexp(values, exponent)
+        assume(np.isfinite(scaled).all())
+        base, big = self.summary_of(values), self.summary_of(scaled)
+        std = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
+        assert (base.means["sa"], base.stds["sa"]) == (float(np.mean(values)), std)
+        with np.errstate(over="ignore"):  # a std past the float range is inf on both sides
+            assert big.means["sa"] == np.ldexp(base.means["sa"], exponent)
+            assert big.stds["sa"] == np.ldexp(base.stds["sa"], exponent)
+
 
 class TestMicroCorpusOracleEquivalence:
     """Smaller in-module version of the exhaustive acceptance corpus."""
