@@ -4,8 +4,11 @@ A :class:`Dataset` is immutable and columnar: one (columns x rows) matrix
 holds every column, so per-fold work is whole-array operations, and every
 change returns a new instance that folds can share.  Rows keep the
 identifiers they were assigned when the raw file was loaded (0-based line
-order), which is what fold assignments, prediction sets, and recipes refer
-to.
+order).  Inside the library a row is its position in the matrix, and a set
+of rows is an array of positions or a boolean mask over them.  Ids appear
+only at the edges: exported fold JSON, the public :func:`split`, a
+:class:`~atlm.pipeline.PredictionSet`, a recipe's ``drop_row_ids`` and
+error messages.
 
 A dataset's columns are a :class:`Schema`: a tuple of :class:`ColumnSchema`
 that also holds the positions every layer indexes the matrix by (name to
@@ -24,7 +27,6 @@ import io
 import json
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -148,8 +150,10 @@ class Dataset:
                      source_rows: int = -1) -> "Dataset":
         """Build from one sequence of cells per schema column: numbers, or
         strings for factors; None where missing.  Codes follow first appearance."""
-        schema = tuple(schema)
-        return cls(name, schema, tuple(ids), *_matrix(schema, columns), source_rows)
+        schema, ids = tuple(schema), tuple(ids)
+        if any(len(cells) != len(ids) for cells in columns):
+            raise SchemaError(f"column arrays of {name!r} do not fit its schema")
+        return cls(name, schema, ids, *_matrix(schema, columns), source_rows)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -162,10 +166,6 @@ class Dataset:
             == (other.name, other.schema, other.ids, other.source_rows, other.levels)
             and np.array_equal(self.missing, other.missing)
             and np.array_equal(self.values, other.values, equal_nan=True))
-
-    @cached_property
-    def _positions(self) -> dict[int, int]:
-        return {rid: i for i, rid in enumerate(self.ids)}
 
     @property
     def response_name(self) -> str:
@@ -230,11 +230,12 @@ class Dataset:
         name = self.schema[active[int(filled[:, row].argmin())]].name
         return name, self.ids[row], self.column(name)[row]
 
-    def _take(self, ids) -> "Dataset":
-        """The rows with these ids, in this order."""
-        ids = tuple(ids)
-        at = np.fromiter(map(self._positions.__getitem__, ids), dtype=np.intp, count=len(ids))
-        return self._derive(ids, self.values.take(at, axis=1), self.missing.take(at, axis=1))
+    def _rows(self, at) -> "Dataset":
+        """The rows at the positions ``at``, in that order, or where the
+        boolean mask ``at`` is set."""
+        at = np.arange(len(self.ids))[at]  # positions; take keeps the matrix in C order
+        return self._derive(tuple(map(self.ids.__getitem__, at.tolist())),
+                            self.values.take(at, axis=1), self.missing.take(at, axis=1))
 
     def _derive(self, ids: tuple[int, ...], values: np.ndarray,
                 missing: np.ndarray) -> "Dataset":
@@ -451,7 +452,7 @@ def apply_recipe(raw: Dataset, recipe: PrepRecipe) -> Dataset:
                 f"rows 0..{raw.source_rows - 1}")
 
     drop = set(recipe.drop_row_ids)
-    ds = raw._take(rid for rid in raw.ids if rid not in drop)
+    ds = raw._rows([rid not in drop for rid in raw.ids])
 
     schema = list(raw.schema)
     casts = set(recipe.cast_to_categorical)
@@ -476,8 +477,7 @@ def apply_recipe(raw: Dataset, recipe: PrepRecipe) -> Dataset:
     ds = replace(ds, schema=tuple(schema), values=values, levels=tuple(levels))
 
     if recipe.drop_rows_with_missing:
-        gaps = ds.missing.any(axis=0).tolist()
-        ds = ds._take(rid for rid, gap in zip(ds.ids, gaps) if not gap)
+        ds = ds._rows(~ds.missing.any(axis=0))
 
     gap = ds._first_gap(non_finite=False)
     if gap is not None:
@@ -505,8 +505,9 @@ def split(ds: Dataset, train_ids, test_ids) -> tuple[Dataset, Dataset]:
         raise SplitError(f"train and test ids overlap: {sorted(overlap)}")
     if len(train) != len(train_ids) or len(test) != len(test_ids):
         raise SplitError("duplicate ids in split")
-    known = ds._positions.keys()
-    if not (train <= known and test <= known):
+    position = {rid: i for i, rid in enumerate(ds.ids)}
+    if not (train <= position.keys() and test <= position.keys()):
         raise SplitError(f"ids not present in dataset {ds.name!r}: "
-                         f"{[i for i in (*train_ids, *test_ids) if i not in known]}")
-    return ds._take(train_ids), ds._take(test_ids)
+                         f"{[i for i in (*train_ids, *test_ids) if i not in position]}")
+    return (ds._rows([position[i] for i in train_ids]),
+            ds._rows([position[i] for i in test_ids]))

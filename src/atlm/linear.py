@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset, NUMERIC
-from .errors import FitError, SchemaError, UnseenLevelError
+from .errors import FitError, MissingValueError, SchemaError, UnseenLevelError
 
 INTERCEPT = "intercept"
 
@@ -74,7 +74,8 @@ def build_design(ds: Dataset, levels: dict | None = None,
 
     ``levels`` is supplied at prediction time with the training level
     dictionaries; without it (training time) a factor's levels are the ones
-    its codes use, in first appearance order, reference level first.
+    its codes use, in first appearance order, reference level first.  A
+    missing factor cell raises MissingValueError.
     """
     if unseen_level not in UNSEEN_POLICIES:
         raise SchemaError(f"unknown unseen-level policy {unseen_level!r}")
@@ -92,6 +93,10 @@ def build_design(ds: Dataset, levels: dict | None = None,
             labels.append(col.name)
             rows.append(ds.values[i:i + 1])
             continue
+        gaps = np.isnan(ds.values[i])
+        if gaps.any():
+            raise MissingValueError(f"dataset {ds.name!r} has a missing value in factor "
+                                    f"{col.name!r}, row {ds.ids[int(gaps.argmax())]}")
         codes, names = ds.values[i].astype(np.intp), ds.levels[i]
         if levels is None:
             lvls = tuple(names[c] for c in dict.fromkeys(codes.tolist()))

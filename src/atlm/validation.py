@@ -5,6 +5,12 @@ PCG32 stream is selected by the dataset fingerprint and seeded by the plan
 seed, so identical inputs give identical folds on any machine, and two
 models evaluated under the same plan see byte-identical splits.
 
+A plan's folds are one (folds x rows) boolean mask of test rows over row
+positions, from generation to scoring; a fold trains on the rows its mask
+leaves out.  Row ids appear only in :func:`generate_folds`, which formats
+the masks as (train ids, test ids) tuples for export, and in the
+:class:`~atlm.pipeline.PredictionSet` of each fold.
+
 Every fold is fitted to one :class:`FoldOutcome`, in fold order, then
 scored.  A fold that fails (transform domain violation, unseen factor
 level, ...) carries the error's code and message instead of predictions;
@@ -13,17 +19,18 @@ test sets are singletons, on which the variance-based measures are
 undefined, so its metrics are computed once over the pooled predictions.
 k-fold and holdout fill in each fold's report, one stacked
 :func:`~atlm.metrics.report_stack` pass per group of folds with the same
-test and training sizes, with the reports and errors that scoring fold by
-fold would give, and aggregate them.
+test size, with the reports and errors that scoring fold by fold would
+give, and aggregate them.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataset import Dataset, split
+from .dataset import Dataset
 from .errors import AtlmError, PlanError, ValidationError
 from .linear import UNSEEN_ERROR
 from .metrics import MetricReport, MetricSummary, aggregate, report, report_stack
@@ -37,6 +44,17 @@ HOLDOUT = "holdout"
 _MAX_SEED = (1 << 64) - 1
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int, numpy integers too; a bool, or a value that
+    ``operator.index`` refuses, raises PlanError."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise PlanError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ValidationPlan:
     kind: str
@@ -46,6 +64,10 @@ class ValidationPlan:
     repeats: int | None = None
 
     def __post_init__(self) -> None:
+        for name in ("seed", "k", "test_size", "repeats"):
+            value = getattr(self, name)
+            if value is not None or name == "seed":
+                object.__setattr__(self, name, _integer(name, value))
         if not (0 <= self.seed <= _MAX_SEED):
             raise PlanError(f"seed must fit in 64 bits, got {self.seed}")
         if self.kind == LOOCV:
@@ -117,19 +139,15 @@ class FoldAssignment:
         }
 
 
-def generate_folds(ds: Dataset, plan: ValidationPlan) -> FoldAssignment:
-    """Deterministic folds for the plan; see the module docstring.
-
-    The shuffles permute row positions; each test set is then a mask over
-    the positions, so both sides of a fold keep the dataset's row order."""
+def _test_masks(ds: Dataset, plan: ValidationPlan) -> tuple[str, np.ndarray]:
+    """The dataset fingerprint and the plan's (folds x rows) boolean test
+    masks; see the module docstring.  The shuffles permute row positions."""
     n = len(ds)
-    ids = tuple(ds.ids)
     fingerprint = ds.fingerprint()
     if plan.kind == LOOCV:
         if n == 0:
             raise PlanError(f"loocv has no folds in the 0 rows of {ds.name!r}")
-        return FoldAssignment(plan, fingerprint,
-                              tuple((ids[:k] + ids[k + 1:], (t,)) for k, t in enumerate(ids)))
+        return fingerprint, np.eye(n, dtype=bool)
     rng = Pcg32(plan.seed, stream=int(fingerprint[:16], 16))
     if plan.kind == KFOLD:
         if plan.k > n:
@@ -139,19 +157,24 @@ def generate_folds(ds: Dataset, plan: ValidationPlan) -> FoldAssignment:
         base, extra = divmod(n, plan.k)
         fold_of = np.empty(n, dtype=np.intp)
         fold_of[order] = np.repeat(np.arange(plan.k), [base + (i < extra) for i in range(plan.k)])
-        tests = fold_of == np.arange(plan.k)[:, None]
-    else:
-        if plan.test_size >= n:
-            raise PlanError(
-                f"holdout test_size={plan.test_size} must be below {n} rows of {ds.name!r}")
-        orders = [list(range(n)) for _ in range(plan.repeats)]
-        rng.shuffle(*orders)
-        tests = np.zeros((plan.repeats, n), dtype=bool)
-        tests[np.arange(plan.repeats)[:, None], [o[:plan.test_size] for o in orders]] = True
-    id_array = np.array(ids)
-    folds = tuple((tuple(id_array[~test].tolist()), tuple(id_array[test].tolist()))
-                  for test in tests)
-    return FoldAssignment(plan, fingerprint, folds)
+        return fingerprint, fold_of == np.arange(plan.k)[:, None]
+    if plan.test_size >= n:
+        raise PlanError(
+            f"holdout test_size={plan.test_size} must be below {n} rows of {ds.name!r}")
+    orders = [list(range(n)) for _ in range(plan.repeats)]
+    rng.shuffle(*orders)
+    tests = np.zeros((plan.repeats, n), dtype=bool)
+    tests[np.arange(plan.repeats)[:, None], [o[:plan.test_size] for o in orders]] = True
+    return fingerprint, tests
+
+
+def generate_folds(ds: Dataset, plan: ValidationPlan) -> FoldAssignment:
+    """The plan's folds as (train ids, test ids) pairs, both sides in the
+    dataset's row order."""
+    fingerprint, tests = _test_masks(ds, plan)
+    ids = np.array(ds.ids)
+    return FoldAssignment(plan, fingerprint, tuple((tuple(ids[~test].tolist()),
+                                                    tuple(ids[test].tolist())) for test in tests))
 
 
 @dataclass(frozen=True)
@@ -196,36 +219,34 @@ class ValidationResult:
         return self.n_folds - len(self.failures)
 
 
-def _fit_fold(ds: Dataset, index: int, fold, unseen_level: str) -> FoldOutcome:
-    """The fold's predictions, or the code and message of the error that
-    stopped it; the report is filled in when the plan's folds are scored."""
+def _fit_fold(ds: Dataset, index: int, test: np.ndarray, unseen_level: str) -> FoldOutcome:
+    """The predictions of the fold that tests the rows ``test`` masks, or the
+    error that stopped it; scoring fills in the report."""
     try:
-        train, test = split(ds, *fold)
-        predictions = atlm_predict(atlm_fit(train), test, unseen_level=unseen_level)
+        predictions = atlm_predict(atlm_fit(ds._rows(~test)), ds._rows(test),
+                                   unseen_level=unseen_level)
     except AtlmError as exc:
         return FoldOutcome(index, code=exc.code, message=str(exc))
     return FoldOutcome(index, predictions)
 
 
-def _score_folds(ds: Dataset, folds, outcomes) -> tuple[FoldOutcome, ...]:
+def _score_folds(ds: Dataset, tests: np.ndarray, outcomes) -> tuple[FoldOutcome, ...]:
     """The outcomes with each fitted fold's metric report filled in, from one
-    stacked pass per group of folds with the same test and training sizes.
+    stacked pass per group of folds with the same test size.
 
     Each group is a run of consecutive folds (k-fold puts its larger test
     sets first, holdout has one size), and a stacked pass raises for its
     first failing fold, so a MetricError comes from the first failing fold
     in fold order, as when scoring fold by fold."""
-    groups: dict[tuple, list] = {}
-    for outcome, (train, test) in zip(outcomes, folds):
+    groups: dict[int, list] = {}
+    for outcome in outcomes:
         if not outcome.failed:
-            groups.setdefault((len(test), len(train)), []).append(outcome)
-    response, position = ds.response_column(), {rid: k for k, rid in enumerate(ds.ids)}
-    scored = list(outcomes)
+            groups.setdefault(len(outcome.predictions), []).append(outcome)
+    response, scored = ds.response_column(), list(outcomes)
     for group in groups.values():
-        trains = [[position[rid] for rid in folds[o.fold][0]] for o in group]
         reports = report_stack(np.array([o.predictions.predicted for o in group]),
                                np.array([o.predictions.actual for o in group]),
-                               response[np.array(trains)])
+                               np.array([response[~tests[o.fold]] for o in group]))
         for outcome, fold_report in zip(group, reports):
             scored[outcome.fold] = replace(outcome, report=fold_report)
     return tuple(scored)
@@ -237,15 +258,15 @@ def run_validation(ds: Dataset, plan: ValidationPlan, *,
 
     A k-fold or holdout plan that leaves a test fold of one row is refused
     before any fit, since the per-fold measures need two rows."""
-    assignment = generate_folds(ds, plan)
-    if plan.kind != LOOCV and min(len(test) for _, test in assignment.folds) < 2:
+    fingerprint, tests = _test_masks(ds, plan)
+    if plan.kind != LOOCV and tests.sum(axis=1).min() < 2:
         raise PlanError(
             f"plan {plan.label()} leaves test folds of 1 row in the {len(ds)} rows of "
             f"{ds.name!r}; per-fold measures need at least 2, so use loocv")
-    outcomes = tuple(_fit_fold(ds, index, fold, unseen_level)
-                     for index, fold in enumerate(assignment.folds))
+    outcomes = tuple(_fit_fold(ds, index, test, unseen_level)
+                     for index, test in enumerate(tests))
     if plan.kind != LOOCV:
-        outcomes = _score_folds(ds, assignment.folds, outcomes)
+        outcomes = _score_folds(ds, tests, outcomes)
     succeeded = [o for o in outcomes if not o.failed]
     if not succeeded:
         raise ValidationError(
@@ -258,8 +279,8 @@ def run_validation(ds: Dataset, plan: ValidationPlan, *,
         reports = [pooled_report]
     else:
         pooled_report, reports = None, [o.report for o in succeeded]
-    return ValidationResult(ds.name, assignment.dataset_fingerprint, plan, outcomes,
-                            pooled_report, aggregate(reports))
+    return ValidationResult(ds.name, fingerprint, plan, outcomes, pooled_report,
+                            aggregate(reports))
 
 
 @dataclass(frozen=True)

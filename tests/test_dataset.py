@@ -271,9 +271,13 @@ def _columns(*specs):
      "duplicate column names in 'bad'"),
     (_columns("x numeric explanatory", "y categorical response"),
      "response column 'y' must be numeric"),
+    (_columns("short numeric explanatory", "y numeric response"),
+     "column arrays of 'bad' do not fit its schema"),
 ])
 def test_schema_errors_keep_their_text(schema, message):
-    cells = [["a"] if c.kind == CATEGORICAL else [1.0] for c in schema]
+    # one cell per column, none in a column named "short"
+    cells = [[] if c.name == "short" else ["a"] if c.kind == CATEGORICAL else [1.0]
+             for c in schema]
     with pytest.raises(SchemaError) as caught:
         Dataset.from_columns("bad", schema, (0,), cells)
     assert str(caught.value) == message

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from atlm import linear
-from atlm.errors import FitError, SchemaError, UnseenLevelError
+from atlm.dataset import CATEGORICAL, ColumnSchema, Dataset, NUMERIC, RESPONSE
+from atlm.errors import FitError, MissingValueError, SchemaError, UnseenLevelError
 from atlm.linear import (
     DesignMatrix,
     INTERCEPT,
@@ -71,6 +72,20 @@ class TestBuildDesign:
                            unseen_level=UNSEEN_AS_REFERENCE)
         assert out.matrix[0].tolist() == [1.0, 0.0]  # treated as the reference level
         assert out.matrix[1].tolist() == [1.0, 1.0]
+
+    def test_a_missing_factor_cell_is_a_missing_value_error(self, factor_dataset):
+        # row id 7 is the second row; build_design at fit and at predict time
+        # name it rather than casting NaN to a code
+        schema = (ColumnSchema("f", CATEGORICAL), ColumnSchema("x", NUMERIC),
+                  ColumnSchema("y", NUMERIC, RESPONSE))
+        gappy = Dataset.from_columns("gappy", schema, (3, 7, 9),
+                                     [["a", None, "b"], [1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+        model = fit_ols(build_design(factor_dataset), factor_dataset.response_column())
+        with np.errstate(all="raise"):
+            with pytest.raises(MissingValueError, match="'gappy'.* factor 'f', row 7$"):
+                build_design(gappy)
+            with pytest.raises(MissingValueError, match="factor 'f', row 7$"):
+                predict(model, gappy)
 
 
 class TestFitOls:

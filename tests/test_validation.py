@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from atlm.bundled import load_builtin
 from atlm.dataset import Dataset, split
-from atlm.errors import MetricError, PlanError, ValidationError
+from atlm.errors import AtlmError, MetricError, PlanError, ValidationError
 from atlm.metrics import report
 from atlm.pipeline import PredictionSet, atlm_fit, atlm_predict
 from atlm.rng import Pcg32
@@ -55,6 +55,24 @@ class TestPlan:
         with pytest.raises(PlanError):
             ValidationPlan.parse(text)
 
+    @pytest.mark.parametrize("fields", [
+        {"kind": "kfold", "k": 2.5}, {"kind": "kfold", "k": True},
+        {"kind": "holdout", "test_size": 2.5, "repeats": 3},
+        {"kind": "holdout", "test_size": 2, "repeats": "3"},
+        {"kind": "loocv", "seed": 1.5}, {"kind": "loocv", "seed": None},
+        {"kind": "kfold", "k": 3, "seed": False},
+    ], ids=repr)
+    def test_a_non_integer_field_is_a_plan_error(self, fields):
+        with pytest.raises(PlanError, match="must be an integer"):
+            ValidationPlan(**fields)
+
+    def test_numpy_integer_fields_are_accepted_as_ints(self):
+        plan = ValidationPlan(kind="holdout", seed=np.uint64((1 << 64) - 1),
+                              test_size=np.int32(2), repeats=np.int64(3))
+        assert plan == ValidationPlan(kind="holdout", seed=(1 << 64) - 1, test_size=2, repeats=3)
+        assert {type(v) for v in (plan.seed, plan.test_size, plan.repeats)} == {int}
+        assert generate_folds(linear_dataset(5), plan).to_json_dict()["seed"] == (1 << 64) - 1
+
     def test_invariants_against_dataset(self):
         ds = linear_dataset(5)
         with pytest.raises(PlanError):
@@ -94,8 +112,9 @@ def split_plans(draw):
     holdout plan that fits it."""
     n = draw(st.integers(2, 90))
     ids = draw(st.permutations(range(n + 3)))[:n]
+    # responses are positive, so every fitted fold can be scored
     ds = Dataset.from_columns("gaps", linear_dataset(1).schema, ids,
-                              [[float(i) for i in ids], [3.0 * i for i in ids]])
+                              [[float(i) for i in ids], [3.0 * i + 5 for i in ids]])
     seed = draw(st.integers(0, (1 << 64) - 1))
     if draw(st.booleans()):
         plan = ValidationPlan(kind="kfold", seed=seed, k=draw(st.integers(2, n)))
@@ -275,6 +294,36 @@ class TestRunValidation:
         bad = make_dataset({"x": [1, 2, 3], "y": [2, 4, 9]}, response="y")
         with pytest.raises(ValidationError):
             run_validation(bad, ValidationPlan(kind="loocv"))
+
+
+def fit_through_split(ds, fold):
+    """(predictions, code, message) of one fold fitted through the public
+    split: the predictions, or the code and message of the error."""
+    try:
+        train, test = split(ds, *fold)
+        return atlm_predict(atlm_fit(train), test), None, None
+    except AtlmError as exc:
+        return None, exc.code, str(exc)
+
+
+@given(st.one_of(split_plans(), split_plans().map(
+    lambda case: (case[0], ValidationPlan(kind="loocv", seed=case[1].seed)))))
+@settings(max_examples=60, deadline=None)
+def test_each_fold_equals_a_fit_of_its_exported_ids(case):
+    # the harness works on row positions; the exported id tuples, fitted
+    # through the public split, must give the same fold
+    ds, plan = case
+    folds = generate_folds(ds, plan).folds
+    expected = [fit_through_split(ds, fold) for fold in folds]
+    try:
+        outcomes = run_validation(ds, plan).outcomes
+    except PlanError:
+        assert plan.kind != "loocv" and min(len(test) for _, test in folds) == 1
+        return
+    except ValidationError:
+        assert all(predictions is None for predictions, _, _ in expected)
+        return
+    assert [(o.predictions, o.code, o.message) for o in outcomes] == expected
 
 
 class TestRepeatCv:
