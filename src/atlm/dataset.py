@@ -263,9 +263,10 @@ def _matrix(schema, columns) -> tuple[np.ndarray, np.ndarray, tuple]:
 
 def _codes(cells) -> tuple[list, tuple[str, ...]]:
     """Factor cells as codes (None where missing) into levels in order of appearance."""
-    levels = tuple(dict.fromkeys(v for v in cells if v is not None))
-    index = {level: k for k, level in enumerate(levels)}
-    return [index.get(v) for v in cells], levels
+    index = dict.fromkeys(cells)
+    levels = tuple(level for level in index if level is not None)
+    index.update(zip(levels, range(len(levels))))  # None stays None
+    return list(map(index.__getitem__, cells)), levels
 
 
 def _read_text(path: Path, error: type[AtlmError], what: str) -> str:
@@ -467,14 +468,16 @@ def apply_recipe(raw: Dataset, recipe: PrepRecipe) -> Dataset:
                 role = RESPONSE
             elif role == RESPONSE:
                 role = EXPLANATORY
-        schema[i] = ColumnSchema(col.name, kind, role)
+        if (kind, role) != (col.kind, col.role):
+            schema[i] = ColumnSchema(col.name, kind, role)
 
-    values, levels = ds.values.copy(), list(ds.levels)
-    for i in [i for i, (c, old) in enumerate(zip(schema, raw.schema)) if c.kind != old.kind]:
-        cells = ds.column(schema[i].name)
-        labels = {v: _category_label(v) for v in set(cells) - {None}}  # equal cells, one label
-        values[i], levels[i] = _codes([None if v is None else labels[v] for v in cells])
-    ds = replace(ds, schema=tuple(schema), values=values, levels=tuple(levels))
+    if schema != list(raw.schema):  # a column changes kind or role
+        values, levels = ds.values.copy(), list(ds.levels)
+        for i in [i for i, (c, old) in enumerate(zip(schema, raw.schema)) if c.kind != old.kind]:
+            cells = ds.column(schema[i].name)  # numbers, None where missing
+            labels = {v: v if v is None else _category_label(v) for v in dict.fromkeys(cells)}
+            values[i], levels[i] = _codes(list(map(labels.__getitem__, cells)))
+        ds = replace(ds, schema=tuple(schema), values=values, levels=tuple(levels))
 
     if recipe.drop_rows_with_missing:
         ds = ds._rows(~ds.missing.any(axis=0))

@@ -17,6 +17,7 @@ one); it equals the six definitions bit for bit and raises their errors.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -222,21 +223,22 @@ def aggregate(reports) -> MetricSummary:
     reports = list(reports)
     if not reports:
         raise MetricError("cannot aggregate an empty report list")
-    means = {}
-    stds = {}
-    for name in METRIC_FIELDS:
-        means[name], stds[name] = _mean_std(np.array([getattr(r, name) for r in reports]))
-    return MetricSummary(means=means, stds=stds,
-                         n_reports=len(reports),
+    # (metrics x reports): each metric's row is reduced as its own 1-D array would be
+    values = np.array(list(map(operator.attrgetter(*METRIC_FIELDS), reports)), dtype=float).T.copy()
+    means, stds = (dict(zip(METRIC_FIELDS, row.tolist())) for row in _mean_std(values))
+    return MetricSummary(means=means, stds=stds, n_reports=len(reports),
                          single_sample=len(reports) == 1)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite result is kept as it is
-def _mean_std(values: np.ndarray) -> tuple[float, float]:
-    """Mean and n-1 standard deviation (0 for one value); finite values whose
-    sum or squares overflow are scaled down by a power of two first (exact)."""
-    mean, std = values.mean(), values.std(ddof=1) if values.size > 1 else 0.0
-    if not (np.isfinite(mean) and np.isfinite(std)) and np.isfinite(values).all():
-        exponent = int(np.frexp(np.abs(values).max())[1])
-        mean, std = (np.ldexp(v, exponent) for v in _mean_std(np.ldexp(values, -exponent)))
-    return float(mean), float(std)
+def _mean_std(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's mean and n-1 standard deviation (0 for one value); finite rows
+    whose sum or squares overflow are scaled down by a power of two first (exact)."""
+    mean = values.mean(axis=1)
+    std = values.std(axis=1, ddof=1) if values.shape[1] > 1 else np.zeros(len(values))
+    redo = ~(np.isfinite(mean) & np.isfinite(std)) & np.isfinite(values).all(axis=1)
+    if redo.any():
+        exponent = np.frexp(np.abs(values[redo]).max(axis=1))[1]
+        scaled = _mean_std(np.ldexp(values[redo], -exponent[:, None]))
+        mean[redo], std[redo] = (np.ldexp(v, exponent) for v in scaled)
+    return mean, std

@@ -10,7 +10,9 @@ predictions can always be mapped back to the original scale.
 
 Both directions work on rows of the dataset's (columns x rows) matrix: one
 moments pass scores every candidate of every variable, and the b1 values
-equal :func:`skewness_b1` of each transformed column bit for bit.
+equal :func:`skewness_b1` of each transformed column bit for bit.  They are
+the public API and the oracle of the plan path in :mod:`atlm.validation`,
+which selects once per group of folds by the same rule.
 """
 
 from __future__ import annotations
@@ -166,14 +168,20 @@ def calculate_transforms(training: Dataset) -> TransformTable:
         if col.kind == CATEGORICAL:
             entries[col.name] = TransformEntry(col.name, NONE, None, {}, categorical=True)
             continue
-        skew_all = skews[i]
-        best_kind, best = NONE, None
-        for kind, value in skew_all.items():
-            # strictly less, so ties go to the weaker transform
-            if isinstance(value, float) and (best is None or abs(value) < abs(best)):
-                best_kind, best = kind, value
-        entries[col.name] = TransformEntry(col.name, best_kind, best, skew_all)
+        at, best = _least_skewed(skews[i].values())
+        entries[col.name] = TransformEntry(col.name, TRANSFORM_KINDS[at], best, skews[i])
     return TransformTable(entries=entries, response=training.response_name)
+
+
+def _least_skewed(b1s) -> tuple[int, float | None]:
+    """The selection rule: of one b1 (or reason for none) per TRANSFORM_KINDS
+    kind, the position and value of the least |b1|; 0 and None if none has one."""
+    best_at, best = 0, None
+    for at, value in enumerate(b1s):
+        # strictly less, so ties go to the weaker transform
+        if isinstance(value, float) and (best is None or abs(value) < abs(best)):
+            best_at, best = at, value
+    return best_at, best
 
 
 def apply_transforms(table: TransformTable, ds: Dataset) -> Dataset:

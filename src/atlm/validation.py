@@ -12,11 +12,17 @@ the masks as (train ids, test ids) tuples for export, and in the
 :class:`~atlm.pipeline.PredictionSet` of each fold.
 
 Every fold is fitted to one :class:`FoldOutcome`, in fold order, then
-scored.  A fold that fails (transform domain violation, unseen factor
-level, ...) carries the error's code and message instead of predictions;
-it is excluded from aggregation but never silently dropped.  Leave-one-out
-test sets are singletons, on which the variance-based measures are
-undefined, so its metrics are computed once over the pooled predictions.
+scored.  Each numeric row is transformed every way once per plan, one
+stacked b1 pass per group of folds with the same training size selects
+their transforms, and each fold gathers its design from the plan's
+candidate columns.  Each fold equals a fit of its rows through the public
+single-model API (``atlm_fit``, ``atlm_predict``), the oracle of this
+path; a fold that could fail is fitted through that API, which words its
+error.  A failed fold (transform domain violation, unseen factor level,
+...) carries the error's code and message instead of predictions; it is
+excluded from aggregation but never silently dropped.  Leave-one-out test
+sets are singletons, on which the variance-based measures are undefined,
+so its metrics are computed once over the pooled predictions.
 k-fold and holdout fill in each fold's report, one stacked
 :func:`~atlm.metrics.report_stack` pass per group of folds with the same
 test size, with the reports and errors that scoring fold by fold would
@@ -30,18 +36,23 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import CATEGORICAL, Dataset
 from .errors import AtlmError, PlanError, ValidationError
-from .linear import UNSEEN_ERROR
+from .linear import INTERCEPT, UNSEEN_ERROR, UNSEEN_POLICIES, DesignMatrix, dummy_label, fit_ols
 from .metrics import MetricReport, MetricSummary, aggregate, report, report_stack
 from .pipeline import PredictionSet, atlm_fit, atlm_predict, pooled
 from .rng import Pcg32
+from .transforms import (INADMISSIBLE, TRANSFORM_KINDS, _FORWARD, _INVERSE, _least_skewed,
+                         _skewness_rows)
 
 LOOCV = "loocv"
 KFOLD = "kfold"
 HOLDOUT = "holdout"
 
 _MAX_SEED = (1 << 64) - 1
+
+#: cells of one stacked skewness pass; a larger group of folds takes several
+_STACK_CELLS = 1 << 15
 
 
 def _integer(name: str, value) -> int:
@@ -134,8 +145,7 @@ class FoldAssignment:
             "plan": self.plan.label(),
             "seed": self.plan.seed,
             "dataset_fingerprint": self.dataset_fingerprint,
-            "folds": [{"train": list(train), "test": list(test)}
-                      for train, test in self.folds],
+            "folds": [{"train": train, "test": test} for train, test in self.folds],
         }
 
 
@@ -172,9 +182,16 @@ def generate_folds(ds: Dataset, plan: ValidationPlan) -> FoldAssignment:
     """The plan's folds as (train ids, test ids) pairs, both sides in the
     dataset's row order."""
     fingerprint, tests = _test_masks(ds, plan)
-    ids = np.array(ds.ids)
-    return FoldAssignment(plan, fingerprint, tuple((tuple(ids[~test].tolist()),
-                                                    tuple(ids[test].tolist())) for test in tests))
+    # a fold whose test rows are one run, as every LOOCV fold's are, is sliced
+    # from the ids, which reuses their int objects; any other is gathered, as
+    # slicing at each of the scattered runs of k-fold measured slower
+    ids, gather = ds.ids, np.array(ds.ids)
+    runs = zip(tests.argmax(axis=1).tolist(), (len(ids) - tests[:, ::-1].argmax(axis=1)).tolist(),
+               np.count_nonzero(tests, axis=1).tolist())
+    return FoldAssignment(plan, fingerprint, tuple(
+        (ids[:a] + ids[b:], ids[a:b]) if b - a == size
+        else (tuple(gather[~test].tolist()), tuple(gather[test].tolist()))
+        for test, (a, b, size) in zip(tests, runs)))
 
 
 @dataclass(frozen=True)
@@ -230,6 +247,97 @@ def _fit_fold(ds: Dataset, index: int, test: np.ndarray, unseen_level: str) -> F
     return FoldOutcome(index, predictions)
 
 
+def _fit_plan(ds: Dataset, tests: np.ndarray, unseen_level: str) -> list[FoldOutcome]:
+    """Every fold's outcome, as :func:`_fit_fold` gives it."""
+    schema, chosen = ds.schema, [None] * len(tests)
+    # these fail every fold, so _fit_fold fits them all
+    shared = (_candidates(ds) if unseen_level in UNSEEN_POLICIES and schema.explanatory
+              and np.isfinite(ds.values.take(schema.active, axis=0)).all() else None)
+    sizes = np.count_nonzero(~tests, axis=1)
+    for size in set(sizes[sizes >= 3].tolist()) if shared else ():  # selection needs 3 rows
+        group = np.flatnonzero(sizes == size)
+        trains = np.nonzero(~tests[group])[1].reshape(len(group), size)
+        for index, rows in zip(group.tolist(), _selections(shared[0], trains)):
+            chosen[index] = rows
+    return [_fit_fold(ds, index, test, unseen_level) if rows is None
+            else _fit_chosen(ds, index, test, rows, shared, unseen_level)
+            for index, (test, rows) in enumerate(zip(tests, chosen))]
+
+
+def _candidates(ds: Dataset):
+    """``(forward, candidates, labels, factors)``: every numeric row under
+    each transform, kind-major; the intercept, ``forward`` and one indicator
+    per factor level as (rows x columns), with their labels; each factor's
+    codes and first indicator.  None if a factor's levels repeat or its codes miss them."""
+    schema, values = ds.schema, ds.values.take(ds.schema.numeric, axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        forward = np.concatenate([_FORWARD[kind](values) for kind in TRANSFORM_KINDS])
+    blocks, factors = [np.ones((1, len(ds))), forward], {}
+    labels = [INTERCEPT, *(schema[i].name for i in schema.numeric * len(TRANSFORM_KINDS))]
+    for i, col in schema.explanatory:
+        if col.kind == CATEGORICAL:
+            codes, levels = ds.values[i].astype(np.intp), ds.levels[i]
+            if len(set(levels)) < len(levels) or not ((0 <= codes) & (codes < len(levels))).all():
+                return None
+            factors[i] = codes, len(labels)
+            blocks.append(codes == np.arange(len(levels))[:, None])
+            labels += [dummy_label(col.name, level) for level in levels]
+    return forward, np.concatenate(blocks, dtype=float).T.copy(), labels, factors
+
+
+def _selections(forward: np.ndarray, trains: np.ndarray) -> list[list[int]]:
+    """Per row of training positions in ``trains``, the candidate column chosen
+    for each numeric variable, each b1 reduced as a fold's own pass would."""
+    rows, size = forward.shape[0], trains.shape[1]
+    step, b1 = max(1, _STACK_CELLS // (rows * size)), []
+    for start in range(0, len(trains), step):
+        # every cell is finite, so a transform is admissible where its values stay finite
+        block = forward[:, trains[start:start + step]].swapaxes(0, 1).reshape(-1, size)
+        admissible = np.isfinite(block).all(axis=1)
+        scored = iter(_skewness_rows(block[admissible]))
+        b1.extend(next(scored) if ok else INADMISSIBLE for ok in admissible.tolist())
+    width = rows // len(TRANSFORM_KINDS)
+    return [[1 + _least_skewed(b1[fold + v:fold + rows:width])[0] * width + v
+             for v in range(width)] for fold in range(0, len(b1), rows)]
+
+
+def _fit_chosen(ds: Dataset, index: int, test: np.ndarray, chosen: list, shared,
+                unseen_level: str) -> FoldOutcome:
+    """The fold fitted on the ``chosen`` columns and, as in ``build_design``,
+    each factor's levels in the order its training rows first hold them."""
+    schema, (_, candidates, labels, factors) = ds.schema, shared
+    train, at = np.flatnonzero(~test), np.flatnonzero(test)
+    rows = [0]
+    for i, _ in schema.explanatory:
+        if i not in factors:
+            rows.append(chosen[schema.numeric.index(i)])
+            continue
+        codes, first = factors[i]
+        seen = list(dict.fromkeys(codes[train].tolist()))
+        if unseen_level == UNSEEN_ERROR and not set(codes[at].tolist()) <= set(seen):
+            return _fit_fold(ds, index, test, unseen_level)
+        rows += [first + code for code in seen[1:]]
+    response = chosen[schema.numeric.index(schema.response)]
+    test_rows = candidates.take(at, axis=0)
+    test_x = test_rows.take(rows, axis=1)
+    # a test value outside its chosen transform's domain is not finite
+    if (len(train) < len(rows) or not np.isfinite(test_x).all()
+            or not np.isfinite(test_rows[:, response]).all()):
+        return _fit_fold(ds, index, test, unseen_level)
+    try:
+        design = candidates.take(train, axis=0).take(rows, axis=1)
+        model = fit_ols(DesignMatrix(tuple(map(labels.__getitem__, rows)), design, {}),
+                        candidates[train, response])
+        # the response's candidate column is 1 + kind * variables + variable
+        with np.errstate(over="ignore", invalid="ignore"):  # PredictionSet rejects inf
+            predicted = _INVERSE[TRANSFORM_KINDS[(response - 1) // len(schema.numeric)]](
+                test_x @ model.coefficient_vector())
+        return FoldOutcome(index, PredictionSet(tuple(map(ds.ids.__getitem__, at.tolist())),
+                                                predicted, ds.values[schema.response, at]))
+    except AtlmError:
+        return _fit_fold(ds, index, test, unseen_level)
+
+
 def _score_folds(ds: Dataset, tests: np.ndarray, outcomes) -> tuple[FoldOutcome, ...]:
     """The outcomes with each fitted fold's metric report filled in, from one
     stacked pass per group of folds with the same test size.
@@ -263,8 +371,7 @@ def run_validation(ds: Dataset, plan: ValidationPlan, *,
         raise PlanError(
             f"plan {plan.label()} leaves test folds of 1 row in the {len(ds)} rows of "
             f"{ds.name!r}; per-fold measures need at least 2, so use loocv")
-    outcomes = tuple(_fit_fold(ds, index, test, unseen_level)
-                     for index, test in enumerate(tests))
+    outcomes = tuple(_fit_plan(ds, tests, unseen_level))
     if plan.kind != LOOCV:
         outcomes = _score_folds(ds, tests, outcomes)
     succeeded = [o for o in outcomes if not o.failed]

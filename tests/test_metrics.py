@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from atlm.errors import MetricError
 from atlm.metrics import (
+    METRIC_FIELDS,
     MetricReport,
     aggregate,
     lsd,
@@ -276,6 +277,33 @@ class TestAggregate:
         with np.errstate(over="ignore"):  # a std past the float range is inf on both sides
             assert big.means["sa"] == np.ldexp(base.means["sa"], exponent)
             assert big.stds["sa"] == np.ldexp(base.stds["sa"], exponent)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def per_field_mean_std(values):
+    """One measure's mean and std as one 1-D array of its values gives them,
+    with a row whose sum or squares overflow scaled down by a power of two."""
+    mean, std = values.mean(), values.std(ddof=1) if values.size > 1 else 0.0
+    if not (np.isfinite(mean) and np.isfinite(std)) and np.isfinite(values).all():
+        exponent = int(np.frexp(np.abs(values).max())[1])
+        mean, std = (np.ldexp(v, exponent) for v in per_field_mean_std(np.ldexp(values, -exponent)))
+    return float(mean), float(std)
+
+
+class TestAggregateStack:
+    @given(st.lists(st.lists(st.one_of(st.floats(), st.floats(-1e10, 1e10),
+                                       st.floats(1e300, 1.7e308)), min_size=6, max_size=6),
+                    min_size=1, max_size=15))
+    @settings(max_examples=300)
+    def test_equals_one_array_per_measure_bit_for_bit(self, rows):
+        """The (measures x reports) matrix gives each measure the bits of its
+        own 1-D array, overflow fallback, infinities and NaNs included."""
+        reports = [MetricReport(2, *row) for row in rows]
+        summary = aggregate(reports)
+        for name in METRIC_FIELDS:
+            mean, std = per_field_mean_std(np.array([getattr(r, name) for r in reports]))
+            assert summary.means[name].hex() == mean.hex()
+            assert summary.stds[name].hex() == std.hex()
 
 
 class TestMicroCorpusOracleEquivalence:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from unittest import mock
 
@@ -9,9 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from atlm import validation
 from atlm.bundled import load_builtin
-from atlm.dataset import Dataset, split
+from atlm.dataset import (CATEGORICAL, EXPLANATORY, IGNORED, NUMERIC, RESPONSE, ColumnSchema,
+                          Dataset, split)
 from atlm.errors import AtlmError, MetricError, PlanError, ValidationError
+from atlm.linear import UNSEEN_POLICIES
 from atlm.metrics import report
 from atlm.pipeline import PredictionSet, atlm_fit, atlm_predict
 from atlm.rng import Pcg32
@@ -261,27 +265,29 @@ class TestRunValidation:
         plan = ValidationPlan(kind="kfold", k=k, seed=4)
         fold_of = {test: i for i, (_, test) in enumerate(generate_folds(ds, plan).folds)}
 
-        def predict_with_fault(model, test, unseen_level):
-            actual = np.linspace(10.0, 20.0, len(test))
+        def predictions_with_fault(row_ids, predicted, actual):
+            actual = np.linspace(10.0, 20.0, len(row_ids))
             predicted = actual * 1.1
-            fault = faults[fold_of[test.ids]]
+            fault = faults[fold_of[row_ids]]
             if fault == "constant actuals":
                 actual[:] = 7.0
             elif fault == "nonpositive prediction":
                 predicted[-1] = -1.0
             elif fault == "nonpositive actual":
                 actual[0] = 0.0
-            return PredictionSet(test.ids, predicted, actual)
+            return PredictionSet(row_ids, predicted, actual)
 
         expected = None
         for train_ids, test_ids in generate_folds(ds, plan).folds:
             train, test = split(ds, train_ids, test_ids)
             try:
-                report(predict_with_fault(None, test, None), train.response_column())
+                report(predictions_with_fault(test.ids, None, None), train.response_column())
             except MetricError as exc:
                 expected = str(exc)
                 break
-        with mock.patch("atlm.validation.atlm_predict", predict_with_fault):
+        # every fold of this dataset takes the plan path, which builds each
+        # fold's PredictionSet from the name validation imports
+        with mock.patch("atlm.validation.PredictionSet", predictions_with_fault):
             if expected is None:
                 assert run_validation(ds, plan).n_succeeded == k
             else:
@@ -296,34 +302,117 @@ class TestRunValidation:
             run_validation(bad, ValidationPlan(kind="loocv"))
 
 
-def fit_through_split(ds, fold):
+def fit_through_split(ds, fold, unseen_level="error"):
     """(predictions, code, message) of one fold fitted through the public
     split: the predictions, or the code and message of the error."""
     try:
         train, test = split(ds, *fold)
-        return atlm_predict(atlm_fit(train), test), None, None
+        return atlm_predict(atlm_fit(train), test, unseen_level=unseen_level), None, None
     except AtlmError as exc:
         return None, exc.code, str(exc)
 
 
+#: how a generated numeric column's values are drawn
+NUMBERS = {
+    "positive": st.floats(0.01, 1e4),
+    "with zeros": st.sampled_from([0.0, -0.0, 1.0, 2.5, 7.0, 40.0]),
+    "signed": st.floats(-1e3, 1e3),
+    "two-valued": st.sampled_from([3.0, 11.0]),
+    "skewed": st.floats(-2.0, 8.0).map(math.exp),  # log or sqrt usually wins
+}
+
+
+@st.composite
+def mixed_plans(draw):
+    """A dataset of 4 to 24 rows with gapped ids and mixed columns: numeric
+    ones with zeros, negatives, two values, one value or another column's
+    values; factors with singleton levels; an ignored column; and a
+    response that may leave a transform's domain.  With any plan kind."""
+    n = draw(st.integers(4, 24))
+    ids = draw(st.permutations(range(n + 3)))[:n]
+    schema, columns = [], []
+
+    def add(kind, role, cells):
+        schema.append(ColumnSchema(f"c{len(schema)}", kind, role))
+        columns.append(cells)
+
+    def numbers(shape):
+        if shape == "constant":
+            return [draw(NUMBERS["positive"])] * n
+        cells = draw(st.lists(NUMBERS.get(shape, NUMBERS["skewed"]), min_size=n, max_size=n))
+        if shape == "one nonpositive":  # outside log's domain, or sqrt's, in one row
+            cells[draw(st.integers(0, n - 1))] = draw(st.sampled_from([0.0, -0.0, -1.0]))
+        return cells
+
+    for _ in range(draw(st.sampled_from([0, 1, 2, 3, 3]))):
+        shape = draw(st.sampled_from([*NUMBERS, "one nonpositive", "constant", "copy"]))
+        numeric = [c for c, col in zip(columns, schema) if col.kind == NUMERIC]
+        add(NUMERIC, EXPLANATORY, list(draw(st.sampled_from(numeric))) if shape == "copy"
+            and numeric else numbers(shape))
+    for _ in range(draw(st.integers(0, 2))):
+        add(CATEGORICAL, EXPLANATORY, draw(st.lists(st.sampled_from("abcd"), min_size=n,
+                                                    max_size=n)))
+    if draw(st.booleans()):
+        add(NUMERIC, IGNORED, [None] * n)
+    add(NUMERIC, RESPONSE, numbers(draw(st.sampled_from(
+        ["positive", "skewed", "one nonpositive", "with zeros", "signed"]))))
+    ds = Dataset.from_columns("mixed", schema, ids, columns)
+    kind = draw(st.sampled_from(["loocv", "kfold", "holdout"]))
+    if kind == "loocv":
+        return ds, ValidationPlan(kind=kind)
+    if kind == "kfold":
+        return ds, ValidationPlan(kind=kind, seed=draw(st.integers(0, 99)),
+                                  k=draw(st.integers(2, n // 2)))
+    return ds, ValidationPlan(kind=kind, seed=draw(st.integers(0, 99)),
+                              test_size=draw(st.integers(2, n - 1)),
+                              repeats=draw(st.integers(1, 6)))
+
+
 @given(st.one_of(split_plans(), split_plans().map(
-    lambda case: (case[0], ValidationPlan(kind="loocv", seed=case[1].seed)))))
-@settings(max_examples=60, deadline=None)
-def test_each_fold_equals_a_fit_of_its_exported_ids(case):
-    # the harness works on row positions; the exported id tuples, fitted
-    # through the public split, must give the same fold
+    lambda case: (case[0], ValidationPlan(kind="loocv", seed=case[1].seed))), mixed_plans()),
+    st.sampled_from(UNSEEN_POLICIES))
+@settings(max_examples=200, deadline=None)
+def test_each_fold_equals_a_fit_of_its_exported_ids(case, unseen_level):
+    # the harness selects transforms and gathers designs once per plan, on
+    # row positions; the exported id tuples, fitted one fold at a time
+    # through the public split, atlm_fit and atlm_predict, must give the
+    # same fold: the same predictions, or the same failure code and message
     ds, plan = case
     folds = generate_folds(ds, plan).folds
-    expected = [fit_through_split(ds, fold) for fold in folds]
+    expected = [fit_through_split(ds, fold, unseen_level) for fold in folds]
     try:
-        outcomes = run_validation(ds, plan).outcomes
+        outcomes = run_validation(ds, plan, unseen_level=unseen_level).outcomes
     except PlanError:
         assert plan.kind != "loocv" and min(len(test) for _, test in folds) == 1
-        return
     except ValidationError:
         assert all(predictions is None for predictions, _, _ in expected)
-        return
+    except MetricError:  # a fold's measures are undefined, but it was fitted
+        pass
+    else:
+        assert [(o.predictions, o.code, o.message) for o in outcomes] == expected
+    # the fits themselves, whatever scoring makes of them
+    outcomes = validation._fit_plan(ds, validation._test_masks(ds, plan)[1], unseen_level)
     assert [(o.predictions, o.code, o.message) for o in outcomes] == expected
+
+
+def test_factor_levels_that_repeat_a_name_are_fitted_fold_by_fold():
+    # only a hand-built Dataset has them; build_design keys levels by name
+    xs = [1.0, 2.0, 4.0, 8.0, 3.0, 5.0, 9.0, 6.0, 7.0, 10.0]
+    ds = Dataset("dup", [ColumnSchema("f", CATEGORICAL), ColumnSchema("x", NUMERIC),
+                         ColumnSchema("y", NUMERIC, RESPONSE)], tuple(range(10)),
+                 np.array([[0, 1, 2, 0, 1, 2, 0, 1, 2, 0], xs, [3 * x + 1 for x in xs]]),
+                 np.zeros((3, 10), dtype=bool), (("a", "a", "b"), (), ()))
+    tests = validation._test_masks(ds, ValidationPlan(kind="kfold", k=5, seed=1))[1]
+    assert validation._fit_plan(ds, tests, "error") == [
+        validation._fit_fold(ds, index, test, "error") for index, test in enumerate(tests)]
+
+
+def test_an_unknown_unseen_level_policy_fails_every_fold():
+    ds = load_builtin("cocomo81")
+    with pytest.raises(ValidationError) as exc:
+        run_validation(ds, ValidationPlan(kind="kfold", k=10, seed=1), unseen_level="bogus")
+    assert str(exc.value) == ("all 10 folds failed for 'cocomo81'; first failure: "
+                              "unknown unseen-level policy 'bogus'")
 
 
 class TestRepeatCv:
