@@ -1,0 +1,122 @@
+"""Fold-by-fold differences behind the golden outputs, a git revision against the working tree.
+
+Usage:
+    python scripts/golden_diff.py REV
+
+Every fitted fold behind ``tests/golden`` is fitted by the ``atlm`` of
+``REV`` (extracted with ``git archive`` into a temporary directory) and by
+the one in the working tree's ``src/``: the folds of ``reproduce table1``,
+``table2`` and ``figure1``, and of ``evaluate --plan loocv`` on each bundled
+dataset, plus the whole-dataset transform table of each ``inspect`` file.
+Each side runs in its own interpreter.  Predictions and failure codes come
+from ``run_validation``, the path the golden files are written by; each
+fold's transforms come from ``atlm_fit`` on its training rows.
+
+For each fold that changed, one line gives the variables whose transform
+changed and the largest relative change of a prediction (or the change of
+failure code).  The last line counts the changed folds, and reads ``no fold
+changed`` when there are none.  ``export-folds`` fits nothing and is left
+to ``tests/test_golden.py``.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+BUNDLED = ("cocomo81", "desharnais", "maxwell")
+
+
+def dump() -> dict:
+    """Every golden fold of the ``atlm`` on ``sys.path``: ``{label: {fold:
+    [kinds, predictions, code]}}``, kinds as ``{variable: kind}``."""
+    from atlm import cli
+    from atlm.bundled import load_builtin
+    from atlm.dataset import split
+    from atlm.errors import AtlmError
+    from atlm.pipeline import atlm_fit
+    from atlm.transforms import calculate_transforms
+    from atlm.validation import ValidationPlan, generate_folds, run_validation
+
+    def kinds(table) -> dict:
+        return {name: entry.kind for name, entry in table.entries.items()}
+
+    runs = [(f"reproduce {experiment}", name, plan, cli.REPRODUCE_SEED)
+            for experiment, (names, plan) in sorted(cli._REPRODUCE_PLANS.items())
+            for name in names]
+    runs += [("reproduce figure1", "cocomo81", "kfold:10", cli.REPRODUCE_SEED + run)
+             for run in range(cli.FIGURE1_RUNS)]
+    runs += [("evaluate", name, "loocv", 1) for name in BUNDLED]
+    out = {f"inspect {name}": {"all rows": [kinds(calculate_transforms(load_builtin(name))),
+                                            [], None]} for name in BUNDLED}
+    for command, name, plan_text, seed in runs:
+        ds, plan = load_builtin(name), ValidationPlan.parse(plan_text, seed=seed)
+        outcomes = run_validation(ds, plan).outcomes
+        folds = {}
+        for fold, (outcome, ids) in enumerate(zip(outcomes, generate_folds(ds, plan).folds)):
+            try:
+                fitted = kinds(atlm_fit(split(ds, *ids)[0]).transforms)
+            except AtlmError:
+                fitted = None
+            predicted = [] if outcome.failed else outcome.predictions.predicted.tolist()
+            folds[str(fold)] = [fitted, predicted, outcome.code]
+        out[f"{command} {name} {plan_text} seed {seed}"] = folds
+    return out
+
+
+def run_side(src: Path) -> dict:
+    done = subprocess.run([sys.executable, __file__, "--dump"], check=True, text=True,
+                          capture_output=True, env={**os.environ, "PYTHONPATH": str(src)})
+    return json.loads(done.stdout)
+
+
+def relative_change(old: list, new: list) -> float:
+    return max((abs(b - a) / abs(a) if a else abs(b) for a, b in zip(old, new) if a != b),
+               default=0.0)
+
+
+def main(argv: list[str]) -> int:
+    if argv == ["--dump"]:
+        print(json.dumps(dump()))
+        return 0
+    if len(argv) != 1:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory() as work:
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", argv[0], "src"],
+                                 check=True, capture_output=True).stdout
+        subprocess.run(["tar", "x", "-C", work], input=archive, check=True)
+        before = run_side(Path(work, "src"))
+    after = run_side(ROOT / "src")
+    changed = total = 0
+    for label in sorted(before.keys() | after.keys()):
+        old_folds, new_folds = before.get(label, {}), after.get(label, {})
+        for fold in sorted(old_folds.keys() | new_folds.keys(), key=lambda f: (len(f), f)):
+            total += 1
+            old, new = old_folds.get(fold), new_folds.get(fold)
+            if old == new:
+                continue
+            changed += 1
+            if old is None or new is None:
+                print(f"{label} fold {fold}: only {'after' if old is None else 'before'}")
+                continue
+            (old_kinds, old_pred, old_code), (new_kinds, new_pred, new_code) = old, new
+            old_kinds, new_kinds = old_kinds or {}, new_kinds or {}  # None: atlm_fit failed
+            moved = ", ".join(f"{v} {old_kinds.get(v)}->{new_kinds.get(v)}"
+                              for v in sorted(old_kinds.keys() | new_kinds.keys())
+                              if old_kinds.get(v) != new_kinds.get(v))
+            change = (f"code {old_code}->{new_code}" if old_code != new_code else "largest "
+                      f"relative prediction change {relative_change(old_pred, new_pred):.3g}")
+            print(f"{label} fold {fold}: transforms {moved or 'unchanged'}; {change}")
+    print(f"{changed} of {total} folds changed" if changed
+          else f"no fold changed: {total} folds compared, {argv[0]} against the working tree")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -142,6 +142,11 @@ class Dataset:
             raise SchemaError(f"column arrays of {self.name!r} do not fit its schema")
         if len(set(self.ids)) != len(self.ids):
             raise SchemaError("row ids must be unique")
+        for i in [i for i, col in enumerate(self.schema) if col.kind == CATEGORICAL]:
+            codes, names = self.values[i][~self.missing[i]], self.levels[i]
+            if len(set(names)) < len(names) or not set(codes.tolist()) <= set(range(len(names))):
+                raise SchemaError(f"factor {self.schema[i].name!r} of {self.name!r} repeats a "
+                                  f"level name or has a code outside its {len(names)} levels")
         if self.source_rows < 0:
             object.__setattr__(self, "source_rows", len(self.ids))
 

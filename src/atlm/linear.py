@@ -9,11 +9,12 @@ diagonal are aliased (dropped with no coefficient), so deliberately
 collinear feature sets still fit, with predictions unaffected by which
 member of a dependent group is dropped.
 
-The QR fit calls LAPACK through scipy's wrappers: ``dgeqp3`` factors the
-design with column pivoting, ``dorgqr`` forms Q, and ``dtrtrs`` solves the
-leading rank x rank triangle of R against Q'y.  The first fit loads scipy's
-``_flapack`` extension file on its own, so neither ``import atlm`` nor a fit
-imports ``scipy.linalg``.
+The QR fit, :func:`_qr_solve`, calls LAPACK through scipy's wrappers:
+``dgeqp3`` factors the design with column pivoting, ``dorgqr`` forms Q, and
+``dtrtrs`` solves the leading rank x rank triangle of R against Q'y; the plan
+path of :mod:`atlm.validation` calls it on designs gathered in Fortran order.
+The first fit loads scipy's ``_flapack`` extension file on its own, so
+neither ``import atlm`` nor a fit imports ``scipy.linalg``.
 """
 
 from __future__ import annotations
@@ -116,6 +117,9 @@ def build_design(ds: Dataset, levels: dict | None = None,
         labels.extend(dummy_label(col.name, level) for level in lvls[1:])
         rows.append(np.arange(1, len(lvls))[:, None] == index)
 
+    if len(set(labels)) < len(labels):  # fit_ols keys the coefficients by label
+        raise SchemaError(f"dataset {ds.name!r} gives two design columns the label "
+                          f"{max(labels, key=labels.count)!r}")
     return DesignMatrix(labels=tuple(labels),
                         matrix=np.ascontiguousarray(np.concatenate(rows, dtype=float).T),
                         factor_levels=factor_levels)
@@ -173,11 +177,24 @@ def fit_ols(design: DesignMatrix, y) -> FittedLinearModel:
     if p == 0:
         raise FitError("no usable design columns")
 
+    beta, piv, rank = _qr_solve(np.array(x, dtype=float, order="F"), yv)
+    coefficients = {design.labels[piv[i]]: float(beta[i]) for i in range(rank)}
+    aliased = frozenset(design.labels[piv[i]] for i in range(rank, p))
+    return FittedLinearModel(
+        coefficients=coefficients,
+        aliased=aliased,
+        factor_levels=dict(design.factor_levels),
+        design_labels=design.labels,
+    )
+
+
+def _qr_solve(design: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """``(beta, pivots, rank)`` of :func:`fit_ols` on a checked, Fortran-ordered
+    ``design``, factored in place: beta fits columns ``pivots[:rank]``."""
     geqp3, orgqr, trtrs = _lapack()
-    qr = np.array(x, dtype=float, order="F")  # factored in place
     # blocking changes the rounding, so use the optimal workspace scipy asks for
-    lwork = int(geqp3(qr, lwork=-1, overwrite_a=1)[3][0])
-    qr, piv, tau, _, _ = geqp3(qr, lwork=lwork, overwrite_a=1)
+    lwork = int(geqp3(design, lwork=-1, overwrite_a=1)[3][0])
+    qr, piv, tau, _, _ = geqp3(design, lwork=lwork, overwrite_a=1)
     diag = np.abs(qr.diagonal())
     if diag[0] <= 0.0:
         raise FitError("no usable design columns")
@@ -187,25 +204,16 @@ def fit_ols(design: DesignMatrix, y) -> FittedLinearModel:
     # R's leading triangle, transposed in Fortran order: solve_triangular hands
     # trtrs the C-ordered R this way, and the other layout rounds differently
     triangle = qr[:rank, :rank].T.copy(order="F")
-    # Q's first min(n, p) columns, formed in place of the reflectors
-    reflectors = qr[:, :min(n, p)]
+    # Q's first min(rows, columns) columns, formed in place of the reflectors
+    reflectors = qr[:, :min(design.shape)]
     q = orgqr(reflectors, tau, lwork=int(orgqr(reflectors, tau, lwork=-1)[1][0]),
               overwrite_a=1)[0]
-    beta, info = trtrs(triangle, (q.T @ yv)[:rank], lower=1, trans=1)
+    beta, info = trtrs(triangle, (q.T @ y)[:rank], lower=1, trans=1)
     if info > 0:
         raise FitError(SINGULAR_FACTOR)
     if not np.isfinite(beta).all():
         raise FitError(NON_FINITE_COEFFICIENT)
-
-    piv = (piv - 1).tolist()  # geqp3 numbers columns from 1
-    coefficients = {design.labels[piv[i]]: float(beta[i]) for i in range(rank)}
-    aliased = frozenset(design.labels[piv[i]] for i in range(rank, p))
-    return FittedLinearModel(
-        coefficients=coefficients,
-        aliased=aliased,
-        factor_levels=dict(design.factor_levels),
-        design_labels=design.labels,
-    )
+    return beta, piv - 1, rank  # geqp3 numbers columns from 1
 
 
 def predict(model: FittedLinearModel, test: Dataset,

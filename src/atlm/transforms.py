@@ -9,8 +9,9 @@ left alone.  The inverse transforms (identity, exp, square) are total, so
 predictions can always be mapped back to the original scale.
 
 Both directions work on rows of the dataset's (columns x rows) matrix: one
-moments pass scores every candidate of every variable, and the b1 values
-equal :func:`skewness_b1` of each transformed column bit for bit.  They are
+moments pass fills a (kinds x variables) b1 array, NaN where a candidate has
+none, equal to :func:`skewness_b1` of each transformed column bit for bit,
+and :func:`_least_skewed` takes its argmin of |b1| over the kinds.  They are
 the public API and the oracle of the plan path in :mod:`atlm.validation`,
 which selects once per group of folds by the same rule.
 """
@@ -123,15 +124,17 @@ class TransformTable:
         }
 
 
-def _skewness_rows(a: np.ndarray) -> list:
-    """:func:`skewness_b1` of each row of a C-contiguous 2-D array, or DEGENERATE.
+def _skewness_rows(a: np.ndarray) -> np.ndarray:
+    """:func:`skewness_b1` of each row of a 2-D array, or NaN.
 
     Summing along the contiguous last axis keeps the 1-D mean's pairwise
-    order; the last step stays on Python floats, as array ``** 1.5`` can
-    differ from scalar ``pow`` in the last bit."""
+    order, so rows that are not contiguous are copied first (numpy sums them
+    in another order); the last step stays on Python floats, as array
+    ``** 1.5`` can differ from scalar ``pow`` in the last bit."""
+    a = np.ascontiguousarray(a)
     n = a.shape[1]
     if n < 3:
-        return [DEGENERATE] * a.shape[0]
+        return np.full(a.shape[0], math.nan)
     with np.errstate(over="ignore", invalid="ignore"):
         d = a - np.add.reduce(a, axis=1, keepdims=True) / n
         dd = d * d
@@ -143,24 +146,26 @@ def _skewness_rows(a: np.ndarray) -> list:
             return _skewness_rows(np.where(overflowed[:, None], _scaled_down(a), a))
     scale = ((n - 1) / n) ** 1.5
     flat = (a == a[:, :1]).all(axis=1).tolist()
-    return [DEGENERATE if constant or (spread := s2 ** 1.5) == 0.0 else s3 / spread * scale
-            for constant, s2, s3 in zip(flat, m2, m3)]
+    return np.array([math.nan if constant or (spread := s2 ** 1.5) == 0.0 else s3 / spread * scale
+                     for constant, s2, s3 in zip(flat, m2, m3)], dtype=float)
 
 
 def calculate_transforms(training: Dataset) -> TransformTable:
-    """Choose, per variable, the admissible transform of least |b1| skew."""
-    schema = training.schema
-    numeric = schema.numeric
+    """Choose, per variable, the admissible transform of least |b1| skew; a
+    missing or non-finite active numeric cell raises MissingValueError."""
+    schema, numeric = training.schema, training.schema.numeric
     values = training.values.take(numeric, axis=0)
+    if not np.isfinite(values).all():
+        training.require_no_missing("select transforms")
     # each domain is a half-line, so a row lies in it when its minimum does
     low = values.min(axis=1, initial=np.inf)
-    admissible = {kind: _DOMAIN[kind](low) for kind in TRANSFORM_KINDS}
-    b1 = iter(_skewness_rows(np.concatenate(
-        [_FORWARD[kind](values[ok]) for kind, ok in admissible.items()])))
-    skews: dict[int, dict] = {i: {} for i in numeric}
-    for kind, ok in admissible.items():
-        for i, valid in zip(numeric, ok.tolist()):
-            skews[i][kind] = next(b1) if valid else INADMISSIBLE
+    admissible = np.array([_DOMAIN[kind](low) for kind in TRANSFORM_KINDS])
+    b1 = np.full(admissible.shape, math.nan)  # (kinds x variables)
+    b1[admissible] = _skewness_rows(np.concatenate(
+        [_FORWARD[kind](values[ok]) for kind, ok in zip(TRANSFORM_KINDS, admissible)]))
+    cells = np.where(admissible, np.where(np.isnan(b1), DEGENERATE, b1.astype(object)),
+                     INADMISSIBLE).T.tolist()
+    scores = dict(zip(numeric, zip(_least_skewed(b1).tolist(), cells)))
 
     entries: dict[str, TransformEntry] = {}
     for i in schema.active:
@@ -168,20 +173,18 @@ def calculate_transforms(training: Dataset) -> TransformTable:
         if col.kind == CATEGORICAL:
             entries[col.name] = TransformEntry(col.name, NONE, None, {}, categorical=True)
             continue
-        at, best = _least_skewed(skews[i].values())
-        entries[col.name] = TransformEntry(col.name, TRANSFORM_KINDS[at], best, skews[i])
+        at, row = scores[i]
+        best = row[at] if isinstance(row[at], float) else None
+        entries[col.name] = TransformEntry(col.name, TRANSFORM_KINDS[at], best,
+                                           dict(zip(TRANSFORM_KINDS, row)))
     return TransformTable(entries=entries, response=training.response_name)
 
 
-def _least_skewed(b1s) -> tuple[int, float | None]:
-    """The selection rule: of one b1 (or reason for none) per TRANSFORM_KINDS
-    kind, the position and value of the least |b1|; 0 and None if none has one."""
-    best_at, best = 0, None
-    for at, value in enumerate(b1s):
-        # strictly less, so ties go to the weaker transform
-        if isinstance(value, float) and (best is None or abs(value) < abs(best)):
-            best_at, best = at, value
-    return best_at, best
+def _least_skewed(b1: np.ndarray) -> np.ndarray:
+    """The selection rule: the position along the first (kinds) axis of ``b1``
+    of the least |b1|, a NaN counting as +inf; the first least wins, so ties
+    go to the weaker transform and a variable with no b1 keeps the first."""
+    return np.where(np.isnan(b1), np.inf, np.abs(b1)).argmin(axis=0)
 
 
 def apply_transforms(table: TransformTable, ds: Dataset) -> Dataset:

@@ -12,38 +12,39 @@ the masks as (train ids, test ids) tuples for export, and in the
 :class:`~atlm.pipeline.PredictionSet` of each fold.
 
 Every fold is fitted to one :class:`FoldOutcome`, in fold order, then
-scored.  Each numeric row is transformed every way once per plan, one
-stacked b1 pass per group of folds with the same training size selects
-their transforms, and each fold gathers its design from the plan's
-candidate columns.  Each fold equals a fit of its rows through the public
-single-model API (``atlm_fit``, ``atlm_predict``), the oracle of this
-path; a fold that could fail is fitted through that API, which words its
-error.  A failed fold (transform domain violation, unseen factor level,
-...) carries the error's code and message instead of predictions; it is
-excluded from aggregation but never silently dropped.  Leave-one-out test
-sets are singletons, on which the variance-based measures are undefined,
-so its metrics are computed once over the pooled predictions.
-k-fold and holdout fill in each fold's report, one stacked
-:func:`~atlm.metrics.report_stack` pass per group of folds with the same
-test size, with the reports and errors that scoring fold by fold would
-give, and aggregate them.
+scored.  Each numeric row is transformed every way once per plan; per
+group of folds with the same training size, one stacked pass fills the b1
+array the selection rule reduces, and one array orders each factor's levels.
+Each fold gathers its design from the plan's (candidates x rows) matrix, in
+Fortran order with no copy, for ``linear._qr_solve``.  Each fold equals a
+fit of its rows through the public single-model API (``atlm_fit``,
+``atlm_predict``), the oracle of this path; a fold that could fail is
+fitted through that API, which words its error.  A failed fold (transform
+domain violation, unseen factor level, ...) carries the error's code and
+message instead of predictions; it is excluded from aggregation but never
+silently dropped.  Leave-one-out test sets are singletons, on which the
+variance-based measures are undefined, so its metrics are computed once
+over the pooled predictions.  k-fold and holdout fill in each fold's
+report, one stacked :func:`~atlm.metrics.report_stack` pass per group of
+folds with the same test size, with the reports and errors that scoring
+fold by fold would give, and aggregate them.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
 from .dataset import CATEGORICAL, Dataset
 from .errors import AtlmError, PlanError, ValidationError
-from .linear import INTERCEPT, UNSEEN_ERROR, UNSEEN_POLICIES, DesignMatrix, dummy_label, fit_ols
+from .linear import INTERCEPT, UNSEEN_ERROR, UNSEEN_POLICIES, _qr_solve, dummy_label
 from .metrics import MetricReport, MetricSummary, aggregate, report, report_stack
 from .pipeline import PredictionSet, atlm_fit, atlm_predict, pooled
 from .rng import Pcg32
-from .transforms import (INADMISSIBLE, TRANSFORM_KINDS, _FORWARD, _INVERSE, _least_skewed,
-                         _skewness_rows)
+from .transforms import TRANSFORM_KINDS, _FORWARD, _INVERSE, _least_skewed, _skewness_rows
 
 LOOCV = "loocv"
 KFOLD = "kfold"
@@ -249,89 +250,110 @@ def _fit_fold(ds: Dataset, index: int, test: np.ndarray, unseen_level: str) -> F
 
 def _fit_plan(ds: Dataset, tests: np.ndarray, unseen_level: str) -> list[FoldOutcome]:
     """Every fold's outcome, as :func:`_fit_fold` gives it."""
-    schema, chosen = ds.schema, [None] * len(tests)
+    schema, designs = ds.schema, {}
     # these fail every fold, so _fit_fold fits them all
     shared = (_candidates(ds) if unseen_level in UNSEEN_POLICIES and schema.explanatory
               and np.isfinite(ds.values.take(schema.active, axis=0)).all() else None)
     sizes = np.count_nonzero(~tests, axis=1)
     for size in set(sizes[sizes >= 3].tolist()) if shared else ():  # selection needs 3 rows
         group = np.flatnonzero(sizes == size)
-        trains = np.nonzero(~tests[group])[1].reshape(len(group), size)
-        for index, rows in zip(group.tolist(), _selections(shared[0], trains)):
-            chosen[index] = rows
-    return [_fit_fold(ds, index, test, unseen_level) if rows is None
-            else _fit_chosen(ds, index, test, rows, shared, unseen_level)
-            for index, (test, rows) in enumerate(zip(tests, chosen))]
+        designs.update(zip(group.tolist(), _designs(ds, shared, tests[group], unseen_level)))
+    return [_fit_fold(ds, index, test, unseen_level) if designs.get(index) is None
+            else _fit_chosen(ds, index, test, *designs[index], shared, unseen_level)
+            for index, test in enumerate(tests)]
 
 
 def _candidates(ds: Dataset):
-    """``(forward, candidates, labels, factors)``: every numeric row under
-    each transform, kind-major; the intercept, ``forward`` and one indicator
-    per factor level as (rows x columns), with their labels; each factor's
-    codes and first indicator.  None if a factor's levels repeat or its codes miss them."""
+    """``(forward, nonfinite, candidates, transposed, factors)``: each numeric
+    row under each transform, kind-major, with 0 for the non-finite cells that
+    ``nonfinite`` marks; the intercept, those rows and one indicator per
+    factor level, as (rows x candidates) and transposed; and each factor's
+    codes and first indicator.  None if two design columns could share a label."""
     schema, values = ds.schema, ds.values.take(ds.schema.numeric, axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         forward = np.concatenate([_FORWARD[kind](values) for kind in TRANSFORM_KINDS])
     blocks, factors = [np.ones((1, len(ds))), forward], {}
-    labels = [INTERCEPT, *(schema[i].name for i in schema.numeric * len(TRANSFORM_KINDS))]
+    labels = [INTERCEPT, *(col.name for _, col in schema.explanatory if col.kind != CATEGORICAL)]
     for i, col in schema.explanatory:
         if col.kind == CATEGORICAL:
             codes, levels = ds.values[i].astype(np.intp), ds.levels[i]
-            if len(set(levels)) < len(levels) or not ((0 <= codes) & (codes < len(levels))).all():
-                return None
-            factors[i] = codes, len(labels)
+            factors[i] = codes, sum(map(len, blocks))
             blocks.append(codes == np.arange(len(levels))[:, None])
             labels += [dummy_label(col.name, level) for level in levels]
-    return forward, np.concatenate(blocks, dtype=float).T.copy(), labels, factors
+    transposed, nonfinite = np.concatenate(blocks, dtype=float), ~np.isfinite(forward)
+    forward[nonfinite] = 0.0
+    return ((forward, nonfinite, transposed.T.copy(), transposed, factors)
+            if len(set(labels)) == len(labels) else None)
 
 
-def _selections(forward: np.ndarray, trains: np.ndarray) -> list[list[int]]:
-    """Per row of training positions in ``trains``, the candidate column chosen
-    for each numeric variable, each b1 reduced as a fold's own pass would."""
-    rows, size = forward.shape[0], trains.shape[1]
-    step, b1 = max(1, _STACK_CELLS // (rows * size)), []
-    for start in range(0, len(trains), step):
-        # every cell is finite, so a transform is admissible where its values stay finite
-        block = forward[:, trains[start:start + step]].swapaxes(0, 1).reshape(-1, size)
-        admissible = np.isfinite(block).all(axis=1)
-        scored = iter(_skewness_rows(block[admissible]))
-        b1.extend(next(scored) if ok else INADMISSIBLE for ok in admissible.tolist())
-    width = rows // len(TRANSFORM_KINDS)
-    return [[1 + _least_skewed(b1[fold + v:fold + rows:width])[0] * width + v
-             for v in range(width)] for fold in range(0, len(b1), rows)]
-
-
-def _fit_chosen(ds: Dataset, index: int, test: np.ndarray, chosen: list, shared,
-                unseen_level: str) -> FoldOutcome:
-    """The fold fitted on the ``chosen`` columns and, as in ``build_design``,
-    each factor's levels in the order its training rows first hold them."""
-    schema, (_, candidates, labels, factors) = ds.schema, shared
-    train, at = np.flatnonzero(~test), np.flatnonzero(test)
-    rows = [0]
+def _designs(ds: Dataset, shared, tests: np.ndarray, unseen_level: str) -> list:
+    """Per fold of test masks ``tests``, all with one training size, its
+    candidate columns in build_design's order and its response's, or None if
+    a test row holds a level that training lacks, under ``error``."""
+    trains = np.nonzero(~tests)[1].reshape(len(tests), -1)  # training positions
+    schema, size, factors = ds.schema, trains.shape[1], shared[-1]
+    picks = _selections(*shared[:2], trains, tests)
+    unseen, parts = np.zeros(len(trains), dtype=bool), []
     for i, _ in schema.explanatory:
         if i not in factors:
-            rows.append(chosen[schema.numeric.index(i)])
+            parts.append(picks[[schema.numeric.index(i)]].T.tolist())
             continue
-        codes, first = factors[i]
-        seen = list(dict.fromkeys(codes[train].tolist()))
-        if unseen_level == UNSEEN_ERROR and not set(codes[at].tolist()) <= set(seen):
-            return _fit_fold(ds, index, test, unseen_level)
-        rows += [first + code for code in seen[1:]]
-    response = chosen[schema.numeric.index(schema.response)]
+        codes, first_column = factors[i]
+        # each level's first training position, as an index into trains; size if none
+        held = codes[trains][:, None, :] == np.arange(len(ds.levels[i]))[:, None]
+        present = held.any(axis=2)
+        first = np.where(present, held.argmax(axis=2), size)
+        seen = (first_column + np.argsort(first, axis=1, kind="stable")).tolist()
+        counts = np.count_nonzero(present, axis=1)
+        # a fold's training and test rows are all the rows, so a test row holds a
+        # level that training lacks exactly when training lacks a level of the data
+        unseen |= (unseen_level == UNSEEN_ERROR) & (counts < np.count_nonzero(np.bincount(codes)))
+        parts.append([s[1:k] for s, k in zip(seen, counts.tolist())])
+    response = picks[schema.numeric.index(schema.response)].tolist()
+    return [None if skip else ([0, *chain.from_iterable(fold)], column)
+            for skip, fold, column in zip(unseen.tolist(), zip(*parts), response)]
+
+
+def _selections(forward: np.ndarray, nonfinite: np.ndarray, trains: np.ndarray,
+                tests: np.ndarray) -> np.ndarray:
+    """The (variables x folds) candidate columns chosen in each fold, each b1
+    reduced as a fold's own pass would."""
+    rows, size = forward.shape[0], trains.shape[1]
+    step = max(1, _STACK_CELLS // (rows * size))
+    # take gathers each chunk in C order, (rows x folds x size), so that each
+    # fold's row is one contiguous run, as _skewness_rows needs
+    b1 = np.concatenate([
+        _skewness_rows(forward.take(at, axis=1).reshape(-1, size)).reshape(rows, -1)
+        for at in np.split(trains, range(step, len(trains), step))], axis=1)
+    # a transform is admissible where no non-finite cell of its row is a training cell
+    admissible, bad = np.ones(b1.shape, dtype=bool), np.flatnonzero(nonfinite.any(axis=1))
+    admissible[bad] = ~(nonfinite[bad, None] & ~tests).any(axis=2)
+    width = rows // len(TRANSFORM_KINDS)
+    chosen = _least_skewed(np.where(admissible, b1, np.nan).reshape(-1, width, len(trains)))
+    return 1 + chosen * width + np.arange(width)[:, None]
+
+
+def _fit_chosen(ds: Dataset, index: int, test: np.ndarray, columns: list, response: int,
+                shared, unseen_level: str) -> FoldOutcome:
+    """The fold fitted on candidate ``columns``, candidate ``response`` its response."""
+    schema, (_, _, candidates, transposed, _) = ds.schema, shared
+    train, at = np.flatnonzero(~test), np.flatnonzero(test)
     test_rows = candidates.take(at, axis=0)
-    test_x = test_rows.take(rows, axis=1)
+    test_x = test_rows.take(columns, axis=1)
     # a test value outside its chosen transform's domain is not finite
-    if (len(train) < len(rows) or not np.isfinite(test_x).all()
+    if (len(train) < len(columns) or not np.isfinite(test_x).all()
             or not np.isfinite(test_rows[:, response]).all()):
         return _fit_fold(ds, index, test, unseen_level)
     try:
-        design = candidates.take(train, axis=0).take(rows, axis=1)
-        model = fit_ols(DesignMatrix(tuple(map(labels.__getitem__, rows)), design, {}),
-                        candidates[train, response])
+        # gathered as (columns x rows), the design's transpose is in Fortran order
+        beta, pivots, rank = _qr_solve(transposed.take(columns, axis=0).take(train, axis=1).T,
+                                       transposed[response].take(train))
+        coefficients = np.zeros(len(columns))
+        coefficients[pivots[:rank]] = beta
         # the response's candidate column is 1 + kind * variables + variable
         with np.errstate(over="ignore", invalid="ignore"):  # PredictionSet rejects inf
             predicted = _INVERSE[TRANSFORM_KINDS[(response - 1) // len(schema.numeric)]](
-                test_x @ model.coefficient_vector())
+                test_x @ coefficients)
         return FoldOutcome(index, PredictionSet(tuple(map(ds.ids.__getitem__, at.tolist())),
                                                 predicted, ds.values[schema.response, at]))
     except AtlmError:

@@ -8,6 +8,7 @@ import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -281,6 +282,35 @@ def test_schema_errors_keep_their_text(schema, message):
     with pytest.raises(SchemaError) as caught:
         Dataset.from_columns("bad", schema, (0,), cells)
     assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("codes, levels", [
+    ([0, 1, 2, 0, 1, 2, 0, 1, 2, 0], ("a", "a", "b")),
+    ([0, 1, 5, 0, 1, 2, 0, 1, 2, 0], ("a", "b", "c")),
+    ([0, 1, -1, 0, 1, 2, 0, 1, 2, 0], ("a", "b", "c")),
+    ([0, 1, 1.5, 0, 1, 2, 0, 1, 2, 0], ("a", "b", "c")),
+    ([0, 1, math.nan, 0, 1, 2, 0, 1, 2, 0], ("a", "b", "c")),  # NaN, but not missing
+], ids=["repeated-name", "code-past-the-levels", "negative-code", "fractional-code",
+        "unmarked-nan"])
+def test_a_factor_needs_distinct_levels_that_its_codes_index(codes, levels):
+    # only a hand-built Dataset can break this; build_design keys levels by
+    # name and indexes them by code, so such a factor used to fit with no
+    # reference level or end in an IndexError
+    xs = [1.0, 2.0, 4.0, 8.0, 3.0, 5.0, 9.0, 6.0, 7.0, 10.0]
+    with pytest.raises(SchemaError) as caught:
+        Dataset("bad", _columns("f categorical explanatory", "x numeric explanatory",
+                                "y numeric response"), tuple(range(10)),
+                np.array([codes, xs, [3 * x + 1 for x in xs]]), np.zeros((3, 10), dtype=bool),
+                (levels, (), ()))
+    assert str(caught.value) == ("factor 'f' of 'bad' repeats a level name or has a code "
+                                 "outside its 3 levels")
+
+
+def test_a_missing_factor_cell_needs_no_level():
+    codes = np.array([[0.0, math.nan, 1.0], [1.0, 2.0, 3.0]])
+    ds = Dataset("gap", _columns("f categorical explanatory", "y numeric response"), (0, 1, 2),
+                 codes, np.isnan(codes), (("a", "b"), ()))
+    assert ds.column("f") == ("a", None, "b")
 
 
 def test_schema_requires_single_numeric_response():

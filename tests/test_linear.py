@@ -54,6 +54,20 @@ class TestBuildDesign:
         assert design.labels == (INTERCEPT, "x")
         assert (design.matrix[:, 0] == 1.0).all()
 
+    @pytest.mark.parametrize("columns, label", [
+        ({"intercept": [1, 5, 2, 8]}, "intercept"),
+        ({"f": ["a", "b", "a", "c"], "f=b": [1, 5, 2, 8]}, "f=b"),
+        ({"f": ["a", "b", "a", "c"], "f=b=c": [1, 5, 2, 8], "f=b": ["u", "c", "u", "v"]},
+         "f=b=c"),
+    ])
+    def test_two_design_columns_with_one_label_are_a_schema_error(self, columns, label):
+        # fit_ols keys coefficients by label, so the two would share one
+        factors = tuple(c for c, cells in columns.items() if isinstance(cells[0], str))
+        ds = make_dataset({**columns, "y": [1, 2, 3, 4]}, response="y", categorical=factors)
+        with pytest.raises(SchemaError) as caught:
+            build_design(ds)
+        assert str(caught.value) == f"dataset 'test' gives two design columns the label {label!r}"
+
     def test_unseen_level_is_an_error(self):
         train = make_dataset({"f": ["a", "b", "a"], "y": [1, 2, 3]},
                              response="y", categorical=("f",))

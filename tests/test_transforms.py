@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from atlm.errors import DegenerateSampleError, TransformDomainError
+from atlm.errors import DegenerateSampleError, MissingValueError, TransformDomainError
 from atlm.transforms import (
     DEGENERATE,
     INADMISSIBLE,
@@ -15,6 +15,8 @@ from atlm.transforms import (
     NONE,
     SQRT,
     TRANSFORM_KINDS,
+    _least_skewed,
+    _skewness_rows,
     apply_transforms,
     calculate_transforms,
     invert_predictions,
@@ -151,12 +153,50 @@ class TestCalculateTransforms:
             if isinstance(value, float):
                 assert chosen_abs <= abs(value) + 1e-15
 
+    @pytest.mark.parametrize("cell", [math.inf, -math.inf, math.nan, None])
+    def test_a_missing_or_non_finite_numeric_cell_is_a_missing_value_error(self, cell):
+        # an inf cell used to give every kind a NaN b1, and so "none"
+        ds = make_dataset({"v": [1.0, 2.0, cell, 4.0], "y": [1, 2, 3, 5]}, response="y")
+        with pytest.raises(MissingValueError, match="column 'v', row 2$"):
+            calculate_transforms(ds)
+
     def test_determinism_bit_for_bit(self):
         ds = make_dataset({"v": [1.1, 2.7, 9.9, 4.2, 88.0], "y": [3, 1, 4, 1, 5]},
                           response="y")
         t1 = calculate_transforms(ds)
         t2 = calculate_transforms(ds)
         assert t1 == t2
+
+
+def scalar_least_skewed(b1s) -> tuple[int, float | None]:
+    """The selection rule as a scan over one variable's b1 per kind, a float
+    or the reason it has none: the position and value of the least |b1|,
+    ties to the earlier kind; 0 and None if no kind has a b1."""
+    best_at, best = 0, None
+    for at, value in enumerate(b1s):
+        if isinstance(value, float) and (best is None or abs(value) < abs(best)):
+            best_at, best = at, value
+    return best_at, best
+
+
+#: a b1 or the reason for none; the few magnitudes make exact and +-equal ties common
+B1_CELLS = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.25, -1.25, DEGENERATE, INADMISSIBLE]),
+    st.floats(-10.0, 10.0))
+
+
+@given(st.lists(st.lists(B1_CELLS, min_size=3, max_size=3), min_size=1, max_size=6))
+@example([[INADMISSIBLE] * 3])
+@example([[DEGENERATE, INADMISSIBLE, DEGENERATE]])
+@example([[0.5, -0.5, 0.5], [-1.25, INADMISSIBLE, 1.25], [DEGENERATE, 0.0, -0.0]])
+def test_the_array_rule_equals_the_scalar_scan(variables):
+    # (kinds x variables), NaN where a kind has no b1, as both callers build it
+    b1 = np.array([[v if isinstance(v, float) else math.nan for v in var]
+                   for var in variables]).T
+    chosen = _least_skewed(b1)
+    assert (_least_skewed(b1[:, :, None])[:, 0] == chosen).all()  # a trailing folds axis
+    for var, at in zip(variables, chosen.tolist()):
+        assert (at, var[at] if isinstance(var[at], float) else None) == scalar_least_skewed(var)
 
 
 def fixed_table(kinds: dict, response: str):
@@ -303,6 +343,20 @@ class TestColumnarExactness:
                     want = DEGENERATE
                 assert got == want, (name, kind)
                 assert type(got) is type(want)
+
+    @given(numeric_columns())
+    @settings(max_examples=150, deadline=None)
+    def test_skewness_rows_is_skewness_b1_of_each_row_or_nan(self, columns):
+        a = np.array(columns, dtype=float)
+        got = _skewness_rows(a)
+        assert got.dtype == np.float64 and got.shape == (len(columns),)
+        # numpy sums rows that are not contiguous in another order
+        assert np.array_equal(_skewness_rows(np.asfortranarray(a)), got, equal_nan=True)
+        for value, column in zip(got.tolist(), columns):
+            try:
+                assert value == skewness_b1(column)
+            except DegenerateSampleError:
+                assert math.isnan(value)
 
     @given(numeric_columns())
     @settings(max_examples=150, deadline=None)

@@ -15,7 +15,7 @@ from atlm.bundled import load_builtin
 from atlm.dataset import (CATEGORICAL, EXPLANATORY, IGNORED, NUMERIC, RESPONSE, ColumnSchema,
                           Dataset, split)
 from atlm.errors import AtlmError, MetricError, PlanError, ValidationError
-from atlm.linear import UNSEEN_POLICIES
+from atlm.linear import INTERCEPT, UNSEEN_POLICIES
 from atlm.metrics import report
 from atlm.pipeline import PredictionSet, atlm_fit, atlm_predict
 from atlm.rng import Pcg32
@@ -326,8 +326,9 @@ NUMBERS = {
 def mixed_plans(draw):
     """A dataset of 4 to 24 rows with gapped ids and mixed columns: numeric
     ones with zeros, negatives, two values, one value or another column's
-    values; factors with singleton levels; an ignored column; and a
-    response that may leave a transform's domain.  With any plan kind."""
+    values, or with a design label as name; factors with singleton levels;
+    an ignored column; and a response that may leave a transform's domain.
+    With any plan kind."""
     n = draw(st.integers(4, 24))
     ids = draw(st.permutations(range(n + 3)))[:n]
     schema, columns = [], []
@@ -356,6 +357,15 @@ def mixed_plans(draw):
         add(NUMERIC, IGNORED, [None] * n)
     add(NUMERIC, RESPONSE, numbers(draw(st.sampled_from(
         ["positive", "skewed", "one nonpositive", "with zeros", "signed"]))))
+    # a numeric column may be named as the design names the intercept or a
+    # factor level, which some folds' designs then hold twice
+    if draw(st.integers(0, 3)) == 0:
+        factors = [col.name for col in schema if col.kind == CATEGORICAL]
+        at = draw(st.sampled_from([at for at, col in enumerate(schema)
+                                   if col.kind == NUMERIC and col.role != IGNORED]))
+        schema[at] = ColumnSchema(draw(st.sampled_from(
+            [INTERCEPT, *(f"{f}={level}" for f in factors for level in "ab")])), NUMERIC,
+            schema[at].role)
     ds = Dataset.from_columns("mixed", schema, ids, columns)
     kind = draw(st.sampled_from(["loocv", "kfold", "holdout"]))
     if kind == "loocv":
@@ -395,16 +405,20 @@ def test_each_fold_equals_a_fit_of_its_exported_ids(case, unseen_level):
     assert [(o.predictions, o.code, o.message) for o in outcomes] == expected
 
 
-def test_factor_levels_that_repeat_a_name_are_fitted_fold_by_fold():
-    # only a hand-built Dataset has them; build_design keys levels by name
-    xs = [1.0, 2.0, 4.0, 8.0, 3.0, 5.0, 9.0, 6.0, 7.0, 10.0]
-    ds = Dataset("dup", [ColumnSchema("f", CATEGORICAL), ColumnSchema("x", NUMERIC),
-                         ColumnSchema("y", NUMERIC, RESPONSE)], tuple(range(10)),
-                 np.array([[0, 1, 2, 0, 1, 2, 0, 1, 2, 0], xs, [3 * x + 1 for x in xs]]),
-                 np.zeros((3, 10), dtype=bool), (("a", "a", "b"), (), ()))
-    tests = validation._test_masks(ds, ValidationPlan(kind="kfold", k=5, seed=1))[1]
-    assert validation._fit_plan(ds, tests, "error") == [
-        validation._fit_fold(ds, index, test, "error") for index, test in enumerate(tests)]
+@pytest.mark.parametrize("name, clashes", [
+    ("intercept", [True] * 12),
+    ("f=b", [False] + [True] * 11),  # f=b is a dummy where the first row, at level a, trains
+    ("f=a", [True] + [False] * 11),  # and f=a where the second row, at level b, comes first
+])
+def test_a_column_named_as_a_design_label_fails_the_folds_whose_design_repeats_it(
+        name, clashes):
+    xs = [1.0, 2.0, 4.0, 8.0, 3.0, 5.0, 9.0, 6.0, 7.0, 10.0, 12.0, 11.0]
+    ds = make_dataset({name: xs, "f": ["a", "b"] * 6, "y": [3 * x + 1 for x in xs]},
+                      response="y", categorical=("f",))
+    outcomes = validation._fit_plan(ds, np.eye(12, dtype=bool), "error")
+    assert [o.code == "E_SCHEMA" for o in outcomes] == clashes
+    assert {o.message for o in outcomes if o.failed} == {
+        f"dataset 'test' gives two design columns the label {name!r}"}
 
 
 def test_an_unknown_unseen_level_policy_fails_every_fold():
