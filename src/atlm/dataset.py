@@ -1,14 +1,14 @@
 """In-memory tabular datasets, CSV ingestion, and preparation recipes.
 
 A :class:`Dataset` is immutable and columnar: one (columns x rows) matrix
-holds every column, so per-fold work is whole-array operations, and every
-change returns a new instance that folds can share.  Rows keep the
-identifiers they were assigned when the raw file was loaded (0-based line
-order).  Inside the library a row is its position in the matrix, and a set
-of rows is an array of positions or a boolean mask over them.  Ids appear
-only at the edges: exported fold JSON, the public :func:`split`, a
-:class:`~atlm.pipeline.PredictionSet`, a recipe's ``drop_row_ids`` and
-error messages.
+holds every column, a missing cell as NaN, so per-fold work is whole-array
+operations, and every change returns a new instance that folds can share.
+Rows keep the identifiers they were assigned when the raw file was loaded
+(0-based line order).  Inside the library a row is its position in the
+matrix, and a set of rows is an array of positions or a boolean mask over
+them.  Ids appear only at the edges: exported fold JSON, the public
+:func:`split`, a :class:`~atlm.pipeline.PredictionSet`, a recipe's
+``drop_row_ids`` and error messages.
 
 A dataset's columns are a :class:`Schema`: a tuple of :class:`ColumnSchema`
 that also holds the positions every layer indexes the matrix by (name to
@@ -118,17 +118,16 @@ class Dataset:
 
     ``values`` is a (columns x rows) float64 array in schema order holding a
     numeric column's numbers or a factor's codes into its ``levels`` tuple;
-    missing cells are NaN and set in ``missing``.  A ``schema`` given as a
-    plain sequence of columns is stored as a :class:`Schema`.  ``ids`` are
-    the original row identifiers; ``source_rows`` is the row count of the
-    loaded file, which recipe row references are validated against.
+    a missing cell is NaN.  A ``schema`` given as a plain sequence of columns
+    is stored as a :class:`Schema`.  ``ids`` are the original row
+    identifiers; ``source_rows`` is the row count of the loaded file, which
+    recipe row references are validated against.
     """
 
     name: str
     schema: Schema
     ids: tuple[int, ...]
     values: np.ndarray
-    missing: np.ndarray
     levels: tuple[tuple[str, ...], ...]
     source_rows: int = -1
 
@@ -137,13 +136,12 @@ class Dataset:
             object.__setattr__(self, "schema", Schema(self.schema))
         self.schema.check(self.name)
         width = len(self.schema)
-        if not (self.values.shape == self.missing.shape == (width, len(self.ids))
-                and len(self.levels) == width):
+        if not (self.values.shape == (width, len(self.ids)) and len(self.levels) == width):
             raise SchemaError(f"column arrays of {self.name!r} do not fit its schema")
         if len(set(self.ids)) != len(self.ids):
             raise SchemaError("row ids must be unique")
         for i in [i for i, col in enumerate(self.schema) if col.kind == CATEGORICAL]:
-            codes, names = self.values[i][~self.missing[i]], self.levels[i]
+            codes, names = self.values[i][~np.isnan(self.values[i])], self.levels[i]
             if len(set(names)) < len(names) or not set(codes.tolist()) <= set(range(len(names))):
                 raise SchemaError(f"factor {self.schema[i].name!r} of {self.name!r} repeats a "
                                   f"level name or has a code outside its {len(names)} levels")
@@ -154,7 +152,7 @@ class Dataset:
     def from_columns(cls, name: str, schema, ids, columns,
                      source_rows: int = -1) -> "Dataset":
         """Build from one sequence of cells per schema column: numbers, or
-        strings for factors; None where missing.  Codes follow first appearance."""
+        strings for factors; None or NaN where missing.  Codes follow first appearance."""
         schema, ids = tuple(schema), tuple(ids)
         if any(len(cells) != len(ids) for cells in columns):
             raise SchemaError(f"column arrays of {name!r} do not fit its schema")
@@ -164,12 +162,11 @@ class Dataset:
         return len(self.ids)
 
     def __eq__(self, other) -> bool:
-        """Same name, schema, ids, source row count, levels and cell arrays;
-        NaN cells match."""
+        """Same name, schema, ids, source row count, levels and cells; missing
+        (NaN) cells match."""
         return isinstance(other, Dataset) and (
             (self.name, self.schema, self.ids, self.source_rows, self.levels)
             == (other.name, other.schema, other.ids, other.source_rows, other.levels)
-            and np.array_equal(self.missing, other.missing)
             and np.array_equal(self.values, other.values, equal_nan=True))
 
     @property
@@ -185,9 +182,10 @@ class Dataset:
         """The column's cells: floats or level strings, None where missing."""
         i = self.column_index(name)
         cells, levels = self.values[i].tolist(), self.levels[i]  # no levels: numeric
-        if levels or self.missing[i].any():
+        gaps = np.isnan(self.values[i])
+        if levels or gaps.any():
             cells = [None if gap else levels[int(v)] if levels else v
-                     for v, gap in zip(cells, self.missing[i].tolist())]
+                     for v, gap in zip(cells, gaps.tolist())]
         return tuple(cells)
 
     def response_column(self) -> np.ndarray:
@@ -201,7 +199,7 @@ class Dataset:
         writes it, a factor as its level and a missing cell as ``?``.  Each
         column is formatted whole."""
         columns = []
-        for row, gaps, levels in zip(self.values, self.missing, self.levels):
+        for row, gaps, levels in zip(self.values, np.isnan(self.values), self.levels):
             if levels:  # a factor: codes into its levels
                 cells = list(map(levels.__getitem__, np.where(gaps, 0, row).astype(int).tolist()))
             else:
@@ -224,11 +222,11 @@ class Dataset:
                 f"in column {name!r}, row {rid}")
 
     def _first_gap(self, non_finite: bool):
-        """(column, row id, cell) of the first missing cell of an active column,
-        row by row, or None; with ``non_finite`` NaN and infinite cells count too."""
+        """(column, row id, cell) of the first missing (NaN) cell of an active
+        column, row by row, or None; with ``non_finite`` an infinite cell counts too."""
         active = self.schema.active
-        filled = (np.isfinite(self.values.take(active, axis=0)) if non_finite
-                  else ~self.missing.take(active, axis=0))
+        values = self.values.take(active, axis=0)
+        filled = np.isfinite(values) if non_finite else ~np.isnan(values)
         if filled.all():
             return None
         row = int(filled.all(axis=0).argmin())
@@ -240,30 +238,25 @@ class Dataset:
         boolean mask ``at`` is set."""
         at = np.arange(len(self.ids))[at]  # positions; take keeps the matrix in C order
         return self._derive(tuple(map(self.ids.__getitem__, at.tolist())),
-                            self.values.take(at, axis=1), self.missing.take(at, axis=1))
+                            self.values.take(at, axis=1))
 
-    def _derive(self, ids: tuple[int, ...], values: np.ndarray,
-                missing: np.ndarray) -> "Dataset":
+    def _derive(self, ids: tuple[int, ...], values: np.ndarray) -> "Dataset":
         """This dataset with other rows or cell values, built without the
-        constructor's checks: the caller guarantees that ``values`` and
-        ``missing`` fit the schema and ``ids`` and that the ids are unique."""
+        constructor's checks: the caller guarantees that ``values`` fits the
+        schema and ``ids`` and that the ids are unique."""
         new = object.__new__(Dataset)
         new.__dict__.update(name=self.name, schema=self.schema, ids=ids, values=values,
-                            missing=missing, levels=self.levels,
-                            source_rows=self.source_rows)
+                            levels=self.levels, source_rows=self.source_rows)
         return new
 
 
-def _matrix(schema, columns) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """``values``, ``missing`` and ``levels`` of a dataset from one sequence
-    of cells per column: numbers, or strings for factors; None where missing."""
+def _matrix(schema, columns) -> tuple[np.ndarray, tuple]:
+    """``values`` and ``levels`` of a dataset from one sequence of cells per
+    column: numbers, or strings for factors; None or NaN where missing."""
     rows = [_codes(cells) if col.kind == CATEGORICAL else (cells, ())
             for col, cells in zip(schema, columns)]
     values = np.array([row for row, _ in rows], dtype=float)  # None becomes NaN
-    missing = np.isnan(values)
-    for i in np.flatnonzero(missing.any(axis=1)).tolist():
-        missing[i] = [v is None for v in columns[i]]  # a NaN cell is not a gap
-    return values, missing, tuple(levels for _, levels in rows)
+    return values, tuple(levels for _, levels in rows)
 
 
 def _codes(cells) -> tuple[list, tuple[str, ...]]:
@@ -341,8 +334,11 @@ def load_csv(path: str | Path, schema: tuple[ColumnSchema, ...],
             raise ValueError("a record of the wrong width")
         cells = list(zip(*body)) or [()] * len(header)
         columns = [_parse_column(cells[src], numeric) for _name, numeric, src in fields]
-        values, missing, levels = _matrix(schema, columns)
-        if not (np.isfinite(values) | missing).all():
+        values, levels = _matrix(schema, columns)
+        # each missing marker is one NaN, so a column whose non-finite cells
+        # outnumber its markers holds a number that is not finite
+        counts = np.count_nonzero(~np.isfinite(values), axis=1).tolist()
+        if any(n and n != column.count(None) for n, column in zip(counts, columns)):
             raise ValueError("a number that is not finite")
     except (ValueError, csv.Error):
         # name the first bad record or cell from a fresh reader; a record that
@@ -352,7 +348,7 @@ def load_csv(path: str | Path, schema: tuple[ColumnSchema, ...],
         _raise_first_bad_cell(path, reader, len(header), fields)
         raise
     return Dataset(name if name is not None else path.stem, schema,
-                   tuple(range(len(body))), values, missing, levels, len(body))
+                   tuple(range(len(body))), values, levels, len(body))
 
 
 def _parse_column(cells, numeric: bool) -> list:
@@ -485,7 +481,7 @@ def apply_recipe(raw: Dataset, recipe: PrepRecipe) -> Dataset:
         ds = replace(ds, schema=tuple(schema), values=values, levels=tuple(levels))
 
     if recipe.drop_rows_with_missing:
-        ds = ds._rows(~ds.missing.any(axis=0))
+        ds = ds._rows(~np.isnan(ds.values).any(axis=0))
 
     gap = ds._first_gap(non_finite=False)
     if gap is not None:

@@ -40,7 +40,9 @@ class AtlmModel:
 
 @dataclass(frozen=True, eq=False)
 class PredictionSet:
-    """Row ids with aligned arrays of predicted and actual values, original scale."""
+    """Row ids with aligned arrays of predicted and actual values, original scale.
+
+    ``predicted`` and ``actual`` must be 1-D, one finite value per row id."""
 
     row_ids: tuple[int, ...]
     predicted: np.ndarray
@@ -49,6 +51,10 @@ class PredictionSet:
     def __post_init__(self) -> None:
         for name in ("predicted", "actual"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        if not self.predicted.shape == self.actual.shape == (len(self.row_ids),):
+            raise PredictionError(
+                f"predicted of shape {self.predicted.shape} and actual of shape "
+                f"{self.actual.shape} do not fit {len(self.row_ids)} row ids")
         finite = np.isfinite(self.predicted) & np.isfinite(self.actual)
         if not finite.all():
             i = int(finite.argmin())

@@ -39,9 +39,10 @@ DEGENERATE = "degenerate"
 
 _FORWARD = {NONE: lambda a: a, LOG: np.log, SQRT: np.sqrt}
 _INVERSE = {NONE: lambda a: a, LOG: np.exp, SQRT: np.square}
-#: where each transform is defined
-_DOMAIN = {NONE: lambda a: np.full(a.shape, True), LOG: lambda a: a > 0.0,
-           SQRT: lambda a: a >= 0.0}
+#: where each transform is defined; a NaN (a missing cell) counts as inside,
+#: so that the transform passes it through as NaN
+_DOMAIN = {NONE: lambda a: np.full(a.shape, True), LOG: lambda a: ~(a <= 0.0),
+           SQRT: lambda a: ~(a < 0.0)}
 
 
 def skewness_b1(values) -> float:
@@ -78,7 +79,7 @@ def _scaled_down(a: np.ndarray) -> np.ndarray:
 
 
 class TransformEntry(NamedTuple):
-    """One variable's choice; a named tuple, as one is built per variable per fold."""
+    """One variable's choice, with each candidate's b1 or why it has none."""
 
     variable: str
     kind: str
@@ -190,43 +191,31 @@ def _least_skewed(b1: np.ndarray) -> np.ndarray:
 def apply_transforms(table: TransformTable, ds: Dataset) -> Dataset:
     """Forward-transform every active numeric column; factors untouched.
 
-    Raises a domain error naming the variable and the first row whose value
-    lies outside the domain of the transform chosen on training data (the
-    typical case: log was chosen and a test value is <= 0); missing cells
-    are passed over."""
+    Raises a domain error naming the variable and the first row, then column,
+    whose value lies outside the domain of the transform chosen on training
+    data (say log was chosen and a test value is <= 0); a NaN cell stays NaN."""
     schema, entries = ds.schema, table.entries
-    columns: dict[str, list[int]] = {LOG: [], SQRT: []}
+    columns: dict[str, list[int]] = {}  # log and sqrt: the positions they apply to
     for i in schema.numeric:
         entry = entries.get(schema[i].name)
         if entry is None:
             raise SchemaError(f"transform table has no entry for variable {schema[i].name!r}")
-        if entry.kind in columns:
-            columns[entry.kind].append(i)
-    columns = {kind: at for kind, at in columns.items() if at}
+        if entry.kind != NONE:
+            columns.setdefault(entry.kind, []).append(i)
     out = ds.values.copy()
+    outside = np.zeros(out.shape, dtype=bool)
     for kind, at in columns.items():
-        part = out[at]
-        if not _DOMAIN[kind](part).all():  # a value outside, or a missing cell
-            _check_domain(table, ds, columns)
-        out[at] = _FORWARD[kind](part)
-    return ds._derive(ds.ids, out, ds.missing)
-
-
-def _check_domain(table: TransformTable, ds: Dataset, columns: dict) -> None:
-    """Raise for the first row, then column, whose value (not a missing cell)
-    lies outside the domain of the transform chosen for its column."""
-    outside = np.zeros_like(ds.missing)
-    for kind, at in columns.items():
-        outside[at] = ~_DOMAIN[kind](ds.values[at])
-    outside &= ~ds.missing
+        outside[at] = ~_DOMAIN[kind](out[at])
     if outside.any():
-        row = int(outside.any(axis=0).argmax())
-        i = int(outside[:, row].argmax())
-        name = ds.schema[i].name
+        row, i = np.argwhere(outside.T)[0].tolist()  # the first row, then column
+        name = schema[i].name
         raise TransformDomainError(
-            f"value {float(ds.values[i, row])!r} of variable {name!r} in row "
+            f"value {float(out[i, row])!r} of variable {name!r} in row "
             f"{ds.ids[row]} is outside the domain of the training-chosen "
             f"{table[name].kind!r} transform")
+    for kind, at in columns.items():
+        out[at] = _FORWARD[kind](out[at])
+    return ds._derive(ds.ids, out)
 
 
 def invert_predictions(table: TransformTable, predictions) -> list[float]:

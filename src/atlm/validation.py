@@ -110,6 +110,8 @@ class ValidationPlan:
     @classmethod
     def parse(cls, text: str, seed: int = 1) -> "ValidationPlan":
         """Parse ``loocv``, ``kfold:K`` or ``holdout:SxR``."""
+        if not isinstance(text, str):
+            raise PlanError(f"a plan must be text, got {text!r}")
         text = text.strip()
         if text == LOOCV:
             return cls(kind=LOOCV, seed=seed)
@@ -425,6 +427,7 @@ class CvRunSummary:
 def repeat_cv_experiment(ds: Dataset, k: int, runs: int, base_seed: int = 1, *,
                          unseen_level: str = UNSEEN_ERROR) -> tuple[CvRunSummary, ...]:
     """Independent k-fold runs with seeds base_seed, base_seed+1, ..."""
+    runs = _integer("runs", runs)
     if runs < 2:
         raise PlanError(f"repeat experiment needs at least 2 runs, got {runs}")
     summaries = []

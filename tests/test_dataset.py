@@ -231,6 +231,7 @@ SCHEMA_XFY = (ColumnSchema("x", NUMERIC), ColumnSchema("f", CATEGORICAL),
 @example(("x,f,y\nnan,a,2\n1,a\n", SCHEMA_XFY))  # a bad cell, then a short row
 @example(("x,f,y\n1,a,inf\n1e999,a,2\n", SCHEMA_XFY))  # the later column, the earlier row
 @example(("x,f,y\n1,a,NA\n1,a,abc\n2,a,nan\n", SCHEMA_XFY))  # a marker, then bad cells
+@example(("x,f,y\n?,a,1\nNA,a,2\nnan,a,3\n", SCHEMA_XFY))  # two markers, then a nan number
 def test_load_csv_equals_the_cell_by_cell_loader(file):
     text, schema = file
     fast, reference = load_both(text, schema)
@@ -289,9 +290,7 @@ def test_schema_errors_keep_their_text(schema, message):
     ([0, 1, 5, 0, 1, 2, 0, 1, 2, 0], ("a", "b", "c")),
     ([0, 1, -1, 0, 1, 2, 0, 1, 2, 0], ("a", "b", "c")),
     ([0, 1, 1.5, 0, 1, 2, 0, 1, 2, 0], ("a", "b", "c")),
-    ([0, 1, math.nan, 0, 1, 2, 0, 1, 2, 0], ("a", "b", "c")),  # NaN, but not missing
-], ids=["repeated-name", "code-past-the-levels", "negative-code", "fractional-code",
-        "unmarked-nan"])
+], ids=["repeated-name", "code-past-the-levels", "negative-code", "fractional-code"])
 def test_a_factor_needs_distinct_levels_that_its_codes_index(codes, levels):
     # only a hand-built Dataset can break this; build_design keys levels by
     # name and indexes them by code, so such a factor used to fit with no
@@ -300,8 +299,7 @@ def test_a_factor_needs_distinct_levels_that_its_codes_index(codes, levels):
     with pytest.raises(SchemaError) as caught:
         Dataset("bad", _columns("f categorical explanatory", "x numeric explanatory",
                                 "y numeric response"), tuple(range(10)),
-                np.array([codes, xs, [3 * x + 1 for x in xs]]), np.zeros((3, 10), dtype=bool),
-                (levels, (), ()))
+                np.array([codes, xs, [3 * x + 1 for x in xs]]), (levels, (), ()))
     assert str(caught.value) == ("factor 'f' of 'bad' repeats a level name or has a code "
                                  "outside its 3 levels")
 
@@ -309,8 +307,28 @@ def test_a_factor_needs_distinct_levels_that_its_codes_index(codes, levels):
 def test_a_missing_factor_cell_needs_no_level():
     codes = np.array([[0.0, math.nan, 1.0], [1.0, 2.0, 3.0]])
     ds = Dataset("gap", _columns("f categorical explanatory", "y numeric response"), (0, 1, 2),
-                 codes, np.isnan(codes), (("a", "b"), ()))
+                 codes, (("a", "b"), ()))
     assert ds.column("f") == ("a", None, "b")
+
+
+def test_a_nan_number_is_a_missing_cell():
+    cells = {"x": [1.0, math.nan, 3.0, None, 5.0], "y": [5.0, 6.0, 7.0, 8.0, 9.0]}
+    nan = make_dataset(cells, response="y")
+    gap = make_dataset({**cells, "x": [1.0, None, 3.0, None, 5.0]}, response="y")
+    assert nan == gap
+    text = ("x|numeric|explanatory\ny|numeric|response\n"
+            "0:1.0,5.0\n1:?,6.0\n2:3.0,7.0\n3:?,8.0\n4:5.0,9.0\n")
+    assert nan.fingerprint() == gap.fingerprint() == hashlib.sha256(text.encode()).hexdigest()
+    assert nan.column("x") == (1.0, None, 3.0, None, 5.0)
+    with pytest.raises(MissingValueError) as caught:
+        nan.require_no_missing("fit")
+    assert str(caught.value) == ("fit: dataset 'test' has a missing value in column 'x', "
+                                 "row 1")
+    assert apply_recipe(nan, PrepRecipe(drop_rows_with_missing=True)).ids == (0, 2, 4)
+    # in a file, "nan" is still a bad number and not a missing marker
+    fast, reference = load_both("x,f,y\n?,a,1\nNA,a,2\nnan,a,3\n", SCHEMA_XFY)
+    assert fast == reference
+    assert fast[0] is ParseError and fast[1].endswith(":4: column 'x': non-finite value 'nan'")
 
 
 def test_schema_requires_single_numeric_response():
@@ -404,7 +422,7 @@ class TestApplyRecipe:
         ds = make_dataset({"x": [1, None, 3, 4], "y": [5, 6, 7, 8]}, response="y")
         out = apply_recipe(ds, PrepRecipe(drop_rows_with_missing=True))
         assert out.ids == (0, 2, 3)
-        assert not out.missing.any()
+        assert not np.isnan(out.values).any()
 
     def test_missing_left_behind_is_an_error(self):
         ds = make_dataset({"x": [1, None, 3], "y": [5, 6, 7]}, response="y")
@@ -438,10 +456,11 @@ class TestApplyRecipe:
                     max_size=12))
     @settings(max_examples=150, deadline=None)
     @example([-0.0, 0.0, None, -0.0])  # one level "0"
-    @example([float("nan"), 1.0, float("nan"), None])  # one level "nan"
+    @example([float("nan"), 1.0, float("nan"), None])  # NaN is missing, as None is
     def test_cast_labels_equal_the_cell_by_cell_labels(self, cells):
         ds = make_dataset({"x": cells, "y": range(len(cells))}, response="y")
         out = apply_recipe(ds, PrepRecipe(cast_to_categorical=("x",), ignore_columns=("x",)))
+        cells = [None if v is None or math.isnan(v) else v for v in cells]  # NaN is missing
         labels = [None if v is None else str(int(v)) if v.is_integer() else repr(v)
                   for v in cells]
         assert out.column("x") == tuple(labels)

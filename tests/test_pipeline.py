@@ -52,13 +52,15 @@ class TestFit:
         with pytest.raises(MissingValueError):
             atlm_fit(ds)
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
-    def test_non_finite_values_rejected(self, exact_linear, bad):
+    @pytest.mark.parametrize("bad, what", [(float("nan"), "a missing value"),
+                                           (float("inf"), "non-finite value inf")],
+                             ids=["nan", "inf"])
+    def test_non_finite_values_rejected(self, exact_linear, bad, what):
         ds = make_dataset({"x": [1, bad, 3, 4], "y": [1, 2, 3, 4]}, response="y")
-        with pytest.raises(MissingValueError, match="non-finite value"):
+        with pytest.raises(MissingValueError, match=what):
             atlm_fit(ds)
         test = make_dataset({"x": [bad], "y": [1.0]}, response="y")
-        with pytest.raises(MissingValueError, match="non-finite value"):
+        with pytest.raises(MissingValueError, match=what):
             atlm_predict(atlm_fit(exact_linear), test)
 
     def test_too_few_rows_for_design(self):
@@ -138,6 +140,19 @@ def test_pooled_preserves_order():
     a = PredictionSet((0,), [1.0], [2.0])
     b = PredictionSet((5,), [3.0], [4.0])
     assert pooled([a, b]).row_ids == (0, 5)
+
+
+@pytest.mark.parametrize("row_ids, predicted, actual", [
+    ((1, 2), [1.0, 3.0], [2.0]),  # actual too short
+    ((1, 2, 3), [1.0, 2.0, 3.0], [1.0, 2.5]),
+    ((1, 2), [1.0, 2.0], [1.0, 2.0, 3.0]),  # actual too long
+    ((1, 2, 3), [1.0, 2.0], [1.0, 2.0]),  # fewer values than ids
+    ((1,), [[1.0]], [1.0]),  # 2-D
+    ((1,), 1.0, 1.0),  # 0-D
+], ids=["short-actual", "short-both", "long-actual", "extra-id", "2-d", "0-d"])
+def test_prediction_set_rejects_misaligned_arrays(row_ids, predicted, actual):
+    with pytest.raises(PredictionError, match="do not fit"):
+        PredictionSet(row_ids, predicted, actual)
 
 
 def test_prediction_set_rejects_non_finite():

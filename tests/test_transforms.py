@@ -292,6 +292,80 @@ class TestApplyInvert:
 _REFERENCE = {NONE: lambda v: v, LOG: np.log, SQRT: np.sqrt}
 
 
+def two_pass_apply_transforms(table, ds) -> np.ndarray:
+    """The transformed cells by the earlier two-pass domain check: per kind a
+    test of the whole block, and only when it fails :func:`two_pass_check_domain`."""
+    schema, entries = ds.schema, table.entries
+    columns = {LOG: [], SQRT: []}
+    for i in schema.numeric:
+        if entries[schema[i].name].kind in columns:
+            columns[entries[schema[i].name].kind].append(i)
+    columns = {kind: at for kind, at in columns.items() if at}
+    out = ds.values.copy()
+    for kind, at in columns.items():
+        part = out[at]
+        if not _TWO_PASS_DOMAIN[kind](part).all():  # a value outside, or a missing cell
+            two_pass_check_domain(table, ds, columns)
+        out[at] = _REFERENCE[kind](part)
+    return out
+
+
+def two_pass_check_domain(table, ds, columns: dict) -> None:
+    """Raise for the first row, then column, whose value (not a missing NaN
+    cell) lies outside the domain of the transform chosen for its column."""
+    outside = np.zeros(ds.values.shape, dtype=bool)
+    for kind, at in columns.items():
+        outside[at] = ~_TWO_PASS_DOMAIN[kind](ds.values[at])
+    outside &= ~np.isnan(ds.values)
+    if outside.any():
+        row = int(outside.any(axis=0).argmax())
+        i = int(outside[:, row].argmax())
+        name = ds.schema[i].name
+        raise TransformDomainError(
+            f"value {float(ds.values[i, row])!r} of variable {name!r} in row "
+            f"{ds.ids[row]} is outside the domain of the training-chosen "
+            f"{table[name].kind!r} transform")
+
+
+_TWO_PASS_DOMAIN = {LOG: lambda a: a > 0.0, SQRT: lambda a: a >= 0.0}
+
+
+#: cells on and around the domains' edges, NaN (missing) included
+DOMAIN_CELLS = st.sampled_from([math.nan, 0.0, -0.0, 1.0, -1.0]) | st.floats()
+
+
+@st.composite
+def kind_tables(draw):
+    """(table, dataset): up to four numeric columns and the response, each
+    with a random kind, an ignored column that no transform touches, and a
+    factor, over cells that are NaN, zero, negative or positive."""
+    n = draw(st.integers(1, 6))
+    names = [f"v{i}" for i in range(draw(st.integers(0, 4)))] + ["y"]
+    cells = {name: draw(st.lists(DOMAIN_CELLS, min_size=n, max_size=n)) for name in names}
+    cells["ignored"] = [-1.0] * n
+    cells["f"] = draw(st.lists(st.sampled_from("ab"), min_size=n, max_size=n))
+    ds = make_dataset(cells, response="y", categorical=("f",), ignored=("ignored",))
+    kinds = {name: draw(st.sampled_from(TRANSFORM_KINDS)) for name in names}
+    return fixed_table({**kinds, "f": NONE}, response="y"), ds
+
+
+@given(kind_tables())
+@settings(max_examples=300, deadline=None)
+@example((fixed_table({"a": LOG, "b": SQRT, "y": NONE}, "y"),
+          make_dataset({"a": [1.0, math.nan, -0.0], "b": [math.nan, -1.0, -0.0],
+                        "y": [1.0, 2.0, 3.0]}, response="y")))
+def test_the_one_pass_domain_check_equals_the_two_pass_check(case):
+    table, ds = case
+    try:
+        expected = two_pass_apply_transforms(table, ds)
+    except TransformDomainError as exc:
+        with pytest.raises(TransformDomainError) as caught:
+            apply_transforms(table, ds)
+        assert str(caught.value) == str(exc)
+    else:
+        assert apply_transforms(table, ds).values.tobytes() == expected.tobytes()
+
+
 @st.composite
 def numeric_columns(draw):
     """A few equal-length numeric columns: positive, two-valued, constant, or

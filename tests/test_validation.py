@@ -59,6 +59,11 @@ class TestPlan:
         with pytest.raises(PlanError):
             ValidationPlan.parse(text)
 
+    @pytest.mark.parametrize("text", [None, 10, b"loocv"])
+    def test_parse_needs_text(self, text):
+        with pytest.raises(PlanError, match="a plan must be text"):
+            ValidationPlan.parse(text)
+
     @pytest.mark.parametrize("fields", [
         {"kind": "kfold", "k": 2.5}, {"kind": "kfold", "k": True},
         {"kind": "holdout", "test_size": 2.5, "repeats": 3},
@@ -240,7 +245,7 @@ class TestRunValidation:
         xs[5] = float("nan")
         ds = make_dataset({"x": xs, "y": ys}, response="y")
         # the row is in training or test of every fold, so every fold fails
-        with pytest.raises(ValidationError, match="non-finite value nan"):
+        with pytest.raises(ValidationError, match="a missing value"):  # a NaN is missing
             run_validation(ds, ValidationPlan(kind="kfold", k=3, seed=1))
 
     @pytest.mark.parametrize("name, plan", [("cocomo81", "kfold:10"), ("maxwell", "kfold:10"),
@@ -450,3 +455,7 @@ class TestRepeatCv:
     def test_needs_at_least_two_runs(self):
         with pytest.raises(PlanError):
             repeat_cv_experiment(linear_dataset(), k=3, runs=1)
+
+    def test_a_non_integer_run_count_is_a_plan_error(self):
+        with pytest.raises(PlanError, match="runs must be an integer, got 2.5"):
+            repeat_cv_experiment(linear_dataset(), k=3, runs=2.5)
