@@ -69,9 +69,20 @@ def dump() -> dict:
     return out
 
 
-def run_side(src: Path) -> dict:
-    done = subprocess.run([sys.executable, __file__, "--dump"], check=True, text=True,
-                          capture_output=True, env={**os.environ, "PYTHONPATH": str(src)})
+def run(args: list[str], what: str, **kwargs) -> subprocess.CompletedProcess:
+    """``args`` run to completion; on failure, exit 1 with one ``golden_diff:``
+    line naming ``what`` and giving the last line of its stderr."""
+    done = subprocess.run(args, capture_output=True, **kwargs)
+    if done.returncode:
+        stderr = done.stderr if isinstance(done.stderr, str) else done.stderr.decode()
+        why = stderr.strip().splitlines() or [f"exit status {done.returncode}"]
+        raise SystemExit(f"golden_diff: {what} failed: {why[-1]}")
+    return done
+
+
+def run_side(src: Path, name: str) -> dict:
+    done = run([sys.executable, __file__, "--dump"], f"--dump of {name}", text=True,
+               env={**os.environ, "PYTHONPATH": str(src)})
     return json.loads(done.stdout)
 
 
@@ -88,11 +99,11 @@ def main(argv: list[str]) -> int:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
     with tempfile.TemporaryDirectory() as work:
-        archive = subprocess.run(["git", "-C", str(ROOT), "archive", argv[0], "src"],
-                                 check=True, capture_output=True).stdout
-        subprocess.run(["tar", "x", "-C", work], input=archive, check=True)
-        before = run_side(Path(work, "src"))
-    after = run_side(ROOT / "src")
+        archive = run(["git", "-C", str(ROOT), "archive", argv[0], "src"],
+                      f"git archive {argv[0]}").stdout
+        run(["tar", "x", "-C", work], "tar", input=archive)
+        before = run_side(Path(work, "src"), argv[0])
+    after = run_side(ROOT / "src", "the working tree")
     changed = total = 0
     for label in sorted(before.keys() | after.keys()):
         old_folds, new_folds = before.get(label, {}), after.get(label, {})

@@ -5,9 +5,9 @@ L observed levels contributes L-1 indicator columns, compared from its
 codes, against a reference level (the first level seen in the training
 column).  The fit uses a column-pivoted Householder QR; columns whose
 pivoted diagonal is zero or falls below ``RANK_TOL`` times the leading
-diagonal are aliased (dropped with no coefficient), so deliberately
-collinear feature sets still fit, with predictions unaffected by which
-member of a dependent group is dropped.
+diagonal are aliased (coefficient 0), so collinear feature sets still fit,
+with predictions unaffected by which member of a dependent group is dropped.
+Coefficients are keyed by design position: two columns may share a label.
 
 The QR fit, :func:`_qr_solve`, calls LAPACK through scipy's wrappers:
 ``dgeqp3`` factors the design with column pivoting, ``dorgqr`` forms Q, and
@@ -53,16 +53,13 @@ class DesignMatrix:
 
 @dataclass(frozen=True)
 class FittedLinearModel:
-    """Estimated coefficients plus everything needed to rebuild a design."""
+    """One coefficient per design column, in ``design_labels`` order and 0.0 at
+    the ``aliased`` positions, plus everything needed to rebuild a design."""
 
-    coefficients: dict
-    aliased: frozenset
+    coefficients: tuple[float, ...]
+    aliased: frozenset[int]
     factor_levels: dict
     design_labels: tuple[str, ...]
-
-    def coefficient_vector(self) -> np.ndarray:
-        return np.array([self.coefficients.get(label, 0.0)
-                         for label in self.design_labels])
 
 
 def dummy_label(factor: str, level: str) -> str:
@@ -117,9 +114,6 @@ def build_design(ds: Dataset, levels: dict | None = None,
         labels.extend(dummy_label(col.name, level) for level in lvls[1:])
         rows.append(np.arange(1, len(lvls))[:, None] == index)
 
-    if len(set(labels)) < len(labels):  # fit_ols keys the coefficients by label
-        raise SchemaError(f"dataset {ds.name!r} gives two design columns the label "
-                          f"{max(labels, key=labels.count)!r}")
     return DesignMatrix(labels=tuple(labels),
                         matrix=np.ascontiguousarray(np.concatenate(rows, dtype=float).T),
                         factor_levels=factor_levels)
@@ -177,20 +171,18 @@ def fit_ols(design: DesignMatrix, y) -> FittedLinearModel:
     if p == 0:
         raise FitError("no usable design columns")
 
-    beta, piv, rank = _qr_solve(np.array(x, dtype=float, order="F"), yv)
-    coefficients = {design.labels[piv[i]]: float(beta[i]) for i in range(rank)}
-    aliased = frozenset(design.labels[piv[i]] for i in range(rank, p))
+    coefficients, aliased = _qr_solve(np.array(x, dtype=float, order="F"), yv)
     return FittedLinearModel(
-        coefficients=coefficients,
+        coefficients=tuple(coefficients.tolist()),
         aliased=aliased,
         factor_levels=dict(design.factor_levels),
         design_labels=design.labels,
     )
 
 
-def _qr_solve(design: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """``(beta, pivots, rank)`` of :func:`fit_ols` on a checked, Fortran-ordered
-    ``design``, factored in place: beta fits columns ``pivots[:rank]``."""
+def _qr_solve(design: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, frozenset[int]]:
+    """``(coefficients, aliased)`` of :func:`fit_ols` on a checked, Fortran-ordered
+    ``design``, factored in place: one per column, 0 at the ``aliased`` positions."""
     geqp3, orgqr, trtrs = _lapack()
     # blocking changes the rounding, so use the optimal workspace scipy asks for
     lwork = int(geqp3(design, lwork=-1, overwrite_a=1)[3][0])
@@ -213,7 +205,10 @@ def _qr_solve(design: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray
         raise FitError(SINGULAR_FACTOR)
     if not np.isfinite(beta).all():
         raise FitError(NON_FINITE_COEFFICIENT)
-    return beta, piv - 1, rank  # geqp3 numbers columns from 1
+    coefficients = np.zeros(design.shape[1])
+    # geqp3 numbers columns from 1
+    coefficients[piv[:rank] - 1] = beta
+    return coefficients, frozenset((piv[rank:] - 1).tolist())
 
 
 def predict(model: FittedLinearModel, test: Dataset,
@@ -226,4 +221,4 @@ def predict(model: FittedLinearModel, test: Dataset,
             f"expected columns {list(model.design_labels)}, got {list(design.labels)}")
     # an overflow to inf is reported as E_PREDICT by PredictionSet, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        return design.matrix @ model.coefficient_vector()
+        return design.matrix @ model.coefficients

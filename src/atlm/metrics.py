@@ -17,6 +17,7 @@ one); it equals the six definitions bit for bit and raises their errors.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, fields
 
@@ -75,8 +76,9 @@ def mmre(ps: PredictionSet) -> float:
 
 def pred(ps: PredictionSet, x: float = 25.0) -> float:
     """Fraction of rows whose relative error is within x percent (inclusive)."""
-    if x <= 0:
-        raise MetricError(f"pred threshold must be positive, got {x}")
+    # a bool is an int, and a NaN compares false with everything
+    if isinstance(x, bool) or not isinstance(x, numbers.Real) or not x > 0:
+        raise MetricError(f"pred threshold must be a positive number, got {x!r}")
     if len(ps) == 0:
         raise MetricError("empty prediction set")
     return float(np.mean(_relative_errors(ps) <= x / 100.0))
@@ -133,6 +135,8 @@ def sa(ps: PredictionSet, training_response) -> float:
     train = np.asarray(training_response, dtype=float)
     if train.size == 0:
         raise MetricError("sa needs a nonempty training response sample")
+    if not np.isfinite(train).all():
+        raise MetricError("sa needs a finite training response sample")
     mar_p0 = float(np.mean(np.abs(ps.actual[:, None] - train[None, :])))
     if mar_p0 == 0.0:
         raise MetricError("sa undefined: all actual and training values identical")
@@ -189,6 +193,7 @@ def report_stack(predicted, actual, training) -> list[MetricReport]:
         ((actual == actual[:, :1]).all(axis=1) | (var_actual == 0.0),
          "re_star undefined for constant actuals"),
         (training.shape[1] == 0, "sa needs a nonempty training response sample"),
+        (~np.isfinite(training).all(axis=1), "sa needs a finite training response sample"),
         (mar_p0 == 0.0, "sa undefined: all actual and training values identical"),
     ))
     columns = [measures[name].tolist() for name in METRIC_FIELDS]

@@ -40,7 +40,7 @@ import numpy as np
 
 from .dataset import CATEGORICAL, Dataset
 from .errors import AtlmError, PlanError, ValidationError
-from .linear import INTERCEPT, UNSEEN_ERROR, UNSEEN_POLICIES, _qr_solve, dummy_label
+from .linear import UNSEEN_ERROR, UNSEEN_POLICIES, _qr_solve
 from .metrics import MetricReport, MetricSummary, aggregate, report, report_stack
 from .pipeline import PredictionSet, atlm_fit, atlm_predict, pooled
 from .rng import Pcg32
@@ -270,22 +270,19 @@ def _candidates(ds: Dataset):
     row under each transform, kind-major, with 0 for the non-finite cells that
     ``nonfinite`` marks; the intercept, those rows and one indicator per
     factor level, as (rows x candidates) and transposed; and each factor's
-    codes and first indicator.  None if two design columns could share a label."""
+    codes and first indicator."""
     schema, values = ds.schema, ds.values.take(ds.schema.numeric, axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         forward = np.concatenate([_FORWARD[kind](values) for kind in TRANSFORM_KINDS])
     blocks, factors = [np.ones((1, len(ds))), forward], {}
-    labels = [INTERCEPT, *(col.name for _, col in schema.explanatory if col.kind != CATEGORICAL)]
     for i, col in schema.explanatory:
         if col.kind == CATEGORICAL:
             codes, levels = ds.values[i].astype(np.intp), ds.levels[i]
             factors[i] = codes, sum(map(len, blocks))
             blocks.append(codes == np.arange(len(levels))[:, None])
-            labels += [dummy_label(col.name, level) for level in levels]
     transposed, nonfinite = np.concatenate(blocks, dtype=float), ~np.isfinite(forward)
     forward[nonfinite] = 0.0
-    return ((forward, nonfinite, transposed.T.copy(), transposed, factors)
-            if len(set(labels)) == len(labels) else None)
+    return forward, nonfinite, transposed.T.copy(), transposed, factors
 
 
 def _designs(ds: Dataset, shared, tests: np.ndarray, unseen_level: str) -> list:
@@ -348,10 +345,8 @@ def _fit_chosen(ds: Dataset, index: int, test: np.ndarray, columns: list, respon
         return _fit_fold(ds, index, test, unseen_level)
     try:
         # gathered as (columns x rows), the design's transpose is in Fortran order
-        beta, pivots, rank = _qr_solve(transposed.take(columns, axis=0).take(train, axis=1).T,
-                                       transposed[response].take(train))
-        coefficients = np.zeros(len(columns))
-        coefficients[pivots[:rank]] = beta
+        coefficients, _ = _qr_solve(transposed.take(columns, axis=0).take(train, axis=1).T,
+                                    transposed[response].take(train))
         # the response's candidate column is 1 + kind * variables + variable
         with np.errstate(over="ignore", invalid="ignore"):  # PredictionSet rejects inf
             predicted = _INVERSE[TRANSFORM_KINDS[(response - 1) // len(schema.numeric)]](

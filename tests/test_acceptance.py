@@ -142,7 +142,7 @@ def test_criterion_6_ols_oracle_equivalence():
         y = np.array([uniform(-5.0, 5.0) for _ in range(n)])
         labels = tuple(f"c{j}" for j in range(p))
         model = fit_ols(DesignMatrix(labels, x, {}), y)
-        beta = model.coefficient_vector()
+        beta = np.array(model.coefficients)
         oracle = np.linalg.solve(x.T @ x, x.T @ y)
         assert np.linalg.norm(beta - oracle) <= 1e-8 * max(np.linalg.norm(oracle), 1.0)
 
@@ -151,7 +151,7 @@ def test_criterion_6_ols_oracle_equivalence():
         wide = np.column_stack([x, x[:, dup_col]])
         wide_model = fit_ols(DesignMatrix(labels + ("dup",), wide, {}), y)
         full_pred = x @ beta
-        wide_pred = wide @ wide_model.coefficient_vector()
+        wide_pred = wide @ wide_model.coefficients
         scale = max(float(np.abs(full_pred).max()), 1.0)
         assert np.abs(wide_pred - full_pred).max() <= 1e-8 * scale
         checked += 1

@@ -95,9 +95,13 @@ class TestPred:
     def test_boundary_is_inclusive(self):
         assert pred(ps([125], [100]), 25) == 1.0
 
-    def test_threshold_must_be_positive(self):
-        with pytest.raises(MetricError):
-            pred(ps([1], [1]), 0)
+    @pytest.mark.parametrize("threshold", [0, -25.0, float("nan"), "25", None, True,
+                                           np.bool_(True)])
+    def test_threshold_must_be_positive(self, threshold):
+        with pytest.raises(MetricError) as exc:
+            pred(ps([1], [1]), threshold)
+        assert str(exc.value) == (
+            f"pred threshold must be a positive number, got {threshold!r}")
 
 
 class TestReStar:
@@ -198,6 +202,15 @@ class TestSa:
     def test_identical_everything_rejected(self):
         with pytest.raises(MetricError):
             sa(ps([5], [5]), [5, 5])
+
+    @pytest.mark.parametrize("train", [[math.inf, 1.0], [1.0, math.nan], [-math.inf, 2.0]])
+    def test_a_non_finite_training_response_is_rejected(self, train):
+        # an infinite MAR_P0 made sa a perfect 1.0, and a NaN one made it NaN
+        case = ps([12, 24], [10, 20])
+        for score in (sa, report):
+            with pytest.raises(MetricError) as exc:
+                score(case, train)
+            assert str(exc.value) == "sa needs a finite training response sample"
 
     @given(st.lists(st.floats(min_value=1, max_value=1e3), min_size=2, max_size=8),
            st.lists(st.floats(min_value=1, max_value=1e3), min_size=2, max_size=8))
@@ -384,7 +397,7 @@ class TestReportStack:
 
     FAULTS = ("nonpositive actual", "nonpositive prediction", "constant actuals",
               "actual and training identical", "empty training response",
-              "fewer than 2 rows")
+              "non-finite training response", "fewer than 2 rows")
 
     @pytest.mark.parametrize("fault", FAULTS)
     @given(data=st.data())
@@ -406,6 +419,9 @@ class TestReportStack:
                 actual[row] = 3.5
             elif fault == "actual and training identical":
                 actual[row] = training[row] = 3.5
+            elif fault == "non-finite training response":
+                training[row, data.draw(st.integers(0, training.shape[1] - 1))] = \
+                    data.draw(st.sampled_from([math.inf, -math.inf, math.nan]))
         expected = first_error(predicted, actual, training)
         assert expected is not None
         with pytest.raises(MetricError) as exc:

@@ -3,11 +3,12 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from atlm import validation
@@ -363,7 +364,7 @@ def mixed_plans(draw):
     add(NUMERIC, RESPONSE, numbers(draw(st.sampled_from(
         ["positive", "skewed", "one nonpositive", "with zeros", "signed"]))))
     # a numeric column may be named as the design names the intercept or a
-    # factor level, which some folds' designs then hold twice
+    # factor level: some folds' designs then hold that label twice, and fit
     if draw(st.integers(0, 3)) == 0:
         factors = [col.name for col in schema if col.kind == CATEGORICAL]
         at = draw(st.sampled_from([at for at, col in enumerate(schema)
@@ -410,20 +411,30 @@ def test_each_fold_equals_a_fit_of_its_exported_ids(case, unseen_level):
     assert [(o.predictions, o.code, o.message) for o in outcomes] == expected
 
 
-@pytest.mark.parametrize("name, clashes", [
-    ("intercept", [True] * 12),
-    ("f=b", [False] + [True] * 11),  # f=b is a dummy where the first row, at level a, trains
-    ("f=a", [True] + [False] * 11),  # and f=a where the second row, at level b, comes first
-])
-def test_a_column_named_as_a_design_label_fails_the_folds_whose_design_repeats_it(
-        name, clashes):
+def clashing_dataset(name):
+    """12 rows whose numeric column is named ``name``, a label the design
+    gives the intercept or a level of factor f in some folds."""
     xs = [1.0, 2.0, 4.0, 8.0, 3.0, 5.0, 9.0, 6.0, 7.0, 10.0, 12.0, 11.0]
-    ds = make_dataset({name: xs, "f": ["a", "b"] * 6, "y": [3 * x + 1 for x in xs]},
-                      response="y", categorical=("f",))
-    outcomes = validation._fit_plan(ds, np.eye(12, dtype=bool), "error")
-    assert [o.code == "E_SCHEMA" for o in outcomes] == clashes
-    assert {o.message for o in outcomes if o.failed} == {
-        f"dataset 'test' gives two design columns the label {name!r}"}
+    return make_dataset({name: xs, "f": ["a", "b"] * 6, "y": [3 * x + 1 for x in xs]},
+                        response="y", categorical=("f",))
+
+
+@given(mixed_plans(), st.sampled_from(UNSEEN_POLICIES))
+@example((clashing_dataset("intercept"), ValidationPlan(kind="loocv")), "error")
+@example((clashing_dataset("f=b"), ValidationPlan(kind="kfold", k=4)), "error")
+@example((clashing_dataset("f=a"), ValidationPlan(kind="loocv")), "as-reference")
+@settings(max_examples=150, deadline=None)
+def test_renaming_every_column_changes_no_fold(case, unseen_level):
+    # a fit is keyed by design position, so a column named as the design
+    # names the intercept or a factor level fits as under any other name.
+    # Both fit the original's folds: the fingerprint, which seeds the
+    # shuffles, reads the names.  Messages name columns; codes are compared
+    ds, plan = case
+    renamed = replace(ds, schema=[replace(col, name=f"r{i}") for i, col in enumerate(ds.schema)])
+    tests = validation._test_masks(ds, plan)[1]
+    original, other = (validation._fit_plan(d, tests, unseen_level) for d in (ds, renamed))
+    assert [(o.predictions, o.code) for o in original] == \
+        [(o.predictions, o.code) for o in other]
 
 
 def test_an_unknown_unseen_level_policy_fails_every_fold():
