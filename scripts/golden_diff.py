@@ -13,8 +13,11 @@ from ``run_validation``, the path the golden files are written by; each
 fold's transforms come from ``atlm_fit`` on its training rows.
 
 For each fold that changed, one line gives the variables whose transform
-changed and the largest relative change of a prediction (or the change of
-failure code).  The last line counts the changed folds, and reads ``no fold
+changed and the change of failure code, or else the largest relative change
+of a prediction twice: over the test rows whose explanatory numeric values
+all occur among the fold's training rows ("held values"), and over the rows
+with a value that none of them holds ("a new value").  A class with no rows
+is left out.  The last line counts the changed folds, and reads ``no fold
 changed`` when there are none.  ``export-folds`` fits nothing and is left
 to ``tests/test_golden.py``.
 """
@@ -28,13 +31,16 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 BUNDLED = ("cocomo81", "desharnais", "maxwell")
 
 
 def dump() -> dict:
     """Every golden fold of the ``atlm`` on ``sys.path``: ``{label: {fold:
-    [kinds, predictions, code]}}``, kinds as ``{variable: kind}``."""
+    [kinds, predictions, code, new]}}``, kinds as ``{variable: kind}`` and
+    ``new`` flagging each test row that holds a new value."""
     from atlm import cli
     from atlm.bundled import load_builtin
     from atlm.dataset import split
@@ -46,6 +52,13 @@ def dump() -> dict:
     def kinds(table) -> dict:
         return {name: entry.kind for name, entry in table.entries.items()}
 
+    def new_values(train, test) -> list:
+        new = np.zeros(len(test), dtype=bool)
+        for i in test.schema.numeric:
+            if i != test.schema.response:
+                new |= ~np.isin(test.values[i], train.values[i])
+        return new.tolist()
+
     runs = [(f"reproduce {experiment}", name, plan, cli.REPRODUCE_SEED)
             for experiment, (names, plan) in sorted(cli._REPRODUCE_PLANS.items())
             for name in names]
@@ -53,18 +66,19 @@ def dump() -> dict:
              for run in range(cli.FIGURE1_RUNS)]
     runs += [("evaluate", name, "loocv", 1) for name in BUNDLED]
     out = {f"inspect {name}": {"all rows": [kinds(calculate_transforms(load_builtin(name))),
-                                            [], None]} for name in BUNDLED}
+                                            [], None, []]} for name in BUNDLED}
     for command, name, plan_text, seed in runs:
         ds, plan = load_builtin(name), ValidationPlan.parse(plan_text, seed=seed)
         outcomes = run_validation(ds, plan).outcomes
         folds = {}
         for fold, (outcome, ids) in enumerate(zip(outcomes, generate_folds(ds, plan).folds)):
+            train, test = split(ds, *ids)
             try:
-                fitted = kinds(atlm_fit(split(ds, *ids)[0]).transforms)
+                fitted = kinds(atlm_fit(train).transforms)
             except AtlmError:
                 fitted = None
             predicted = [] if outcome.failed else outcome.predictions.predicted.tolist()
-            folds[str(fold)] = [fitted, predicted, outcome.code]
+            folds[str(fold)] = [fitted, predicted, outcome.code, new_values(train, test)]
         out[f"{command} {name} {plan_text} seed {seed}"] = folds
     return out
 
@@ -86,9 +100,19 @@ def run_side(src: Path, name: str) -> dict:
     return json.loads(done.stdout)
 
 
-def relative_change(old: list, new: list) -> float:
-    return max((abs(b - a) / abs(a) if a else abs(b) for a, b in zip(old, new) if a != b),
-               default=0.0)
+def relative_change(pairs) -> float:
+    return max((abs(b - a) / abs(a) if a else abs(b) for a, b in pairs if a != b), default=0.0)
+
+
+def largest_changes(old: list, new: list, flags: list) -> str:
+    """The largest relative prediction change on rows with held values and
+    on rows with a new value, leaving out a class with no rows."""
+    parts = []
+    for name, flag in (("rows with held values", False), ("rows with a new value", True)):
+        pairs = [(a, b) for a, b, f in zip(old, new, flags) if f == flag]
+        if pairs:
+            parts.append(f"{relative_change(pairs):.3g} on {name}")
+    return "largest relative prediction change " + (", ".join(parts) or "on no rows")
 
 
 def main(argv: list[str]) -> int:
@@ -116,13 +140,13 @@ def main(argv: list[str]) -> int:
             if old is None or new is None:
                 print(f"{label} fold {fold}: only {'after' if old is None else 'before'}")
                 continue
-            (old_kinds, old_pred, old_code), (new_kinds, new_pred, new_code) = old, new
+            (old_kinds, old_pred, old_code, _), (new_kinds, new_pred, new_code, flags) = old, new
             old_kinds, new_kinds = old_kinds or {}, new_kinds or {}  # None: atlm_fit failed
             moved = ", ".join(f"{v} {old_kinds.get(v)}->{new_kinds.get(v)}"
                               for v in sorted(old_kinds.keys() | new_kinds.keys())
                               if old_kinds.get(v) != new_kinds.get(v))
-            change = (f"code {old_code}->{new_code}" if old_code != new_code else "largest "
-                      f"relative prediction change {relative_change(old_pred, new_pred):.3g}")
+            change = (f"code {old_code}->{new_code}" if old_code != new_code
+                      else largest_changes(old_pred, new_pred, flags))
             print(f"{label} fold {fold}: transforms {moved or 'unchanged'}; {change}")
     print(f"{changed} of {total} folds changed" if changed
           else f"no fold changed: {total} folds compared, {argv[0]} against the working tree")

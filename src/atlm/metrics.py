@@ -130,9 +130,9 @@ def sa(ps: PredictionSet, training_response) -> float:
     random guesser that predicts training response values: the mean of
     |actual_i - y_j| over all (test row i, training row j) pairs.
     """
+    train = _training_sample(training_response)
     if len(ps) == 0:
         raise MetricError("empty prediction set")
-    train = np.asarray(training_response, dtype=float)
     if train.size == 0:
         raise MetricError("sa needs a nonempty training response sample")
     if not np.isfinite(train).all():
@@ -145,8 +145,20 @@ def sa(ps: PredictionSet, training_response) -> float:
 
 def report(ps: PredictionSet, training_response) -> MetricReport:
     """All measures for one prediction set."""
-    train = np.asarray(training_response, dtype=float).reshape(1, -1)
-    return report_stack(ps.predicted[None], ps.actual[None], train)[0]
+    train = _training_sample(training_response)
+    return report_stack(ps.predicted[None], ps.actual[None], train[None])[0]
+
+
+def _training_sample(training_response) -> np.ndarray:
+    """The training response sample of :func:`sa` as a 1-D float array."""
+    try:
+        train = np.asarray(training_response, dtype=float)
+    except (TypeError, ValueError):
+        raise MetricError("sa needs a 1-D training response sample, got a ragged "
+                          "or non-numeric one") from None
+    if train.ndim != 1:
+        raise MetricError(f"sa needs a 1-D training response sample, got shape {train.shape}")
+    return train
 
 
 def report_stack(predicted, actual, training) -> list[MetricReport]:

@@ -8,12 +8,12 @@ toward the weaker transform (none > log > sqrt).  Categorical variables are
 left alone.  The inverse transforms (identity, exp, square) are total, so
 predictions can always be mapped back to the original scale.
 
-Both directions work on rows of the dataset's (columns x rows) matrix: one
-moments pass fills a (kinds x variables) b1 array, NaN where a candidate has
-none, equal to :func:`skewness_b1` of each transformed column bit for bit,
-and :func:`_least_skewed` takes its argmin of |b1| over the kinds.  They are
-the public API and the oracle of the plan path in :mod:`atlm.validation`,
-which selects once per group of folds by the same rule.
+:func:`_fold_b1` is the one selection pass, run for the whole dataset by
+:func:`calculate_transforms` and per group of folds by :mod:`atlm.validation`:
+over rows of the (columns x rows) matrix it fills a (kinds x variables x
+folds) b1 array, equal to :func:`skewness_b1` of each transformed column bit
+for bit, +inf where a candidate is inadmissible, NaN where it is degenerate;
+:func:`_least_skewed` takes its argmin of |b1| over the kinds.
 """
 
 from __future__ import annotations
@@ -39,10 +39,12 @@ DEGENERATE = "degenerate"
 
 _FORWARD = {NONE: lambda a: a, LOG: np.log, SQRT: np.sqrt}
 _INVERSE = {NONE: lambda a: a, LOG: np.exp, SQRT: np.square}
-#: where each transform is defined; a NaN (a missing cell) counts as inside,
+#: where log and sqrt are defined; a NaN (a missing cell) counts as inside,
 #: so that the transform passes it through as NaN
-_DOMAIN = {NONE: lambda a: np.full(a.shape, True), LOG: lambda a: ~(a <= 0.0),
-           SQRT: lambda a: ~(a < 0.0)}
+_DOMAIN = {LOG: lambda a: ~(a <= 0.0), SQRT: lambda a: ~(a < 0.0)}
+
+#: cells of one stacked skewness pass; a larger set of folds takes several
+_STACK_CELLS = 1 << 15
 
 
 def skewness_b1(values) -> float:
@@ -151,6 +153,32 @@ def _skewness_rows(a: np.ndarray) -> np.ndarray:
                      for constant, s2, s3 in zip(flat, m2, m3)], dtype=float)
 
 
+def _forward_rows(values: np.ndarray) -> np.ndarray:
+    """Each row under each transform, kind-major; a value outside a domain ends non-finite."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.concatenate([_FORWARD[kind](values) for kind in TRANSFORM_KINDS])
+
+
+def _fold_b1(forward: np.ndarray, trains: np.ndarray) -> np.ndarray:
+    """The (kinds x variables x folds) b1 of ``_forward_rows`` output over each
+    row of training positions ``trains``: +inf where a training cell is not
+    finite (outside the kind's domain), NaN where the sample is degenerate."""
+    rows, size = forward.shape[0], trains.shape[1]
+    nonfinite = ~np.isfinite(forward)
+    bad = np.flatnonzero(nonfinite.any(axis=1))
+    # zeroed for the pass, as a non-finite cell sends its chunk down the overflow
+    # check of _skewness_rows; their b1 is replaced after it
+    forward = np.where(nonfinite, 0.0, forward)
+    step = max(1, _STACK_CELLS // max(1, rows * size))
+    # take gathers each chunk in C order, (rows x folds x size), so that each
+    # fold's row is one contiguous run, as _skewness_rows needs
+    chunks = [trains[at:at + step] for at in range(0, len(trains), step)]
+    b1 = np.concatenate([_skewness_rows(forward.take(c, axis=1).reshape(rows * len(c), size))
+                         .reshape(rows, -1) for c in chunks], axis=1)
+    b1[bad] = np.where(nonfinite[bad][:, trains].any(axis=2), math.inf, b1[bad])
+    return b1.reshape(len(TRANSFORM_KINDS), -1, len(trains))
+
+
 def calculate_transforms(training: Dataset) -> TransformTable:
     """Choose, per variable, the admissible transform of least |b1| skew; a
     missing or non-finite active numeric cell raises MissingValueError."""
@@ -158,14 +186,9 @@ def calculate_transforms(training: Dataset) -> TransformTable:
     values = training.values.take(numeric, axis=0)
     if not np.isfinite(values).all():
         training.require_no_missing("select transforms")
-    # each domain is a half-line, so a row lies in it when its minimum does
-    low = values.min(axis=1, initial=np.inf)
-    admissible = np.array([_DOMAIN[kind](low) for kind in TRANSFORM_KINDS])
-    b1 = np.full(admissible.shape, math.nan)  # (kinds x variables)
-    b1[admissible] = _skewness_rows(np.concatenate(
-        [_FORWARD[kind](values[ok]) for kind, ok in zip(TRANSFORM_KINDS, admissible)]))
-    cells = np.where(admissible, np.where(np.isnan(b1), DEGENERATE, b1.astype(object)),
-                     INADMISSIBLE).T.tolist()
+    b1 = _fold_b1(_forward_rows(values), np.arange(values.shape[1])[None])[..., 0]
+    cells = np.where(np.isinf(b1), INADMISSIBLE,
+                     np.where(np.isnan(b1), DEGENERATE, b1.astype(object))).T.tolist()
     scores = dict(zip(numeric, zip(_least_skewed(b1).tolist(), cells)))
 
     entries: dict[str, TransformEntry] = {}
@@ -183,8 +206,9 @@ def calculate_transforms(training: Dataset) -> TransformTable:
 
 def _least_skewed(b1: np.ndarray) -> np.ndarray:
     """The selection rule: the position along the first (kinds) axis of ``b1``
-    of the least |b1|, a NaN counting as +inf; the first least wins, so ties
-    go to the weaker transform and a variable with no b1 keeps the first."""
+    of the least |b1|.  An inadmissible kind (+inf) and a degenerate one (NaN)
+    both rank last; the first least wins, so ties go to the weaker transform
+    and a variable with no b1 keeps the first."""
     return np.where(np.isnan(b1), np.inf, np.abs(b1)).argmin(axis=0)
 
 

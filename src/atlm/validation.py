@@ -13,8 +13,9 @@ the masks as (train ids, test ids) tuples for export, and in the
 
 Every fold is fitted to one :class:`FoldOutcome`, in fold order, then
 scored.  Each numeric row is transformed every way once per plan; per
-group of folds with the same training size, one stacked pass fills the b1
-array the selection rule reduces, and one array orders each factor's levels.
+group of folds with the same training size, ``transforms._fold_b1`` fills
+the b1 array the selection rule reduces, and one array orders each
+factor's levels.
 Each fold gathers its design from the plan's (candidates x rows) matrix, in
 Fortran order with no copy, for ``linear._qr_solve``.  Each fold equals a
 fit of its rows through the public single-model API (``atlm_fit``,
@@ -44,16 +45,13 @@ from .linear import UNSEEN_ERROR, UNSEEN_POLICIES, _qr_solve
 from .metrics import MetricReport, MetricSummary, aggregate, report, report_stack
 from .pipeline import PredictionSet, atlm_fit, atlm_predict, pooled
 from .rng import Pcg32
-from .transforms import TRANSFORM_KINDS, _FORWARD, _INVERSE, _least_skewed, _skewness_rows
+from .transforms import TRANSFORM_KINDS, _INVERSE, _fold_b1, _forward_rows, _least_skewed
 
 LOOCV = "loocv"
 KFOLD = "kfold"
 HOLDOUT = "holdout"
 
 _MAX_SEED = (1 << 64) - 1
-
-#: cells of one stacked skewness pass; a larger group of folds takes several
-_STACK_CELLS = 1 << 15
 
 
 def _integer(name: str, value) -> int:
@@ -266,23 +264,19 @@ def _fit_plan(ds: Dataset, tests: np.ndarray, unseen_level: str) -> list[FoldOut
 
 
 def _candidates(ds: Dataset):
-    """``(forward, nonfinite, candidates, transposed, factors)``: each numeric
-    row under each transform, kind-major, with 0 for the non-finite cells that
-    ``nonfinite`` marks; the intercept, those rows and one indicator per
-    factor level, as (rows x candidates) and transposed; and each factor's
-    codes and first indicator."""
+    """``(candidates, transposed, factors)``: the intercept, each numeric row
+    under each transform as ``_forward_rows`` gives them, and one indicator
+    per factor level, as (rows x candidates) and transposed; and each
+    factor's codes and first indicator."""
     schema, values = ds.schema, ds.values.take(ds.schema.numeric, axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        forward = np.concatenate([_FORWARD[kind](values) for kind in TRANSFORM_KINDS])
-    blocks, factors = [np.ones((1, len(ds))), forward], {}
+    blocks, factors = [np.ones((1, len(ds))), _forward_rows(values)], {}
     for i, col in schema.explanatory:
         if col.kind == CATEGORICAL:
             codes, levels = ds.values[i].astype(np.intp), ds.levels[i]
             factors[i] = codes, sum(map(len, blocks))
             blocks.append(codes == np.arange(len(levels))[:, None])
-    transposed, nonfinite = np.concatenate(blocks, dtype=float), ~np.isfinite(forward)
-    forward[nonfinite] = 0.0
-    return forward, nonfinite, transposed.T.copy(), transposed, factors
+    transposed = np.concatenate(blocks, dtype=float)
+    return transposed.T.copy(), transposed, factors
 
 
 def _designs(ds: Dataset, shared, tests: np.ndarray, unseen_level: str) -> list:
@@ -290,8 +284,10 @@ def _designs(ds: Dataset, shared, tests: np.ndarray, unseen_level: str) -> list:
     candidate columns in build_design's order and its response's, or None if
     a test row holds a level that training lacks, under ``error``."""
     trains = np.nonzero(~tests)[1].reshape(len(tests), -1)  # training positions
-    schema, size, factors = ds.schema, trains.shape[1], shared[-1]
-    picks = _selections(*shared[:2], trains, tests)
+    schema, size, (_, transposed, factors) = ds.schema, trains.shape[1], shared
+    width = len(schema.numeric)
+    chosen = _least_skewed(_fold_b1(transposed[1:1 + len(TRANSFORM_KINDS) * width], trains))
+    picks = 1 + chosen * width + np.arange(width)[:, None]
     unseen, parts = np.zeros(len(trains), dtype=bool), []
     for i, _ in schema.explanatory:
         if i not in factors:
@@ -313,29 +309,10 @@ def _designs(ds: Dataset, shared, tests: np.ndarray, unseen_level: str) -> list:
             for skip, fold, column in zip(unseen.tolist(), zip(*parts), response)]
 
 
-def _selections(forward: np.ndarray, nonfinite: np.ndarray, trains: np.ndarray,
-                tests: np.ndarray) -> np.ndarray:
-    """The (variables x folds) candidate columns chosen in each fold, each b1
-    reduced as a fold's own pass would."""
-    rows, size = forward.shape[0], trains.shape[1]
-    step = max(1, _STACK_CELLS // (rows * size))
-    # take gathers each chunk in C order, (rows x folds x size), so that each
-    # fold's row is one contiguous run, as _skewness_rows needs
-    b1 = np.concatenate([
-        _skewness_rows(forward.take(at, axis=1).reshape(-1, size)).reshape(rows, -1)
-        for at in np.split(trains, range(step, len(trains), step))], axis=1)
-    # a transform is admissible where no non-finite cell of its row is a training cell
-    admissible, bad = np.ones(b1.shape, dtype=bool), np.flatnonzero(nonfinite.any(axis=1))
-    admissible[bad] = ~(nonfinite[bad, None] & ~tests).any(axis=2)
-    width = rows // len(TRANSFORM_KINDS)
-    chosen = _least_skewed(np.where(admissible, b1, np.nan).reshape(-1, width, len(trains)))
-    return 1 + chosen * width + np.arange(width)[:, None]
-
-
 def _fit_chosen(ds: Dataset, index: int, test: np.ndarray, columns: list, response: int,
                 shared, unseen_level: str) -> FoldOutcome:
     """The fold fitted on candidate ``columns``, candidate ``response`` its response."""
-    schema, (_, _, candidates, transposed, _) = ds.schema, shared
+    schema, (candidates, transposed, _) = ds.schema, shared
     train, at = np.flatnonzero(~test), np.flatnonzero(test)
     test_rows = candidates.take(at, axis=0)
     test_x = test_rows.take(columns, axis=1)

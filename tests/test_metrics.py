@@ -212,6 +212,21 @@ class TestSa:
                 score(case, train)
             assert str(exc.value) == "sa needs a finite training response sample"
 
+    @pytest.mark.parametrize("train, why", [
+        ([[1.0, 2.0], [3.0, 4.0]], "shape (2, 2)"),
+        ([[1.0], [2.0]], "shape (2, 1)"),
+        (5.0, "shape ()"),
+        ([[1.0, 2.0], [3.0]], "a ragged or non-numeric one"),
+    ])
+    def test_a_training_response_that_is_not_1d_is_rejected(self, train, why):
+        # sa broadcast a 2-D sample and report flattened it, so the two
+        # disagreed; a scalar was an IndexError in sa and a sample in report
+        case = ps([1.0, 2.0], [1.5, 2.5])
+        for score in (sa, report):
+            with pytest.raises(MetricError) as exc:
+                score(case, train)
+            assert str(exc.value) == f"sa needs a 1-D training response sample, got {why}"
+
     @given(st.lists(st.floats(min_value=1, max_value=1e3), min_size=2, max_size=8),
            st.lists(st.floats(min_value=1, max_value=1e3), min_size=2, max_size=8))
     @settings(max_examples=50)

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from atlm import transforms
 from atlm.errors import DegenerateSampleError, MissingValueError, TransformDomainError
 from atlm.transforms import (
     DEGENERATE,
@@ -15,6 +17,8 @@ from atlm.transforms import (
     NONE,
     SQRT,
     TRANSFORM_KINDS,
+    _fold_b1,
+    _forward_rows,
     _least_skewed,
     _skewness_rows,
     apply_transforms,
@@ -190,9 +194,10 @@ B1_CELLS = st.one_of(
 @example([[DEGENERATE, INADMISSIBLE, DEGENERATE]])
 @example([[0.5, -0.5, 0.5], [-1.25, INADMISSIBLE, 1.25], [DEGENERATE, 0.0, -0.0]])
 def test_the_array_rule_equals_the_scalar_scan(variables):
-    # (kinds x variables), NaN where a kind has no b1, as both callers build it
-    b1 = np.array([[v if isinstance(v, float) else math.nan for v in var]
-                   for var in variables]).T
+    # (kinds x variables), +inf where a kind is inadmissible and NaN where it is
+    # degenerate, as _fold_b1 gives them
+    b1 = np.array([[v if isinstance(v, float) else math.inf if v == INADMISSIBLE else math.nan
+                    for v in var] for var in variables]).T
     chosen = _least_skewed(b1)
     assert (_least_skewed(b1[:, :, None])[:, 0] == chosen).all()  # a trailing folds axis
     for var, at in zip(variables, chosen.tolist()):
@@ -431,6 +436,35 @@ class TestColumnarExactness:
                 assert value == skewness_b1(column)
             except DegenerateSampleError:
                 assert math.isnan(value)
+
+    @given(numeric_columns(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_fold_b1_equals_skewness_b1_of_each_fold_across_chunks(self, columns, data):
+        n = len(columns[0])
+        size = data.draw(st.integers(0, n), label="training size")
+        folds = data.draw(st.lists(
+            st.lists(st.integers(0, n - 1), min_size=size, max_size=size, unique=True).map(sorted),
+            min_size=1, max_size=6), label="training positions")
+        cells = data.draw(st.sampled_from([1, 5, 64, 1 << 15]), label="cells per pass")
+        values = np.array(columns, dtype=float)
+        with mock.patch.object(transforms, "_STACK_CELLS", cells):
+            got = _fold_b1(_forward_rows(values), np.array(folds, dtype=np.intp).reshape(len(folds), size))
+        assert got.shape == (len(TRANSFORM_KINDS), len(columns), len(folds))
+        for fold, train in enumerate(folds):
+            for variable, row in enumerate(values):
+                x = row[train]
+                domain = {NONE: True, LOG: bool(np.all(x > 0)), SQRT: bool(np.all(x >= 0))}
+                for at, kind in enumerate(TRANSFORM_KINDS):
+                    value = got[at, variable, fold]
+                    if not domain[kind]:
+                        assert value == math.inf, (fold, variable, kind)
+                        continue
+                    try:
+                        want = skewness_b1(_REFERENCE[kind](x))
+                    except DegenerateSampleError:
+                        assert math.isnan(value), (fold, variable, kind)
+                        continue
+                    assert value == want, (fold, variable, kind)
 
     @given(numeric_columns())
     @settings(max_examples=150, deadline=None)
