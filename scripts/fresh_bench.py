@@ -37,6 +37,8 @@ COMMANDS = {
     "reproduce figure1": ["reproduce", "figure1"],
     "evaluate cocomo81 kfold:10": ["evaluate", "--dataset", "cocomo81", "--plan", "kfold:10",
                                    "--format", "json"],
+    "evaluate cocomo81 loocv": ["evaluate", "--dataset", "cocomo81", "--plan", "loocv",
+                                "--format", "json"],
     "export-folds cocomo81 loocv": ["export-folds", "--dataset", "cocomo81", "--plan", "loocv"],
     "export-folds cocomo81 holdout:10x30": ["export-folds", "--dataset", "cocomo81",
                                             "--plan", "holdout:10x30"],

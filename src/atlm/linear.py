@@ -184,9 +184,8 @@ def _qr_solve(design: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, frozenset[
     """``(coefficients, aliased)`` of :func:`fit_ols` on a checked, Fortran-ordered
     ``design``, factored in place: one per column, 0 at the ``aliased`` positions."""
     geqp3, orgqr, trtrs = _lapack()
-    # blocking changes the rounding, so use the optimal workspace scipy asks for
-    lwork = int(geqp3(design, lwork=-1, overwrite_a=1)[3][0])
-    qr, piv, tau, _, _ = geqp3(design, lwork=lwork, overwrite_a=1)
+    factor_work, q_work = _workspace(*design.shape)
+    qr, piv, tau, _, _ = geqp3(design, lwork=factor_work, overwrite_a=1)
     diag = np.abs(qr.diagonal())
     if diag[0] <= 0.0:
         raise FitError("no usable design columns")
@@ -198,8 +197,7 @@ def _qr_solve(design: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, frozenset[
     triangle = qr[:rank, :rank].T.copy(order="F")
     # Q's first min(rows, columns) columns, formed in place of the reflectors
     reflectors = qr[:, :min(design.shape)]
-    q = orgqr(reflectors, tau, lwork=int(orgqr(reflectors, tau, lwork=-1)[1][0]),
-              overwrite_a=1)[0]
+    q = orgqr(reflectors, tau, lwork=q_work, overwrite_a=1)[0]
     beta, info = trtrs(triangle, (q.T @ y)[:rank], lower=1, trans=1)
     if info > 0:
         raise FitError(SINGULAR_FACTOR)
@@ -209,6 +207,19 @@ def _qr_solve(design: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, frozenset[
     # geqp3 numbers columns from 1
     coefficients[piv[:rank] - 1] = beta
     return coefficients, frozenset((piv[rank:] - 1).tolist())
+
+
+@functools.cache
+def _workspace(rows: int, columns: int) -> tuple[int, int]:
+    """The optimal ``geqp3`` and ``orgqr`` workspace sizes that scipy asks
+    LAPACK for, for a (rows x columns) design; blocking changes the rounding,
+    so the fit uses these.  They depend on the shape alone, and a process
+    meets few shapes."""
+    geqp3, orgqr, _ = _lapack()
+    design = np.zeros((rows, columns), order="F")
+    reflectors = np.zeros((rows, min(rows, columns)), order="F")
+    return (int(geqp3(design, lwork=-1)[3][0]),
+            int(orgqr(reflectors, np.zeros(min(rows, columns)), lwork=-1)[1][0]))
 
 
 def predict(model: FittedLinearModel, test: Dataset,

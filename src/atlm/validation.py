@@ -12,10 +12,11 @@ the masks as (train ids, test ids) tuples for export, and in the
 :class:`~atlm.pipeline.PredictionSet` of each fold.
 
 Every fold is fitted to one :class:`FoldOutcome`, in fold order, then
-scored.  Each numeric row is transformed every way once per plan; per
-group of folds with the same training size, ``transforms._fold_b1`` fills
-the b1 array the selection rule reduces, and one array orders each
-factor's levels.
+scored.  Each numeric row is transformed every way once per plan, and one
+``transforms._fold_choices`` call picks every fitted fold's transforms: a
+screen of whole-plan moment sums, then the exact b1 pass of
+``transforms._fold_b1`` for the folds the screen leaves unsure.  Per group
+of folds with the same training size, one array orders each factor's levels.
 Each fold gathers its design from the plan's (candidates x rows) matrix, in
 Fortran order with no copy, for ``linear._qr_solve``.  Each fold equals a
 fit of its rows through the public single-model API (``atlm_fit``,
@@ -45,7 +46,7 @@ from .linear import UNSEEN_ERROR, UNSEEN_POLICIES, _qr_solve
 from .metrics import MetricReport, MetricSummary, aggregate, report, report_stack
 from .pipeline import PredictionSet, atlm_fit, atlm_predict, pooled
 from .rng import Pcg32
-from .transforms import TRANSFORM_KINDS, _INVERSE, _fold_b1, _forward_rows, _least_skewed
+from .transforms import TRANSFORM_KINDS, _INVERSE, _fold_choices, _forward_rows
 
 LOOCV = "loocv"
 KFOLD = "kfold"
@@ -255,9 +256,14 @@ def _fit_plan(ds: Dataset, tests: np.ndarray, unseen_level: str) -> list[FoldOut
     shared = (_candidates(ds) if unseen_level in UNSEEN_POLICIES and schema.explanatory
               and np.isfinite(ds.values.take(schema.active, axis=0)).all() else None)
     sizes = np.count_nonzero(~tests, axis=1)
-    for size in set(sizes[sizes >= 3].tolist()) if shared else ():  # selection needs 3 rows
-        group = np.flatnonzero(sizes == size)
-        designs.update(zip(group.tolist(), _designs(ds, shared, tests[group], unseen_level)))
+    fitted = np.flatnonzero(sizes >= 3)  # selection needs 3 rows
+    if shared and fitted.size:
+        chosen = _fold_choices(shared[1][1:1 + len(TRANSFORM_KINDS) * len(schema.numeric)],
+                               tests[fitted])
+        for size in set(sizes[fitted].tolist()):
+            group = np.flatnonzero(sizes[fitted] == size)
+            designs.update(zip(fitted[group].tolist(), _designs(
+                ds, shared, tests[fitted[group]], chosen[:, group], unseen_level)))
     return [_fit_fold(ds, index, test, unseen_level) if designs.get(index) is None
             else _fit_chosen(ds, index, test, *designs[index], shared, unseen_level)
             for index, test in enumerate(tests)]
@@ -279,14 +285,15 @@ def _candidates(ds: Dataset):
     return transposed.T.copy(), transposed, factors
 
 
-def _designs(ds: Dataset, shared, tests: np.ndarray, unseen_level: str) -> list:
-    """Per fold of test masks ``tests``, all with one training size, its
-    candidate columns in build_design's order and its response's, or None if
-    a test row holds a level that training lacks, under ``error``."""
+def _designs(ds: Dataset, shared, tests: np.ndarray, chosen: np.ndarray,
+             unseen_level: str) -> list:
+    """Per fold of test masks ``tests``, all with one training size, and its
+    column of the (variables x folds) kinds ``chosen``: its candidate columns
+    in build_design's order and its response's, or None if a test row holds a
+    level that training lacks, under ``error``."""
     trains = np.nonzero(~tests)[1].reshape(len(tests), -1)  # training positions
-    schema, size, (_, transposed, factors) = ds.schema, trains.shape[1], shared
+    schema, size, (_, _, factors) = ds.schema, trains.shape[1], shared
     width = len(schema.numeric)
-    chosen = _least_skewed(_fold_b1(transposed[1:1 + len(TRANSFORM_KINDS) * width], trains))
     picks = 1 + chosen * width + np.arange(width)[:, None]
     unseen, parts = np.zeros(len(trains), dtype=bool), []
     for i, _ in schema.explanatory:

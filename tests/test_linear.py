@@ -307,6 +307,16 @@ class TestLapackLoader:
             [(m.coefficients, m.aliased) for m in fallback]
         assert direct[-1].aliased
 
+    @pytest.mark.parametrize("rows, columns", [(200, 160), (40, 9), (64, 64), (6, 6), (20, 90)],
+                             ids=["tall", "tall-small", "square", "square-small", "wide"])
+    def test_the_cached_workspace_sizes_equal_a_fresh_query(self, rows, columns):
+        geqp3, orgqr, _ = linear._lapack()
+        design = np.asfortranarray(random_system(Pcg32(rows, stream=columns), rows, columns)[0])
+        factor_work = int(geqp3(design, lwork=-1)[3][0])
+        qr, _, tau, _, _ = geqp3(design, lwork=factor_work)
+        q_work = int(orgqr(qr[:, :min(rows, columns)], tau, lwork=-1)[1][0])
+        assert linear._workspace(rows, columns) == (factor_work, q_work)
+
 
 class TestPredict:
     def test_linear_evaluation(self, exact_linear):

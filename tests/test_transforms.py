@@ -18,6 +18,7 @@ from atlm.transforms import (
     SQRT,
     TRANSFORM_KINDS,
     _fold_b1,
+    _fold_choices,
     _forward_rows,
     _least_skewed,
     _skewness_rows,
@@ -373,12 +374,17 @@ def test_the_one_pass_domain_check_equals_the_two_pass_check(case):
 
 @st.composite
 def numeric_columns(draw):
-    """A few equal-length numeric columns: positive, two-valued, constant, or
-    holding zeros and negatives so that log and sqrt can be inadmissible."""
+    """A few equal-length numeric columns: positive, two-valued, constant,
+    holding zeros and negatives so that log and sqrt can be inadmissible, or
+    at the edges of float arithmetic: a large offset, moments that overflow
+    or underflow, steps of one ulp, one huge outlier."""
     n = draw(st.integers(min_value=3, max_value=25))
 
     def cells(elements):
         return st.lists(elements, min_size=n, max_size=n)
+
+    def lognormal(scale):
+        return cells(st.floats(-2.0, 2.0)).map(lambda c: [math.exp(v) * scale for v in c])
 
     two_valued = st.tuples(st.floats(0.01, 1e4), st.floats(0.01, 1e4),
                            cells(st.booleans())).map(
@@ -391,6 +397,12 @@ def numeric_columns(draw):
         cells(st.sampled_from([0.0, 0.5, 1.0, 3.0, 40.0])),
         cells(st.floats(min_value=-1e3, max_value=1e3)),
         cells(st.floats(min_value=1e100, max_value=1e300)),  # moments overflow
+        cells(st.floats(-3.0, 3.0)).map(lambda c: [1e9 + v for v in c]),
+        lognormal(1e150),  # overflow
+        lognormal(1e-160),  # underflow
+        cells(st.integers(0, 8)).map(lambda c: [1.0 + k * 2.0 ** -52 for k in c]),
+        st.tuples(cells(st.floats(0.5, 100.0)), st.integers(0, n - 1)).map(
+            lambda t: [1e12 if i == t[1] else v for i, v in enumerate(t[0])]),
     )
     return [draw(column) for _ in range(draw(st.integers(min_value=2, max_value=5)))]
 
@@ -465,6 +477,22 @@ class TestColumnarExactness:
                         assert math.isnan(value), (fold, variable, kind)
                         continue
                     assert value == want, (fold, variable, kind)
+
+    @given(numeric_columns(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_fold_choices_equal_the_exact_rule_on_every_fold(self, columns, data):
+        forward, width = _forward_rows(np.array(columns, dtype=float)), len(columns)
+        n = forward.shape[1]
+        tests = np.array(data.draw(st.lists(
+            st.lists(st.booleans(), min_size=n, max_size=n).filter(any),
+            min_size=1, max_size=8), label="test masks"))
+        want = np.array([_least_skewed(_fold_b1(forward, np.flatnonzero(~test)[None]))[:, 0]
+                         for test in tests]).T
+        assert _fold_choices(forward, tests).tolist() == want.tolist()
+        # each variable alone too, so that another's open cells leave its folds to the screen
+        for variable in range(width):
+            assert (_fold_choices(forward[variable::width], tests).tolist()
+                    == want[variable:variable + 1].tolist()), variable
 
     @given(numeric_columns())
     @settings(max_examples=150, deadline=None)

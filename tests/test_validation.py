@@ -11,10 +11,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from atlm import validation
+from atlm import transforms, validation
 from atlm.bundled import load_builtin
 from atlm.dataset import (CATEGORICAL, EXPLANATORY, IGNORED, NUMERIC, RESPONSE, ColumnSchema,
-                          Dataset, split)
+                          Dataset, load_csv, load_schema, split)
 from atlm.errors import AtlmError, MetricError, PlanError, ValidationError
 from atlm.linear import INTERCEPT, UNSEEN_POLICIES
 from atlm.metrics import report
@@ -29,6 +29,7 @@ from atlm.validation import (
 )
 
 from conftest import make_dataset
+from perfbench import synth
 
 
 def linear_dataset(n=12):
@@ -435,6 +436,46 @@ def test_renaming_every_column_changes_no_fold(case, unseen_level):
     original, other = (validation._fit_plan(d, tests, unseen_level) for d in (ds, renamed))
     assert [(o.predictions, o.code) for o in original] == \
         [(o.predictions, o.code) for o in other]
+
+
+def folds_left_to_the_exact_pass(ds, plans):
+    """Per plan, the training positions of each fold whose transform choice
+    the screen leaves to ``transforms._fold_b1``."""
+    forward = transforms._forward_rows(ds.values.take(ds.schema.numeric, axis=0))
+    left = []
+    with mock.patch.object(transforms, "_fold_b1", wraps=transforms._fold_b1) as exact:
+        for plan in plans:
+            exact.reset_mock()
+            transforms._fold_choices(forward, validation._test_masks(ds, plan)[1])
+            left.append({tuple(train) for call in exact.call_args_list
+                         for train in call.args[1].tolist()})
+    return left
+
+
+def test_the_screen_settles_every_fold_but_those_with_a_two_valued_variable(tmp_path):
+    # the benchmark's leave-one-out CSV and the paper's tenfold runs on
+    # desharnais and maxwell need no exact pass at all
+    csv_path, schema_path = synth.write(synth.generate(1), tmp_path)
+    user = load_csv(csv_path, load_schema(schema_path))
+    assert folds_left_to_the_exact_pass(user, [ValidationPlan(kind="loocv")]) == [set()]
+    tenfold = [ValidationPlan(kind="kfold", k=10, seed=seed) for seed in range(1, 31)]
+    for name in ("desharnais", "maxwell"):
+        assert folds_left_to_the_exact_pass(load_builtin(name), tenfold) == [set()] * 30, name
+    # on cocomo81 it leaves exactly the folds where a variable's training values
+    # are two-valued, and every transform's |b1| ties up to rounding: lexp's
+    # in 57 folds, vexp's in 2
+    ds = load_builtin("cocomo81")
+    plans = [ValidationPlan(kind="loocv"), *tenfold,
+             *(ValidationPlan(kind="holdout", test_size=10, repeats=30, seed=seed)
+               for seed in range(1, 6))]
+    numeric = ds.values.take(ds.schema.numeric, axis=0)
+    two_valued = []
+    for plan in plans:
+        trains = [np.flatnonzero(~test) for test in validation._test_masks(ds, plan)[1]]
+        two_valued.append({tuple(t.tolist()) for t in trains
+                           if min(np.unique(row[t]).size for row in numeric) == 2})
+    assert folds_left_to_the_exact_pass(ds, plans) == two_valued
+    assert sum(map(len, two_valued)) == 59 and len(plans) == 36
 
 
 def test_an_unknown_unseen_level_policy_fails_every_fold():
