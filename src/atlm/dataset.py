@@ -116,12 +116,12 @@ class Schema(tuple):
 class Dataset:
     """Named columns plus a numeric response, stored as one matrix.
 
-    ``values`` is a (columns x rows) float64 array in schema order holding a
-    numeric column's numbers or a factor's codes into its ``levels`` tuple;
-    a missing cell is NaN.  A ``schema`` given as a plain sequence of columns
-    is stored as a :class:`Schema`.  ``ids`` are the original row
-    identifiers; ``source_rows`` is the row count of the loaded file, which
-    recipe row references are validated against.
+    ``values`` is a read-only view of a (columns x rows) float64 array in
+    schema order holding a numeric column's numbers or a factor's codes into
+    its ``levels`` tuple; a missing cell is NaN.  A ``schema`` given as a
+    plain sequence of columns is stored as a :class:`Schema`.  ``ids`` are
+    the original row identifiers; ``source_rows`` is the row count of the
+    loaded file, which recipe row references are validated against.
     """
 
     name: str
@@ -147,6 +147,8 @@ class Dataset:
                                   f"level name or has a code outside its {len(names)} levels")
         if self.source_rows < 0:
             object.__setattr__(self, "source_rows", len(self.ids))
+        object.__setattr__(self, "values", self.values.view())  # the caller's stays writeable
+        self.values.flags.writeable = False
 
     @classmethod
     def from_columns(cls, name: str, schema, ids, columns,
@@ -242,8 +244,9 @@ class Dataset:
 
     def _derive(self, ids: tuple[int, ...], values: np.ndarray) -> "Dataset":
         """This dataset with other rows or cell values, built without the
-        constructor's checks: the caller guarantees that ``values`` fits the
-        schema and ``ids`` and that the ids are unique."""
+        constructor's checks: the caller guarantees that ``values``, which is
+        made read-only, fits the schema and ``ids`` and that the ids are unique."""
+        values.flags.writeable = False
         new = object.__new__(Dataset)
         new.__dict__.update(name=self.name, schema=self.schema, ids=ids, values=values,
                             levels=self.levels, source_rows=self.source_rows)

@@ -195,8 +195,8 @@ def _fold_choices(forward: np.ndarray, tests: np.ndarray) -> np.ndarray:
     """``_least_skewed(_fold_b1(forward, trains))``, every choice the same, for
     ``_forward_rows`` output and the folds whose test rows the (folds x rows)
     mask ``tests`` holds, each fold testing at least one row.  A screen of
-    moment sums settles most folds; the ones it leaves open go through
-    :func:`_fold_b1`, grouped by training size.
+    moment sums settles most folds; the variables it leaves open go through
+    :func:`_fold_b1`, grouped by the training size of their folds.
 
     The screen.  Each forward row is shifted by its mean c, y = x - c, and
     the sums of y, y^2 and y^3 over all N cells are taken (a non-finite cell
@@ -301,8 +301,10 @@ def _fold_choices(forward: np.ndarray, tests: np.ndarray) -> np.ndarray:
     open_folds = np.flatnonzero(~settled.all(axis=0))
     for n in set(size[open_folds].tolist()):
         group = open_folds[size[open_folds] == n]
+        rows = np.flatnonzero(~settled[:, group].all(axis=1))  # variables open in the group
         trains = (np.flatnonzero(~tests[group]) % cells).reshape(len(group), n)
-        chosen[:, group] = _least_skewed(_fold_b1(forward, trains))
+        chosen[np.ix_(rows, group)] = _least_skewed(_fold_b1(
+            forward.reshape(kinds, -1, cells)[:, rows].reshape(-1, cells), trains))
     return chosen
 
 

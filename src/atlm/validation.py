@@ -12,13 +12,14 @@ the masks as (train ids, test ids) tuples for export, and in the
 :class:`~atlm.pipeline.PredictionSet` of each fold.
 
 Every fold is fitted to one :class:`FoldOutcome`, in fold order, then
-scored.  Each numeric row is transformed every way once per plan, and one
-``transforms._fold_choices`` call picks every fitted fold's transforms: a
-screen of whole-plan moment sums, then the exact b1 pass of
-``transforms._fold_b1`` for the folds the screen leaves unsure.  Per group
-of folds with the same training size, one array orders each factor's levels.
-Each fold gathers its design from the plan's (candidates x rows) matrix, in
-Fortran order with no copy, for ``linear._qr_solve``.  Each fold equals a
+scored.  Once per plan, each numeric row is transformed every way into one
+(candidates x rows) matrix, and one ``transforms._fold_choices`` call picks
+every fitted fold's transforms: a screen of whole-plan moment sums, then
+the exact b1 pass of ``transforms._fold_b1`` where the screen is unsure.
+``_fit_group`` fits each group of folds of one training size from their
+training and test positions: one mask keeps the folds with no unseen level
+and no non-finite chosen test cell, and each gathers its design from the
+matrix, in Fortran order, for ``linear._qr_solve``.  Each fold equals a
 fit of its rows through the public single-model API (``atlm_fit``,
 ``atlm_predict``), the oracle of this path; a fold that could fail is
 fitted through that API, which words its error.  A failed fold (transform
@@ -251,29 +252,32 @@ def _fit_fold(ds: Dataset, index: int, test: np.ndarray, unseen_level: str) -> F
 
 def _fit_plan(ds: Dataset, tests: np.ndarray, unseen_level: str) -> list[FoldOutcome]:
     """Every fold's outcome, as :func:`_fit_fold` gives it."""
-    schema, designs = ds.schema, {}
-    # these fail every fold, so _fit_fold fits them all
-    shared = (_candidates(ds) if unseen_level in UNSEEN_POLICIES and schema.explanatory
-              and np.isfinite(ds.values.take(schema.active, axis=0)).all() else None)
+    schema, n, fits = ds.schema, len(ds), {}
     sizes = np.count_nonzero(~tests, axis=1)
     fitted = np.flatnonzero(sizes >= 3)  # selection needs 3 rows
-    if shared and fitted.size:
-        chosen = _fold_choices(shared[1][1:1 + len(TRANSFORM_KINDS) * len(schema.numeric)],
+    # the other policies, and a non-finite active cell, fail every fold, so
+    # _fit_fold fits them all
+    if (fitted.size and unseen_level in UNSEEN_POLICIES and schema.explanatory
+            and np.isfinite(ds.values.take(schema.active, axis=0)).all()):
+        candidates, factors = _candidates(ds)
+        chosen = _fold_choices(candidates[1:1 + len(TRANSFORM_KINDS) * len(schema.numeric)],
                                tests[fitted])
         for size in set(sizes[fitted].tolist()):
             group = np.flatnonzero(sizes[fitted] == size)
-            designs.update(zip(fitted[group].tolist(), _designs(
-                ds, shared, tests[fitted[group]], chosen[:, group], unseen_level)))
-    return [_fit_fold(ds, index, test, unseen_level) if designs.get(index) is None
-            else _fit_chosen(ds, index, test, *designs[index], shared, unseen_level)
-            for index, test in enumerate(tests)]
+            folds = fitted[group]
+            # the group's training and test positions, one row per fold
+            trains = (np.flatnonzero(~tests[folds]) % n).reshape(len(folds), size)
+            tested = (np.flatnonzero(tests[folds]) % n).reshape(len(folds), n - size)
+            fits.update(zip(folds.tolist(), _fit_group(
+                ds, candidates, factors, trains, tested, chosen[:, group], unseen_level)))
+    return [_fit_fold(ds, index, test, unseen_level) if fits.get(index) is None
+            else FoldOutcome(index, fits[index]) for index, test in enumerate(tests)]
 
 
 def _candidates(ds: Dataset):
-    """``(candidates, transposed, factors)``: the intercept, each numeric row
-    under each transform as ``_forward_rows`` gives them, and one indicator
-    per factor level, as (rows x candidates) and transposed; and each
-    factor's codes and first indicator."""
+    """``(candidates, factors)``: the (candidates x rows) matrix of the
+    intercept, the ``_forward_rows`` rows and one indicator per factor level;
+    and each factor's codes and first indicator."""
     schema, values = ds.schema, ds.values.take(ds.schema.numeric, axis=0)
     blocks, factors = [np.ones((1, len(ds))), _forward_rows(values)], {}
     for i, col in schema.explanatory:
@@ -281,21 +285,21 @@ def _candidates(ds: Dataset):
             codes, levels = ds.values[i].astype(np.intp), ds.levels[i]
             factors[i] = codes, sum(map(len, blocks))
             blocks.append(codes == np.arange(len(levels))[:, None])
-    transposed = np.concatenate(blocks, dtype=float)
-    return transposed.T.copy(), transposed, factors
+    return np.concatenate(blocks, dtype=float), factors
 
 
-def _designs(ds: Dataset, shared, tests: np.ndarray, chosen: np.ndarray,
-             unseen_level: str) -> list:
-    """Per fold of test masks ``tests``, all with one training size, and its
-    column of the (variables x folds) kinds ``chosen``: its candidate columns
-    in build_design's order and its response's, or None if a test row holds a
-    level that training lacks, under ``error``."""
-    trains = np.nonzero(~tests)[1].reshape(len(tests), -1)  # training positions
-    schema, size, (_, _, factors) = ds.schema, trains.shape[1], shared
-    width = len(schema.numeric)
-    picks = 1 + chosen * width + np.arange(width)[:, None]
-    unseen, parts = np.zeros(len(trains), dtype=bool), []
+def _fit_group(ds: Dataset, candidates: np.ndarray, factors: dict, trains: np.ndarray,
+               tested: np.ndarray, chosen: np.ndarray, unseen_level: str):
+    """Yields, per fold of one training size, with training and test positions
+    ``trains`` and ``tested`` and its column of the (variables x folds) kinds
+    ``chosen``: the PredictionSet of a fit of its candidate columns, in
+    build_design's order; or None, for _fit_fold, where a test row holds a
+    level that training lacks under ``error`` or a chosen candidate that is
+    not finite, the design is wider than training, or the fit raises."""
+    schema, size, width = ds.schema, trains.shape[1], len(ds.schema.numeric)
+    picks = 1 + chosen * width + np.arange(width)[:, None]  # candidate rows, as chosen
+    # a test value outside its chosen transform's domain is not finite
+    usable, parts = np.isfinite(candidates[picks[:, :, None], tested]).all(axis=(0, 2)), []
     for i, _ in schema.explanatory:
         if i not in factors:
             parts.append(picks[[schema.numeric.index(i)]].T.tolist())
@@ -309,36 +313,27 @@ def _designs(ds: Dataset, shared, tests: np.ndarray, chosen: np.ndarray,
         counts = np.count_nonzero(present, axis=1)
         # a fold's training and test rows are all the rows, so a test row holds a
         # level that training lacks exactly when training lacks a level of the data
-        unseen |= (unseen_level == UNSEEN_ERROR) & (counts < np.count_nonzero(np.bincount(codes)))
+        usable &= (unseen_level != UNSEEN_ERROR) | (counts == np.count_nonzero(np.bincount(codes)))
         parts.append([s[1:k] for s, k in zip(seen, counts.tolist())])
-    response = picks[schema.numeric.index(schema.response)].tolist()
-    return [None if skip else ([0, *chain.from_iterable(fold)], column)
-            for skip, fold, column in zip(unseen.tolist(), zip(*parts), response)]
-
-
-def _fit_chosen(ds: Dataset, index: int, test: np.ndarray, columns: list, response: int,
-                shared, unseen_level: str) -> FoldOutcome:
-    """The fold fitted on candidate ``columns``, candidate ``response`` its response."""
-    schema, (candidates, transposed, _) = ds.schema, shared
-    train, at = np.flatnonzero(~test), np.flatnonzero(test)
-    test_rows = candidates.take(at, axis=0)
-    test_x = test_rows.take(columns, axis=1)
-    # a test value outside its chosen transform's domain is not finite
-    if (len(train) < len(columns) or not np.isfinite(test_x).all()
-            or not np.isfinite(test_rows[:, response]).all()):
-        return _fit_fold(ds, index, test, unseen_level)
-    try:
-        # gathered as (columns x rows), the design's transpose is in Fortran order
-        coefficients, _ = _qr_solve(transposed.take(columns, axis=0).take(train, axis=1).T,
-                                    transposed[response].take(train))
-        # the response's candidate column is 1 + kind * variables + variable
-        with np.errstate(over="ignore", invalid="ignore"):  # PredictionSet rejects inf
-            predicted = _INVERSE[TRANSFORM_KINDS[(response - 1) // len(schema.numeric)]](
-                test_x @ coefficients)
-        return FoldOutcome(index, PredictionSet(tuple(map(ds.ids.__getitem__, at.tolist())),
-                                                predicted, ds.values[schema.response, at]))
-    except AtlmError:
-        return _fit_fold(ds, index, test, unseen_level)
+    response = schema.numeric.index(schema.response)
+    for train, at, fold, kind, ok in zip(trains, tested, zip(*parts), chosen[response].tolist(),
+                                         usable.tolist()):
+        columns, fit = [0, *chain.from_iterable(fold)], None
+        if ok and len(columns) <= size:
+            block = candidates.take(columns, axis=0)
+            try:
+                # gathered as (columns x rows), the design's transpose is in Fortran order
+                coefficients, _ = _qr_solve(block.take(train, axis=1).T,
+                                            candidates[1 + kind * width + response].take(train))
+                # (rows x columns) in C order, as build_design's, so the bits match atlm_predict's
+                with np.errstate(over="ignore", invalid="ignore"):  # PredictionSet rejects inf
+                    predicted = _INVERSE[TRANSFORM_KINDS[kind]](
+                        np.ascontiguousarray(block.take(at, axis=1).T) @ coefficients)
+                fit = PredictionSet(tuple(map(ds.ids.__getitem__, at.tolist())), predicted,
+                                    ds.values[schema.response, at])
+            except AtlmError:
+                pass
+        yield fit
 
 
 def _score_folds(ds: Dataset, tests: np.ndarray, outcomes) -> tuple[FoldOutcome, ...]:

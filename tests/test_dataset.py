@@ -526,6 +526,22 @@ class TestSplit:
             assert dataclasses.replace(part) == part
         assert (train.schema, test.schema, transformed.schema) == (ds.schema,) * 3
 
+    def test_cells_cannot_be_written(self):
+        # a write after generate_folds would change every later fit, while the
+        # exported fingerprint still named the old content
+        cells = np.array([[1.0, 2.0, 3.0, 4.0], [9.0, 8.0, 7.0, 6.0]])
+        ds = Dataset("d", [ColumnSchema("x", NUMERIC), ColumnSchema("y", NUMERIC, RESPONSE)],
+                     (0, 1, 2, 3), cells, ((), ()))
+        train, test = split(ds, (3, 0), (2, 1))
+        transformed = apply_transforms(calculate_transforms(ds), test)
+        for part in (ds, dataclasses.replace(ds), train, test, transformed):
+            with pytest.raises(ValueError, match="read-only"):
+                part.values[0, 0] = 5.0
+            with pytest.raises(ValueError, match="read-only"):
+                part.response_column()[:] = 0.0
+        cells[0, 0] = 5.0  # the caller's own array stays writeable
+        assert ds.values[0, 0] == 5.0
+
     def test_cells_preserved_exactly(self):
         ds = make_dataset({"x": [1.5, 2.5, 3.5, 4.5], "y": [9, 8, 7, 6]}, response="y")
         train, test = split(ds, (3, 0), (2, 1))

@@ -438,18 +438,17 @@ def test_renaming_every_column_changes_no_fold(case, unseen_level):
         [(o.predictions, o.code) for o in other]
 
 
-def folds_left_to_the_exact_pass(ds, plans):
-    """Per plan, the training positions of each fold whose transform choice
-    the screen leaves to ``transforms._fold_b1``."""
+def exact_pass_calls(ds, plans):
+    """Per plan, the (forward rows, training positions) of each call that
+    ``transforms._fold_choices`` makes to ``transforms._fold_b1``."""
     forward = transforms._forward_rows(ds.values.take(ds.schema.numeric, axis=0))
-    left = []
+    calls = []
     with mock.patch.object(transforms, "_fold_b1", wraps=transforms._fold_b1) as exact:
         for plan in plans:
             exact.reset_mock()
             transforms._fold_choices(forward, validation._test_masks(ds, plan)[1])
-            left.append({tuple(train) for call in exact.call_args_list
-                         for train in call.args[1].tolist()})
-    return left
+            calls.append([call.args for call in exact.call_args_list])
+    return calls
 
 
 def test_the_screen_settles_every_fold_but_those_with_a_two_valued_variable(tmp_path):
@@ -457,10 +456,10 @@ def test_the_screen_settles_every_fold_but_those_with_a_two_valued_variable(tmp_
     # desharnais and maxwell need no exact pass at all
     csv_path, schema_path = synth.write(synth.generate(1), tmp_path)
     user = load_csv(csv_path, load_schema(schema_path))
-    assert folds_left_to_the_exact_pass(user, [ValidationPlan(kind="loocv")]) == [set()]
+    assert exact_pass_calls(user, [ValidationPlan(kind="loocv")]) == [[]]
     tenfold = [ValidationPlan(kind="kfold", k=10, seed=seed) for seed in range(1, 31)]
     for name in ("desharnais", "maxwell"):
-        assert folds_left_to_the_exact_pass(load_builtin(name), tenfold) == [set()] * 30, name
+        assert exact_pass_calls(load_builtin(name), tenfold) == [[]] * 30, name
     # on cocomo81 it leaves exactly the folds where a variable's training values
     # are two-valued, and every transform's |b1| ties up to rounding: lexp's
     # in 57 folds, vexp's in 2
@@ -469,13 +468,23 @@ def test_the_screen_settles_every_fold_but_those_with_a_two_valued_variable(tmp_
              *(ValidationPlan(kind="holdout", test_size=10, repeats=30, seed=seed)
                for seed in range(1, 6))]
     numeric = ds.values.take(ds.schema.numeric, axis=0)
-    two_valued = []
-    for plan in plans:
+    forward = transforms._forward_rows(numeric).reshape(3, len(numeric), len(ds))
+    two_valued, left, names = [], [], set()
+    for plan, calls in zip(plans, exact_pass_calls(ds, plans)):
         trains = [np.flatnonzero(~test) for test in validation._test_masks(ds, plan)[1]]
         two_valued.append({tuple(t.tolist()) for t in trains
                            if min(np.unique(row[t]).size for row in numeric) == 2})
-    assert folds_left_to_the_exact_pass(ds, plans) == two_valued
+        left.append({tuple(train) for _, group in calls for train in group.tolist()})
+        # each call gets the three forward rows of each variable that is two-valued
+        # in one of its folds, and no other row
+        for rows, group in calls:
+            variables = [v for v, row in enumerate(numeric)
+                         if any(np.unique(row[train]).size == 2 for train in group)]
+            assert np.array_equal(rows, forward[:, variables].reshape(-1, len(ds)))
+            names.update(ds.schema[ds.schema.numeric[v]].name for v in variables)
+    assert left == two_valued
     assert sum(map(len, two_valued)) == 59 and len(plans) == 36
+    assert set(names) == {"lexp", "vexp"}
 
 
 def test_an_unknown_unseen_level_policy_fails_every_fold():
