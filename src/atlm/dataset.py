@@ -117,8 +117,9 @@ class Dataset:
     """Named columns plus a numeric response, stored as one matrix.
 
     ``values`` is a read-only view of a (columns x rows) float64 array in
-    schema order holding a numeric column's numbers or a factor's codes into
-    its ``levels`` tuple; a missing cell is NaN.  A ``schema`` given as a
+    schema order (a bool, integer or float array is copied to float64 first)
+    holding a numeric column's numbers or a factor's codes into its
+    ``levels`` tuple; a missing cell is NaN.  A ``schema`` given as a
     plain sequence of columns is stored as a :class:`Schema`.  ``ids`` are
     the original row identifiers; ``source_rows`` is the row count of the
     loaded file, which recipe row references are validated against.
@@ -135,6 +136,12 @@ class Dataset:
         if not isinstance(self.schema, Schema):
             object.__setattr__(self, "schema", Schema(self.schema))
         self.schema.check(self.name)
+        values = np.asarray(self.values)
+        if values.dtype.kind not in "biuf":  # bool, integer or float
+            raise SchemaError(f"cells of {self.name!r} must be numbers, not {values.dtype}")
+        # a view, so the caller's array stays writeable
+        object.__setattr__(self, "values", values.astype(float, copy=False).view())
+        self.values.flags.writeable = False
         width = len(self.schema)
         if not (self.values.shape == (width, len(self.ids)) and len(self.levels) == width):
             raise SchemaError(f"column arrays of {self.name!r} do not fit its schema")
@@ -147,8 +154,6 @@ class Dataset:
                                   f"level name or has a code outside its {len(names)} levels")
         if self.source_rows < 0:
             object.__setattr__(self, "source_rows", len(self.ids))
-        object.__setattr__(self, "values", self.values.view())  # the caller's stays writeable
-        self.values.flags.writeable = False
 
     @classmethod
     def from_columns(cls, name: str, schema, ids, columns,

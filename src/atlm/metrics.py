@@ -7,11 +7,13 @@ since silently changing n corrupts comparisons; the variance-ratio and
 standardized-accuracy measures stay computable.
 
 The six functions :func:`mmre`, :func:`pred`, :func:`lsd`,
-:func:`re_star`, :func:`sa` and :func:`mar` are the definitions.
-:func:`report_stack` scores a whole group of equal-sized folds in one
-stacked pass (validation calls it once per group of k-fold or holdout
-folds with the same test and training sizes; :func:`report` is a stack of
-one); it equals the six definitions bit for bit and raises their errors.
+:func:`re_star`, :func:`sa` and :func:`mar` are the definitions, and
+:func:`report` calls them in report order.  :func:`report_stack` scores a
+whole group of equal-sized folds in one stacked pass (validation calls it
+once per group of k-fold or holdout folds with the same test and training
+sizes) and equals the definitions bit for bit.  It words no error itself: it
+finds the sets where a definition is undefined and runs the first of them
+through :func:`report`, which raises that definition's error.
 """
 
 from __future__ import annotations
@@ -130,7 +132,13 @@ def sa(ps: PredictionSet, training_response) -> float:
     random guesser that predicts training response values: the mean of
     |actual_i - y_j| over all (test row i, training row j) pairs.
     """
-    train = _training_sample(training_response)
+    try:
+        train = np.asarray(training_response, dtype=float)
+    except (TypeError, ValueError):
+        raise MetricError("sa needs a 1-D training response sample, got a ragged "
+                          "or non-numeric one") from None
+    if train.ndim != 1:
+        raise MetricError(f"sa needs a 1-D training response sample, got shape {train.shape}")
     if len(ps) == 0:
         raise MetricError("empty prediction set")
     if train.size == 0:
@@ -143,22 +151,11 @@ def sa(ps: PredictionSet, training_response) -> float:
     return 1.0 - mar(ps) / mar_p0
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is kept, as in report_stack
 def report(ps: PredictionSet, training_response) -> MetricReport:
-    """All measures for one prediction set."""
-    train = _training_sample(training_response)
-    return report_stack(ps.predicted[None], ps.actual[None], train[None])[0]
-
-
-def _training_sample(training_response) -> np.ndarray:
-    """The training response sample of :func:`sa` as a 1-D float array."""
-    try:
-        train = np.asarray(training_response, dtype=float)
-    except (TypeError, ValueError):
-        raise MetricError("sa needs a 1-D training response sample, got a ragged "
-                          "or non-numeric one") from None
-    if train.ndim != 1:
-        raise MetricError(f"sa needs a 1-D training response sample, got shape {train.shape}")
-    return train
+    """All measures for one prediction set: the six definitions, in report order."""
+    return MetricReport(len(ps), mmre(ps), pred(ps), lsd(ps), re_star(ps),
+                        sa(ps, training_response), mar(ps))
 
 
 def report_stack(predicted, actual, training) -> list[MetricReport]:
@@ -170,8 +167,9 @@ def report_stack(predicted, actual, training) -> list[MetricReport]:
     adds a row in the same pairwise order as the 1-D ``np.mean``,
     ``np.sum`` and ``np.var`` of the definitions, so each field equals them
     bit for bit; MAR_P0 reduces each set's flattened (test x training)
-    block.  A failing set raises the MetricError of its first failing
-    measure, in report order; the first failing set wins."""
+    block.  The rows hold finite values, as a PredictionSet's do.  The first
+    set where a measure is undefined raises the error of its first failing
+    definition, through :func:`report`."""
     predicted, actual, training = (np.ascontiguousarray(a, dtype=float)
                                    for a in (predicted, actual, training))
     sets, n = actual.shape
@@ -195,19 +193,14 @@ def report_stack(predicted, actual, training) -> list[MetricReport]:
             "sa": 1.0 - mar_ / mar_p0,
             "mar": mar_,
         }
-    _raise_first_failure(sets, (
-        (n == 0, "empty prediction set"),
-        ((actual <= 0.0).any(axis=1),
-         "relative error undefined: actual values must be > 0"),
-        (n < 2, "lsd needs at least 2 rows"),
-        ((predicted <= 0.0).any(axis=1),
-         "lsd undefined: actuals and predictions must be > 0"),
-        ((actual == actual[:, :1]).all(axis=1) | (var_actual == 0.0),
-         "re_star undefined for constant actuals"),
-        (training.shape[1] == 0, "sa needs a nonempty training response sample"),
-        (~np.isfinite(training).all(axis=1), "sa needs a finite training response sample"),
-        (mar_p0 == 0.0, "sa undefined: all actual and training values identical"),
-    ))
+    # the sets where a definition raises.  Fewer than 2 rows are constant
+    # actuals (no rows vacuously), and MAR_P0 is 0 only for constant actuals
+    # or a variance that underflows to 0, so neither needs a term of its own
+    failing = ((actual <= 0.0).any(axis=1) | (predicted <= 0.0).any(axis=1)
+               | (actual == actual[:, :1]).all(axis=1) | (var_actual == 0.0)
+               | (training.shape[1] == 0) | ~np.isfinite(training).all(axis=1))
+    for row in np.flatnonzero(failing):
+        report(PredictionSet(tuple(range(n)), predicted[row], actual[row]), training[row])
     columns = [measures[name].tolist() for name in METRIC_FIELDS]
     return [MetricReport(n, *values) for values in zip(*columns)]
 
@@ -221,18 +214,6 @@ def _var(a: np.ndarray) -> np.ndarray:
     n = a.shape[1]
     d = a - (_sum(a) / n)[:, None]
     return _sum(d * d) / (n - 1)
-
-
-def _raise_first_failure(sets: int, checks) -> None:
-    """Raise the message of the first true check of the first set with one;
-    a check is a bool, or a bool per set."""
-    failing = np.zeros(sets, dtype=bool)
-    for fails, _ in checks:
-        failing |= fails
-    if failing.any():
-        row = int(failing.argmax())
-        raise MetricError(next(message for fails, message in checks
-                               if np.broadcast_to(fails, sets)[row]))
 
 
 def aggregate(reports) -> MetricSummary:

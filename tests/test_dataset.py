@@ -311,6 +311,27 @@ def test_a_missing_factor_cell_needs_no_level():
     assert ds.column("f") == ("a", None, "b")
 
 
+@pytest.mark.parametrize("dtype", [np.int64, np.float32, np.bool_])
+def test_number_cells_of_any_dtype_are_stored_as_float64(dtype):
+    # int64 cells used to end in a TypeError from the fingerprint's
+    # float.__repr__, and float32 ones were kept as they were
+    schema = _columns("f categorical explanatory", "y numeric response")
+    cells = np.array([[0, 1, 1, 0, 1], [1, 0, 1, 1, 0]]).astype(dtype)
+    ds = Dataset("d", schema, tuple(range(5)), cells, (("a", "b"), ()))
+    reference = Dataset("d", schema, tuple(range(5)), cells.astype(float), (("a", "b"), ()))
+    assert ds.values.dtype == np.float64
+    assert ds == reference and ds.fingerprint() == reference.fingerprint()
+
+
+@pytest.mark.parametrize("cells", [np.array([["a", "b"], ["1", "2"]]),
+                                   np.array([[0.0, 1.0], [1.0, "2"]], dtype=object)])
+def test_text_cells_are_a_schema_error(cells):
+    with pytest.raises(SchemaError) as caught:
+        Dataset("bad", _columns("x numeric explanatory", "y numeric response"), (0, 1), cells,
+                ((), ()))
+    assert str(caught.value) == f"cells of 'bad' must be numbers, not {cells.dtype}"
+
+
 def test_a_nan_number_is_a_missing_cell():
     cells = {"x": [1.0, math.nan, 3.0, None, 5.0], "y": [5.0, 6.0, 7.0, 8.0, 9.0]}
     nan = make_dataset(cells, response="y")

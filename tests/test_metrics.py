@@ -412,7 +412,7 @@ class TestReportStack:
 
     FAULTS = ("nonpositive actual", "nonpositive prediction", "constant actuals",
               "actual and training identical", "empty training response",
-              "non-finite training response", "fewer than 2 rows")
+              "non-finite training response", "fewer than 2 rows", "underflowing variance")
 
     @pytest.mark.parametrize("fault", FAULTS)
     @given(data=st.data())
@@ -432,6 +432,8 @@ class TestReportStack:
                 predicted[row, data.draw(st.integers(0, n - 1))] = min(value, 0.0)
             elif fault == "constant actuals":
                 actual[row] = 3.5
+            elif fault == "underflowing variance":  # distinct, but every squared deviation is 0
+                actual[row] = np.arange(1, n + 1) * 1e-170
             elif fault == "actual and training identical":
                 actual[row] = training[row] = 3.5
             elif fault == "non-finite training response":
@@ -443,6 +445,14 @@ class TestReportStack:
             report_stack(predicted, actual, training)
         assert str(exc.value) == expected
 
-    def test_report_is_a_stack_of_one(self):
-        case, train = ps([12.0, 24.0, 7.0], [10.0, 20.0, 9.0]), [10.0, 30.0]
-        assert report(case, train) == definitions(case.predicted, case.actual, train)
+    def test_a_stack_of_one_equals_report(self):
+        case, train = ps([12.0, 24.0, 7.0], [10.0, 20.0, 9.0]), np.array([10.0, 30.0])
+        assert report_stack(case.predicted[None], case.actual[None], train[None]) == [
+            report(case, train)]
+
+    def test_report_keeps_an_overflowing_measure(self):
+        # the residual 1e170 squares to inf; pyproject makes the RuntimeWarning
+        # of an overflow an error, so this also checks that report ignores it
+        case, train = ps([1e170, 2.0, 3.0], [1.0, 2.0, 4.0]), np.array([1.0, 5.0])
+        stacked = report_stack(case.predicted[None], case.actual[None], train[None])
+        assert report(case, train) == stacked[0] and stacked[0].re_star == math.inf

@@ -388,6 +388,11 @@ def mixed_plans(draw):
 @given(st.one_of(split_plans(), split_plans().map(
     lambda case: (case[0], ValidationPlan(kind="loocv", seed=case[1].seed))), mixed_plans()),
     st.sampled_from(UNSEEN_POLICIES))
+# fold 0 tests x = 0 under the log chosen on its training rows: exp(-inf) = 0
+# must fail the fold, not predict 0
+@example((make_dataset({"x": [0.0, 1.0, 1.5, 2.0, 3.0, 5.0, 8.0, 13.0, 30.0, 80.0],
+                        "y": [1.0, 3.0, 4.0, 5.0, 7.0, 11.0, 17.0, 27.0, 61.0, 161.0]},
+                       response="y"), ValidationPlan(kind="loocv")), "error")
 @settings(max_examples=200, deadline=None)
 def test_each_fold_equals_a_fit_of_its_exported_ids(case, unseen_level):
     # the harness selects transforms and gathers designs once per plan, on
