@@ -12,7 +12,9 @@ both.  Each launch goes through a helper process that times the child and
 reads its peak resident set size from ``getrusage(RUSAGE_CHILDREN)``.  The
 report gives the median and quartiles per tree and command, and whether
 every run of every tree produced the same bytes (standard output plus the
-files ``reproduce`` writes).
+files ``reproduce`` writes).  ``evaluate synth loocv`` runs on the CSV and
+schema that ``perfbench.synth.generate(1)`` gives, written into the run's
+temporary directory, as the csv-loocv benchmark workload does.
 """
 
 from __future__ import annotations
@@ -42,21 +44,28 @@ COMMANDS = {
     "export-folds cocomo81 loocv": ["export-folds", "--dataset", "cocomo81", "--plan", "loocv"],
     "export-folds cocomo81 holdout:10x30": ["export-folds", "--dataset", "cocomo81",
                                             "--plan", "holdout:10x30"],
+    "evaluate synth loocv": ["evaluate", "--dataset", "projects.csv", "--schema",
+                             "projects.schema", "--plan", "loocv", "--format", "json"],
 }
 
 
 def measure(src: str, argv: list[str]) -> dict:
     """Run one command in a child interpreter; this process has no other child."""
     with tempfile.TemporaryDirectory() as work:
+        inputs = ()
         if argv[0] == "reproduce":
             argv = argv + ["--out", work]
+        if "projects.csv" in argv:  # the csv-loocv workload's CSV, from this checkout
+            sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+            from perfbench import synth
+            inputs = synth.write(synth.generate(1), Path(work))
         env = {**os.environ, "PYTHONPATH": src}
         start = time.perf_counter()
         done = subprocess.run([sys.executable, "-m", "atlm", *argv], capture_output=True,
                               env=env, cwd=work)
         wall = time.perf_counter() - start
         digest = hashlib.sha256(done.stdout)
-        for path in sorted(Path(work).iterdir()):
+        for path in sorted(set(Path(work).iterdir()) - set(inputs)):
             digest.update(path.name.encode() + b"\0" + path.read_bytes())
     return {"status": done.returncode, "wall_s": wall, "sha256": digest.hexdigest(),
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0}

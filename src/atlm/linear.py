@@ -186,12 +186,13 @@ def _qr_solve(design: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, frozenset[
     geqp3, orgqr, trtrs = _lapack()
     factor_work, q_work = _workspace(*design.shape)
     qr, piv, tau, _, _ = geqp3(design, lwork=factor_work, overwrite_a=1)
-    diag = np.abs(qr.diagonal())
+    diag = np.abs(qr.diagonal()).tolist()
     if diag[0] <= 0.0:
         raise FitError("no usable design columns")
     # a subnormal leading pivot makes the threshold underflow to 0, so an
     # exactly zero pivot must be ruled out by itself
-    rank = int(np.count_nonzero((diag >= RANK_TOL * diag[0]) & (diag > 0.0)))
+    threshold = RANK_TOL * diag[0]
+    rank = len([d for d in diag if d >= threshold and d > 0.0])
     # R's leading triangle, transposed in Fortran order: solve_triangular hands
     # trtrs the C-ordered R this way, and the other layout rounds differently
     triangle = qr[:rank, :rank].T.copy(order="F")
@@ -204,9 +205,9 @@ def _qr_solve(design: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, frozenset[
     if not np.isfinite(beta).all():
         raise FitError(NON_FINITE_COEFFICIENT)
     coefficients = np.zeros(design.shape[1])
-    # geqp3 numbers columns from 1
-    coefficients[piv[:rank] - 1] = beta
-    return coefficients, frozenset((piv[rank:] - 1).tolist())
+    piv -= 1  # geqp3 numbers columns from 1
+    coefficients[piv[:rank]] = beta
+    return coefficients, frozenset(piv[rank:].tolist())
 
 
 @functools.cache

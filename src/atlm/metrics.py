@@ -14,6 +14,10 @@ once per group of k-fold or holdout folds with the same test and training
 sizes) and equals the definitions bit for bit.  It words no error itself: it
 finds the sets where a definition is undefined and runs the first of them
 through :func:`report`, which raises that definition's error.
+
+A measure that overflows is kept as inf (or NaN), with no warning, in the
+definitions as in :func:`report_stack`.  :func:`lsd` needs no such guard: its
+log ratios lie within +-1455.
 """
 
 from __future__ import annotations
@@ -69,6 +73,7 @@ def _relative_errors(ps: PredictionSet) -> np.ndarray:
     return np.abs(ps.predicted - ps.actual) / ps.actual
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def mmre(ps: PredictionSet) -> float:
     """Mean magnitude of relative error."""
     if len(ps) == 0:
@@ -76,6 +81,7 @@ def mmre(ps: PredictionSet) -> float:
     return float(np.mean(_relative_errors(ps)))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def pred(ps: PredictionSet, x: float = 25.0) -> float:
     """Fraction of rows whose relative error is within x percent (inclusive)."""
     # a bool is an int, and a NaN compares false with everything
@@ -86,6 +92,7 @@ def pred(ps: PredictionSet, x: float = 25.0) -> float:
     return float(np.mean(_relative_errors(ps) <= x / 100.0))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def mar(ps: PredictionSet) -> float:
     """Mean absolute residual."""
     if len(ps) == 0:
@@ -93,6 +100,7 @@ def mar(ps: PredictionSet) -> float:
     return float(np.mean(np.abs(ps.predicted - ps.actual)))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def re_star(ps: PredictionSet) -> float:
     """Variance of residuals over variance of actuals.
 
@@ -125,6 +133,7 @@ def lsd(ps: PredictionSet) -> float:
     return float(math.sqrt(np.sum((e + s2 / 2.0) ** 2) / (len(ps) - 1)))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def sa(ps: PredictionSet, training_response) -> float:
     """Standardized accuracy: 1 - MAR / MAR_P0.
 
@@ -151,7 +160,6 @@ def sa(ps: PredictionSet, training_response) -> float:
     return 1.0 - mar(ps) / mar_p0
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an overflow is kept, as in report_stack
 def report(ps: PredictionSet, training_response) -> MetricReport:
     """All measures for one prediction set: the six definitions, in report order."""
     return MetricReport(len(ps), mmre(ps), pred(ps), lsd(ps), re_star(ps),

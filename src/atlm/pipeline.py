@@ -62,6 +62,15 @@ class PredictionSet:
                 f"non-finite prediction or actual for row {self.row_ids[i]}: "
                 f"({float(self.predicted[i])!r}, {float(self.actual[i])!r})")
 
+    @classmethod
+    def _trusted(cls, row_ids: tuple[int, ...], predicted: np.ndarray,
+                 actual: np.ndarray) -> "PredictionSet":
+        """A PredictionSet built without the constructor's checks: the caller
+        guarantees 1-D float64 arrays with one finite value per row id."""
+        new = object.__new__(cls)
+        new.__dict__.update(row_ids=row_ids, predicted=predicted, actual=actual)
+        return new
+
     def __len__(self) -> int:
         return len(self.row_ids)
 

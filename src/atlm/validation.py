@@ -19,7 +19,10 @@ the exact b1 pass of ``transforms._fold_b1`` where the screen is unsure.
 ``_fit_group`` fits each group of folds of one training size from their
 training and test positions: one mask keeps the folds with no unseen level
 and no non-finite chosen test cell, and each gathers its design from the
-matrix, in Fortran order, for ``linear._qr_solve``.  Each fold equals a
+matrix, in Fortran order, for ``linear._qr_solve``.  Only that gather, the
+solve and the product of the fold's test rows with its coefficients run per
+fold; the inverse transform, the finiteness check and the ids and actuals of
+the PredictionSets run once per group.  Each fold equals a
 fit of its rows through the public single-model API (``atlm_fit``,
 ``atlm_predict``), the oracle of this path; a fold that could fail is
 fitted through that API, which words its error.  A failed fold (transform
@@ -290,12 +293,20 @@ def _candidates(ds: Dataset):
 
 def _fit_group(ds: Dataset, candidates: np.ndarray, factors: dict, trains: np.ndarray,
                tested: np.ndarray, chosen: np.ndarray, unseen_level: str):
-    """Yields, per fold of one training size, with training and test positions
+    """Per fold of one training size, with training and test positions
     ``trains`` and ``tested`` and its column of the (variables x folds) kinds
     ``chosen``: the PredictionSet of a fit of its candidate columns, in
     build_design's order; or None, for _fit_fold, where a test row holds a
     level that training lacks under ``error`` or a chosen candidate that is
-    not finite, the design is wider than training, or the fit raises."""
+    not finite, the design is wider than training, the fit raises or a
+    prediction is not finite.
+
+    The fit loop solves each fold's design, gathered from the block of its
+    columns, which is taken once per distinct set of columns.  The predict
+    loop multiplies each fold's test rows of the block by its coefficients
+    into one (folds x test size) matrix, and one inverse call per response
+    transform maps its rows back.  The ids and actuals are gathered once, and
+    each finite row becomes a PredictionSet without the constructor's checks."""
     schema, size, width = ds.schema, trains.shape[1], len(ds.schema.numeric)
     picks = 1 + chosen * width + np.arange(width)[:, None]  # candidate rows, as chosen
     # a test value outside its chosen transform's domain is not finite
@@ -316,24 +327,38 @@ def _fit_group(ds: Dataset, candidates: np.ndarray, factors: dict, trains: np.nd
         usable &= (unseen_level != UNSEEN_ERROR) | (counts == np.count_nonzero(np.bincount(codes)))
         parts.append([s[1:k] for s, k in zip(seen, counts.tolist())])
     response = schema.numeric.index(schema.response)
-    for train, at, fold, kind, ok in zip(trains, tested, zip(*parts), chosen[response].tolist(),
-                                         usable.tolist()):
-        columns, fit = [0, *chain.from_iterable(fold)], None
-        if ok and len(columns) <= size:
-            block = candidates.take(columns, axis=0)
-            try:
-                # gathered as (columns x rows), the design's transpose is in Fortran order
-                coefficients, _ = _qr_solve(block.take(train, axis=1).T,
-                                            candidates[1 + kind * width + response].take(train))
-                # (rows x columns) in C order, as build_design's, so the bits match atlm_predict's
-                with np.errstate(over="ignore", invalid="ignore"):  # PredictionSet rejects inf
-                    predicted = _INVERSE[TRANSFORM_KINDS[kind]](
-                        np.ascontiguousarray(block.take(at, axis=1).T) @ coefficients)
-                fit = PredictionSet(tuple(map(ds.ids.__getitem__, at.tolist())), predicted,
-                                    ds.values[schema.response, at])
-            except AtlmError:
-                pass
-        yield fit
+    kinds, blocks, fits = chosen[response], {}, []
+    # each fold's training responses, under its chosen transform
+    responses = candidates[(1 + kinds * width + response)[:, None], trains]
+    for row, (train, y, fold, ok) in enumerate(zip(trains, responses, zip(*parts),
+                                                    usable.tolist())):
+        columns = (0, *chain.from_iterable(fold))
+        if not ok or len(columns) > size:
+            continue
+        block = blocks.get(columns)
+        if block is None:
+            block = blocks[columns] = candidates.take(columns, axis=0)
+        try:
+            # gathered as (columns x rows), the design's transpose is in Fortran order
+            coefficients, _ = _qr_solve(block.take(train, axis=1).T, y)
+        except AtlmError:
+            continue
+        fits.append((row, block, coefficients))
+    # each fold's predictions, one row per fold; a fold not fitted keeps NaN
+    predicted = np.full(tested.shape, np.nan)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails its fold below
+        for row, block, coefficients in fits:
+            # (rows x columns) in C order, as build_design's, so the bits match atlm_predict's
+            predicted[row] = np.ascontiguousarray(block.take(tested[row], axis=1).T) @ coefficients
+        for kind in set(kinds.tolist()):
+            rows = kinds == kind
+            predicted[rows] = _INVERSE[TRANSFORM_KINDS[kind]](predicted[rows])
+    # the response is active, so every actual is finite
+    actual, t = ds.values[schema.response].take(tested), tested.shape[1]
+    ids = tuple(map(ds.ids.__getitem__, tested.ravel().tolist()))
+    return [PredictionSet._trusted(ids[row * t:row * t + t], predicted[row], actual[row])
+            if finite else None
+            for row, finite in enumerate(np.isfinite(predicted).all(axis=1).tolist())]
 
 
 def _score_folds(ds: Dataset, tests: np.ndarray, outcomes) -> tuple[FoldOutcome, ...]:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -456,3 +457,32 @@ class TestReportStack:
         case, train = ps([1e170, 2.0, 3.0], [1.0, 2.0, 4.0]), np.array([1.0, 5.0])
         stacked = report_stack(case.predicted[None], case.actual[None], train[None])
         assert report(case, train) == stacked[0] and stacked[0].re_star == math.inf
+
+    OVERFLOWS = {  # (predicted, actual, training response)
+        "residual squares": ([1e170, 2.0, 3.0], [1.0, 2.0, 4.0], [1.0, 5.0]),
+        "residual sums": ([1.7e308, 1.7e308, 3.0], [1.0, 2.0, 4.0], [1.0, 5.0]),
+        "random-guess residuals": ([2.0, 3.0], [1e308, 2.0], [-1e308, 1.0]),
+    }
+
+    @pytest.mark.parametrize("case", OVERFLOWS.values(), ids=list(OVERFLOWS))
+    def test_each_definition_keeps_an_overflowing_measure(self, case):
+        predicted, actual, train = map(np.array, case)
+        one = ps(predicted, actual)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = [mmre(one), pred(one), lsd(one), re_star(one), sa(one, train), mar(one)]
+            reports = [report(one, train),
+                       report_stack(predicted[None], actual[None], train[None])[0]]
+        assert not all(map(math.isfinite, values))
+        for expected in reports:  # hex() also matches a NaN with a NaN
+            assert [v.hex() for v in values] == [getattr(expected, f).hex()
+                                                 for f in METRIC_FIELDS]
+
+    def test_pred_keeps_an_overflowing_relative_error(self):
+        # -1.7e308 - 1.7e308 overflows; lsd rejects the negative prediction
+        one = ps([-1.7e308, 2.0, 3.0], [1.7e308, 2.0, 4.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert (mmre(one), pred(one)) == (math.inf, 2 / 3)
+            with pytest.raises(MetricError, match="lsd undefined"):
+                report(one, np.array([1.0, 5.0]))

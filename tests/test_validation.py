@@ -241,6 +241,25 @@ class TestRunValidation:
         assert result.n_succeeded == 4 - len(result.failures)
         assert result.summary.n_reports == result.n_succeeded
 
+    def test_a_fold_whose_prediction_overflows_fails_alone(self):
+        # training without x = 1e200 keeps x as it is and logs y, so the fold
+        # testing it predicts exp(b * 1e200) = inf; the plan path leaves that
+        # fold to the public API, whose PredictionSet words the error
+        xs = [float(v) for v in range(1, 12)] + [1e200]
+        ys = [2.0, 3.0, 4.0, 6.0, 9.0, 13.0, 20.0, 30.0, 45.0, 67.0, 100.0, 150.0]
+        ds = make_dataset({"x": xs, "y": ys}, response="y")
+        plan = ValidationPlan(kind="kfold", k=4, seed=1)
+        folds = generate_folds(ds, plan).folds
+        with mock.patch.object(validation, "_fit_fold", wraps=validation._fit_fold) as refit:
+            outcomes = run_validation(ds, plan).outcomes
+        [failed] = [o for o in outcomes if o.failed]
+        assert 11 in folds[failed.fold][1]
+        assert (failed.code, failed.message) == (
+            "E_PREDICT", "non-finite prediction or actual for row 11: (inf, 150.0)")
+        assert [call.args[1] for call in refit.call_args_list] == [failed.fold]
+        assert [(o.predictions, o.code, o.message) for o in outcomes] == [
+            fit_through_split(ds, fold) for fold in folds]
+
     def test_non_finite_cell_fails_its_folds_with_a_typed_error(self):
         xs = [float(v) for v in range(1, 13)]
         ys = [3 * v + 5 for v in xs]
@@ -293,8 +312,8 @@ class TestRunValidation:
                 expected = str(exc)
                 break
         # every fold of this dataset takes the plan path, which builds each
-        # fold's PredictionSet from the name validation imports
-        with mock.patch("atlm.validation.PredictionSet", predictions_with_fault):
+        # fold's PredictionSet through PredictionSet._trusted
+        with mock.patch.object(PredictionSet, "_trusted", predictions_with_fault):
             if expected is None:
                 assert run_validation(ds, plan).n_succeeded == k
             else:
@@ -415,6 +434,20 @@ def test_each_fold_equals_a_fit_of_its_exported_ids(case, unseen_level):
     # the fits themselves, whatever scoring makes of them
     outcomes = validation._fit_plan(ds, validation._test_masks(ds, plan)[1], unseen_level)
     assert [(o.predictions, o.code, o.message) for o in outcomes] == expected
+
+
+@given(mixed_plans(), st.sampled_from(UNSEEN_POLICIES))
+@settings(max_examples=100, deadline=None)
+def test_each_plan_path_prediction_set_passes_the_constructor_checks(case, unseen_level):
+    # the plan path builds its PredictionSets without the constructor's checks
+    ds, plan = case
+    for o in validation._fit_plan(ds, validation._test_masks(ds, plan)[1], unseen_level):
+        if not o.failed:
+            ps = o.predictions
+            assert ps == PredictionSet(ps.row_ids, ps.predicted, ps.actual)
+            assert isinstance(ps.row_ids, tuple)
+            for values in (ps.predicted, ps.actual):
+                assert values.dtype == np.float64 and values.shape == (len(ps),)
 
 
 def clashing_dataset(name):
