@@ -12,10 +12,12 @@ whole array at a time by jumping ahead.  With multiplier ``a``, increment
 ``c`` and state ``s`` before the first draw, the state before the k-th draw
 is ``a^k s + c (a^0 + ... + a^(k-1))`` mod 2^64.  The two coefficient
 tables are built by doubling in uint64 arrays, whose arithmetic wraps mod
-2^64 as the LCG does, and the XSH-RR output is applied to the states of up
-to 2^16 draws at once.  Rejection stays exact: the draws before the first
-rejected one are kept, the state moves past the rejected draw, and the
-rest are drawn again from there, as the scalar loop would.
+2^64 as the LCG does.  They depend on neither the seed nor the stream, so
+one read-only pair is kept for the process and grown when a call needs more
+draws.  The XSH-RR output is applied to the states of up to 2^16 draws at
+once.  Rejection stays exact: the draws before the first rejected one are
+kept, the state moves past the rejected draw, and the rest are drawn again
+from there, as the scalar loop would.
 """
 
 from __future__ import annotations
@@ -26,25 +28,38 @@ _MASK64 = (1 << 64) - 1
 _MULTIPLIER = 6364136223846793005
 #: most draws computed in one array pass, which bounds the memory a long plan takes
 _BLOCK = 1 << 16
+#: the jump tables for k below their length, read-only; neither value depends
+#: on the count asked for, so a slice equals a table built for that count alone
+_tables = (np.ones(1, dtype=np.uint64), np.zeros(1, dtype=np.uint64))
 
 
 def _jump_tables(count: int) -> tuple[np.ndarray, np.ndarray]:
-    """(a^k, a^0 + ... + a^(k-1)) mod 2^64 for k < count, as uint64 arrays.
+    """(a^k, a^0 + ... + a^(k-1)) mod 2^64 for k < count, as read-only uint64
+    arrays: slices of ``_tables``, which grows when ``count`` exceeds it, to
+    ``count`` or, below ``_BLOCK`` entries, to twice its size.
 
     Each pass doubles the filled prefix: for i below the filled size m,
     a^(m+i) = a^m a^i and the sum up to m+i is (sum up to m) + a^m (sum up
     to i).  Only arrays meet in the arithmetic, which wraps without the
-    overflow warnings numpy raises for scalars."""
-    mult = np.ones(count, dtype=np.uint64)
-    plus = np.zeros(count, dtype=np.uint64)
-    size, a_m, sum_m = 1, _MULTIPLIER, 1  # a^size and the sum below size
-    while size < count:
-        step = min(size, count - size)
-        np.multiply(mult[:step], np.uint64(a_m), out=mult[size:size + step])
-        np.multiply(plus[:step], np.uint64(a_m), out=plus[size:size + step])
-        plus[size:size + step] += np.uint64(sum_m)
-        size, a_m, sum_m = 2 * size, (a_m * a_m) & _MASK64, (sum_m + a_m * sum_m) & _MASK64
-    return mult, plus
+    overflow warnings numpy raises for scalars.  A grown table is filled
+    before it replaces the old one, so a caller never sees a partial one."""
+    global _tables
+    mult, plus = _tables
+    size = len(mult)
+    if size < count:
+        a_m = (int(mult[-1]) * _MULTIPLIER) & _MASK64  # a^size and the sum below size
+        sum_m = (int(plus[-1]) + int(mult[-1])) & _MASK64
+        total = max(count, min(2 * size, _BLOCK))
+        mult, plus = np.resize(mult, total), np.resize(plus, total)
+        while size < total:
+            step = min(size, total - size)
+            np.multiply(mult[:step], np.uint64(a_m), out=mult[size:size + step])
+            np.multiply(plus[:step], np.uint64(a_m), out=plus[size:size + step])
+            plus[size:size + step] += np.uint64(sum_m)
+            size, a_m, sum_m = 2 * size, (a_m * a_m) & _MASK64, (sum_m + a_m * sum_m) & _MASK64
+        mult.flags.writeable = plus.flags.writeable = False
+        _tables = mult, plus
+    return mult[:count], plus[:count]
 
 
 def _output(states: np.ndarray) -> np.ndarray:

@@ -16,31 +16,33 @@ scored.  Once per plan, each numeric row is transformed every way into one
 (candidates x rows) matrix, and one ``transforms._fold_choices`` call picks
 every fitted fold's transforms: a screen of whole-plan moment sums, then
 the exact b1 pass of ``transforms._fold_b1`` where the screen is unsure.
-``_fit_group`` fits each group of folds of one training size from their
-training and test positions: one mask keeps the folds with no unseen level
-and no non-finite chosen test cell, and each gathers its design from the
-matrix, in Fortran order, for ``linear._qr_solve``.  Only that gather, the
-solve and the product of the fold's test rows with its coefficients run per
-fold; the inverse transform, the finiteness check and the ids and actuals of
-the PredictionSets run once per group.  Each fold equals a
-fit of its rows through the public single-model API (``atlm_fit``,
-``atlm_predict``), the oracle of this path; a fold that could fail is
-fitted through that API, which words its error.  A failed fold (transform
-domain violation, unseen factor level, ...) carries the error's code and
-message instead of predictions; it is excluded from aggregation but never
-silently dropped.  Leave-one-out test sets are singletons, on which the
-variance-based measures are undefined, so its metrics are computed once
-over the pooled predictions.  k-fold and holdout fill in each fold's
-report, one stacked :func:`~atlm.metrics.report_stack` pass per group of
-folds with the same test size, with the reports and errors that scoring
-fold by fold would give, and aggregate them.
+One ``_designs`` pass then gives every fitted fold its design's candidate
+rows, in build_design's order: the chosen numeric rows, and each factor's
+levels in the order its training rows first hold them.  It gives None
+instead to a fold with an unseen level under ``error``, a non-finite chosen
+test cell or a design wider than training.  ``_fit_group`` fits each group
+of folds of one training size from their training and test positions: each
+fold with a design gathers it from the matrix, in Fortran order, for
+``linear._qr_solve``.  Only that gather, the solve and the product of the
+fold's test rows with its coefficients run per fold; the inverse transform,
+the finiteness check and the ids and actuals of the PredictionSets run once
+per group.  Each fold equals a fit of its rows through the public
+single-model API (``atlm_fit``, ``atlm_predict``), the oracle of this path;
+a fold that could fail is fitted through that API, which words its error.
+A failed fold (transform domain violation, unseen factor level, ...)
+carries the error's code and message instead of predictions; it is excluded
+from aggregation but never silently dropped.  Leave-one-out test sets are
+singletons, on which the variance-based measures are undefined, so its
+metrics are computed once over the pooled predictions.  k-fold and holdout
+fill in each fold's report, one stacked :func:`~atlm.metrics.report_stack`
+pass per group of folds with the same test size, with the reports and
+errors that scoring fold by fold would give, and aggregate them.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, replace
-from itertools import chain
 
 import numpy as np
 
@@ -263,8 +265,10 @@ def _fit_plan(ds: Dataset, tests: np.ndarray, unseen_level: str) -> list[FoldOut
     if (fitted.size and unseen_level in UNSEEN_POLICIES and schema.explanatory
             and np.isfinite(ds.values.take(schema.active, axis=0)).all()):
         candidates, factors = _candidates(ds)
-        chosen = _fold_choices(candidates[1:1 + len(TRANSFORM_KINDS) * len(schema.numeric)],
-                               tests[fitted])
+        width, masks = len(schema.numeric), tests[fitted]
+        chosen = _fold_choices(candidates[1:1 + len(TRANSFORM_KINDS) * width], masks)
+        designs = _designs(ds, candidates, factors, masks, sizes[fitted], chosen, unseen_level)
+        kinds = chosen[schema.numeric.index(schema.response)]
         for size in set(sizes[fitted].tolist()):
             group = np.flatnonzero(sizes[fitted] == size)
             folds = fitted[group]
@@ -272,7 +276,8 @@ def _fit_plan(ds: Dataset, tests: np.ndarray, unseen_level: str) -> list[FoldOut
             trains = (np.flatnonzero(~tests[folds]) % n).reshape(len(folds), size)
             tested = (np.flatnonzero(tests[folds]) % n).reshape(len(folds), n - size)
             fits.update(zip(folds.tolist(), _fit_group(
-                ds, candidates, factors, trains, tested, chosen[:, group], unseen_level)))
+                ds, candidates, trains, tested, list(map(designs.__getitem__, group.tolist())),
+                kinds[group])))
     return [_fit_fold(ds, index, test, unseen_level) if fits.get(index) is None
             else FoldOutcome(index, fits[index]) for index, test in enumerate(tests)]
 
@@ -291,14 +296,62 @@ def _candidates(ds: Dataset):
     return np.concatenate(blocks, dtype=float), factors
 
 
-def _fit_group(ds: Dataset, candidates: np.ndarray, factors: dict, trains: np.ndarray,
-               tested: np.ndarray, chosen: np.ndarray, unseen_level: str):
+def _designs(ds: Dataset, candidates: np.ndarray, factors: dict, tests: np.ndarray,
+             sizes: np.ndarray, chosen: np.ndarray, unseen_level: str) -> list:
+    """Per fold of the (folds x rows) test masks ``tests``, with training size
+    ``sizes`` and its column of the (variables x folds) kinds ``chosen``: its
+    design's candidate rows, in build_design's order; or None, for _fit_fold,
+    where a test row holds a level that training lacks under ``error`` or a
+    chosen candidate that is not finite, or the design is wider than training.
+
+    One pass serves every fold.  A factor's levels, in the order training
+    first sees them, come from its training mask gathered in level order, one
+    segment per level that a row holds."""
+    schema, (folds, n), width = ds.schema, tests.shape, len(ds.schema.numeric)
+    # a test value outside its chosen transform's domain is not finite; only the
+    # rows holding such a value are checked
+    nonfinite = ~np.isfinite(candidates[1:1 + len(TRANSFORM_KINDS) * width])
+    at = np.flatnonzero(nonfinite.any(axis=0))
+    # (kinds x variables x folds): a test row's value is not finite under the kind
+    hit = (nonfinite[:, at] @ tests[:, at].T).reshape(-1, width, folds)
+    usable = ~(hit & (chosen == np.arange(len(hit))[:, None, None])).any(axis=(0, 1))
+    picks = 1 + chosen * width + np.arange(width)[:, None]  # candidate rows, as chosen
+    slots = [np.zeros((folds, 1), dtype=picks.dtype)]  # the intercept; -1 marks no column
+    for i, _ in schema.explanatory:
+        if i not in factors:
+            slots.append(picks[schema.numeric.index(i), :, None])
+            continue
+        codes, first_column = factors[i]
+        counts = np.bincount(codes)
+        held = np.flatnonzero(counts)
+        # positions in level order, in the least dtype that holds n: the (folds x
+        # rows) array below then takes a byte per cell, as a mask does, for n < 256
+        order = np.argsort(codes, kind="stable").astype(np.min_scalar_type(n))
+        # each held level's first training position, n if training lacks it
+        first = np.minimum.reduceat(np.where(tests[:, order], n, order),
+                                    (np.cumsum(counts) - counts)[held], axis=1)
+        seen = first_column + held[np.argsort(first, axis=1, kind="stable")]
+        present = np.count_nonzero(first < n, axis=1)
+        # a fold's training and test rows are all the rows, so a test row holds a
+        # level that training lacks exactly when training lacks a level of the data
+        if unseen_level == UNSEEN_ERROR:
+            usable &= present == len(held)
+        slots.append(np.where(np.arange(1, len(held)) < present[:, None], seen[:, 1:], -1))
+    columns = np.concatenate(slots, axis=1)
+    kept = columns >= 0
+    lengths = np.count_nonzero(kept, axis=1)
+    usable &= lengths <= sizes
+    flat, ends = columns[kept].tolist(), np.cumsum(lengths).tolist()
+    return [tuple(flat[end - length:end]) if ok else None
+            for end, length, ok in zip(ends, lengths.tolist(), usable.tolist())]
+
+
+def _fit_group(ds: Dataset, candidates: np.ndarray, trains: np.ndarray, tested: np.ndarray,
+               designs: list, kinds: np.ndarray):
     """Per fold of one training size, with training and test positions
-    ``trains`` and ``tested`` and its column of the (variables x folds) kinds
-    ``chosen``: the PredictionSet of a fit of its candidate columns, in
-    build_design's order; or None, for _fit_fold, where a test row holds a
-    level that training lacks under ``error`` or a chosen candidate that is
-    not finite, the design is wider than training, the fit raises or a
+    ``trains`` and ``tested``, its ``_designs`` entry and its response's kind
+    in ``kinds``: the PredictionSet of a fit of its design's candidate rows;
+    or None, for _fit_fold, where its design is None, the fit raises or a
     prediction is not finite.
 
     The fit loop solves each fold's design, gathered from the block of its
@@ -307,33 +360,13 @@ def _fit_group(ds: Dataset, candidates: np.ndarray, factors: dict, trains: np.nd
     into one (folds x test size) matrix, and one inverse call per response
     transform maps its rows back.  The ids and actuals are gathered once, and
     each finite row becomes a PredictionSet without the constructor's checks."""
-    schema, size, width = ds.schema, trains.shape[1], len(ds.schema.numeric)
-    picks = 1 + chosen * width + np.arange(width)[:, None]  # candidate rows, as chosen
-    # a test value outside its chosen transform's domain is not finite
-    usable, parts = np.isfinite(candidates[picks[:, :, None], tested]).all(axis=(0, 2)), []
-    for i, _ in schema.explanatory:
-        if i not in factors:
-            parts.append(picks[[schema.numeric.index(i)]].T.tolist())
-            continue
-        codes, first_column = factors[i]
-        # each level's first training position, as an index into trains; size if none
-        held = codes[trains][:, None, :] == np.arange(len(ds.levels[i]))[:, None]
-        present = held.any(axis=2)
-        first = np.where(present, held.argmax(axis=2), size)
-        seen = (first_column + np.argsort(first, axis=1, kind="stable")).tolist()
-        counts = np.count_nonzero(present, axis=1)
-        # a fold's training and test rows are all the rows, so a test row holds a
-        # level that training lacks exactly when training lacks a level of the data
-        usable &= (unseen_level != UNSEEN_ERROR) | (counts == np.count_nonzero(np.bincount(codes)))
-        parts.append([s[1:k] for s, k in zip(seen, counts.tolist())])
+    schema, width = ds.schema, len(ds.schema.numeric)
     response = schema.numeric.index(schema.response)
-    kinds, blocks, fits = chosen[response], {}, []
+    blocks, fits = {}, []
     # each fold's training responses, under its chosen transform
     responses = candidates[(1 + kinds * width + response)[:, None], trains]
-    for row, (train, y, fold, ok) in enumerate(zip(trains, responses, zip(*parts),
-                                                    usable.tolist())):
-        columns = (0, *chain.from_iterable(fold))
-        if not ok or len(columns) > size:
+    for row, (train, y, columns) in enumerate(zip(trains, responses, designs)):
+        if columns is None:
             continue
         block = blocks.get(columns)
         if block is None:

@@ -407,10 +407,33 @@ def datasets_with_gaps(draw):
     return Dataset.from_columns("gaps", schema, ids, columns)
 
 
+def gaps_dataset(*columns) -> Dataset:
+    """Rows 0, 1, ... of the columns, the last one the response; a column
+    holding text is a factor."""
+    schema = [ColumnSchema(f"c{i}", CATEGORICAL if str in map(type, cells) else NUMERIC)
+              for i, cells in enumerate(columns[:-1])]
+    return Dataset.from_columns("gaps", [*schema, ColumnSchema("y", NUMERIC, RESPONSE)],
+                                range(len(columns[0])), columns)
+
+
 @given(datasets_with_gaps())
+@example(gaps_dataset([-0.0, 0.0, 1.0, 0.0, -0.0], [0.0, 2.0, -0.0, 3.0, 4.0]))
+@example(gaps_dataset([5e-324, 1e16, 1e22, math.inf, -math.inf], [1e16, 2.0, 3.0, 4.0, 5.0]))
+@example(gaps_dataset([math.nan, None, math.nan], [1.0, 2.0, 3.0]))  # every cell missing
+@example(gaps_dataset(["b", None, "a", "b"], [1.0, 2.0, 1.0, None]))  # a factor with a gap
 @settings(max_examples=150, deadline=None)
 def test_fingerprint_equals_the_cell_by_cell_hash(ds):
     assert ds.fingerprint() == reference_fingerprint(ds)
+
+
+def test_fingerprint_reads_a_fortran_ordered_matrix_by_rows():
+    cells = np.array([[0.5, -0.0, 3.0, 0.0], [1.0, math.nan, 1.0, 0.0],
+                      [2.0, 7.0, 9.5, 1e22]])
+    schema = _columns("x numeric explanatory", "f categorical explanatory", "y numeric response")
+    ds = Dataset("f", schema, (4, 0, 2, 1), np.asfortranarray(cells), ((), ("a", "b"), ()))
+    assert ds.fingerprint() == reference_fingerprint(ds)
+    assert ds.fingerprint() == Dataset("c", schema, (4, 0, 2, 1), cells,
+                                       ((), ("a", "b"), ())).fingerprint()
 
 
 def test_fingerprint_ignores_display_name():
@@ -560,8 +583,15 @@ class TestSplit:
                 part.values[0, 0] = 5.0
             with pytest.raises(ValueError, match="read-only"):
                 part.response_column()[:] = 0.0
-        cells[0, 0] = 5.0  # the caller's own array stays writeable
-        assert ds.values[0, 0] == 5.0
+        # the caller's own array stays writeable, and the dataset owns a copy,
+        # also of a read-only view of it
+        frozen = cells.view()
+        frozen.flags.writeable = False
+        views = Dataset("v", ds.schema, ds.ids, frozen, ds.levels)
+        fingerprint = ds.fingerprint()
+        cells[0, 0] = 5.0
+        for part in (ds, views):
+            assert part.values[0, 0] == 1.0 and part.fingerprint() == fingerprint
 
     def test_cells_preserved_exactly(self):
         ds = make_dataset({"x": [1.5, 2.5, 3.5, 4.5], "y": [9, 8, 7, 6]}, response="y")

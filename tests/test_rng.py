@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -89,6 +90,19 @@ class TestDrawsBelow:
         bulk, scalar = Pcg32(8, stream=3), Pcg32(8, stream=3)
         assert bulk.draws_below(bounds) == scalar_draws(scalar, bounds)
         assert bulk.state == scalar.state
+
+    def test_jump_tables_are_slices_of_one_exact_table(self, monkeypatch):
+        # the kept table grows on demand; every slice holds a^k and the sum of
+        # a^j for j < k, mod 2^64, whatever sizes were asked for before
+        monkeypatch.setattr(rng, "_tables", (np.ones(1, dtype=np.uint64),
+                                             np.zeros(1, dtype=np.uint64)))
+        a, mask = 6364136223846793005, (1 << 64) - 1
+        powers = [pow(a, k, 1 << 64) for k in range(70)]
+        for count in (5, 3, 40, 0, 70, 17):
+            mult, plus = rng._jump_tables(count)
+            assert mult.tolist() == powers[:count]
+            assert plus.tolist() == [sum(powers[:k]) & mask for k in range(count)]
+            assert not (mult.flags.writeable or plus.flags.writeable)
 
     def test_no_bounds_leave_the_state_alone(self):
         g = Pcg32(3)

@@ -525,6 +525,51 @@ def test_the_screen_settles_every_fold_but_those_with_a_two_valued_variable(tmp_
     assert set(names) == {"lexp", "vexp"}
 
 
+def sparse_factor_dataset():
+    """12 rows whose factor declares level "c", held by no row, and holds "d"
+    at position 7 alone; "b" is seen first, so it is the usual reference level."""
+    codes = [1.0, 0.0, 1.0, 4.0, 0.0, 1.0, 4.0, 3.0, 0.0, 1.0, 4.0, 0.0]
+    xs = [1.0, 2.0, 4.0, 8.0, 3.0, 5.0, 9.0, 6.0, 7.0, 10.0, 12.0, 11.0]
+    ys = [3 * x + 1 + 4 * c + (-1) ** i for i, (x, c) in enumerate(zip(xs, codes))]
+    schema = [ColumnSchema("f", CATEGORICAL), ColumnSchema("x", NUMERIC),
+              ColumnSchema("y", NUMERIC, RESPONSE)]
+    return Dataset("sparse", schema, tuple(range(3, 15)), np.array([codes, xs, ys]),
+                   (("a", "b", "c", "d", "e"), (), ()))
+
+
+@pytest.mark.parametrize("plan", ["loocv", "kfold:3", "kfold:4", "holdout:3x8"])
+@pytest.mark.parametrize("unseen_level", UNSEEN_POLICIES)
+def test_a_level_held_by_no_row_or_one_row_keeps_every_fold(plan, unseen_level):
+    # the plan path orders each factor's levels from one segment per level a
+    # row holds; a declared level that no row holds has no segment
+    ds = sparse_factor_dataset()
+    for seed in (1, 2, 3):
+        plan_ = ValidationPlan.parse(plan, seed=seed)
+        folds = generate_folds(ds, plan_).folds
+        outcomes = validation._fit_plan(ds, validation._test_masks(ds, plan_)[1], unseen_level)
+        expected = [fit_through_split(ds, fold, unseen_level) for fold in folds]
+        assert [(o.predictions, o.code, o.message) for o in outcomes] == expected
+        codes = {code for _, code, _ in expected}
+        assert codes == ({None, "E_UNSEEN_LEVEL"} if unseen_level == "error" else {None})
+
+
+def test_only_the_failing_folds_are_refitted(tmp_path):
+    # a fold sent to _fit_fold needlessly gets the same outcome, only slower
+    synthetic = synth.generate(1)
+    csv_path, schema_path = synth.write(synthetic, tmp_path)
+    cases = [(load_csv(csv_path, load_schema(schema_path)), ValidationPlan(kind="loocv"))]
+    cases += [(load_builtin(name), ValidationPlan(kind="kfold", k=10, seed=seed))
+              for name in ("cocomo81", "desharnais", "maxwell") for seed in range(1, 11)]
+    failures = []
+    for ds, plan in cases:
+        with mock.patch.object(validation, "_fit_fold", wraps=validation._fit_fold) as refit:
+            outcomes = run_validation(ds, plan).outcomes
+        failures.append({o.fold: o.code for o in outcomes if o.failed})
+        assert [call.args[1] for call in refit.call_args_list] == list(failures[-1]), \
+            (ds.name, plan)
+    assert failures[0] == synthetic.expected_failures  # the two planted folds
+
+
 def test_an_unknown_unseen_level_policy_fails_every_fold():
     ds = load_builtin("cocomo81")
     with pytest.raises(ValidationError) as exc:
