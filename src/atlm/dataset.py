@@ -290,7 +290,9 @@ def _read_text(path: Path, error: type[AtlmError], what: str) -> str:
     if not path.is_file():
         raise error(f"{what} file not found: {path}")
     try:
-        return path.read_bytes().decode("utf-8")
+        # less one leading byte-order mark, as Excel writes; the mark is decoded
+        # with the rest, so a bad byte's offset counts from the file's first byte
+        return path.read_bytes().decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text at byte {exc.start}: {exc.reason}") from None
 
@@ -307,7 +309,10 @@ def load_schema(path: str | Path) -> Schema:
         parts = line.split()
         if len(parts) != 3:
             raise SchemaError(f"{path}:{lineno}: expected 'name kind role', got {line!r}")
-        columns.append(ColumnSchema(*parts))
+        try:
+            columns.append(ColumnSchema(*parts))
+        except SchemaError as exc:
+            raise SchemaError(f"{path}:{lineno}: {exc}") from None
     if not columns:
         raise SchemaError(f"{path}: schema defines no columns")
     return Schema(columns)

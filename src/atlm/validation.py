@@ -11,17 +11,19 @@ leaves out.  Row ids appear only in :func:`generate_folds`, which formats
 the masks as (train ids, test ids) tuples for export, and in the
 :class:`~atlm.pipeline.PredictionSet` of each fold.
 
-Every fold is fitted to one :class:`FoldOutcome`, in fold order, then
-scored.  Once per plan, each numeric row is transformed every way into one
+A call computes the fingerprint once and fits in one pass a plan's folds,
+or an experiment's runs as their stacked masks, each fold to one
+:class:`FoldOutcome` in fold order; each plan's folds are then scored.
+Once per pass, each numeric row is transformed every way into one
 (candidates x rows) matrix, and one ``transforms._fold_choices`` call picks
-every fitted fold's transforms: a screen of whole-plan moment sums, then
-the exact b1 pass of ``transforms._fold_b1`` where the screen is unsure.
-One ``_designs`` pass then gives every fitted fold its design's candidate
-rows, in build_design's order: the chosen numeric rows, and each factor's
-levels in the order its training rows first hold them.  It gives None
-instead to a fold with an unseen level under ``error``, a non-finite chosen
-test cell or a design wider than training.  ``_fit_group`` fits each group
-of folds of one training size from their training and test positions: each
+every fold's transforms: a screen of whole-pass moment sums, then the exact
+b1 pass of ``transforms._fold_b1`` where the screen is unsure.  One
+``_designs`` pass then gives every fold its design's candidate rows, in
+build_design's order: the chosen numeric rows, and each factor's levels in
+the order its training rows first hold them; or None, to a fold with under
+3 training rows, an unseen level under ``error``, a non-finite chosen test
+cell or a design wider than training.  ``_fit_group`` fits each group of
+folds of one training size from their training and test positions: each
 fold with a design gathers it from the matrix, in Fortran order, for
 ``linear._qr_solve``.  Only that gather, the solve and the product of the
 fold's test rows with its coefficients run per fold; the inverse transform,
@@ -34,14 +36,14 @@ carries the error's code and message instead of predictions; it is excluded
 from aggregation but never silently dropped.  Leave-one-out test sets are
 singletons, on which the variance-based measures are undefined, so its
 metrics are computed once over the pooled predictions.  k-fold and holdout
-fill in each fold's report, one stacked :func:`~atlm.metrics.report_stack`
-pass per group of folds with the same test size, with the reports and
-errors that scoring fold by fold would give, and aggregate them.
+score each fold, one :func:`~atlm.metrics.report_stack` pass per test size,
+and aggregate the reports.
 """
 
 from __future__ import annotations
 
 import operator
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -157,15 +159,14 @@ class FoldAssignment:
         }
 
 
-def _test_masks(ds: Dataset, plan: ValidationPlan) -> tuple[str, np.ndarray]:
-    """The dataset fingerprint and the plan's (folds x rows) boolean test
-    masks; see the module docstring.  The shuffles permute row positions."""
+def _test_masks(ds: Dataset, plan: ValidationPlan, fingerprint: str) -> np.ndarray:
+    """The plan's (folds x rows) boolean test masks, given ``fingerprint =
+    ds.fingerprint()``; see the module docstring.  The shuffles permute row positions."""
     n = len(ds)
-    fingerprint = ds.fingerprint()
     if plan.kind == LOOCV:
         if n == 0:
             raise PlanError(f"loocv has no folds in the 0 rows of {ds.name!r}")
-        return fingerprint, np.eye(n, dtype=bool)
+        return np.eye(n, dtype=bool)
     rng = Pcg32(plan.seed, stream=int(fingerprint[:16], 16))
     if plan.kind == KFOLD:
         if plan.k > n:
@@ -175,7 +176,7 @@ def _test_masks(ds: Dataset, plan: ValidationPlan) -> tuple[str, np.ndarray]:
         base, extra = divmod(n, plan.k)
         fold_of = np.empty(n, dtype=np.intp)
         fold_of[order] = np.repeat(np.arange(plan.k), [base + (i < extra) for i in range(plan.k)])
-        return fingerprint, fold_of == np.arange(plan.k)[:, None]
+        return fold_of == np.arange(plan.k)[:, None]
     if plan.test_size >= n:
         raise PlanError(
             f"holdout test_size={plan.test_size} must be below {n} rows of {ds.name!r}")
@@ -183,13 +184,14 @@ def _test_masks(ds: Dataset, plan: ValidationPlan) -> tuple[str, np.ndarray]:
     rng.shuffle(*orders)
     tests = np.zeros((plan.repeats, n), dtype=bool)
     tests[np.arange(plan.repeats)[:, None], [o[:plan.test_size] for o in orders]] = True
-    return fingerprint, tests
+    return tests
 
 
 def generate_folds(ds: Dataset, plan: ValidationPlan) -> FoldAssignment:
     """The plan's folds as (train ids, test ids) pairs, both sides in the
     dataset's row order."""
-    fingerprint, tests = _test_masks(ds, plan)
+    fingerprint = ds.fingerprint()
+    tests = _test_masks(ds, plan, fingerprint)
     # a fold whose test rows are one run, as every LOOCV fold's are, is sliced
     # from the ids, which reuses their int objects; any other is gathered, as
     # slicing at each of the scattered runs of k-fold measured slower
@@ -259,25 +261,22 @@ def _fit_plan(ds: Dataset, tests: np.ndarray, unseen_level: str) -> list[FoldOut
     """Every fold's outcome, as :func:`_fit_fold` gives it."""
     schema, n, fits = ds.schema, len(ds), {}
     sizes = np.count_nonzero(~tests, axis=1)
-    fitted = np.flatnonzero(sizes >= 3)  # selection needs 3 rows
-    # the other policies, and a non-finite active cell, fail every fold, so
-    # _fit_fold fits them all
-    if (fitted.size and unseen_level in UNSEEN_POLICIES and schema.explanatory
+    # selection needs 3 training rows; the other policies, and a non-finite
+    # active cell, fail every fold, so _fit_fold fits them all
+    if ((sizes >= 3).any() and unseen_level in UNSEEN_POLICIES and schema.explanatory
             and np.isfinite(ds.values.take(schema.active, axis=0)).all()):
         candidates, factors = _candidates(ds)
-        width, masks = len(schema.numeric), tests[fitted]
-        chosen = _fold_choices(candidates[1:1 + len(TRANSFORM_KINDS) * width], masks)
-        designs = _designs(ds, candidates, factors, masks, sizes[fitted], chosen, unseen_level)
+        chosen = _fold_choices(candidates[1:1 + len(TRANSFORM_KINDS) * len(schema.numeric)], tests)
+        designs = _designs(ds, candidates, factors, tests, sizes, chosen, unseen_level)
         kinds = chosen[schema.numeric.index(schema.response)]
-        for size in set(sizes[fitted].tolist()):
-            group = np.flatnonzero(sizes[fitted] == size)
-            folds = fitted[group]
+        for size in set(sizes.tolist()):
+            folds = np.flatnonzero(sizes == size)
             # the group's training and test positions, one row per fold
             trains = (np.flatnonzero(~tests[folds]) % n).reshape(len(folds), size)
             tested = (np.flatnonzero(tests[folds]) % n).reshape(len(folds), n - size)
             fits.update(zip(folds.tolist(), _fit_group(
-                ds, candidates, trains, tested, list(map(designs.__getitem__, group.tolist())),
-                kinds[group])))
+                ds, candidates, trains, tested, list(map(designs.__getitem__, folds.tolist())),
+                kinds[folds])))
     return [_fit_fold(ds, index, test, unseen_level) if fits.get(index) is None
             else FoldOutcome(index, fits[index]) for index, test in enumerate(tests)]
 
@@ -301,8 +300,8 @@ def _designs(ds: Dataset, candidates: np.ndarray, factors: dict, tests: np.ndarr
     """Per fold of the (folds x rows) test masks ``tests``, with training size
     ``sizes`` and its column of the (variables x folds) kinds ``chosen``: its
     design's candidate rows, in build_design's order; or None, for _fit_fold,
-    where a test row holds a level that training lacks under ``error`` or a
-    chosen candidate that is not finite, or the design is wider than training.
+    where training has under 3 rows or under the design's width, or a test row
+    holds a non-finite chosen candidate or, under ``error``, an unseen level.
 
     One pass serves every fold.  A factor's levels, in the order training
     first sees them, come from its training mask gathered in level order, one
@@ -340,7 +339,7 @@ def _designs(ds: Dataset, candidates: np.ndarray, factors: dict, tests: np.ndarr
     columns = np.concatenate(slots, axis=1)
     kept = columns >= 0
     lengths = np.count_nonzero(kept, axis=1)
-    usable &= lengths <= sizes
+    usable &= (lengths <= sizes) & (sizes >= 3)
     flat, ends = columns[kept].tolist(), np.cumsum(lengths).tolist()
     return [tuple(flat[end - length:end]) if ok else None
             for end, length, ok in zip(ends, lengths.tolist(), usable.tolist())]
@@ -395,8 +394,8 @@ def _fit_group(ds: Dataset, candidates: np.ndarray, trains: np.ndarray, tested: 
 
 
 def _score_folds(ds: Dataset, tests: np.ndarray, outcomes) -> tuple[FoldOutcome, ...]:
-    """The outcomes with each fitted fold's metric report filled in, from one
-    stacked pass per group of folds with the same test size.
+    """One plan's outcomes with each fitted fold's metric report filled in,
+    from one stacked pass per group of its folds with the same test size.
 
     Each group is a run of consecutive folds (k-fold puts its larger test
     sets first, holdout has one size), and a stacked pass raises for its
@@ -416,34 +415,46 @@ def _score_folds(ds: Dataset, tests: np.ndarray, outcomes) -> tuple[FoldOutcome,
     return tuple(scored)
 
 
+def _run_plans(ds: Dataset, plans: list, unseen_level: str) -> Iterator[ValidationResult]:
+    """Each plan's :func:`run_validation` result in turn, from one fingerprint
+    and one ``_fit_plan`` pass over the plans' stacked masks.  Every PlanError
+    comes first; then a plan that fails raises what it alone would raise."""
+    fingerprint = ds.fingerprint()
+    masks = [_test_masks(ds, plan, fingerprint) for plan in plans]
+    for plan, tests in zip(plans, masks):
+        if plan.kind != LOOCV and tests.sum(axis=1).min() < 2:
+            raise PlanError(f"plan {plan.label()} leaves test folds of 1 row in the {len(ds)} "
+                            f"rows of {ds.name!r}; per-fold measures need at least 2, so use loocv")
+    # a single plan's masks are fitted as they are, not copied into a stack
+    fitted = _fit_plan(ds, np.concatenate(masks) if len(masks) > 1 else masks[0], unseen_level)
+    for plan, tests in zip(plans, masks):
+        outcomes, fitted = fitted[:len(tests)], fitted[len(tests):]
+        # each plan numbers its folds from 0
+        outcomes = tuple(o if o.fold == i else replace(o, fold=i) for i, o in enumerate(outcomes))
+        # a plan whose folds all failed has nothing to score, so it is refused first
+        succeeded = [o for o in outcomes if not o.failed]
+        if not succeeded:
+            raise ValidationError(f"all {len(outcomes)} folds failed for {ds.name!r}; "
+                                  f"first failure: {outcomes[0].message}")
+        if plan.kind == LOOCV:
+            # singleton test sets: score the pooled predictions once, with the
+            # full response sample as the random-guess reference
+            pooled_report = report(pooled([o.predictions for o in succeeded]), ds.response_column())
+            reports = [pooled_report]
+        else:
+            outcomes, pooled_report = _score_folds(ds, tests, outcomes), None
+            reports = [o.report for o in outcomes if not o.failed]
+        yield ValidationResult(ds.name, fingerprint, plan, outcomes, pooled_report,
+                               aggregate(reports))
+
+
 def run_validation(ds: Dataset, plan: ValidationPlan, *,
                    unseen_level: str = UNSEEN_ERROR) -> ValidationResult:
     """Fit and predict every fold of the plan, then score the fitted folds.
 
     A k-fold or holdout plan that leaves a test fold of one row is refused
     before any fit, since the per-fold measures need two rows."""
-    fingerprint, tests = _test_masks(ds, plan)
-    if plan.kind != LOOCV and tests.sum(axis=1).min() < 2:
-        raise PlanError(
-            f"plan {plan.label()} leaves test folds of 1 row in the {len(ds)} rows of "
-            f"{ds.name!r}; per-fold measures need at least 2, so use loocv")
-    outcomes = tuple(_fit_plan(ds, tests, unseen_level))
-    if plan.kind != LOOCV:
-        outcomes = _score_folds(ds, tests, outcomes)
-    succeeded = [o for o in outcomes if not o.failed]
-    if not succeeded:
-        raise ValidationError(
-            f"all {len(outcomes)} folds failed for {ds.name!r}; "
-            f"first failure: {outcomes[0].message}")
-    if plan.kind == LOOCV:
-        # singleton test sets: score the pooled predictions once, with the
-        # full response sample as the random-guess reference
-        pooled_report = report(pooled([o.predictions for o in succeeded]), ds.response_column())
-        reports = [pooled_report]
-    else:
-        pooled_report, reports = None, [o.report for o in succeeded]
-    return ValidationResult(ds.name, fingerprint, plan, outcomes, pooled_report,
-                            aggregate(reports))
+    return next(_run_plans(ds, [plan], unseen_level))
 
 
 @dataclass(frozen=True)
@@ -458,21 +469,12 @@ class CvRunSummary:
 
 def repeat_cv_experiment(ds: Dataset, k: int, runs: int, base_seed: int = 1, *,
                          unseen_level: str = UNSEEN_ERROR) -> tuple[CvRunSummary, ...]:
-    """Independent k-fold runs with seeds base_seed, base_seed+1, ..."""
+    """Independent k-fold runs with seeds base_seed, base_seed+1, ..., fitted in one pass."""
     runs = _integer("runs", runs)
     if runs < 2:
         raise PlanError(f"repeat experiment needs at least 2 runs, got {runs}")
-    summaries = []
-    for run in range(runs):
-        seed = base_seed + run
-        plan = ValidationPlan(kind=KFOLD, seed=seed, k=k)
-        result = run_validation(ds, plan, unseen_level=unseen_level)
-        summaries.append(CvRunSummary(
-            run=run,
-            seed=seed,
-            re_star_mean=result.summary.means["re_star"],
-            re_star_stderr=float(result.summary.stds["re_star"] / np.sqrt(result.n_succeeded)),
-            n_folds=result.n_folds,
-            n_succeeded=result.n_succeeded,
-        ))
-    return tuple(summaries)
+    plans = [ValidationPlan(kind=KFOLD, seed=base_seed + run, k=k) for run in range(runs)]
+    return tuple(CvRunSummary(run, result.plan.seed, result.summary.means["re_star"],
+                              float(result.summary.stds["re_star"] / np.sqrt(result.n_succeeded)),
+                              result.n_folds, result.n_succeeded)
+                 for run, result in enumerate(_run_plans(ds, plans, unseen_level)))

@@ -537,6 +537,55 @@ class TestRecipeFile:
             PrepRecipe.from_json_file(path)
 
 
+BOM = b"\xef\xbb\xbf"
+INPUT_FILES = {"csv": "x,mode,y\n1,a,2\n2,b,3\n3,a,5\n4,b,4\n",
+               "schema": "x numeric explanatory\nmode categorical explanatory\n"
+                         "y numeric response\n",
+               "recipe": '{"cast_to_categorical": ["x"], "notes": ["n"]}'}
+
+
+@pytest.mark.parametrize("marked", list(INPUT_FILES))
+def test_a_leading_byte_order_mark_is_dropped(tmp_path, marked):
+    # Excel saves "CSV UTF-8" with a byte-order mark before the header
+
+    def load(directory, bom):
+        directory.mkdir()
+        for kind, text in INPUT_FILES.items():
+            (directory / f"d.{kind}").write_bytes((bom if kind == marked else b"") + text.encode())
+        raw = load_csv(directory / "d.csv", load_schema(directory / "d.schema"))
+        return apply_recipe(raw, PrepRecipe.from_json_file(directory / "d.recipe"))
+
+    plain, with_mark = load(tmp_path / "plain", b""), load(tmp_path / "marked", BOM)
+    assert with_mark == plain and with_mark.fingerprint() == plain.fingerprint()
+    assert [col.name for col in with_mark.schema] == ["x", "mode", "y"]
+
+
+@pytest.mark.parametrize("kind, loader, error", [
+    ("csv", lambda path: load_csv(path, SMALL_SCHEMA), ParseError),
+    ("schema", load_schema, SchemaError),
+    ("recipe", PrepRecipe.from_json_file, RecipeError),
+])
+def test_a_bad_byte_after_a_byte_order_mark_is_reported_at_its_file_offset(
+        tmp_path, kind, loader, error):
+    path = tmp_path / f"d.{kind}"
+    path.write_bytes(BOM + b"x,y\n1,\xff\n")  # the 0xff is the file's tenth byte
+    with pytest.raises(error) as exc:
+        loader(path)
+    assert str(exc.value) == f"{path}: not UTF-8 text at byte 9: invalid start byte"
+
+
+@pytest.mark.parametrize("line, message", [
+    ("y numeric Response", "unknown column role 'Response' for 'y'"),
+    ("y Numeric response", "unknown column kind 'Numeric' for 'y'"),
+])
+def test_a_schema_line_error_names_its_file_and_line(tmp_path, line, message):
+    path = tmp_path / "d.schema"
+    path.write_text(f"# effort data\nx numeric explanatory\n\n{line}\n")
+    with pytest.raises(SchemaError) as exc:
+        load_schema(path)
+    assert str(exc.value) == f"{path}:4: {message}"
+
+
 class TestSplit:
     def test_cardinalities(self):
         ds = make_dataset({"x": list(range(10)), "y": list(range(10))}, response="y")

@@ -21,6 +21,7 @@ from atlm.metrics import report
 from atlm.pipeline import PredictionSet, atlm_fit, atlm_predict
 from atlm.rng import Pcg32
 from atlm.validation import (
+    CvRunSummary,
     FoldAssignment,
     ValidationPlan,
     generate_folds,
@@ -432,7 +433,8 @@ def test_each_fold_equals_a_fit_of_its_exported_ids(case, unseen_level):
     else:
         assert [(o.predictions, o.code, o.message) for o in outcomes] == expected
     # the fits themselves, whatever scoring makes of them
-    outcomes = validation._fit_plan(ds, validation._test_masks(ds, plan)[1], unseen_level)
+    outcomes = validation._fit_plan(ds, validation._test_masks(ds, plan, ds.fingerprint()),
+                                    unseen_level)
     assert [(o.predictions, o.code, o.message) for o in outcomes] == expected
 
 
@@ -441,7 +443,8 @@ def test_each_fold_equals_a_fit_of_its_exported_ids(case, unseen_level):
 def test_each_plan_path_prediction_set_passes_the_constructor_checks(case, unseen_level):
     # the plan path builds its PredictionSets without the constructor's checks
     ds, plan = case
-    for o in validation._fit_plan(ds, validation._test_masks(ds, plan)[1], unseen_level):
+    tests = validation._test_masks(ds, plan, ds.fingerprint())
+    for o in validation._fit_plan(ds, tests, unseen_level):
         if not o.failed:
             ps = o.predictions
             assert ps == PredictionSet(ps.row_ids, ps.predicted, ps.actual)
@@ -470,10 +473,51 @@ def test_renaming_every_column_changes_no_fold(case, unseen_level):
     # shuffles, reads the names.  Messages name columns; codes are compared
     ds, plan = case
     renamed = replace(ds, schema=[replace(col, name=f"r{i}") for i, col in enumerate(ds.schema)])
-    tests = validation._test_masks(ds, plan)[1]
+    tests = validation._test_masks(ds, plan, ds.fingerprint())
     original, other = (validation._fit_plan(d, tests, unseen_level) for d in (ds, renamed))
     assert [(o.predictions, o.code) for o in original] == \
         [(o.predictions, o.code) for o in other]
+
+
+def two_training_rows_case():
+    """kfold:2 on 5 rows: fold 0 trains on 2 rows, fold 1 on 3."""
+    ds = make_dataset({"x": [1.0, 2.0, 4.0, 8.0, 16.0], "y": [3.0, 5.0, 9.0, 17.0, 33.0]},
+                      response="y")
+    return ds, ValidationPlan(kind="kfold", k=2, seed=1)
+
+
+@given(mixed_plans(), st.sampled_from(UNSEEN_POLICIES), st.integers(2, 3), st.integers(0, 99))
+@example(two_training_rows_case(), "error", 2, 1)
+@settings(max_examples=100, deadline=None)
+def test_a_stacked_pass_equals_its_plans_fitted_alone(case, unseen_level, count, seed):
+    # an experiment fits the masks of all its runs in one pass; the plan-wide
+    # candidates, screen and designs must leave each fold as its plan alone gives it
+    ds, plan = case
+    masks = [validation._test_masks(ds, replace(plan, seed=seed + i), ds.fingerprint())
+             for i in range(count)]
+    stacked = validation._fit_plan(ds, np.concatenate(masks), unseen_level)
+    alone, start = [], 0
+    for tests in masks:
+        alone += [replace(o, fold=start + o.fold)
+                  for o in validation._fit_plan(ds, tests, unseen_level)]
+        start += len(tests)
+    assert [(o.fold, o.predictions, o.code, o.message) for o in stacked] == \
+        [(o.fold, o.predictions, o.code, o.message) for o in alone]
+
+
+def test_a_fold_with_two_training_rows_still_reaches_fit_fold():
+    # _designs gives a fold with under 3 training rows no design, so it goes to
+    # _fit_fold, which words its error, while the fold of 3 rows fits in the pass
+    ds, plan = two_training_rows_case()
+    tests = validation._test_masks(ds, plan, ds.fingerprint())
+    assert np.count_nonzero(~tests, axis=1).tolist() == [2, 3]
+    with mock.patch.object(validation, "_fit_fold", wraps=validation._fit_fold) as fit_fold:
+        outcomes = validation._fit_plan(ds, tests, "error")
+    assert [call.args[1] for call in fit_fold.call_args_list] == [0]
+    assert outcomes[0].code == "E_DEGENERATE" and not outcomes[1].failed
+    folds = generate_folds(ds, plan).folds
+    assert [(o.predictions, o.code, o.message) for o in outcomes] == \
+        [fit_through_split(ds, fold) for fold in folds]
 
 
 def exact_pass_calls(ds, plans):
@@ -484,7 +528,7 @@ def exact_pass_calls(ds, plans):
     with mock.patch.object(transforms, "_fold_b1", wraps=transforms._fold_b1) as exact:
         for plan in plans:
             exact.reset_mock()
-            transforms._fold_choices(forward, validation._test_masks(ds, plan)[1])
+            transforms._fold_choices(forward, validation._test_masks(ds, plan, ds.fingerprint()))
             calls.append([call.args for call in exact.call_args_list])
     return calls
 
@@ -509,7 +553,8 @@ def test_the_screen_settles_every_fold_but_those_with_a_two_valued_variable(tmp_
     forward = transforms._forward_rows(numeric).reshape(3, len(numeric), len(ds))
     two_valued, left, names = [], [], set()
     for plan, calls in zip(plans, exact_pass_calls(ds, plans)):
-        trains = [np.flatnonzero(~test) for test in validation._test_masks(ds, plan)[1]]
+        trains = [np.flatnonzero(~test)
+                  for test in validation._test_masks(ds, plan, ds.fingerprint())]
         two_valued.append({tuple(t.tolist()) for t in trains
                            if min(np.unique(row[t]).size for row in numeric) == 2})
         left.append({tuple(train) for _, group in calls for train in group.tolist()})
@@ -546,7 +591,8 @@ def test_a_level_held_by_no_row_or_one_row_keeps_every_fold(plan, unseen_level):
     for seed in (1, 2, 3):
         plan_ = ValidationPlan.parse(plan, seed=seed)
         folds = generate_folds(ds, plan_).folds
-        outcomes = validation._fit_plan(ds, validation._test_masks(ds, plan_)[1], unseen_level)
+        outcomes = validation._fit_plan(ds, validation._test_masks(ds, plan_, ds.fingerprint()),
+                                        unseen_level)
         expected = [fit_through_split(ds, fold, unseen_level) for fold in folds]
         assert [(o.predictions, o.code, o.message) for o in outcomes] == expected
         codes = {code for _, code, _ in expected}
@@ -603,3 +649,69 @@ class TestRepeatCv:
     def test_a_non_integer_run_count_is_a_plan_error(self):
         with pytest.raises(PlanError, match="runs must be an integer, got 2.5"):
             repeat_cv_experiment(linear_dataset(), k=3, runs=2.5)
+
+    @pytest.mark.parametrize("name", ["cocomo81", "maxwell"])
+    def test_each_run_equals_run_validation_of_its_plan(self, name):
+        # the runs are fitted in one pass, from one fingerprint
+        ds = load_builtin(name)
+        with mock.patch.object(Dataset, "fingerprint", autospec=True,
+                               side_effect=Dataset.fingerprint) as fingerprint, \
+                mock.patch.object(validation, "_fit_plan", wraps=validation._fit_plan) as fit:
+            runs = repeat_cv_experiment(ds, k=10, runs=4, base_seed=3)
+        assert (fingerprint.call_count, fit.call_count) == (1, 1)
+        expected = []
+        for run in range(4):
+            result = run_validation(ds, ValidationPlan(kind="kfold", k=10, seed=3 + run))
+            expected.append(CvRunSummary(
+                run, 3 + run, result.summary.means["re_star"],
+                float(result.summary.stds["re_star"] / np.sqrt(result.n_succeeded)),
+                result.n_folds, result.n_succeeded))
+        assert runs == tuple(expected)
+
+    FAULTS = TestRunValidation.FAULTS
+
+    @given(k=st.integers(2, 6), runs=st.integers(2, 4),
+           faults=st.lists(st.sampled_from(FAULTS), min_size=24, max_size=24))
+    @settings(max_examples=40, deadline=None)
+    def test_the_first_failing_run_raises_what_run_validation_raises_for_it(
+            self, k, runs, faults):
+        # 40 rows give every fold of every run its own test ids, which key the faults
+        ds = linear_dataset(40)
+        plans = [ValidationPlan(kind="kfold", k=k, seed=4 + run) for run in range(runs)]
+        fault_of = {test: faults[run * 6 + fold] for run, plan in enumerate(plans)
+                    for fold, (_, test) in enumerate(generate_folds(ds, plan).folds)}
+        assert len(fault_of) == runs * k
+
+        def predictions_with_fault(row_ids, predicted, actual):
+            actual = np.linspace(10.0, 20.0, len(row_ids))
+            predicted = actual * 1.1
+            fault = fault_of[row_ids]
+            if fault == "constant actuals":
+                actual[:] = 7.0
+            elif fault == "nonpositive prediction":
+                predicted[-1] = -1.0
+            elif fault == "nonpositive actual":
+                actual[0] = 0.0
+            return PredictionSet(row_ids, predicted, actual)
+
+        with mock.patch.object(PredictionSet, "_trusted", predictions_with_fault):
+            expected = None
+            for plan in plans:
+                try:
+                    run_validation(ds, plan)
+                except (MetricError, ValidationError) as exc:
+                    expected = exc
+                    break
+            if expected is None:
+                assert len(repeat_cv_experiment(ds, k=k, runs=runs, base_seed=4)) == runs
+            else:
+                with pytest.raises(AtlmError) as exc:
+                    repeat_cv_experiment(ds, k=k, runs=runs, base_seed=4)
+                assert (type(exc.value), str(exc.value)) == (type(expected), str(expected))
+
+    def test_a_seed_past_64_bits_is_refused_before_any_fit(self):
+        # run 5 would take seed 2**64; every plan is made before the one pass
+        with mock.patch.object(validation, "_fit_plan") as fit, \
+                pytest.raises(PlanError, match=f"seed must fit in 64 bits, got {2**64}$"):
+            repeat_cv_experiment(load_builtin("cocomo81"), k=10, runs=30, base_seed=2**64 - 5)
+        fit.assert_not_called()
