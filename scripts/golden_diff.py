@@ -7,16 +7,19 @@ Every fitted fold behind ``tests/golden`` is fitted by the ``atlm`` of
 ``REV`` (extracted with ``git archive`` into a temporary directory) and by
 the one in the working tree's ``src/``: the folds of ``reproduce table1``,
 ``table2`` and ``figure1``, and of ``evaluate --plan loocv`` on each bundled
-dataset, plus the whole-dataset transform table of each ``inspect`` file.
-Each side runs in its own interpreter.  Predictions and failure codes come
-from ``run_validation``, the path the golden files are written by; each
+dataset and on the CSV that ``perfbench.synth.generate(1)`` gives (written
+to a temporary directory, as the csv-loocv benchmark workload writes it),
+plus the whole-dataset transform table of each ``inspect`` file.  Each side
+runs in its own interpreter.  Predictions, failure codes and failure messages
+come from ``run_validation``, the path the golden files are written by; each
 fold's transforms come from ``atlm_fit`` on its training rows.
 
 For each fold that changed, one line gives the variables whose transform
-changed and the change of failure code, or else the largest relative change
-of a prediction twice: over the test rows whose explanatory numeric values
-all occur among the fold's training rows ("held values"), and over the rows
-with a value that none of them holds ("a new value").  A class with no rows
+changed and the change of failure code, or of the failure message where the
+code is the same, or else the largest relative change of a prediction twice:
+over the test rows whose explanatory numeric values all occur among the
+fold's training rows ("held values"), and over the rows with a value that
+none of them holds ("a new value").  A class with no rows
 is left out.  The last line counts the changed folds, and reads ``no fold
 changed`` when there are none.  ``export-folds`` fits nothing and is left
 to ``tests/test_golden.py``.
@@ -39,15 +42,17 @@ BUNDLED = ("cocomo81", "desharnais", "maxwell")
 
 def dump() -> dict:
     """Every golden fold of the ``atlm`` on ``sys.path``: ``{label: {fold:
-    [kinds, predictions, code, new]}}``, kinds as ``{variable: kind}`` and
-    ``new`` flagging each test row that holds a new value."""
+    [kinds, predictions, code, new, message]}}``, kinds as ``{variable: kind}``
+    and ``new`` flagging each test row that holds a new value."""
     from atlm import cli
     from atlm.bundled import load_builtin
-    from atlm.dataset import split
+    from atlm.dataset import load_csv, load_schema, split
     from atlm.errors import AtlmError
     from atlm.pipeline import atlm_fit
     from atlm.transforms import calculate_transforms
     from atlm.validation import ValidationPlan, generate_folds, run_validation
+    sys.path.append(str(ROOT))
+    from perfbench import synth
 
     def kinds(table) -> dict:
         return {name: entry.kind for name, entry in table.entries.items()}
@@ -65,10 +70,15 @@ def dump() -> dict:
     runs += [("reproduce figure1", "cocomo81", "kfold:10", cli.REPRODUCE_SEED + run)
              for run in range(cli.FIGURE1_RUNS)]
     runs += [("evaluate", name, "loocv", 1) for name in BUNDLED]
-    out = {f"inspect {name}": {"all rows": [kinds(calculate_transforms(load_builtin(name))),
-                                            [], None, []]} for name in BUNDLED}
+    datasets = {name: load_builtin(name) for name in BUNDLED}
+    with tempfile.TemporaryDirectory() as work:
+        csv_path, schema_path = synth.write(synth.generate(1), Path(work))
+        datasets["synth"] = load_csv(csv_path, load_schema(schema_path))
+    runs.append(("evaluate", "synth", "loocv", 1))
+    out = {f"inspect {name}": {"all rows": [kinds(calculate_transforms(datasets[name])),
+                                            [], None, [], None]} for name in BUNDLED}
     for command, name, plan_text, seed in runs:
-        ds, plan = load_builtin(name), ValidationPlan.parse(plan_text, seed=seed)
+        ds, plan = datasets[name], ValidationPlan.parse(plan_text, seed=seed)
         outcomes = run_validation(ds, plan).outcomes
         folds = {}
         for fold, (outcome, ids) in enumerate(zip(outcomes, generate_folds(ds, plan).folds)):
@@ -78,7 +88,8 @@ def dump() -> dict:
             except AtlmError:
                 fitted = None
             predicted = [] if outcome.failed else outcome.predictions.predicted.tolist()
-            folds[str(fold)] = [fitted, predicted, outcome.code, new_values(train, test)]
+            folds[str(fold)] = [fitted, predicted, outcome.code, new_values(train, test),
+                                outcome.message]
         out[f"{command} {name} {plan_text} seed {seed}"] = folds
     return out
 
@@ -140,12 +151,15 @@ def main(argv: list[str]) -> int:
             if old is None or new is None:
                 print(f"{label} fold {fold}: only {'after' if old is None else 'before'}")
                 continue
-            (old_kinds, old_pred, old_code, _), (new_kinds, new_pred, new_code, flags) = old, new
+            (old_kinds, old_pred, old_code, _, old_message), \
+                (new_kinds, new_pred, new_code, flags, new_message) = old, new
             old_kinds, new_kinds = old_kinds or {}, new_kinds or {}  # None: atlm_fit failed
             moved = ", ".join(f"{v} {old_kinds.get(v)}->{new_kinds.get(v)}"
                               for v in sorted(old_kinds.keys() | new_kinds.keys())
                               if old_kinds.get(v) != new_kinds.get(v))
             change = (f"code {old_code}->{new_code}" if old_code != new_code
+                      else f"message {old_message!r}->{new_message!r}"
+                      if old_message != new_message
                       else largest_changes(old_pred, new_pred, flags))
             print(f"{label} fold {fold}: transforms {moved or 'unchanged'}; {change}")
     print(f"{changed} of {total} folds changed" if changed

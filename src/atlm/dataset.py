@@ -26,7 +26,7 @@ import hashlib
 import io
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -258,13 +258,20 @@ class Dataset:
                             self.values.take(at, axis=1))
 
     def _derive(self, ids: tuple[int, ...], values: np.ndarray) -> "Dataset":
-        """This dataset with other rows or cell values, built without the
-        constructor's checks: the caller guarantees that ``values``, which is
-        made read-only, fits the schema and ``ids`` and that the ids are unique."""
+        """This dataset with other rows or cell values, built by :meth:`_owned`."""
+        return Dataset._owned(self.name, self.schema, ids, values, self.levels, self.source_rows)
+
+    @classmethod
+    def _owned(cls, name: str, schema: Schema, ids: tuple[int, ...], values: np.ndarray,
+               levels: tuple, source_rows: int) -> "Dataset":
+        """A dataset whose schema alone is checked: the caller guarantees that the
+        float64 ``values``, made read-only and held by no one else, fit the schema
+        and the unique ``ids``, and that factor codes index distinct levels."""
+        schema.check(name)
         values.flags.writeable = False
-        new = object.__new__(Dataset)
-        new.__dict__.update(name=self.name, schema=self.schema, ids=ids, values=values,
-                            levels=self.levels, source_rows=self.source_rows)
+        new = object.__new__(cls)
+        new.__dict__.update(name=name, schema=schema, ids=ids, values=values, levels=levels,
+                            source_rows=source_rows)
         return new
 
 
@@ -370,8 +377,8 @@ def load_csv(path: str | Path, schema: tuple[ColumnSchema, ...],
         next(reader)
         _raise_first_bad_cell(path, reader, len(header), fields)
         raise
-    return Dataset(name if name is not None else path.stem, schema,
-                   tuple(range(len(body))), values, levels, len(body))
+    return Dataset._owned(name if name is not None else path.stem, Schema(schema),
+                          tuple(range(len(body))), values, levels, len(body))
 
 
 def _parse_column(cells, numeric: bool) -> list:
@@ -501,7 +508,8 @@ def apply_recipe(raw: Dataset, recipe: PrepRecipe) -> Dataset:
             cells = ds.column(schema[i].name)  # numbers, None where missing
             labels = {v: v if v is None else _category_label(v) for v in dict.fromkeys(cells)}
             values[i], levels[i] = _codes(list(map(labels.__getitem__, cells)))
-        ds = replace(ds, schema=tuple(schema), values=values, levels=tuple(levels))
+        ds = Dataset._owned(ds.name, Schema(schema), ds.ids, values, tuple(levels),
+                            ds.source_rows)
 
     if recipe.drop_rows_with_missing:
         ds = ds._rows(~np.isnan(ds.values).any(axis=0))

@@ -66,6 +66,11 @@ def dummy_label(factor: str, level: str) -> str:
     return f"{factor}={level}"
 
 
+def _unseen_level_error(factor: str, level: str, row_id: int) -> UnseenLevelError:
+    return UnseenLevelError(f"factor {factor!r} has level {level!r} in row {row_id} "
+                            f"that was not seen in training")
+
+
 def build_design(ds: Dataset, levels: dict | None = None,
                  unseen_level: str = UNSEEN_ERROR) -> DesignMatrix:
     """Intercept + numeric columns + L-1 dummy columns per factor, in schema order.
@@ -107,9 +112,7 @@ def build_design(ds: Dataset, levels: dict | None = None,
         index = np.array([position.get(level, -1) for level in names], dtype=np.intp)[codes]
         if unseen_level == UNSEEN_ERROR and (index < 0).any():
             row = int(index.argmin())
-            raise UnseenLevelError(
-                f"factor {col.name!r} has level {names[codes[row]]!r} in row "
-                f"{ds.ids[row]} that was not seen in training")
+            raise _unseen_level_error(col.name, names[codes[row]], ds.ids[row])
         factor_levels[col.name] = lvls
         labels.extend(dummy_label(col.name, level) for level in lvls[1:])
         rows.append(np.arange(1, len(lvls))[:, None] == index)

@@ -58,9 +58,7 @@ class PredictionSet:
         finite = np.isfinite(self.predicted) & np.isfinite(self.actual)
         if not finite.all():
             i = int(finite.argmin())
-            raise PredictionError(
-                f"non-finite prediction or actual for row {self.row_ids[i]}: "
-                f"({float(self.predicted[i])!r}, {float(self.actual[i])!r})")
+            raise _non_finite_error(self.row_ids[i], self.predicted[i], self.actual[i])
 
     @classmethod
     def _trusted(cls, row_ids: tuple[int, ...], predicted: np.ndarray,
@@ -80,6 +78,21 @@ class PredictionSet:
                 and np.array_equal(self.actual, other.actual))
 
 
+def _non_finite_error(row_id: int, predicted: float, actual: float) -> PredictionError:
+    return PredictionError(f"non-finite prediction or actual for row {row_id}: "
+                           f"({float(predicted)!r}, {float(actual)!r})")
+
+
+def _too_few_rows_error(name: str, rows: int) -> DegenerateSampleError:
+    return DegenerateSampleError(f"training dataset {name!r} has {rows} rows; "
+                                 f"skewness selection needs at least 3")
+
+
+def _too_narrow_error(name: str, rows: int, width: int) -> FitError:
+    return FitError(f"dataset {name!r} has {rows} rows but its schema implies {width} "
+                    f"design columns; need at least as many rows")
+
+
 def pooled(prediction_sets) -> PredictionSet:
     """Concatenate fold prediction sets, preserving fold order."""
     sets = list(prediction_sets)
@@ -92,17 +105,13 @@ def atlm_fit(training: Dataset) -> AtlmModel:
     """Select transforms on the training data and fit the linear model."""
     training.require_no_missing("fit")
     if len(training) < 3:
-        raise DegenerateSampleError(
-            f"training dataset {training.name!r} has {len(training)} rows; "
-            f"skewness selection needs at least 3")
+        raise _too_few_rows_error(training.name, len(training))
     transforms = calculate_transforms(training)
     transformed = apply_transforms(transforms, training)
     design = build_design(transformed)
     width = design.matrix.shape[1]
     if len(training) < width:
-        raise FitError(
-            f"dataset {training.name!r} has {len(training)} rows but its schema "
-            f"implies {width} design columns; need at least as many rows")
+        raise _too_narrow_error(training.name, len(training), width)
     linear = fit_ols(design, transformed.response_column())
     return AtlmModel(transforms=transforms, linear=linear)
 

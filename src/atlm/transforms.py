@@ -341,6 +341,12 @@ def _least_skewed(b1: np.ndarray) -> np.ndarray:
     return np.where(np.isnan(b1), np.inf, np.abs(b1)).argmin(axis=0)
 
 
+def _domain_error(value: float, variable: str, row_id: int, kind: str) -> TransformDomainError:
+    return TransformDomainError(f"value {float(value)!r} of variable {variable!r} in row "
+                                f"{row_id} is outside the domain of the training-chosen "
+                                f"{kind!r} transform")
+
+
 def apply_transforms(table: TransformTable, ds: Dataset) -> Dataset:
     """Forward-transform every active numeric column; factors untouched.
 
@@ -361,11 +367,7 @@ def apply_transforms(table: TransformTable, ds: Dataset) -> Dataset:
         outside[at] = ~_DOMAIN[kind](out[at])
     if outside.any():
         row, i = np.argwhere(outside.T)[0].tolist()  # the first row, then column
-        name = schema[i].name
-        raise TransformDomainError(
-            f"value {float(out[i, row])!r} of variable {name!r} in row "
-            f"{ds.ids[row]} is outside the domain of the training-chosen "
-            f"{table[name].kind!r} transform")
+        raise _domain_error(out[i, row], schema[i].name, ds.ids[row], entries[schema[i].name].kind)
     for kind, at in columns.items():
         out[at] = _FORWARD[kind](out[at])
     return ds._derive(ds.ids, out)

@@ -20,24 +20,25 @@ every fold's transforms: a screen of whole-pass moment sums, then the exact
 b1 pass of ``transforms._fold_b1`` where the screen is unsure.  One
 ``_designs`` pass then gives every fold its design's candidate rows, in
 build_design's order: the chosen numeric rows, and each factor's levels in
-the order its training rows first hold them; or None, to a fold with under
-3 training rows, an unseen level under ``error``, a non-finite chosen test
-cell or a design wider than training.  ``_fit_group`` fits each group of
-folds of one training size from their training and test positions: each
-fold with a design gathers it from the matrix, in Fortran order, for
+the order its training rows first hold them; and the fold's first error
+that a fit does not raise.  ``_fit_group`` fits each group of folds of one
+training size from their training and test positions: each fold with a
+design gathers it from the matrix, in Fortran order, for
 ``linear._qr_solve``.  Only that gather, the solve and the product of the
 fold's test rows with its coefficients run per fold; the inverse transform,
 the finiteness check and the ids and actuals of the PredictionSets run once
 per group.  Each fold equals a fit of its rows through the public
-single-model API (``atlm_fit``, ``atlm_predict``), the oracle of this path;
-a fold that could fail is fitted through that API, which words its error.
-A failed fold (transform domain violation, unseen factor level, ...)
-carries the error's code and message instead of predictions; it is excluded
-from aggregation but never silently dropped.  Leave-one-out test sets are
-singletons, on which the variance-based measures are undefined, so its
-metrics are computed once over the pooled predictions.  k-fold and holdout
-score each fold, one :func:`~atlm.metrics.report_stack` pass per test size,
-and aggregate the reports.
+single-model API (``atlm_fit``, ``atlm_predict``), the oracle of this path,
+failures included: the plan path words every per-fold error in the public
+path's order, through the same helpers, and ``_fit_fold`` serves only the
+plans that fail the plan-wide gate.  A failed fold (transform domain
+violation, unseen factor level, ...) carries the error's code and message
+instead of predictions; it is excluded from aggregation but never silently
+dropped.  Leave-one-out test sets are singletons, on which the
+variance-based measures are undefined, so its metrics are computed once
+over the pooled predictions.  k-fold and holdout score each fold, one
+:func:`~atlm.metrics.report_stack` pass per test size, and aggregate the
+reports.
 """
 
 from __future__ import annotations
@@ -49,12 +50,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dataset import CATEGORICAL, Dataset
-from .errors import AtlmError, PlanError, ValidationError
-from .linear import UNSEEN_ERROR, UNSEEN_POLICIES, _qr_solve
+from .errors import AtlmError, FitError, PlanError, ValidationError
+from .linear import UNSEEN_ERROR, UNSEEN_POLICIES, _qr_solve, _unseen_level_error
 from .metrics import MetricReport, MetricSummary, aggregate, report, report_stack
-from .pipeline import PredictionSet, atlm_fit, atlm_predict, pooled
+from .pipeline import (PredictionSet, _non_finite_error, _too_few_rows_error,
+                       _too_narrow_error, atlm_fit, atlm_predict, pooled)
 from .rng import Pcg32
-from .transforms import TRANSFORM_KINDS, _INVERSE, _fold_choices, _forward_rows
+from .transforms import (TRANSFORM_KINDS, _INVERSE, _domain_error, _fold_choices,
+                         _forward_rows)
 
 LOOCV = "loocv"
 KFOLD = "kfold"
@@ -248,7 +251,7 @@ class ValidationResult:
 
 def _fit_fold(ds: Dataset, index: int, test: np.ndarray, unseen_level: str) -> FoldOutcome:
     """The predictions of the fold that tests the rows ``test`` masks, or the
-    error that stopped it; scoring fills in the report."""
+    error that stopped it, through the public API; scoring fills in the report."""
     try:
         predictions = atlm_predict(atlm_fit(ds._rows(~test)), ds._rows(test),
                                    unseen_level=unseen_level)
@@ -258,27 +261,23 @@ def _fit_fold(ds: Dataset, index: int, test: np.ndarray, unseen_level: str) -> F
 
 
 def _fit_plan(ds: Dataset, tests: np.ndarray, unseen_level: str) -> list[FoldOutcome]:
-    """Every fold's outcome, as :func:`_fit_fold` gives it."""
-    schema, n, fits = ds.schema, len(ds), {}
-    sizes = np.count_nonzero(~tests, axis=1)
-    # selection needs 3 training rows; the other policies, and a non-finite
-    # active cell, fail every fold, so _fit_fold fits them all
-    if ((sizes >= 3).any() and unseen_level in UNSEEN_POLICIES and schema.explanatory
+    """Every fold's outcome, as :func:`_fit_fold` gives it: all from the plan
+    path, or all from _fit_fold where the plan fails its gate."""
+    schema, sizes = ds.schema, np.count_nonzero(~tests, axis=1)
+    # selection needs 3 training rows in some fold; the other policies, and a
+    # non-finite active cell, fail every fold, so _fit_fold words them all
+    if not ((sizes >= 3).any() and unseen_level in UNSEEN_POLICIES and schema.explanatory
             and np.isfinite(ds.values.take(schema.active, axis=0)).all()):
-        candidates, factors = _candidates(ds)
-        chosen = _fold_choices(candidates[1:1 + len(TRANSFORM_KINDS) * len(schema.numeric)], tests)
-        designs = _designs(ds, candidates, factors, tests, sizes, chosen, unseen_level)
-        kinds = chosen[schema.numeric.index(schema.response)]
-        for size in set(sizes.tolist()):
-            folds = np.flatnonzero(sizes == size)
-            # the group's training and test positions, one row per fold
-            trains = (np.flatnonzero(~tests[folds]) % n).reshape(len(folds), size)
-            tested = (np.flatnonzero(tests[folds]) % n).reshape(len(folds), n - size)
-            fits.update(zip(folds.tolist(), _fit_group(
-                ds, candidates, trains, tested, list(map(designs.__getitem__, folds.tolist())),
-                kinds[folds])))
-    return [_fit_fold(ds, index, test, unseen_level) if fits.get(index) is None
-            else FoldOutcome(index, fits[index]) for index, test in enumerate(tests)]
+        return [_fit_fold(ds, index, test, unseen_level) for index, test in enumerate(tests)]
+    candidates, factors = _candidates(ds)
+    chosen = _fold_choices(candidates[1:1 + len(TRANSFORM_KINDS) * len(schema.numeric)], tests)
+    designs, errors = _designs(ds, candidates, factors, tests, sizes, chosen, unseen_level)
+    kinds, outcomes = chosen[schema.numeric.index(schema.response)], [None] * len(tests)
+    for size in set(sizes.tolist()):
+        for outcome in _fit_group(ds, candidates, tests, np.flatnonzero(sizes == size),
+                                  designs, errors, kinds):
+            outcomes[outcome.fold] = outcome
+    return outcomes
 
 
 def _candidates(ds: Dataset):
@@ -296,16 +295,19 @@ def _candidates(ds: Dataset):
 
 
 def _designs(ds: Dataset, candidates: np.ndarray, factors: dict, tests: np.ndarray,
-             sizes: np.ndarray, chosen: np.ndarray, unseen_level: str) -> list:
-    """Per fold of the (folds x rows) test masks ``tests``, with training size
-    ``sizes`` and its column of the (variables x folds) kinds ``chosen``: its
-    design's candidate rows, in build_design's order; or None, for _fit_fold,
-    where training has under 3 rows or under the design's width, or a test row
-    holds a non-finite chosen candidate or, under ``error``, an unseen level.
+             sizes: np.ndarray, chosen: np.ndarray, unseen_level: str) -> tuple[list, list]:
+    """``(designs, errors)`` per fold of the (folds x rows) test masks
+    ``tests``, with training size ``sizes`` and its column of the (variables x
+    folds) kinds ``chosen``: its design's candidate rows, in build_design's
+    order, or None under 3 training rows or the design's width; and the first
+    error of the public path that a fit does not raise, or None.  In that
+    path's order: under 3 training rows, under the design's width, a test cell
+    outside its chosen domain, or, under ``error``, an unseen level.
 
-    One pass serves every fold.  A factor's levels, in the order training
-    first sees them, come from its training mask gathered in level order, one
-    segment per level that a row holds."""
+    One pass serves every fold, and only failing folds are searched for the
+    row and column their error names.  A factor's levels, in the order
+    training first sees them, come from its training mask gathered in level
+    order, one segment per level that a row holds."""
     schema, (folds, n), width = ds.schema, tests.shape, len(ds.schema.numeric)
     # a test value outside its chosen transform's domain is not finite; only the
     # rows holding such a value are checked
@@ -313,9 +315,10 @@ def _designs(ds: Dataset, candidates: np.ndarray, factors: dict, tests: np.ndarr
     at = np.flatnonzero(nonfinite.any(axis=0))
     # (kinds x variables x folds): a test row's value is not finite under the kind
     hit = (nonfinite[:, at] @ tests[:, at].T).reshape(-1, width, folds)
-    usable = ~(hit & (chosen == np.arange(len(hit))[:, None, None])).any(axis=(0, 1))
+    outside = (hit & (chosen == np.arange(len(hit))[:, None, None])).any(axis=(0, 1))
     picks = 1 + chosen * width + np.arange(width)[:, None]  # candidate rows, as chosen
     slots = [np.zeros((folds, 1), dtype=picks.dtype)]  # the intercept; -1 marks no column
+    unseen = {}  # fold: the error of its first factor with a level that training lacks
     for i, _ in schema.explanatory:
         if i not in factors:
             slots.append(picks[schema.numeric.index(i), :, None])
@@ -331,27 +334,40 @@ def _designs(ds: Dataset, candidates: np.ndarray, factors: dict, tests: np.ndarr
                                     (np.cumsum(counts) - counts)[held], axis=1)
         seen = first_column + held[np.argsort(first, axis=1, kind="stable")]
         present = np.count_nonzero(first < n, axis=1)
-        # a fold's training and test rows are all the rows, so a test row holds a
-        # level that training lacks exactly when training lacks a level of the data
         if unseen_level == UNSEEN_ERROR:
-            usable &= present == len(held)
+            for fold in np.flatnonzero(present < len(held)).tolist():
+                # every row of a level that training lacks is a test row
+                row = int(np.isin(codes, held[first[fold] == n]).argmax())
+                unseen.setdefault(fold, _unseen_level_error(
+                    schema[i].name, ds.levels[i][codes[row]], ds.ids[row]))
         slots.append(np.where(np.arange(1, len(held)) < present[:, None], seen[:, 1:], -1))
     columns = np.concatenate(slots, axis=1)
     kept = columns >= 0
     lengths = np.count_nonzero(kept, axis=1)
-    usable &= (lengths <= sizes) & (sizes >= 3)
+    designed = (lengths <= sizes) & (sizes >= 3)
+    # each later check overwrites an earlier one's error: the public path raises first
+    errors = [unseen.get(fold) for fold in range(folds)]
+    for fold in np.flatnonzero(outside).tolist():
+        # (variables x rows): a test cell outside its chosen domain
+        bad = nonfinite.reshape(-1, width, n)[chosen[:, fold], np.arange(width)] & tests[fold]
+        row, v = np.argwhere(bad.T)[0].tolist()  # the first row, then column
+        i = schema.numeric[v]
+        errors[fold] = _domain_error(ds.values[i, row], schema[i].name, ds.ids[row],
+                                     TRANSFORM_KINDS[chosen[v, fold]])
+    for fold in np.flatnonzero(~designed).tolist():
+        errors[fold] = (_too_few_rows_error(ds.name, sizes[fold]) if sizes[fold] < 3
+                        else _too_narrow_error(ds.name, sizes[fold], lengths[fold]))
     flat, ends = columns[kept].tolist(), np.cumsum(lengths).tolist()
     return [tuple(flat[end - length:end]) if ok else None
-            for end, length, ok in zip(ends, lengths.tolist(), usable.tolist())]
+            for end, length, ok in zip(ends, lengths.tolist(), designed.tolist())], errors
 
 
-def _fit_group(ds: Dataset, candidates: np.ndarray, trains: np.ndarray, tested: np.ndarray,
-               designs: list, kinds: np.ndarray):
-    """Per fold of one training size, with training and test positions
-    ``trains`` and ``tested``, its ``_designs`` entry and its response's kind
-    in ``kinds``: the PredictionSet of a fit of its design's candidate rows;
-    or None, for _fit_fold, where its design is None, the fit raises or a
-    prediction is not finite.
+def _fit_group(ds: Dataset, candidates: np.ndarray, tests: np.ndarray, folds: np.ndarray,
+               designs: list, errors: list, kinds: np.ndarray) -> Iterator[FoldOutcome]:
+    """The outcomes of the ``folds`` of the (folds x rows) test masks ``tests``,
+    which share one training size, from the plan's ``_designs`` entries and
+    response kinds ``kinds``: a fold's FitError, else its ``_designs`` error,
+    else its first non-finite prediction, else its predictions.
 
     The fit loop solves each fold's design, gathered from the block of its
     columns, which is taken once per distinct set of columns.  The predict
@@ -359,12 +375,17 @@ def _fit_group(ds: Dataset, candidates: np.ndarray, trains: np.ndarray, tested: 
     into one (folds x test size) matrix, and one inverse call per response
     transform maps its rows back.  The ids and actuals are gathered once, and
     each finite row becomes a PredictionSet without the constructor's checks."""
-    schema, width = ds.schema, len(ds.schema.numeric)
+    schema, width, n = ds.schema, len(ds.schema.numeric), len(ds)
     response = schema.numeric.index(schema.response)
-    blocks, fits = {}, []
+    # the group's training and test positions, one row per fold
+    trains = (np.flatnonzero(~tests[folds]) % n).reshape(len(folds), -1)
+    tested = (np.flatnonzero(tests[folds]) % n).reshape(len(folds), -1)
+    kinds, folds = kinds[folds], folds.tolist()
+    blocks, fits, failed = {}, [], [errors[fold] for fold in folds]
     # each fold's training responses, under its chosen transform
     responses = candidates[(1 + kinds * width + response)[:, None], trains]
-    for row, (train, y, columns) in enumerate(zip(trains, responses, designs)):
+    for row, (fold, train, y) in enumerate(zip(folds, trains, responses)):
+        columns = designs[fold]
         if columns is None:
             continue
         block = blocks.get(columns)
@@ -373,9 +394,11 @@ def _fit_group(ds: Dataset, candidates: np.ndarray, trains: np.ndarray, tested: 
         try:
             # gathered as (columns x rows), the design's transpose is in Fortran order
             coefficients, _ = _qr_solve(block.take(train, axis=1).T, y)
-        except AtlmError:
+        except FitError as exc:  # the public path fits before it transforms the test rows
+            failed[row] = exc
             continue
-        fits.append((row, block, coefficients))
+        if failed[row] is None:
+            fits.append((row, block, coefficients))
     # each fold's predictions, one row per fold; a fold not fitted keeps NaN
     predicted = np.full(tested.shape, np.nan)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails its fold below
@@ -386,11 +409,16 @@ def _fit_group(ds: Dataset, candidates: np.ndarray, trains: np.ndarray, tested: 
             rows = kinds == kind
             predicted[rows] = _INVERSE[TRANSFORM_KINDS[kind]](predicted[rows])
     # the response is active, so every actual is finite
-    actual, t = ds.values[schema.response].take(tested), tested.shape[1]
+    actual, t, finite = ds.values[schema.response].take(tested), tested.shape[1], \
+        np.isfinite(predicted)
     ids = tuple(map(ds.ids.__getitem__, tested.ravel().tolist()))
-    return [PredictionSet._trusted(ids[row * t:row * t + t], predicted[row], actual[row])
-            if finite else None
-            for row, finite in enumerate(np.isfinite(predicted).all(axis=1).tolist())]
+    for row, (fold, error, whole) in enumerate(zip(folds, failed, finite.all(axis=1).tolist())):
+        if error is None and not whole:
+            at = int(finite[row].argmin())
+            error = _non_finite_error(ids[row * t + at], predicted[row, at], actual[row, at])
+        yield (FoldOutcome(fold, code=error.code, message=str(error)) if error else
+               FoldOutcome(fold, PredictionSet._trusted(ids[row * t:row * t + t], predicted[row],
+                                                        actual[row])))
 
 
 def _score_folds(ds: Dataset, tests: np.ndarray, outcomes) -> tuple[FoldOutcome, ...]:

@@ -39,6 +39,7 @@ from atlm.errors import (
 from atlm.transforms import apply_transforms, calculate_transforms
 
 from conftest import make_dataset
+from perfbench import synth
 
 
 SMALL_SCHEMA = (
@@ -309,6 +310,41 @@ def test_a_missing_factor_cell_needs_no_level():
     ds = Dataset("gap", _columns("f categorical explanatory", "y numeric response"), (0, 1, 2),
                  codes, (("a", "b"), ()))
     assert ds.column("f") == ("a", None, "b")
+
+
+def test_a_loaded_factor_given_to_the_constructor_is_still_checked():
+    # the loaders build their datasets without the factor check; a loaded
+    # dataset's levels, given to the public constructor, are checked as any
+    ds = load_builtin("maxwell")
+    i = next(i for i, levels in enumerate(ds.levels) if levels)
+    levels = list(ds.levels)
+    levels[i] = (levels[i][0],) * len(levels[i])
+    with pytest.raises(SchemaError) as caught:
+        dataclasses.replace(ds, levels=tuple(levels))
+    assert str(caught.value) == (f"factor {ds.schema[i].name!r} of 'maxwell' repeats a level "
+                                 f"name or has a code outside its {len(levels[i])} levels")
+
+
+#: the first 16 hex digits of each loaded dataset's fingerprint: raw, then prepared
+LOADED_FINGERPRINTS = {"cocomo81": ("41a5588aaa4b7b40", "41a5588aaa4b7b40"),
+                       "desharnais": ("7d0c20e8010af06f", "d722de66e31ca02e"),
+                       "maxwell": ("ac5105568589e727", "12ba43d45c6b7899"),
+                       "synth": ("03f78463298ba4bf",)}
+
+
+@pytest.mark.parametrize("name", LOADED_FINGERPRINTS)
+def test_loaded_datasets_pass_every_constructor_check(name, tmp_path):
+    # load_csv and apply_recipe build their datasets without the factor check
+    if name == "synth":
+        csv_path, schema_path = synth.write(synth.generate(1), tmp_path)
+        loaded = [load_csv(csv_path, load_schema(schema_path))]
+    else:
+        loaded = [load_builtin_raw(name), load_builtin(name)]
+    for ds, fingerprint in zip(loaded, LOADED_FINGERPRINTS[name], strict=True):
+        checked = Dataset(ds.name, ds.schema, ds.ids, ds.values, ds.levels, ds.source_rows)
+        assert checked == ds and ds.fingerprint()[:16] == fingerprint
+        assert ds.values.dtype == np.float64 and ds.values.base is None
+        assert not ds.values.flags.writeable
 
 
 @pytest.mark.parametrize("dtype", [np.int64, np.float32, np.bool_])

@@ -11,12 +11,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from atlm import transforms, validation
+from atlm import linear, transforms, validation
 from atlm.bundled import load_builtin
 from atlm.dataset import (CATEGORICAL, EXPLANATORY, IGNORED, NUMERIC, RESPONSE, ColumnSchema,
                           Dataset, load_csv, load_schema, split)
-from atlm.errors import AtlmError, MetricError, PlanError, ValidationError
-from atlm.linear import INTERCEPT, UNSEEN_POLICIES
+from atlm.errors import AtlmError, FitError, MetricError, PlanError, ValidationError
+from atlm.linear import INTERCEPT, SINGULAR_FACTOR, UNSEEN_POLICIES
 from atlm.metrics import report
 from atlm.pipeline import PredictionSet, atlm_fit, atlm_predict
 from atlm.rng import Pcg32
@@ -243,13 +243,8 @@ class TestRunValidation:
         assert result.summary.n_reports == result.n_succeeded
 
     def test_a_fold_whose_prediction_overflows_fails_alone(self):
-        # training without x = 1e200 keeps x as it is and logs y, so the fold
-        # testing it predicts exp(b * 1e200) = inf; the plan path leaves that
-        # fold to the public API, whose PredictionSet words the error
-        xs = [float(v) for v in range(1, 12)] + [1e200]
-        ys = [2.0, 3.0, 4.0, 6.0, 9.0, 13.0, 20.0, 30.0, 45.0, 67.0, 100.0, 150.0]
-        ds = make_dataset({"x": xs, "y": ys}, response="y")
-        plan = ValidationPlan(kind="kfold", k=4, seed=1)
+        # the plan path words the error as the public PredictionSet does
+        ds, plan = overflowing_case()
         folds = generate_folds(ds, plan).folds
         with mock.patch.object(validation, "_fit_fold", wraps=validation._fit_fold) as refit:
             outcomes = run_validation(ds, plan).outcomes
@@ -257,7 +252,7 @@ class TestRunValidation:
         assert 11 in folds[failed.fold][1]
         assert (failed.code, failed.message) == (
             "E_PREDICT", "non-finite prediction or actual for row 11: (inf, 150.0)")
-        assert [call.args[1] for call in refit.call_args_list] == [failed.fold]
+        refit.assert_not_called()
         assert [(o.predictions, o.code, o.message) for o in outcomes] == [
             fit_through_split(ds, fold) for fold in folds]
 
@@ -327,6 +322,14 @@ class TestRunValidation:
         bad = make_dataset({"x": [1, 2, 3], "y": [2, 4, 9]}, response="y")
         with pytest.raises(ValidationError):
             run_validation(bad, ValidationPlan(kind="loocv"))
+
+
+def overflowing_case():
+    """kfold:4 on 12 rows: training without x = 1e200 keeps x as it is and logs
+    y, so the fold testing it predicts exp(b * 1e200) = inf."""
+    xs = [float(v) for v in range(1, 12)] + [1e200]
+    return (make_dataset({"x": xs, "y": Y12}, response="y"),
+            ValidationPlan(kind="kfold", k=4, seed=1))
 
 
 def fit_through_split(ds, fold, unseen_level="error"):
@@ -405,14 +408,72 @@ def mixed_plans(draw):
                               repeats=draw(st.integers(1, 6)))
 
 
+#: 10 and 12 rows on which every fold's training rows choose log for x where
+#: they hold no zero, and for y
+X10 = [0.0, 1.0, 1.5, 2.0, 3.0, 5.0, 8.0, 13.0, 30.0, 80.0]
+Y10 = [1.0, 3.0, 4.0, 5.0, 7.0, 11.0, 17.0, 27.0, 61.0, 161.0]
+Y12 = [2.0, 3.0, 4.0, 6.0, 9.0, 13.0, 20.0, 30.0, 45.0, 67.0, 100.0, 150.0]
+
+LOOCV = ValidationPlan(kind="loocv")
+
+#: a fold that meets two errors at once, per pair: ((dataset, plan), the fold,
+#: and the code and message of the error that the public path raises first)
+COMPETING_ERRORS = {
+    # row 0 holds x = 0 under log and the level z, which no other row holds
+    "a domain error before an unseen level": (
+        (make_dataset({"x": X10, "f": list("zababababa"), "y": Y10}, response="y",
+                      categorical=("f",)), LOOCV), 0, "E_DOMAIN",
+        "value 0.0 of variable 'x' in row 0 is outside the domain of the training-chosen "
+        "'log' transform"),
+    # row 0 holds 0 in x and -0.0 in w, both under log
+    "the earlier of two domain columns": (
+        (make_dataset({"x": X10, "w": [-0.0, *X10[2:], 200.0], "y": Y10}, response="y"),
+         LOOCV), 0, "E_DOMAIN",
+        "value 0.0 of variable 'x' in row 0 is outside the domain of the training-chosen "
+        "'log' transform"),
+    # fold 1 tests row 2, with w = -0.0, and row 5, with x = 0, both under log
+    "the earlier of two domain rows": (
+        (make_dataset({"x": [1.0, 1.5, 2.0, 3.0, 4.0, 0.0, 8.0, 13.0, 30.0, 80.0, 5.0, 21.0],
+                       "w": [2.0, 3.0, -0.0, 4.0, 6.0, 9.0, 14.0, 22.0, 35.0, 60.0, 100.0,
+                             170.0], "y": Y12}, response="y"),
+         ValidationPlan(kind="kfold", k=3, seed=1)), 1, "E_DOMAIN",
+        "value -0.0 of variable 'w' in row 2 is outside the domain of the training-chosen "
+        "'log' transform"),
+    # fold 0 tests row 2, with g's only w, and row 5, with f's only z
+    "the earlier of two factors with an unseen level": (
+        (make_dataset({"f": list("ababazababab"), "x": [float(v) for v in range(1, 13)],
+                       "g": list("cdwdcdcdcdcd"), "y": Y12}, response="y",
+                      categorical=("f", "g")),
+         ValidationPlan(kind="kfold", k=3, seed=2)), 0, "E_UNSEEN_LEVEL",
+        "factor 'f' has level 'z' in row 5 that was not seen in training"),
+    # fold 0 trains on 4 rows with 4 levels of f, and tests x = 0 under log
+    "a design wider than training before a domain error": (
+        (make_dataset({"x": [0.0, 1.0, 2.0, 4.0, 8.0], "f": list("abcda"),
+                       "y": [3.0, 5.0, 9.0, 17.0, 33.0]}, response="y", categorical=("f",)),
+         LOOCV), 0, "E_FIT",
+        "dataset 'test' has 4 rows but its schema implies 5 design columns; need at least "
+        "as many rows"),
+    # row 11 holds the level z, and its prediction overflows as in overflowing_case
+    "an unseen level before a non-finite prediction": (
+        (make_dataset({"x": [float(v) for v in range(1, 12)] + [1e200],
+                       "f": list("abababababaz"), "y": Y12}, response="y", categorical=("f",)),
+         LOOCV), 11, "E_UNSEEN_LEVEL",
+        "factor 'f' has level 'z' in row 11 that was not seen in training"),
+}
+
+
 @given(st.one_of(split_plans(), split_plans().map(
     lambda case: (case[0], ValidationPlan(kind="loocv", seed=case[1].seed))), mixed_plans()),
     st.sampled_from(UNSEEN_POLICIES))
 # fold 0 tests x = 0 under the log chosen on its training rows: exp(-inf) = 0
 # must fail the fold, not predict 0
-@example((make_dataset({"x": [0.0, 1.0, 1.5, 2.0, 3.0, 5.0, 8.0, 13.0, 30.0, 80.0],
-                        "y": [1.0, 3.0, 4.0, 5.0, 7.0, 11.0, 17.0, 27.0, 61.0, 161.0]},
-                       response="y"), ValidationPlan(kind="loocv")), "error")
+@example((make_dataset({"x": X10, "y": Y10}, response="y"), LOOCV), "error")
+@example(COMPETING_ERRORS["a domain error before an unseen level"][0], "error")
+@example(COMPETING_ERRORS["the earlier of two domain columns"][0], "error")
+@example(COMPETING_ERRORS["the earlier of two domain rows"][0], "error")
+@example(COMPETING_ERRORS["the earlier of two factors with an unseen level"][0], "error")
+@example(COMPETING_ERRORS["a design wider than training before a domain error"][0], "error")
+@example(COMPETING_ERRORS["an unseen level before a non-finite prediction"][0], "error")
 @settings(max_examples=200, deadline=None)
 def test_each_fold_equals_a_fit_of_its_exported_ids(case, unseen_level):
     # the harness selects transforms and gathers designs once per plan, on
@@ -436,6 +497,29 @@ def test_each_fold_equals_a_fit_of_its_exported_ids(case, unseen_level):
     outcomes = validation._fit_plan(ds, validation._test_masks(ds, plan, ds.fingerprint()),
                                     unseen_level)
     assert [(o.predictions, o.code, o.message) for o in outcomes] == expected
+
+
+@pytest.mark.parametrize("pair", COMPETING_ERRORS)
+def test_a_fold_with_two_errors_fails_with_the_public_path_s_first(pair):
+    (ds, plan), fold, code, message = COMPETING_ERRORS[pair]
+    outcome = validation._fit_plan(ds, validation._test_masks(ds, plan, ds.fingerprint()),
+                                   "error")[fold]
+    assert (outcome.code, outcome.message) == (code, message)
+    assert fit_through_split(ds, generate_folds(ds, plan).folds[fold]) == (None, code, message)
+
+
+def test_a_fit_error_comes_before_the_errors_of_the_test_rows():
+    # row 0 of its case meets a domain error and an unseen level, which the
+    # public path raises only after a fit that succeeds
+    (ds, plan), _, _, _ = COMPETING_ERRORS["a domain error before an unseen level"]
+    singular = mock.Mock(side_effect=FitError(SINGULAR_FACTOR))
+    with mock.patch.object(linear, "_qr_solve", singular), \
+            mock.patch.object(validation, "_qr_solve", singular):
+        outcomes = validation._fit_plan(ds, validation._test_masks(ds, plan, ds.fingerprint()),
+                                        "error")
+        expected = [fit_through_split(ds, fold) for fold in generate_folds(ds, plan).folds]
+    assert [(o.predictions, o.code, o.message) for o in outcomes] == expected
+    assert expected[0] == (None, "E_FIT", SINGULAR_FACTOR)
 
 
 @given(mixed_plans(), st.sampled_from(UNSEEN_POLICIES))
@@ -505,15 +589,15 @@ def test_a_stacked_pass_equals_its_plans_fitted_alone(case, unseen_level, count,
         [(o.fold, o.predictions, o.code, o.message) for o in alone]
 
 
-def test_a_fold_with_two_training_rows_still_reaches_fit_fold():
-    # _designs gives a fold with under 3 training rows no design, so it goes to
-    # _fit_fold, which words its error, while the fold of 3 rows fits in the pass
+def test_a_fold_with_two_training_rows_fails_on_the_plan_path():
+    # _designs gives a fold with under 3 training rows no design and words its
+    # error, while the fold of 3 rows fits in the pass
     ds, plan = two_training_rows_case()
     tests = validation._test_masks(ds, plan, ds.fingerprint())
     assert np.count_nonzero(~tests, axis=1).tolist() == [2, 3]
     with mock.patch.object(validation, "_fit_fold", wraps=validation._fit_fold) as fit_fold:
         outcomes = validation._fit_plan(ds, tests, "error")
-    assert [call.args[1] for call in fit_fold.call_args_list] == [0]
+    fit_fold.assert_not_called()
     assert outcomes[0].code == "E_DEGENERATE" and not outcomes[1].failed
     folds = generate_folds(ds, plan).folds
     assert [(o.predictions, o.code, o.message) for o in outcomes] == \
@@ -599,29 +683,44 @@ def test_a_level_held_by_no_row_or_one_row_keeps_every_fold(plan, unseen_level):
         assert codes == ({None, "E_UNSEEN_LEVEL"} if unseen_level == "error" else {None})
 
 
-def test_only_the_failing_folds_are_refitted(tmp_path):
-    # a fold sent to _fit_fold needlessly gets the same outcome, only slower
-    synthetic = synth.generate(1)
-    csv_path, schema_path = synth.write(synthetic, tmp_path)
-    cases = [(load_csv(csv_path, load_schema(schema_path)), ValidationPlan(kind="loocv"))]
+def test_no_fold_is_fitted_a_second_time(tmp_path):
+    # a plan that passes the plan-wide gate words every fold's failure itself:
+    # no fold reaches _fit_fold or the public atlm_fit
+    csv_path, schema_path = synth.write(synth.generate(1), tmp_path)
+    cases = [(load_csv(csv_path, load_schema(schema_path)), LOOCV), overflowing_case(),
+             two_training_rows_case()]
     cases += [(load_builtin(name), ValidationPlan(kind="kfold", k=10, seed=seed))
               for name in ("cocomo81", "desharnais", "maxwell") for seed in range(1, 11)]
-    failures = []
-    for ds, plan in cases:
-        with mock.patch.object(validation, "_fit_fold", wraps=validation._fit_fold) as refit:
-            outcomes = run_validation(ds, plan).outcomes
-        failures.append({o.fold: o.code for o in outcomes if o.failed})
-        assert [call.args[1] for call in refit.call_args_list] == list(failures[-1]), \
-            (ds.name, plan)
-    assert failures[0] == synthetic.expected_failures  # the two planted folds
+    with mock.patch.object(validation, "_fit_fold", wraps=validation._fit_fold) as fit_fold, \
+            mock.patch.object(validation, "atlm_fit", wraps=atlm_fit) as fit:
+        failed = [[o.code for o in run_validation(ds, plan).outcomes if o.failed]
+                  for ds, plan in cases]
+    fit_fold.assert_not_called()
+    fit.assert_not_called()
+    assert failed[:3] == [["E_UNSEEN_LEVEL", "E_DOMAIN"], ["E_PREDICT"], ["E_DEGENERATE"]]
+
+
+def test_the_planted_folds_fail_as_through_the_public_split(tmp_path):
+    # the csv-loocv benchmark's two planted folds carry the public path's code and message
+    synthetic = synth.generate(1)
+    csv_path, schema_path = synth.write(synthetic, tmp_path)
+    ds = load_csv(csv_path, load_schema(schema_path))
+    folds = generate_folds(ds, LOOCV).folds
+    failed = {o.fold: (o.code, o.message) for o in run_validation(ds, LOOCV).outcomes
+              if o.failed}
+    assert {fold: code for fold, (code, _) in failed.items()} == synthetic.expected_failures
+    assert failed == {fold: fit_through_split(ds, folds[fold])[1:] for fold in failed}
 
 
 def test_an_unknown_unseen_level_policy_fails_every_fold():
+    # the plan-wide gate sends every fold to _fit_fold, which words the error
     ds = load_builtin("cocomo81")
-    with pytest.raises(ValidationError) as exc:
+    with mock.patch.object(validation, "_fit_fold", wraps=validation._fit_fold) as fit_fold, \
+            pytest.raises(ValidationError) as exc:
         run_validation(ds, ValidationPlan(kind="kfold", k=10, seed=1), unseen_level="bogus")
     assert str(exc.value) == ("all 10 folds failed for 'cocomo81'; first failure: "
                               "unknown unseen-level policy 'bogus'")
+    assert [call.args[1] for call in fit_fold.call_args_list] == list(range(10))
 
 
 class TestRepeatCv:
