@@ -2,11 +2,14 @@
 
 Usage:
     python scripts/count_lines.py         # the working tree
-    python scripts/count_lines.py REV     # any git revision, read with ``git show``
+    python scripts/count_lines.py REV     # git revision REV against the working tree
 
 A line counts unless it is blank or a comment (its first non-space
 character is ``#``); docstring lines count.  Modules are listed by name in
-sorted order, one ``name count`` line each, then ``total count``.
+sorted order, then the total.  With no argument each line is ``name count``.
+With REV, read with ``git show``, each line is ``name count-at-REV
+count-in-the-working-tree difference`` under a header, and a module missing
+on one side counts 0 there.
 """
 
 from __future__ import annotations
@@ -45,15 +48,22 @@ def main(argv: list[str]) -> int:
         print(__doc__.strip(), file=sys.stderr)
         return 2
     try:
-        modules = sources(argv[0] if argv else None)
+        sides = [sources(rev) for rev in [*argv, None]]
     except subprocess.CalledProcessError as exc:
         print(f"count_lines: {exc.stderr.strip()}", file=sys.stderr)
         return 1
-    counts = {name: count(text) for name, text in sorted(modules.items())}
-    width = max(map(len, [*counts, "total"]))
-    for name, lines in counts.items():
-        print(f"{name:<{width}} {lines}")
-    print(f"{'total':<{width}} {sum(counts.values())}")
+    counts = {name: [count(side.get(name, "")) for side in sides]
+              for name in sorted(set().union(*sides))}
+    counts["total"] = [sum(lines[i] for lines in counts.values()) for i in range(len(sides))]
+    width = max(map(len, counts))
+    if not argv:
+        for name, (lines,) in counts.items():
+            print(f"{name:<{width}} {lines}")
+        return 0
+    rev = max(6, len(argv[0]))
+    print(f"{'':<{width}} {argv[0]:>{rev}} {'tree':>6} {'diff':>6}")
+    for name, (old, new) in counts.items():
+        print(f"{name:<{width}} {old:>{rev}} {new:>6} {new - old:>+6d}")
     return 0
 
 

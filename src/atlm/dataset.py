@@ -27,6 +27,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -119,7 +120,8 @@ class Dataset:
     ``values`` is a read-only float64 copy of the (columns x rows) array it
     is given (bool, integer or float cells), so no write to the caller's
     array reaches it.  In schema order, it holds a numeric column's numbers
-    or a factor's codes into its ``levels`` tuple; a missing cell is NaN.
+    or a factor's codes into its ``levels``, a tuple of distinct strings (empty
+    for a numeric column); a missing cell is NaN.
     A ``schema`` given as a
     plain sequence of columns is stored as a :class:`Schema`.  ``ids`` are
     the original row identifiers; ``source_rows`` is the row count of the
@@ -149,10 +151,19 @@ class Dataset:
             raise SchemaError(f"column arrays of {self.name!r} do not fit its schema")
         if len(set(self.ids)) != len(self.ids):
             raise SchemaError("row ids must be unique")
-        for i in [i for i, col in enumerate(self.schema) if col.kind == CATEGORICAL]:
-            codes, names = self.values[i][~np.isnan(self.values[i])], self.levels[i]
+        for i, col in enumerate(self.schema):
+            names = self.levels[i]
+            if col.kind != CATEGORICAL:
+                if len(names):
+                    raise SchemaError(f"numeric column {col.name!r} of {self.name!r} has levels")
+                continue
+            strange = [level for level in names if not isinstance(level, str)]
+            if strange:
+                raise SchemaError(f"factor {col.name!r} of {self.name!r} has the level "
+                                  f"{strange[0]!r}, which is not text")
+            codes = self.values[i][~np.isnan(self.values[i])]
             if len(set(names)) < len(names) or not set(codes.tolist()) <= set(range(len(names))):
-                raise SchemaError(f"factor {self.schema[i].name!r} of {self.name!r} repeats a "
+                raise SchemaError(f"factor {col.name!r} of {self.name!r} repeats a "
                                   f"level name or has a code outside its {len(names)} levels")
         if self.source_rows < 0:
             object.__setattr__(self, "source_rows", len(self.ids))
@@ -160,11 +171,18 @@ class Dataset:
     @classmethod
     def from_columns(cls, name: str, schema, ids, columns,
                      source_rows: int = -1) -> "Dataset":
-        """Build from one sequence of cells per schema column: numbers, or
-        strings for factors; None or NaN where missing.  Codes follow first appearance."""
+        """Build from one sequence of cells per schema column: numbers, None or
+        NaN where missing; or, for a factor, strings, None where missing.  Codes
+        follow first appearance.  Any other cell is a SchemaError."""
         schema, ids = tuple(schema), tuple(ids)
         if any(len(cells) != len(ids) for cells in columns):
             raise SchemaError(f"column arrays of {name!r} do not fit its schema")
+        for col, cells in zip(schema, columns):
+            if col.kind == NUMERIC:
+                for rid, cell in zip(ids, cells):
+                    if not (cell is None or isinstance(cell, (Real, np.bool_))):
+                        raise SchemaError(f"numeric column {col.name!r} of {name!r} holds "
+                                          f"{cell!r} in row {rid}, which is not a number")
         return cls(name, schema, ids, *_matrix(schema, columns), source_rows)
 
     def __len__(self) -> int:
@@ -277,7 +295,7 @@ class Dataset:
 
 def _matrix(schema, columns) -> tuple[np.ndarray, tuple]:
     """``values`` and ``levels`` of a dataset from one sequence of cells per
-    column: numbers, or strings for factors; None or NaN where missing."""
+    column: numbers, or strings for factors; None, or a NaN number, where missing."""
     rows = [_codes(cells) if col.kind == CATEGORICAL else (cells, ())
             for col, cells in zip(schema, columns)]
     values = np.array([row for row, _ in rows], dtype=float)  # None becomes NaN

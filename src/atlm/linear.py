@@ -71,6 +71,13 @@ def _unseen_level_error(factor: str, level: str, row_id: int) -> UnseenLevelErro
                             f"that was not seen in training")
 
 
+def _check_design(ds: Dataset, unseen_level: str) -> None:
+    if unseen_level not in UNSEEN_POLICIES:
+        raise SchemaError(f"unknown unseen-level policy {unseen_level!r}")
+    if not ds.schema.explanatory:
+        raise SchemaError(f"dataset {ds.name!r} has no explanatory columns")
+
+
 def build_design(ds: Dataset, levels: dict | None = None,
                  unseen_level: str = UNSEEN_ERROR) -> DesignMatrix:
     """Intercept + numeric columns + L-1 dummy columns per factor, in schema order.
@@ -80,18 +87,14 @@ def build_design(ds: Dataset, levels: dict | None = None,
     its codes use, in first appearance order, reference level first.  A
     missing factor cell raises MissingValueError.
     """
-    if unseen_level not in UNSEEN_POLICIES:
-        raise SchemaError(f"unknown unseen-level policy {unseen_level!r}")
-    explanatory = ds.schema.explanatory
-    if not explanatory:
-        raise SchemaError(f"dataset {ds.name!r} has no explanatory columns")
+    _check_design(ds, unseen_level)
 
     labels: list[str] = [INTERCEPT]
     # the design's columns, built as the rows of its transpose
     rows: list[np.ndarray] = [np.ones((1, len(ds)))]
     factor_levels: dict[str, tuple[str, ...]] = {}
 
-    for i, col in explanatory:
+    for i, col in ds.schema.explanatory:
         if col.kind == NUMERIC:
             labels.append(col.name)
             rows.append(ds.values[i:i + 1])

@@ -30,8 +30,10 @@ the finiteness check and the ids and actuals of the PredictionSets run once
 per group.  Each fold equals a fit of its rows through the public
 single-model API (``atlm_fit``, ``atlm_predict``), the oracle of this path,
 failures included: the plan path words every per-fold error in the public
-path's order, through the same helpers, and ``_fit_fold`` serves only the
-plans that fail the plan-wide gate.  A failed fold (transform domain
+path's order, through the same helpers.  Inputs that fail every fold are
+refused before any fit, after every PlanError: an unknown unseen-level
+policy, then no explanatory column (SchemaError), then a missing or
+non-finite active cell (MissingValueError).  A failed fold (transform domain
 violation, unseen factor level, ...) carries the error's code and message
 instead of predictions; it is excluded from aggregation but never silently
 dropped.  Leave-one-out test sets are singletons, on which the
@@ -50,11 +52,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dataset import CATEGORICAL, Dataset
-from .errors import AtlmError, FitError, PlanError, ValidationError
-from .linear import UNSEEN_ERROR, UNSEEN_POLICIES, _qr_solve, _unseen_level_error
+from .errors import FitError, PlanError, ValidationError
+from .linear import UNSEEN_ERROR, _check_design, _qr_solve, _unseen_level_error
 from .metrics import MetricReport, MetricSummary, aggregate, report, report_stack
 from .pipeline import (PredictionSet, _non_finite_error, _too_few_rows_error,
-                       _too_narrow_error, atlm_fit, atlm_predict, pooled)
+                       _too_narrow_error, pooled)
 from .rng import Pcg32
 from .transforms import (TRANSFORM_KINDS, _INVERSE, _domain_error, _fold_choices,
                          _forward_rows)
@@ -249,26 +251,10 @@ class ValidationResult:
         return self.n_folds - len(self.failures)
 
 
-def _fit_fold(ds: Dataset, index: int, test: np.ndarray, unseen_level: str) -> FoldOutcome:
-    """The predictions of the fold that tests the rows ``test`` masks, or the
-    error that stopped it, through the public API; scoring fills in the report."""
-    try:
-        predictions = atlm_predict(atlm_fit(ds._rows(~test)), ds._rows(test),
-                                   unseen_level=unseen_level)
-    except AtlmError as exc:
-        return FoldOutcome(index, code=exc.code, message=str(exc))
-    return FoldOutcome(index, predictions)
-
-
 def _fit_plan(ds: Dataset, tests: np.ndarray, unseen_level: str) -> list[FoldOutcome]:
-    """Every fold's outcome, as :func:`_fit_fold` gives it: all from the plan
-    path, or all from _fit_fold where the plan fails its gate."""
+    """Every fold's outcome, as a fit of its rows through the public API gives it,
+    once the caller has refused the inputs that fail every fold (_run_plans)."""
     schema, sizes = ds.schema, np.count_nonzero(~tests, axis=1)
-    # selection needs 3 training rows in some fold; the other policies, and a
-    # non-finite active cell, fail every fold, so _fit_fold words them all
-    if not ((sizes >= 3).any() and unseen_level in UNSEEN_POLICIES and schema.explanatory
-            and np.isfinite(ds.values.take(schema.active, axis=0)).all()):
-        return [_fit_fold(ds, index, test, unseen_level) for index, test in enumerate(tests)]
     candidates, factors = _candidates(ds)
     chosen = _fold_choices(candidates[1:1 + len(TRANSFORM_KINDS) * len(schema.numeric)], tests)
     designs, errors = _designs(ds, candidates, factors, tests, sizes, chosen, unseen_level)
@@ -446,13 +432,16 @@ def _score_folds(ds: Dataset, tests: np.ndarray, outcomes) -> tuple[FoldOutcome,
 def _run_plans(ds: Dataset, plans: list, unseen_level: str) -> Iterator[ValidationResult]:
     """Each plan's :func:`run_validation` result in turn, from one fingerprint
     and one ``_fit_plan`` pass over the plans' stacked masks.  Every PlanError
-    comes first; then a plan that fails raises what it alone would raise."""
+    comes first, then the refusals of inputs that fail every fold, in
+    :func:`run_validation`'s order; then a plan raises what it alone would."""
     fingerprint = ds.fingerprint()
     masks = [_test_masks(ds, plan, fingerprint) for plan in plans]
     for plan, tests in zip(plans, masks):
         if plan.kind != LOOCV and tests.sum(axis=1).min() < 2:
             raise PlanError(f"plan {plan.label()} leaves test folds of 1 row in the {len(ds)} "
                             f"rows of {ds.name!r}; per-fold measures need at least 2, so use loocv")
+    _check_design(ds, unseen_level)
+    ds.require_no_missing("validate")
     # a single plan's masks are fitted as they are, not copied into a stack
     fitted = _fit_plan(ds, np.concatenate(masks) if len(masks) > 1 else masks[0], unseen_level)
     for plan, tests in zip(plans, masks):
@@ -480,8 +469,10 @@ def run_validation(ds: Dataset, plan: ValidationPlan, *,
                    unseen_level: str = UNSEEN_ERROR) -> ValidationResult:
     """Fit and predict every fold of the plan, then score the fitted folds.
 
-    A k-fold or holdout plan that leaves a test fold of one row is refused
-    before any fit, since the per-fold measures need two rows."""
+    Refused before any fit, in this order: a PlanError, such as a k-fold or
+    holdout plan with a test fold of one row, where the per-fold measures need
+    two; then an unknown ``unseen_level``, then no explanatory column
+    (SchemaError); then a missing or non-finite active cell (MissingValueError)."""
     return next(_run_plans(ds, [plan], unseen_level))
 
 
@@ -497,7 +488,8 @@ class CvRunSummary:
 
 def repeat_cv_experiment(ds: Dataset, k: int, runs: int, base_seed: int = 1, *,
                          unseen_level: str = UNSEEN_ERROR) -> tuple[CvRunSummary, ...]:
-    """Independent k-fold runs with seeds base_seed, base_seed+1, ..., fitted in one pass."""
+    """Independent k-fold runs with seeds base_seed, base_seed+1, ..., fitted in one
+    pass; a bad run count or seed, then :func:`run_validation`'s refusals, come first."""
     runs = _integer("runs", runs)
     if runs < 2:
         raise PlanError(f"repeat experiment needs at least 2 runs, got {runs}")

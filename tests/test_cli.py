@@ -200,12 +200,36 @@ class TestErrorContract:
     def test_a_plan_with_one_row_test_folds_is_refused_before_any_fit(
             self, monkeypatch, capsys, plan):
         fitted = []
-        monkeypatch.setattr(atlm.validation, "atlm_fit", fitted.append)
+        monkeypatch.setattr(atlm.validation, "_fit_plan", lambda *args: fitted.append(args))
         assert main(["evaluate", "--dataset", "cocomo81", "--plan", plan]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error[E_PLAN]: plan {plan} leaves test folds of 1 row")
         assert captured.err.count("\n") == 1
         assert (captured.out, fitted) == ("", [])
+
+    def test_a_response_only_schema_is_refused_by_evaluate_but_inspected(self, tmp_path,
+                                                                         capsys):
+        (tmp_path / "yonly.csv").write_text("y\n3\n5\n9\n17\n33\n70\n")
+        (tmp_path / "yonly.schema").write_text("y numeric response\n")
+        files = ["--dataset", str(tmp_path / "yonly.csv"),
+                 "--schema", str(tmp_path / "yonly.schema")]
+        assert main(["evaluate", *files, "--plan", "loocv"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error[E_SCHEMA]: dataset 'yonly' has no explanatory columns\n"
+        assert captured.out == ""
+        assert main(["inspect", *files]) == 0
+
+    def test_loocv_on_three_rows_fails_every_fold_as_degenerate(self, tmp_path, capsys):
+        (tmp_path / "three.csv").write_text("a,b,y\n1,2,3\n2,5,7\n4,1,9\n")
+        (tmp_path / "three.schema").write_text(
+            "a numeric explanatory\nb numeric explanatory\ny numeric response\n")
+        assert main(["evaluate", "--dataset", str(tmp_path / "three.csv"),
+                     "--schema", str(tmp_path / "three.schema"), "--plan", "loocv"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("error[E_VALIDATION]: all 3 folds failed for 'three'; first "
+                                "failure: training dataset 'three' has 2 rows; skewness "
+                                "selection needs at least 3\n")
+        assert captured.out == ""
 
     def test_one_row_test_folds_are_still_exported_and_two_row_ones_evaluated(self, capsys):
         assert main(["export-folds", "--dataset", "cocomo81", "--plan", "holdout:1x3"]) == 0

@@ -305,6 +305,43 @@ def test_a_factor_needs_distinct_levels_that_its_codes_index(codes, levels):
                                  "outside its 3 levels")
 
 
+@pytest.mark.parametrize("levels, message", [
+    ((("a", "b"), ("q",), ()), "numeric column 'x' of 'bad' has levels"),
+    ((("a", 1), (), ()), "factor 'f' of 'bad' has the level 1, which is not text"),
+    (((None, "b"), (), ()), "factor 'f' of 'bad' has the level None, which is not text"),
+], ids=["levels-of-a-numeric-column", "an-int-level", "a-None-level"])
+def test_levels_belong_to_factors_and_are_text(levels, message):
+    # such a dataset used to build, and then column(), fingerprint() or a fit
+    # raised IndexError or TypeError
+    with pytest.raises(SchemaError) as caught:
+        Dataset("bad", _columns("f categorical explanatory", "x numeric explanatory",
+                                "y numeric response"), (0, 1),
+                np.array([[0.0, 1.0], [1.0, 2.0], [3.0, 4.0]]), levels)
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("cells, message", [
+    ([[1, 2], [1.0, 2.0], [3.0, 4.0]], "factor 'f' of 'bad' has the level 1, which is not text"),
+    ([["a", "b"], [1.0, "b"], [3.0, 4.0]],
+     "numeric column 'x' of 'bad' holds 'b' in row 8, which is not a number"),
+    ([["a", "b"], [1.0, 2.0], [[3.0], 4.0]],
+     "numeric column 'y' of 'bad' holds [3.0] in row 7, which is not a number"),
+], ids=["int-factor-cells", "text-in-a-numeric-column", "a-list-in-the-response"])
+def test_from_columns_refuses_cells_of_the_wrong_kind(cells, message):
+    with pytest.raises(SchemaError) as caught:
+        Dataset.from_columns("bad", _columns("f categorical explanatory",
+                                             "x numeric explanatory", "y numeric response"),
+                             (7, 8), cells)
+    assert str(caught.value) == message
+
+
+def test_from_columns_takes_any_real_number_or_bool():
+    ds = Dataset.from_columns("ok", _columns("x numeric explanatory", "y numeric response"),
+                              (0, 1, 2), [[True, np.bool_(False), None],
+                                          [np.float32(1.5), np.int8(2), math.nan]])
+    assert ds.column("x") == (1.0, 0.0, None) and ds.column("y") == (1.5, 2.0, None)
+
+
 def test_a_missing_factor_cell_needs_no_level():
     codes = np.array([[0.0, math.nan, 1.0], [1.0, 2.0, 3.0]])
     ds = Dataset("gap", _columns("f categorical explanatory", "y numeric response"), (0, 1, 2),
@@ -409,7 +446,7 @@ def test_reloading_the_same_cells_gives_an_equal_dataset(tmp_path):
     assert again == ds  # a missing cell is NaN in both, and equal
     assert again.fingerprint() == ds.fingerprint()
     for changed in (dataclasses.replace(ds, name="other"),
-                    dataclasses.replace(ds, levels=(("v", "u"),) + ds.levels[1:]),
+                    dataclasses.replace(ds, levels=(ds.levels[0], ("v", "u"), ds.levels[2])),
                     dataclasses.replace(ds, values=ds.values + (ds.values == 0.1)),
                     dataclasses.replace(ds, ids=(0, 1, 5))):
         assert changed != ds

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from collections import Counter
@@ -11,11 +12,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from atlm import linear, transforms, validation
+from atlm import linear, pipeline, transforms, validation
 from atlm.bundled import load_builtin
 from atlm.dataset import (CATEGORICAL, EXPLANATORY, IGNORED, NUMERIC, RESPONSE, ColumnSchema,
                           Dataset, load_csv, load_schema, split)
-from atlm.errors import AtlmError, FitError, MetricError, PlanError, ValidationError
+from atlm.errors import (AtlmError, FitError, MetricError, MissingValueError, PlanError,
+                         SchemaError, ValidationError)
 from atlm.linear import INTERCEPT, SINGULAR_FACTOR, UNSEEN_POLICIES
 from atlm.metrics import report
 from atlm.pipeline import PredictionSet, atlm_fit, atlm_predict
@@ -246,13 +248,12 @@ class TestRunValidation:
         # the plan path words the error as the public PredictionSet does
         ds, plan = overflowing_case()
         folds = generate_folds(ds, plan).folds
-        with mock.patch.object(validation, "_fit_fold", wraps=validation._fit_fold) as refit:
+        with no_public_fit():
             outcomes = run_validation(ds, plan).outcomes
         [failed] = [o for o in outcomes if o.failed]
         assert 11 in folds[failed.fold][1]
         assert (failed.code, failed.message) == (
             "E_PREDICT", "non-finite prediction or actual for row 11: (inf, 150.0)")
-        refit.assert_not_called()
         assert [(o.predictions, o.code, o.message) for o in outcomes] == [
             fit_through_split(ds, fold) for fold in folds]
 
@@ -261,9 +262,14 @@ class TestRunValidation:
         ys = [3 * v + 5 for v in xs]
         xs[5] = float("nan")
         ds = make_dataset({"x": xs, "y": ys}, response="y")
-        # the row is in training or test of every fold, so every fold fails
-        with pytest.raises(ValidationError, match="a missing value"):  # a NaN is missing
+        # the row is in training or test of every fold, so every fold would
+        # fail: the input is refused before any fit, a NaN as a missing value
+        with mock.patch.object(validation, "_fit_plan") as fit, \
+                pytest.raises(MissingValueError) as exc:
             run_validation(ds, ValidationPlan(kind="kfold", k=3, seed=1))
+        assert str(exc.value) == ("validate: dataset 'test' has a missing value "
+                                  "in column 'x', row 5")
+        fit.assert_not_called()
 
     @pytest.mark.parametrize("name, plan", [("cocomo81", "kfold:10"), ("maxwell", "kfold:10"),
                                             ("desharnais", "holdout:10x5")])
@@ -330,6 +336,21 @@ def overflowing_case():
     xs = [float(v) for v in range(1, 12)] + [1e200]
     return (make_dataset({"x": xs, "y": Y12}, response="y"),
             ValidationPlan(kind="kfold", k=4, seed=1))
+
+
+@contextlib.contextmanager
+def no_public_fit():
+    """Fail unless the block fits no fold through the public path, however that
+    path is imported: none of the names that ``atlm_fit`` and ``atlm_predict``
+    look up in ``pipeline`` at call time, after the missing-cell check, is called."""
+    names = ("_too_few_rows_error", "calculate_transforms", "apply_transforms",
+             "build_design", "fit_ols", "linear_predict")
+    with contextlib.ExitStack() as stack:
+        wrapped = [stack.enter_context(mock.patch.object(pipeline, name,
+                                                         wraps=getattr(pipeline, name)))
+                   for name in names]
+        yield
+    assert [name for name, m in zip(names, wrapped) if m.called] == []
 
 
 def fit_through_split(ds, fold, unseen_level="error"):
@@ -416,6 +437,10 @@ Y12 = [2.0, 3.0, 4.0, 6.0, 9.0, 13.0, 20.0, 30.0, 45.0, 67.0, 100.0, 150.0]
 
 LOOCV = ValidationPlan(kind="loocv")
 
+#: a non-finite x, and a non-finite response with no explanatory column
+NON_FINITE_X = make_dataset({"x": [*X10[1:], math.nan], "y": Y10}, response="y")
+NON_FINITE_Y_ONLY = make_dataset({"y": [*Y10[1:], math.nan]}, response="y", name="yonly")
+
 #: a fold that meets two errors at once, per pair: ((dataset, plan), the fold,
 #: and the code and message of the error that the public path raises first)
 COMPETING_ERRORS = {
@@ -474,6 +499,10 @@ COMPETING_ERRORS = {
 @example(COMPETING_ERRORS["the earlier of two factors with an unseen level"][0], "error")
 @example(COMPETING_ERRORS["a design wider than training before a domain error"][0], "error")
 @example(COMPETING_ERRORS["an unseen level before a non-finite prediction"][0], "error")
+# the three refusals
+@example((make_dataset({"x": X10, "y": Y10}, response="y"), LOOCV), "bogus")
+@example((make_dataset({"y": Y10}, response="y"), LOOCV), "error")
+@example((NON_FINITE_X, ValidationPlan(kind="kfold", k=3)), "error")
 @settings(max_examples=200, deadline=None)
 def test_each_fold_equals_a_fit_of_its_exported_ids(case, unseen_level):
     # the harness selects transforms and gathers designs once per plan, on
@@ -483,20 +512,32 @@ def test_each_fold_equals_a_fit_of_its_exported_ids(case, unseen_level):
     ds, plan = case
     folds = generate_folds(ds, plan).folds
     expected = [fit_through_split(ds, fold, unseen_level) for fold in folds]
+    try:  # what run_validation refuses after every PlanError, before any fit
+        linear._check_design(ds, unseen_level)
+        ds.require_no_missing("validate")
+        refusal = None
+    except (SchemaError, MissingValueError) as exc:
+        refusal = type(exc), str(exc)
+        # a refusal hides no fold that the public path would fit
+        assert all(predictions is None for predictions, _, _ in expected)
     try:
         outcomes = run_validation(ds, plan, unseen_level=unseen_level).outcomes
     except PlanError:
         assert plan.kind != "loocv" and min(len(test) for _, test in folds) == 1
+    except (SchemaError, MissingValueError) as exc:
+        assert (type(exc), str(exc)) == refusal
     except ValidationError:
+        assert refusal is None
         assert all(predictions is None for predictions, _, _ in expected)
     except MetricError:  # a fold's measures are undefined, but it was fitted
-        pass
+        assert refusal is None
     else:
+        assert refusal is None
         assert [(o.predictions, o.code, o.message) for o in outcomes] == expected
-    # the fits themselves, whatever scoring makes of them
-    outcomes = validation._fit_plan(ds, validation._test_masks(ds, plan, ds.fingerprint()),
-                                    unseen_level)
-    assert [(o.predictions, o.code, o.message) for o in outcomes] == expected
+    if refusal is None:  # the fits themselves, whatever scoring makes of them
+        outcomes = validation._fit_plan(ds, validation._test_masks(ds, plan, ds.fingerprint()),
+                                        unseen_level)
+        assert [(o.predictions, o.code, o.message) for o in outcomes] == expected
 
 
 @pytest.mark.parametrize("pair", COMPETING_ERRORS)
@@ -595,9 +636,8 @@ def test_a_fold_with_two_training_rows_fails_on_the_plan_path():
     ds, plan = two_training_rows_case()
     tests = validation._test_masks(ds, plan, ds.fingerprint())
     assert np.count_nonzero(~tests, axis=1).tolist() == [2, 3]
-    with mock.patch.object(validation, "_fit_fold", wraps=validation._fit_fold) as fit_fold:
+    with no_public_fit():
         outcomes = validation._fit_plan(ds, tests, "error")
-    fit_fold.assert_not_called()
     assert outcomes[0].code == "E_DEGENERATE" and not outcomes[1].failed
     folds = generate_folds(ds, plan).folds
     assert [(o.predictions, o.code, o.message) for o in outcomes] == \
@@ -684,19 +724,16 @@ def test_a_level_held_by_no_row_or_one_row_keeps_every_fold(plan, unseen_level):
 
 
 def test_no_fold_is_fitted_a_second_time(tmp_path):
-    # a plan that passes the plan-wide gate words every fold's failure itself:
-    # no fold reaches _fit_fold or the public atlm_fit
+    # the plan path words every fold's failure itself: no fold reaches the
+    # public atlm_fit or atlm_predict
     csv_path, schema_path = synth.write(synth.generate(1), tmp_path)
     cases = [(load_csv(csv_path, load_schema(schema_path)), LOOCV), overflowing_case(),
              two_training_rows_case()]
     cases += [(load_builtin(name), ValidationPlan(kind="kfold", k=10, seed=seed))
               for name in ("cocomo81", "desharnais", "maxwell") for seed in range(1, 11)]
-    with mock.patch.object(validation, "_fit_fold", wraps=validation._fit_fold) as fit_fold, \
-            mock.patch.object(validation, "atlm_fit", wraps=atlm_fit) as fit:
+    with no_public_fit():
         failed = [[o.code for o in run_validation(ds, plan).outcomes if o.failed]
                   for ds, plan in cases]
-    fit_fold.assert_not_called()
-    fit.assert_not_called()
     assert failed[:3] == [["E_UNSEEN_LEVEL", "E_DOMAIN"], ["E_PREDICT"], ["E_DEGENERATE"]]
 
 
@@ -713,14 +750,31 @@ def test_the_planted_folds_fail_as_through_the_public_split(tmp_path):
 
 
 def test_an_unknown_unseen_level_policy_fails_every_fold():
-    # the plan-wide gate sends every fold to _fit_fold, which words the error
+    # every fold would fail at its prediction, so the input is refused before any fit
     ds = load_builtin("cocomo81")
-    with mock.patch.object(validation, "_fit_fold", wraps=validation._fit_fold) as fit_fold, \
-            pytest.raises(ValidationError) as exc:
+    with mock.patch.object(validation, "_fit_plan") as fit, pytest.raises(SchemaError) as exc:
         run_validation(ds, ValidationPlan(kind="kfold", k=10, seed=1), unseen_level="bogus")
-    assert str(exc.value) == ("all 10 folds failed for 'cocomo81'; first failure: "
-                              "unknown unseen-level policy 'bogus'")
-    assert [call.args[1] for call in fit_fold.call_args_list] == list(range(10))
+    assert str(exc.value) == "unknown unseen-level policy 'bogus'"
+    fit.assert_not_called()
+
+
+@pytest.mark.parametrize("ds, plan, unseen_level, error, message", [
+    (NON_FINITE_Y_ONLY, ValidationPlan(kind="kfold", k=10), "bogus", PlanError,
+     "plan kfold:10 leaves test folds of 1 row"),
+    (NON_FINITE_Y_ONLY, LOOCV, "bogus", SchemaError, "unknown unseen-level policy 'bogus'"),
+    (NON_FINITE_Y_ONLY, LOOCV, "error", SchemaError,
+     "dataset 'yonly' has no explanatory columns"),
+    (NON_FINITE_X, LOOCV, "bogus", SchemaError, "unknown unseen-level policy 'bogus'"),
+    (NON_FINITE_X, LOOCV, "error", MissingValueError,
+     "validate: dataset 'test' has a missing value in column 'x', row 9"),
+])
+def test_the_refusals_come_after_every_plan_error_and_in_order(ds, plan, unseen_level, error,
+                                                               message):
+    # each input also meets every refusal after the one it raises
+    with mock.patch.object(validation, "_fit_plan") as fit, pytest.raises(error) as exc:
+        run_validation(ds, plan, unseen_level=unseen_level)
+    assert str(exc.value).startswith(message)
+    fit.assert_not_called()
 
 
 class TestRepeatCv:
@@ -807,6 +861,22 @@ class TestRepeatCv:
                 with pytest.raises(AtlmError) as exc:
                     repeat_cv_experiment(ds, k=k, runs=runs, base_seed=4)
                 assert (type(exc.value), str(exc.value)) == (type(expected), str(expected))
+
+    @pytest.mark.parametrize("ds, unseen_level", [
+        (linear_dataset(), "bogus"), (NON_FINITE_Y_ONLY, "error"), (NON_FINITE_X, "error")],
+        ids=["an-unknown-policy", "no-explanatory-column", "a-non-finite-cell"])
+    def test_an_input_that_fails_every_fold_is_refused_before_any_fit(self, ds, unseen_level):
+        # as run_validation refuses it
+        with pytest.raises(AtlmError) as alone:
+            run_validation(ds, ValidationPlan(kind="kfold", k=3, seed=1),
+                           unseen_level=unseen_level)
+        with mock.patch.object(validation, "_fit_plan") as fit, \
+                pytest.raises(AtlmError) as experiment:
+            repeat_cv_experiment(ds, k=3, runs=2, unseen_level=unseen_level)
+        fit.assert_not_called()
+        assert isinstance(alone.value, (SchemaError, MissingValueError))
+        assert (type(experiment.value), str(experiment.value)) == \
+            (type(alone.value), str(alone.value))
 
     def test_a_seed_past_64_bits_is_refused_before_any_fit(self):
         # run 5 would take seed 2**64; every plan is made before the one pass
