@@ -10,13 +10,14 @@ the one in the working tree's ``src/``: the folds of ``reproduce table1``,
 dataset and on the CSV that ``perfbench.synth.generate(1)`` gives (written
 to a temporary directory, as the csv-loocv benchmark workload writes it),
 plus the whole-dataset transform table of each ``inspect`` file.  Each side
-runs in its own interpreter.  Predictions, failure codes and failure messages
-come from ``run_validation``, the path the golden files are written by; each
-fold's transforms come from ``atlm_fit`` on its training rows.
+runs in its own interpreter.  Predictions, metric reports, failure codes and
+failure messages come from ``run_validation``, the path the golden files are
+written by; each fold's transforms come from ``atlm_fit`` on its training rows.
 
 For each fold that changed, one line gives the variables whose transform
 changed and the change of failure code, or of the failure message where the
-code is the same, or else the largest relative change of a prediction twice:
+code is the same, or the report fields that changed where only the fold's
+metric report moved, or else the largest relative change of a prediction twice:
 over the test rows whose explanatory numeric values all occur among the
 fold's training rows ("held values"), and over the rows with a value that
 none of them holds ("a new value").  A class with no rows
@@ -42,8 +43,10 @@ BUNDLED = ("cocomo81", "desharnais", "maxwell")
 
 def dump() -> dict:
     """Every golden fold of the ``atlm`` on ``sys.path``: ``{label: {fold:
-    [kinds, predictions, code, new, message]}}``, kinds as ``{variable: kind}``
-    and ``new`` flagging each test row that holds a new value."""
+    [kinds, predictions, code, new, message, report]}}``, kinds as ``{variable:
+    kind}``, ``new`` flagging each test row that holds a new value, and the
+    report as ``{field: float.hex text}`` (a NaN then equals itself), None
+    under LOOCV and on a failed fold."""
     from atlm import cli
     from atlm.bundled import load_builtin
     from atlm.dataset import load_csv, load_schema, split
@@ -76,7 +79,7 @@ def dump() -> dict:
         datasets["synth"] = load_csv(csv_path, load_schema(schema_path))
     runs.append(("evaluate", "synth", "loocv", 1))
     out = {f"inspect {name}": {"all rows": [kinds(calculate_transforms(datasets[name])),
-                                            [], None, [], None]} for name in BUNDLED}
+                                            [], None, [], None, None]} for name in BUNDLED}
     for command, name, plan_text, seed in runs:
         ds, plan = datasets[name], ValidationPlan.parse(plan_text, seed=seed)
         outcomes = run_validation(ds, plan).outcomes
@@ -88,8 +91,10 @@ def dump() -> dict:
             except AtlmError:
                 fitted = None
             predicted = [] if outcome.failed else outcome.predictions.predicted.tolist()
+            scores = outcome.report and {f: float(v).hex()
+                                         for f, v in outcome.report.to_json_dict().items()}
             folds[str(fold)] = [fitted, predicted, outcome.code, new_values(train, test),
-                                outcome.message]
+                                outcome.message, scores]
         out[f"{command} {name} {plan_text} seed {seed}"] = folds
     return out
 
@@ -151,15 +156,19 @@ def main(argv: list[str]) -> int:
             if old is None or new is None:
                 print(f"{label} fold {fold}: only {'after' if old is None else 'before'}")
                 continue
-            (old_kinds, old_pred, old_code, _, old_message), \
-                (new_kinds, new_pred, new_code, flags, new_message) = old, new
+            (old_kinds, old_pred, old_code, _, old_message, old_report), \
+                (new_kinds, new_pred, new_code, flags, new_message, new_report) = old, new
             old_kinds, new_kinds = old_kinds or {}, new_kinds or {}  # None: atlm_fit failed
             moved = ", ".join(f"{v} {old_kinds.get(v)}->{new_kinds.get(v)}"
                               for v in sorted(old_kinds.keys() | new_kinds.keys())
                               if old_kinds.get(v) != new_kinds.get(v))
+            old_report, new_report = old_report or {}, new_report or {}
+            scores = ", ".join(f for f in sorted(old_report.keys() | new_report.keys())
+                               if old_report.get(f) != new_report.get(f))
             change = (f"code {old_code}->{new_code}" if old_code != new_code
                       else f"message {old_message!r}->{new_message!r}"
                       if old_message != new_message
+                      else f"report changed: {scores}" if old_pred == new_pred and scores
                       else largest_changes(old_pred, new_pred, flags))
             print(f"{label} fold {fold}: transforms {moved or 'unchanged'}; {change}")
     print(f"{changed} of {total} folds changed" if changed

@@ -26,6 +26,8 @@ import hashlib
 import io
 import json
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from numbers import Real
 from pathlib import Path
@@ -120,12 +122,12 @@ class Dataset:
     ``values`` is a read-only float64 copy of the (columns x rows) array it
     is given (bool, integer or float cells), so no write to the caller's
     array reaches it.  In schema order, it holds a numeric column's numbers
-    or a factor's codes into its ``levels``, a tuple of distinct strings (empty
-    for a numeric column); a missing cell is NaN.
-    A ``schema`` given as a
-    plain sequence of columns is stored as a :class:`Schema`.  ``ids`` are
-    the original row identifiers; ``source_rows`` is the row count of the
-    loaded file, which recipe row references are validated against.
+    or a factor's codes into its ``levels``, a sequence (not a string) of
+    distinct strings, stored as a tuple (empty for a numeric column); a missing
+    cell is NaN.  A ``schema`` given as a plain sequence of columns is stored
+    as a :class:`Schema`.  ``ids`` are the original row identifiers, stored as
+    ints; ``source_rows`` is the row count of the loaded file, which recipe
+    row references are validated against.
     """
 
     name: str
@@ -149,10 +151,15 @@ class Dataset:
         width = len(self.schema)
         if not (self.values.shape == (width, len(self.ids)) and len(self.levels) == width):
             raise SchemaError(f"column arrays of {self.name!r} do not fit its schema")
+        object.__setattr__(self, "ids", tuple(_integer("a row id", i, SchemaError)
+                                              for i in self.ids))
         if len(set(self.ids)) != len(self.ids):
             raise SchemaError("row ids must be unique")
         for i, col in enumerate(self.schema):
             names = self.levels[i]
+            if isinstance(names, str) or not isinstance(names, Sequence):
+                raise SchemaError(f"levels of column {col.name!r} of {self.name!r} must be "
+                                  f"a sequence of strings, got {names!r}")
             if col.kind != CATEGORICAL:
                 if len(names):
                     raise SchemaError(f"numeric column {col.name!r} of {self.name!r} has levels")
@@ -165,6 +172,7 @@ class Dataset:
             if len(set(names)) < len(names) or not set(codes.tolist()) <= set(range(len(names))):
                 raise SchemaError(f"factor {col.name!r} of {self.name!r} repeats a "
                                   f"level name or has a code outside its {len(names)} levels")
+        object.__setattr__(self, "levels", tuple(map(tuple, self.levels)))
         if self.source_rows < 0:
             object.__setattr__(self, "source_rows", len(self.ids))
 
@@ -291,6 +299,17 @@ class Dataset:
         new.__dict__.update(name=name, schema=schema, ids=ids, values=values, levels=levels,
                             source_rows=source_rows)
         return new
+
+
+def _integer(name: str, value, error: type[AtlmError]) -> int:
+    """``value`` as an int, numpy integers too; a bool, or a value that
+    ``operator.index`` refuses, raises ``error``."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise error(f"{name} must be an integer, got {value!r}")
 
 
 def _matrix(schema, columns) -> tuple[np.ndarray, tuple]:

@@ -11,9 +11,9 @@ The six functions :func:`mmre`, :func:`pred`, :func:`lsd`,
 :func:`report` calls them in report order.  :func:`report_stack` scores a
 whole group of equal-sized folds in one stacked pass (validation calls it
 once per group of k-fold or holdout folds with the same test and training
-sizes) and equals the definitions bit for bit.  It words no error itself: it
-finds the sets where a definition is undefined and runs the first of them
-through :func:`report`, which raises that definition's error.
+sizes) and equals the definitions bit for bit.  It words no error itself: a
+set where a definition is undefined gets None, and running that set through
+:func:`report` raises the definition's error.
 
 A measure that overflows is kept as inf (or NaN), with no warning, in the
 definitions as in :func:`report_stack`.  :func:`lsd` needs no such guard: its
@@ -166,7 +166,7 @@ def report(ps: PredictionSet, training_response) -> MetricReport:
                         sa(ps, training_response), mar(ps))
 
 
-def report_stack(predicted, actual, training) -> list[MetricReport]:
+def report_stack(predicted, actual, training) -> list[MetricReport | None]:
     """All measures for each row of (sets x n) stacks of predicted and actual
     values, with a (sets x m) stack of each set's training response.
 
@@ -175,13 +175,12 @@ def report_stack(predicted, actual, training) -> list[MetricReport]:
     adds a row in the same pairwise order as the 1-D ``np.mean``,
     ``np.sum`` and ``np.var`` of the definitions, so each field equals them
     bit for bit; MAR_P0 reduces each set's flattened (test x training)
-    block.  The rows hold finite values, as a PredictionSet's do.  The first
-    set where a measure is undefined raises the error of its first failing
-    definition, through :func:`report`."""
+    block.  The rows hold finite values, as a PredictionSet's do.  A set where
+    a definition raises gets None in place of its report."""
     predicted, actual, training = (np.ascontiguousarray(a, dtype=float)
                                    for a in (predicted, actual, training))
     sets, n = actual.shape
-    with np.errstate(all="ignore"):  # a set that this spoils raises below
+    with np.errstate(all="ignore"):  # a set that this spoils gets None below
         residual = predicted - actual
         absolute = np.abs(residual)
         relative = absolute / actual
@@ -207,10 +206,9 @@ def report_stack(predicted, actual, training) -> list[MetricReport]:
     failing = ((actual <= 0.0).any(axis=1) | (predicted <= 0.0).any(axis=1)
                | (actual == actual[:, :1]).all(axis=1) | (var_actual == 0.0)
                | (training.shape[1] == 0) | ~np.isfinite(training).all(axis=1))
-    for row in np.flatnonzero(failing):
-        report(PredictionSet(tuple(range(n)), predicted[row], actual[row]), training[row])
     columns = [measures[name].tolist() for name in METRIC_FIELDS]
-    return [MetricReport(n, *values) for values in zip(*columns)]
+    return [None if bad else MetricReport(n, *values)
+            for bad, values in zip(failing.tolist(), zip(*columns))]
 
 
 def _sum(a: np.ndarray) -> np.ndarray:

@@ -11,9 +11,9 @@ leaves out.  Row ids appear only in :func:`generate_folds`, which formats
 the masks as (train ids, test ids) tuples for export, and in the
 :class:`~atlm.pipeline.PredictionSet` of each fold.
 
-A call computes the fingerprint once and fits in one pass a plan's folds,
-or an experiment's runs as their stacked masks, each fold to one
-:class:`FoldOutcome` in fold order; each plan's folds are then scored.
+A call computes the fingerprint once and fits and scores in one pass a
+plan's folds, or an experiment's runs as their stacked masks, each fold to
+one :class:`FoldOutcome` in fold order.
 Once per pass, each numeric row is transformed every way into one
 (candidates x rows) matrix, and one ``transforms._fold_choices`` call picks
 every fold's transforms: a screen of whole-pass moment sums, then the exact
@@ -26,11 +26,11 @@ training size from their training and test positions: each fold with a
 design gathers it from the matrix, in Fortran order, for
 ``linear._qr_solve``.  Only that gather, the solve and the product of the
 fold's test rows with its coefficients run per fold; the inverse transform,
-the finiteness check and the ids and actuals of the PredictionSets run once
-per group.  Each fold equals a fit of its rows through the public
-single-model API (``atlm_fit``, ``atlm_predict``), the oracle of this path,
-failures included: the plan path words every per-fold error in the public
-path's order, through the same helpers.  Inputs that fail every fold are
+the finiteness check, the ids and actuals of the PredictionSets and the
+metric reports run once per group.  Each fold equals a fit of its rows
+through the public single-model API (``atlm_fit``, ``atlm_predict``), the
+oracle of this path, failures included: the plan path words every per-fold
+error in the public path's order, through the same helpers.  Inputs that fail every fold are
 refused before any fit, after every PlanError: an unknown unseen-level
 policy, then no explanatory column (SchemaError), then a missing or
 non-finite active cell (MissingValueError).  A failed fold (transform domain
@@ -38,20 +38,19 @@ violation, unseen factor level, ...) carries the error's code and message
 instead of predictions; it is excluded from aggregation but never silently
 dropped.  Leave-one-out test sets are singletons, on which the
 variance-based measures are undefined, so its metrics are computed once
-over the pooled predictions.  k-fold and holdout score each fold, one
-:func:`~atlm.metrics.report_stack` pass per test size, and aggregate the
-reports.
+over the pooled predictions.  k-fold and holdout folds are scored as they
+are predicted, one :func:`~atlm.metrics.report_stack` pass per group of every
+stacked run, and their reports are aggregated.
 """
 
 from __future__ import annotations
 
-import operator
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataset import CATEGORICAL, Dataset
+from .dataset import CATEGORICAL, Dataset, _integer
 from .errors import FitError, PlanError, ValidationError
 from .linear import UNSEEN_ERROR, _check_design, _qr_solve, _unseen_level_error
 from .metrics import MetricReport, MetricSummary, aggregate, report, report_stack
@@ -68,17 +67,6 @@ HOLDOUT = "holdout"
 _MAX_SEED = (1 << 64) - 1
 
 
-def _integer(name: str, value) -> int:
-    """``value`` as an int, numpy integers too; a bool, or a value that
-    ``operator.index`` refuses, raises PlanError."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise PlanError(f"{name} must be an integer, got {value!r}")
-
-
 @dataclass(frozen=True)
 class ValidationPlan:
     kind: str
@@ -91,7 +79,7 @@ class ValidationPlan:
         for name in ("seed", "k", "test_size", "repeats"):
             value = getattr(self, name)
             if value is not None or name == "seed":
-                object.__setattr__(self, name, _integer(name, value))
+                object.__setattr__(self, name, _integer(name, value, PlanError))
         if not (0 <= self.seed <= _MAX_SEED):
             raise PlanError(f"seed must fit in 64 bits, got {self.seed}")
         if self.kind == LOOCV:
@@ -353,7 +341,8 @@ def _fit_group(ds: Dataset, candidates: np.ndarray, tests: np.ndarray, folds: np
     """The outcomes of the ``folds`` of the (folds x rows) test masks ``tests``,
     which share one training size, from the plan's ``_designs`` entries and
     response kinds ``kinds``: a fold's FitError, else its ``_designs`` error,
-    else its first non-finite prediction, else its predictions.
+    else its first non-finite prediction, else its predictions and, for 2 or
+    more test rows, its report (None where a measure is undefined).
 
     The fit loop solves each fold's design, gathered from the block of its
     columns, which is taken once per distinct set of columns.  The predict
@@ -398,35 +387,19 @@ def _fit_group(ds: Dataset, candidates: np.ndarray, tests: np.ndarray, folds: np
     actual, t, finite = ds.values[schema.response].take(tested), tested.shape[1], \
         np.isfinite(predicted)
     ids = tuple(map(ds.ids.__getitem__, tested.ravel().tolist()))
-    for row, (fold, error, whole) in enumerate(zip(folds, failed, finite.all(axis=1).tolist())):
-        if error is None and not whole:
+    for row, whole in enumerate(finite.all(axis=1).tolist()):
+        if failed[row] is None and not whole:
             at = int(finite[row].argmin())
-            error = _non_finite_error(ids[row * t + at], predicted[row, at], actual[row, at])
+            failed[row] = _non_finite_error(ids[row * t + at], predicted[row, at], actual[row, at])
+    reports = {}
+    if t > 1:  # a test size of 1 is LOOCV's, scored once over the pooled predictions
+        scored = [row for row, error in enumerate(failed) if error is None]
+        reports = dict(zip(scored, report_stack(predicted[scored], actual[scored],
+                                                ds.values[schema.response].take(trains[scored]))))
+    for row, (fold, error) in enumerate(zip(folds, failed)):
         yield (FoldOutcome(fold, code=error.code, message=str(error)) if error else
                FoldOutcome(fold, PredictionSet._trusted(ids[row * t:row * t + t], predicted[row],
-                                                        actual[row])))
-
-
-def _score_folds(ds: Dataset, tests: np.ndarray, outcomes) -> tuple[FoldOutcome, ...]:
-    """One plan's outcomes with each fitted fold's metric report filled in,
-    from one stacked pass per group of its folds with the same test size.
-
-    Each group is a run of consecutive folds (k-fold puts its larger test
-    sets first, holdout has one size), and a stacked pass raises for its
-    first failing fold, so a MetricError comes from the first failing fold
-    in fold order, as when scoring fold by fold."""
-    groups: dict[int, list] = {}
-    for outcome in outcomes:
-        if not outcome.failed:
-            groups.setdefault(len(outcome.predictions), []).append(outcome)
-    response, scored = ds.response_column(), list(outcomes)
-    for group in groups.values():
-        reports = report_stack(np.array([o.predictions.predicted for o in group]),
-                               np.array([o.predictions.actual for o in group]),
-                               np.array([response[~tests[o.fold]] for o in group]))
-        for outcome, fold_report in zip(group, reports):
-            scored[outcome.fold] = replace(outcome, report=fold_report)
-    return tuple(scored)
+                                                        actual[row]), reports.get(row)))
 
 
 def _run_plans(ds: Dataset, plans: list, unseen_level: str) -> Iterator[ValidationResult]:
@@ -459,20 +432,24 @@ def _run_plans(ds: Dataset, plans: list, unseen_level: str) -> Iterator[Validati
             pooled_report = report(pooled([o.predictions for o in succeeded]), ds.response_column())
             reports = [pooled_report]
         else:
-            outcomes, pooled_report = _score_folds(ds, tests, outcomes), None
-            reports = [o.report for o in outcomes if not o.failed]
+            pooled_report, reports = None, [o.report for o in succeeded]
+            if None in reports:  # the first fold, in fold order, with an undefined measure
+                first = succeeded[reports.index(None)]
+                report(first.predictions, ds.response_column()[~tests[first.fold]])  # raises
         yield ValidationResult(ds.name, fingerprint, plan, outcomes, pooled_report,
                                aggregate(reports))
 
 
 def run_validation(ds: Dataset, plan: ValidationPlan, *,
                    unseen_level: str = UNSEEN_ERROR) -> ValidationResult:
-    """Fit and predict every fold of the plan, then score the fitted folds.
+    """Fit, predict and score every fold of the plan.
 
     Refused before any fit, in this order: a PlanError, such as a k-fold or
     holdout plan with a test fold of one row, where the per-fold measures need
     two; then an unknown ``unseen_level``, then no explanatory column
-    (SchemaError); then a missing or non-finite active cell (MissingValueError)."""
+    (SchemaError); then a missing or non-finite active cell (MissingValueError).
+    Then a ValidationError if every fold failed, else the MetricError of the
+    first fold, in fold order, with an undefined measure."""
     return next(_run_plans(ds, [plan], unseen_level))
 
 
@@ -490,7 +467,7 @@ def repeat_cv_experiment(ds: Dataset, k: int, runs: int, base_seed: int = 1, *,
                          unseen_level: str = UNSEEN_ERROR) -> tuple[CvRunSummary, ...]:
     """Independent k-fold runs with seeds base_seed, base_seed+1, ..., fitted in one
     pass; a bad run count or seed, then :func:`run_validation`'s refusals, come first."""
-    runs = _integer("runs", runs)
+    runs = _integer("runs", runs, PlanError)
     if runs < 2:
         raise PlanError(f"repeat experiment needs at least 2 runs, got {runs}")
     plans = [ValidationPlan(kind=KFOLD, seed=base_seed + run, k=k) for run in range(runs)]

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import hashlib
 import io
+import json
 import math
 import tempfile
 from pathlib import Path
@@ -36,7 +37,9 @@ from atlm.errors import (
     SchemaError,
     SplitError,
 )
+from atlm.report import to_json_text
 from atlm.transforms import apply_transforms, calculate_transforms
+from atlm.validation import ValidationPlan, generate_folds
 
 from conftest import make_dataset
 from perfbench import synth
@@ -318,6 +321,37 @@ def test_levels_belong_to_factors_and_are_text(levels, message):
                                 "y numeric response"), (0, 1),
                 np.array([[0.0, 1.0], [1.0, 2.0], [3.0, 4.0]]), levels)
     assert str(caught.value) == message
+
+
+def test_each_levels_entry_is_a_sequence_of_text_stored_as_a_tuple():
+    schema = _columns("f categorical explanatory", "x numeric explanatory", "y numeric response")
+    values = np.array([[0.0, 0.0], [1.0, 2.0], [3.0, 4.0]])
+    # None used to raise TypeError, and a string was read as its characters
+    for levels, entry in [((("q",), None, ()), "None"), (("q", (), ()), "'q'")]:
+        column = "f" if entry == "'q'" else "x"
+        with pytest.raises(SchemaError) as caught:
+            Dataset("bad", schema, (0, 1), values, levels)
+        assert str(caught.value) == (f"levels of column {column!r} of 'bad' must be a "
+                                     f"sequence of strings, got {entry}")
+    # a list used to be kept as it was, so the dataset was not equal to this one
+    given_lists = Dataset("d", schema, (0, 1), values, [["q"], [], ()])
+    assert given_lists.levels == (("q",), (), ())
+    assert given_lists == Dataset("d", schema, (0, 1), values, (("q",), (), ()))
+
+
+def test_row_ids_are_stored_as_ints():
+    schema = _columns("x numeric explanatory", "y numeric response")
+    values = np.array([[1.0, 2.0, 3.0, 4.0, 5.0], [3.0, 5.0, 6.0, 9.0, 11.0]])
+    ds = Dataset("d", schema, tuple(np.arange(5)), values, ((), ()))
+    assert ds.ids == (0, 1, 2, 3, 4) and {type(i) for i in ds.ids} == {int}
+    # numpy ids used to reach the export, which json could not write
+    folds = generate_folds(ds, ValidationPlan(kind="loocv"))
+    assert json.loads(to_json_text(folds.to_json_dict()))["folds"][0] == \
+        {"train": [1, 2, 3, 4], "test": [0]}
+    for bad in [4.0, "4", True, np.True_]:
+        with pytest.raises(SchemaError) as caught:
+            Dataset("d", schema, (0, 1, 2, 3, bad), values, ((), ()))
+        assert str(caught.value) == f"a row id must be an integer, got {bad!r}"
 
 
 @pytest.mark.parametrize("cells, message", [

@@ -144,8 +144,10 @@ class TestReStar:
                      data.draw(arrays(float, n, elements=st.floats(0.01, 1e5))))
         with pytest.raises(MetricError, match="constant actuals"):
             re_star(ps(predicted, actual))
+        training = np.array([value, value + 1])
+        assert report_stack(np.array([predicted]), actual[None], training[None]) == [None]
         with pytest.raises(MetricError, match="re_star undefined for constant actuals"):
-            report_stack(np.array([predicted]), actual[None], np.array([[value, value + 1]]))
+            report(ps(predicted, actual), training)
 
     @given(st.lists(st.floats(min_value=1, max_value=1e4), min_size=3, max_size=12),
            st.floats(min_value=0.1, max_value=100))
@@ -372,14 +374,17 @@ def definitions(predicted, actual, train) -> MetricReport:
                         sa(case, train), mar(case))
 
 
-def first_error(predicted, actual, training):
-    """The MetricError text the first failing row's definitions raise, or None."""
+def row_errors(predicted, actual, training) -> list:
+    """Each row's MetricError text from the definitions, or None where they hold."""
+    errors = []
     for row in zip(predicted, actual, training):
         try:
             definitions(*row)
         except MetricError as exc:
-            return str(exc)
-    return None
+            errors.append(str(exc))
+        else:
+            errors.append(None)
+    return errors
 
 
 positive = st.floats(min_value=0.01, max_value=1e5)
@@ -394,22 +399,19 @@ def stack(draw, n=st.integers(2, 30)):
 
 
 class TestReportStack:
-    """report_stack is the six definitions, row by row, bit for bit."""
+    """report_stack is the six definitions, row by row, bit for bit, with None
+    for each row where one of them raises."""
 
     @given(st.lists(stack(), min_size=1, max_size=3))
     @settings(max_examples=100, deadline=None)
     def test_each_row_equals_the_definitions(self, groups):
         # groups of different sizes, each scored in its own stacked pass
         for predicted, actual, training in groups:
-            expected_error = first_error(predicted, actual, training)
-            event("valid" if expected_error is None else expected_error)
-            if expected_error is not None:
-                with pytest.raises(MetricError) as exc:
-                    report_stack(predicted, actual, training)
-                assert str(exc.value) == expected_error
-                continue
+            errors = row_errors(predicted, actual, training)
+            event("valid" if not any(errors) else next(filter(None, errors)))
             assert report_stack(predicted, actual, training) == [
-                definitions(*row) for row in zip(predicted, actual, training)]
+                None if error else definitions(*row)
+                for error, row in zip(errors, zip(predicted, actual, training))]
 
     FAULTS = ("nonpositive actual", "nonpositive prediction", "constant actuals",
               "actual and training identical", "empty training response",
@@ -418,7 +420,7 @@ class TestReportStack:
     @pytest.mark.parametrize("fault", FAULTS)
     @given(data=st.data())
     @settings(max_examples=30, deadline=None)
-    def test_first_failing_row_raises_its_first_error(self, fault, data):
+    def test_failing_rows_are_none_and_report_raises_the_first(self, fault, data):
         predicted, actual, training = data.draw(
             stack(n=st.integers(0, 1) if fault == "fewer than 2 rows" else st.integers(2, 12)))
         rows, n = actual.shape
@@ -440,11 +442,15 @@ class TestReportStack:
             elif fault == "non-finite training response":
                 training[row, data.draw(st.integers(0, training.shape[1] - 1))] = \
                     data.draw(st.sampled_from([math.inf, -math.inf, math.nan]))
-        expected = first_error(predicted, actual, training)
-        assert expected is not None
+        errors = row_errors(predicted, actual, training)
+        assert all(errors[row] is not None for row in bad)
+        undefined = [fold_report is None for fold_report in report_stack(predicted, actual,
+                                                                          training)]
+        assert undefined == [error is not None for error in errors]
+        first = undefined.index(True)
         with pytest.raises(MetricError) as exc:
-            report_stack(predicted, actual, training)
-        assert str(exc.value) == expected
+            report(ps(predicted[first], actual[first]), training[first])
+        assert str(exc.value) == errors[first]
 
     def test_a_stack_of_one_equals_report(self):
         case, train = ps([12.0, 24.0, 7.0], [10.0, 20.0, 9.0]), np.array([10.0, 30.0])

@@ -286,48 +286,79 @@ class TestRunValidation:
     FAULTS = (None, "constant actuals", "nonpositive prediction", "nonpositive actual")
 
     @given(k=st.integers(2, 6), faults=st.lists(st.sampled_from(FAULTS), min_size=6, max_size=6))
+    @example(k=3, faults=["nonpositive actual", "constant actuals"] + [None] * 4)
     @settings(max_examples=40, deadline=None)
     def test_metric_error_comes_from_the_first_failing_fold(self, k, faults):
-        # folds of 3 and of 2 test rows are scored in separate stacked passes
+        # folds of 3 and of 2 test rows are scored in separate stacked passes;
+        # under k=3, fold 0 has 5 test rows and folds 1 and 2 have 4
         ds = linear_dataset(13)
         plan = ValidationPlan(kind="kfold", k=k, seed=4)
-        fold_of = {test: i for i, (_, test) in enumerate(generate_folds(ds, plan).folds)}
-
-        def predictions_with_fault(row_ids, predicted, actual):
-            actual = np.linspace(10.0, 20.0, len(row_ids))
-            predicted = actual * 1.1
-            fault = faults[fold_of[row_ids]]
-            if fault == "constant actuals":
-                actual[:] = 7.0
-            elif fault == "nonpositive prediction":
-                predicted[-1] = -1.0
-            elif fault == "nonpositive actual":
-                actual[0] = 0.0
-            return PredictionSet(row_ids, predicted, actual)
-
-        expected = None
-        for train_ids, test_ids in generate_folds(ds, plan).folds:
+        fault_of, expected = {}, None
+        for fold, (train_ids, test_ids) in enumerate(generate_folds(ds, plan).folds):
             train, test = split(ds, train_ids, test_ids)
+            fault_of[fold_key(test)] = faults[fold]
             try:
-                report(predictions_with_fault(test.ids, None, None), train.response_column())
+                report(PredictionSet(test.ids, *faulty(faults[fold], len(test))),
+                       train.response_column())
             except MetricError as exc:
-                expected = str(exc)
-                break
-        # every fold of this dataset takes the plan path, which builds each
-        # fold's PredictionSet through PredictionSet._trusted
-        with mock.patch.object(PredictionSet, "_trusted", predictions_with_fault):
+                expected = expected or str(exc)
+        with faults_at_the_scorer(fault_of) as scored:
             if expected is None:
                 assert run_validation(ds, plan).n_succeeded == k
             else:
                 with pytest.raises(MetricError) as exc:
                     run_validation(ds, plan)
                 assert str(exc.value) == expected
+        assert sorted(scored) == sorted(fault_of)  # every fold went through the stacked scorer
 
     def test_all_folds_failing_is_an_error(self):
         # loocv on 3 rows leaves 2-row training sets: every fold degenerates
         bad = make_dataset({"x": [1, 2, 3], "y": [2, 4, 9]}, response="y")
         with pytest.raises(ValidationError):
             run_validation(bad, ValidationPlan(kind="loocv"))
+
+
+def fold_key(test: Dataset) -> tuple:
+    """A fold's key in a fault map: its test actuals in row order, which tell
+    the folds of ``linear_dataset`` apart."""
+    return tuple(test.response_column().tolist())
+
+
+def faulty(fault: str | None, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(predicted, actual)`` of ``n`` test rows under ``fault``: actuals from 10
+    to 20, predicted 10% high; then, unless ``fault`` is None, one measure undefined."""
+    actual = np.linspace(10.0, 20.0, n)
+    predicted = actual * 1.1
+    if fault == "constant actuals":
+        actual[:] = 7.0
+    elif fault == "nonpositive prediction":
+        predicted[-1] = -1.0
+    elif fault == "nonpositive actual":
+        actual[0] = 0.0
+    return predicted, actual
+
+
+@contextlib.contextmanager
+def faults_at_the_scorer(fault_of: dict):
+    """Patch validation's ``report_stack`` and ``report`` so that each fold is
+    scored as ``faulty`` gives it under ``fault_of[fold_key]``; yields the list
+    of the keys of the folds that ``report_stack`` was given."""
+    stack, one, scored = validation.report_stack, validation.report, []
+
+    def report_stack(predicted, actual, training):
+        keys = list(map(tuple, actual.tolist()))
+        scored.extend(keys)
+        cases = [faulty(fault_of[key], len(key)) for key in keys]
+        return stack(np.array([p for p, _ in cases]).reshape(predicted.shape),
+                     np.array([a for _, a in cases]).reshape(actual.shape), training)
+
+    def report(ps, training):
+        key = tuple(ps.actual.tolist())
+        return one(PredictionSet(ps.row_ids, *faulty(fault_of[key], len(key))), training)
+
+    with mock.patch.object(validation, "report_stack", report_stack), \
+            mock.patch.object(validation, "report", report):
+        yield scored
 
 
 def overflowing_case():
@@ -825,42 +856,37 @@ class TestRepeatCv:
 
     @given(k=st.integers(2, 6), runs=st.integers(2, 4),
            faults=st.lists(st.sampled_from(FAULTS), min_size=24, max_size=24))
+    @example(k=3, runs=2, faults=[None, "constant actuals"] + [None] * 4
+             + ["nonpositive prediction"] + [None] * 17)
     @settings(max_examples=40, deadline=None)
     def test_the_first_failing_run_raises_what_run_validation_raises_for_it(
             self, k, runs, faults):
-        # 40 rows give every fold of every run its own test ids, which key the faults
+        # 40 rows give every fold of every run its own test rows, which key the faults.
+        # Under k=3, fold 0 of every run has 14 test rows and folds 1 and 2 have 13,
+        # so the runs' folds 0 share one stacked pass, before any other fold
         ds = linear_dataset(40)
         plans = [ValidationPlan(kind="kfold", k=k, seed=4 + run) for run in range(runs)]
-        fault_of = {test: faults[run * 6 + fold] for run, plan in enumerate(plans)
-                    for fold, (_, test) in enumerate(generate_folds(ds, plan).folds)}
+        fault_of = {fold_key(split(ds, *ids)[1]): faults[run * 6 + fold]
+                    for run, plan in enumerate(plans)
+                    for fold, ids in enumerate(generate_folds(ds, plan).folds)}
         assert len(fault_of) == runs * k
-
-        def predictions_with_fault(row_ids, predicted, actual):
-            actual = np.linspace(10.0, 20.0, len(row_ids))
-            predicted = actual * 1.1
-            fault = fault_of[row_ids]
-            if fault == "constant actuals":
-                actual[:] = 7.0
-            elif fault == "nonpositive prediction":
-                predicted[-1] = -1.0
-            elif fault == "nonpositive actual":
-                actual[0] = 0.0
-            return PredictionSet(row_ids, predicted, actual)
-
-        with mock.patch.object(PredictionSet, "_trusted", predictions_with_fault):
-            expected = None
+        expected = None
+        with faults_at_the_scorer(fault_of):
             for plan in plans:
                 try:
                     run_validation(ds, plan)
                 except (MetricError, ValidationError) as exc:
                     expected = exc
                     break
+        with faults_at_the_scorer(fault_of) as scored:
             if expected is None:
                 assert len(repeat_cv_experiment(ds, k=k, runs=runs, base_seed=4)) == runs
             else:
                 with pytest.raises(AtlmError) as exc:
                     repeat_cv_experiment(ds, k=k, runs=runs, base_seed=4)
                 assert (type(exc.value), str(exc.value)) == (type(expected), str(expected))
+        # every fold of every run reached the patched scorer
+        assert sorted(scored) == sorted(fault_of)
 
     @pytest.mark.parametrize("ds, unseen_level", [
         (linear_dataset(), "bogus"), (NON_FINITE_Y_ONLY, "error"), (NON_FINITE_X, "error")],
