@@ -4,9 +4,9 @@ Usage:
     python scripts/fresh_bench.py --tree parent=DIR --tree change=DIR \\
         --runs 9 --out BENCH.json
 
-Each ``DIR`` is a checkout whose ``src/`` holds the ``atlm`` package.  Every
-command runs as ``python -m atlm ...`` in a new interpreter, so import cost
-counts.  The runs alternate between the trees (the first tree leads on even
+Each ``DIR`` is a checkout, absolute or relative to the current directory,
+whose ``src/`` holds the ``atlm`` package.  Every command runs as ``python -m
+atlm ...`` in a new interpreter, so import cost counts.  The runs alternate between the trees (the first tree leads on even
 runs, the second on odd ones), so a drift in the machine's speed falls on
 both.  Each launch goes through a helper process that times the child and
 reads its peak resident set size from ``getrusage(RUSAGE_CHILDREN)``.  The
@@ -103,7 +103,7 @@ def main() -> int:
         order = names if run % 2 == 0 else names[::-1]
         for cmd, argv in COMMANDS.items():
             for name in order:
-                samples[cmd][name].append(launch(str(Path(trees[name], "src")), argv))
+                samples[cmd][name].append(launch(str(Path(trees[name], "src").resolve()), argv))
     report = {
         "method": "fresh `python -m atlm` per launch; runs alternate between the trees; "
                   "peak_rss_mb is the child's ru_maxrss",

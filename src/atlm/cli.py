@@ -55,13 +55,12 @@ def _add_dataset_options(parser) -> None:
     parser.add_argument("--schema", help="schema sidecar (required for CSV paths)")
     parser.add_argument("--recipe",
                         help="preparation recipe: bundled dataset name or JSON path")
+    parser.add_argument("--out", help="write output to this path instead of stdout")
 
 
-def _add_run_options(parser) -> None:
+def _add_plan_options(parser) -> None:
+    parser.add_argument("--plan", required=True, help="loocv | kfold:K | holdout:SxR")
     parser.add_argument("--seed", type=int, default=1, help="PRNG seed (default 1)")
-    parser.add_argument("--unseen-level", choices=UNSEEN_POLICIES,
-                        default=UNSEEN_ERROR,
-                        help="policy for factor levels unseen in training")
 
 
 def _resolve_dataset(args) -> tuple[Dataset, PrepRecipe]:
@@ -125,39 +124,28 @@ def _cmd_export_folds(args) -> int:
     return 0
 
 
-def _reproduce_summary_table(names: tuple[str, ...], plan_text: str) -> tuple[str, dict]:
-    rows = []
-    payload = {"plan": plan_text, "seed": REPRODUCE_SEED, "datasets": {}}
-    for name in names:
-        plan = ValidationPlan.parse(plan_text, seed=REPRODUCE_SEED)
-        result = run_validation(load_builtin(name), plan)
-        rows.append((name, result.summary))
-        payload["datasets"][name] = result_to_json_dict(result,
-                                                        notes=builtin_recipe(name).notes)
-    return summary_table(rows), payload
-
-
 def _cmd_reproduce(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.experiment in _REPRODUCE_PLANS:
         names, plan_text = _REPRODUCE_PLANS[args.experiment]
-        table, payload = _reproduce_summary_table(names, plan_text)
-        (out_dir / f"{args.experiment}.txt").write_text(table, encoding="utf-8")
-        (out_dir / f"{args.experiment}.json").write_text(to_json_text(payload),
-                                                         encoding="utf-8")
-        sys.stdout.write(table)
-        return 0
-    # figure1: between-run variation of tenfold cross-validation
-    runs = repeat_cv_experiment(load_builtin("cocomo81"), k=10, runs=FIGURE1_RUNS,
-                                base_seed=REPRODUCE_SEED)
-    lines = ["run,re_star_mean,re_star_stderr"]
-    for s in runs:
-        lines.append(f"{s.run},{format_number(s.re_star_mean)},"
-                     f"{format_number(s.re_star_stderr)}")
-    text = "\n".join(lines) + "\n"
-    (out_dir / "figure1.csv").write_text(text, encoding="utf-8")
-    sys.stdout.write(text)
+        plan = ValidationPlan.parse(plan_text, seed=REPRODUCE_SEED)
+        results = {name: run_validation(load_builtin(name), plan) for name in names}
+        shown = summary_table([(name, r.summary) for name, r in results.items()])
+        payload = {"plan": plan_text, "seed": REPRODUCE_SEED, "datasets": {
+            name: result_to_json_dict(r, notes=builtin_recipe(name).notes)
+            for name, r in results.items()}}
+        files = {f"{args.experiment}.txt": shown, f"{args.experiment}.json": to_json_text(payload)}
+    else:  # figure1: between-run variation of tenfold cross-validation
+        runs = repeat_cv_experiment(load_builtin("cocomo81"), k=10, runs=FIGURE1_RUNS,
+                                    base_seed=REPRODUCE_SEED)
+        shown = "".join(["run,re_star_mean,re_star_stderr\n"]
+                        + [f"{s.run},{format_number(s.re_star_mean)},"
+                           f"{format_number(s.re_star_stderr)}\n" for s in runs])
+        files = {"figure1.csv": shown}
+    for name, text in files.items():
+        (out_dir / name).write_text(text, encoding="utf-8")
+    sys.stdout.write(shown)
     return 0
 
 
@@ -173,15 +161,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("inspect", help="show schema and chosen transforms")
     _add_dataset_options(p)
     p.add_argument("--format", choices=("table", "json"), default="table")
-    p.add_argument("--out", help="write output to this path instead of stdout")
     p.set_defaults(func=_cmd_inspect)
 
     p = sub.add_parser("evaluate", help="run a validation plan and report metrics")
     _add_dataset_options(p)
-    p.add_argument("--plan", required=True, help="loocv | kfold:K | holdout:SxR")
-    _add_run_options(p)
+    _add_plan_options(p)
+    p.add_argument("--unseen-level", choices=UNSEEN_POLICIES, default=UNSEEN_ERROR,
+                   help="policy for factor levels unseen in training")
     p.add_argument("--format", choices=("json", "csv", "table"), default="table")
-    p.add_argument("--out", help="write output to this path instead of stdout")
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("reproduce", help="rerun the documented benchmark experiments")
@@ -191,9 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export-folds", help="write fold assignments as JSON")
     _add_dataset_options(p)
-    p.add_argument("--plan", required=True, help="loocv | kfold:K | holdout:SxR")
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--out", help="write output to this path instead of stdout")
+    _add_plan_options(p)
     p.set_defaults(func=_cmd_export_folds)
 
     return parser

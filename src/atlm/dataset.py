@@ -125,9 +125,10 @@ class Dataset:
     or a factor's codes into its ``levels``, a sequence (not a string) of
     distinct strings, stored as a tuple (empty for a numeric column); a missing
     cell is NaN.  A ``schema`` given as a plain sequence of columns is stored
-    as a :class:`Schema`.  ``ids`` are the original row identifiers, stored as
-    ints; ``source_rows`` is the row count of the loaded file, which recipe
-    row references are validated against.
+    as a :class:`Schema`.  ``name`` is text.  ``ids`` are the original row
+    identifiers, stored as ints; ``source_rows`` is the row count of the loaded
+    file, which recipe row references are validated against: an integer no
+    smaller than the dataset's row count, or -1 (the default) for that count.
     """
 
     name: str
@@ -138,6 +139,8 @@ class Dataset:
     source_rows: int = -1
 
     def __post_init__(self) -> None:
+        if not isinstance(self.name, str):
+            raise SchemaError(f"a dataset name must be text, got {self.name!r}")
         if not isinstance(self.schema, Schema):
             object.__setattr__(self, "schema", Schema(self.schema))
         self.schema.check(self.name)
@@ -148,6 +151,12 @@ class Dataset:
         # through any view, changes the cells or the fingerprint
         object.__setattr__(self, "values", values.astype(float))
         self.values.flags.writeable = False
+        for field in ("ids", "levels"):
+            try:
+                object.__setattr__(self, field, tuple(getattr(self, field)))
+            except TypeError:
+                raise SchemaError(f"{field} of {self.name!r} must be a sequence, "
+                                  f"got {getattr(self, field)!r}") from None
         width = len(self.schema)
         if not (self.values.shape == (width, len(self.ids)) and len(self.levels) == width):
             raise SchemaError(f"column arrays of {self.name!r} do not fit its schema")
@@ -173,8 +182,13 @@ class Dataset:
                 raise SchemaError(f"factor {col.name!r} of {self.name!r} repeats a "
                                   f"level name or has a code outside its {len(names)} levels")
         object.__setattr__(self, "levels", tuple(map(tuple, self.levels)))
-        if self.source_rows < 0:
-            object.__setattr__(self, "source_rows", len(self.ids))
+        source_rows = _integer("source_rows", self.source_rows, SchemaError)
+        if source_rows == -1:
+            source_rows = len(self.ids)
+        elif source_rows < len(self.ids):
+            raise SchemaError(f"source_rows of {self.name!r} must be -1 or at least its "
+                              f"{len(self.ids)} rows, got {source_rows}")
+        object.__setattr__(self, "source_rows", source_rows)
 
     @classmethod
     def from_columns(cls, name: str, schema, ids, columns,
@@ -390,10 +404,12 @@ def load_csv(path: str | Path, schema: tuple[ColumnSchema, ...],
     if sorted(header) != sorted(wanted):
         missing = set(wanted) - set(header)
         extra = set(header) - set(wanted)
+        repeated = {h for h in header if header.count(h) > 1}
         raise SchemaError(
             f"{path}: header does not match schema"
             + (f"; missing {sorted(missing)}" if missing else "")
-            + (f"; unexpected {sorted(extra)}" if extra else ""))
+            + (f"; unexpected {sorted(extra)}" if extra else "")
+            + (f"; repeated {sorted(repeated)}" if repeated else ""))
     fields = [(col.name, col.kind == NUMERIC, header.index(col.name)) for col in schema]
     try:
         body = [record for record in reader if record]

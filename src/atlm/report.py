@@ -124,50 +124,37 @@ def result_to_csv_text(result: ValidationResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _pad(cells, widths) -> str:
-    return "  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip()
+def _aligned(rows) -> str:
+    """Each row of cells as one line: every column padded to its widest cell,
+    two spaces between columns, trailing blanks cut."""
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return "".join(["  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip() + "\n"
+                    for cells in rows])
 
 
 def summary_table(rows) -> str:
     """Aligned table: one row per (label, summary) pair."""
     header = ["dataset"] + [title for _, title in TABLE_METRICS]
-    body = []
-    for label, summary in rows:
-        cells = [label]
-        for key, _ in TABLE_METRICS:
-            cells.append(f"{summary.means[key]:.2f} +/- {summary.stds[key]:.2f}")
-        body.append(cells)
-    widths = [max(len(r[i]) for r in [header] + body) for i in range(len(header))]
-    lines = [_pad(header, widths)]
-    lines.extend(_pad(r, widths) for r in body)
-    return "\n".join(lines) + "\n"
+    body = [[label] + [f"{summary.means[key]:.2f} +/- {summary.stds[key]:.2f}"
+                       for key, _ in TABLE_METRICS] for label, summary in rows]
+    return _aligned([header, *body])
 
 
 def result_to_table_text(result: ValidationResult, notes=()) -> str:
-    table = summary_table([(result.dataset_name, result.summary)])
-    lines = [table.rstrip("\n")]
-    lines.append(f"plan {result.plan.label()}  seed {result.plan.seed}  "
-                 f"folds {result.n_succeeded}/{result.n_folds} succeeded")
+    lines = [f"plan {result.plan.label()}  seed {result.plan.seed}  "
+             f"folds {result.n_succeeded}/{result.n_folds} succeeded"]
     if result.pooled_report is not None:
         lines.append("metrics computed over the pooled predictions of all folds")
-    for note in notes:
-        lines.append(f"note: {note}")
-    return "\n".join(lines) + "\n"
+    lines.extend(f"note: {note}" for note in notes)
+    return summary_table([(result.dataset_name, result.summary)]) + "\n".join(lines) + "\n"
 
 
 def transform_table_text(ds_name: str, table: TransformTable) -> str:
     header = ["variable", "kind", "chosen"] + [f"b1[{k}]" for k in TRANSFORM_KINDS]
-    body = []
-    for name, entry in table.entries.items():
-        kind = "categorical" if entry.categorical else "numeric"
-        row = [name, kind, entry.kind]
-        for k in TRANSFORM_KINDS:
-            row.append(entry.describe(k) if not entry.categorical else "-")
-        body.append(row)
-    widths = [max(len(r[i]) for r in [header] + body) for i in range(len(header))]
-    lines = [f"dataset: {ds_name}", _pad(header, widths)]
-    lines.extend(_pad(r, widths) for r in body)
-    return "\n".join(lines) + "\n"
+    body = [[name, "categorical" if entry.categorical else "numeric", entry.kind]
+            + [entry.describe(k) for k in TRANSFORM_KINDS]
+            for name, entry in table.entries.items()]
+    return f"dataset: {ds_name}\n" + _aligned([header, *body])
 
 
 def transform_table_json(ds_name: str, table: TransformTable) -> dict:

@@ -91,9 +91,11 @@ class Pcg32:
         return self._next()
 
     def next_below(self, bound: int) -> int:
-        """Uniform draw in [0, bound), unbiased via rejection; bound <= 2^32."""
-        if not 0 < bound <= 1 << 32:
-            raise ValueError(f"bound must be in 1..2^32, got {bound}")
+        """Uniform draw in [0, bound), unbiased via rejection; ``bound`` is an
+        integer (a Python or numpy int or bool) in 1..2^32."""
+        if not (isinstance(bound, (int, np.integer, np.bool_)) and 0 < bound <= 1 << 32):
+            raise ValueError(f"bound must be an integer in 1..2^32, got {bound!r}")
+        bound = int(bound)
         threshold = (1 << 32) % bound
         while True:
             r = self._next()
@@ -102,12 +104,17 @@ class Pcg32:
 
     def draws_below(self, bounds) -> list[int]:
         """``[next_below(b) for b in bounds]``, leaving the same state, drawn
-        a whole array at a time (see the module docstring)."""
-        bounds = list(bounds)
-        if bounds and not (0 < min(bounds) and max(bounds) <= 1 << 32):
-            raise ValueError(f"bounds must be in 1..2^32, got {min(bounds)}..{max(bounds)}")
+        a whole array at a time (see the module docstring).  The bounds are
+        integers in 1..2^32: any other bound, a float or text among them,
+        makes the array numpy builds of them one of another kind, and is
+        refused as ``next_below`` refuses it."""
+        bounds = np.array(list(bounds))
+        if bounds.size and bounds.dtype.kind not in "biu":
+            raise ValueError(f"bounds must be integers in 1..2^32, got {bounds.dtype} bounds")
+        if bounds.size and not (0 < bounds.min() and bounds.max() <= 1 << 32):
+            raise ValueError(f"bounds must be in 1..2^32, got {bounds.min()}..{bounds.max()}")
         mult, plus = _jump_tables(min(len(bounds), _BLOCK))
-        pending = np.array(bounds, dtype=np.uint64)
+        pending = bounds.astype(np.uint64)
         thresholds = np.uint64(1 << 32) % pending
         draws: list[int] = []
         while pending.size:

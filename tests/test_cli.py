@@ -169,6 +169,17 @@ class TestUsage:
         assert exc.value.code == 2
         assert capsys.readouterr().err.startswith("error[E_USAGE]")
 
+    def test_evaluate_and_export_folds_describe_plan_and_seed_alike(self, capsys):
+        def described(command: str) -> list[str]:
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            lines = capsys.readouterr().out.splitlines()
+            return [" ".join(line.split()) for line in lines
+                    if line.lstrip().startswith(("--plan", "--seed"))]
+
+        assert described("export-folds") == described("evaluate") == [
+            "--plan PLAN loocv | kfold:K | holdout:SxR", "--seed SEED PRNG seed (default 1)"]
+
 
 class TestErrorContract:
     @pytest.mark.filterwarnings("error")

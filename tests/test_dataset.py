@@ -95,6 +95,20 @@ def test_load_csv_missing_markers(tmp_path):
         ds.require_no_missing("fit")
 
 
+@pytest.mark.parametrize("header, names, reason", [
+    ("x,y,y", ("x", "y"), "; repeated ['y']"),
+    ("x,x,y", ("x", "x2", "y"), "; missing ['x2']; repeated ['x']"),
+], ids=["repeated-only", "missing-and-repeated"])
+def test_a_repeated_header_name_is_named(tmp_path, header, names, reason):
+    path = write_small_csv(tmp_path, header + "\n1,2,3\n")
+    schema = [ColumnSchema(n, NUMERIC) for n in names[:-1]]
+    schema.append(ColumnSchema(names[-1], NUMERIC, RESPONSE))
+    for loader in (load_csv, reference_load_csv):
+        with pytest.raises(SchemaError) as caught:
+            loader(path, schema)
+        assert str(caught.value) == f"{path}: header does not match schema{reason}"
+
+
 def reference_load_csv(path, schema, name=None) -> Dataset:
     """The cell-by-cell loader: strip, missing test, ``float`` and
     ``math.isfinite`` for each cell, record by record.  An error of the csv
@@ -121,10 +135,12 @@ def reference_load_csv(path, schema, name=None) -> Dataset:
         if sorted(header) != sorted(wanted):
             missing = set(wanted) - set(header)
             extra = set(header) - set(wanted)
+            repeated = {h for h in header if header.count(h) > 1}
             raise SchemaError(
                 f"{path}: header does not match schema"
                 + (f"; missing {sorted(missing)}" if missing else "")
-                + (f"; unexpected {sorted(extra)}" if extra else ""))
+                + (f"; unexpected {sorted(extra)}" if extra else "")
+                + (f"; repeated {sorted(repeated)}" if repeated else ""))
         order = [header.index(n) for n in wanted]
         columns = [[] for _ in schema]
         for lineno, record in enumerate(records, start=2):
@@ -352,6 +368,30 @@ def test_row_ids_are_stored_as_ints():
         with pytest.raises(SchemaError) as caught:
             Dataset("d", schema, (0, 1, 2, 3, bad), values, ((), ()))
         assert str(caught.value) == f"a row id must be an integer, got {bad!r}"
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"ids": None}, "ids of 'd' must be a sequence, got None"),
+    ({"levels": None}, "levels of 'd' must be a sequence, got None"),
+    ({"source_rows": "x"}, "source_rows must be an integer, got 'x'"),
+    ({"source_rows": 1.5}, "source_rows must be an integer, got 1.5"),
+    ({"source_rows": True}, "source_rows must be an integer, got True"),
+    # below the row count: a recipe would refuse to drop a row the dataset holds
+    ({"source_rows": 1}, "source_rows of 'd' must be -1 or at least its 3 rows, got 1"),
+    ({"source_rows": -2}, "source_rows of 'd' must be -1 or at least its 3 rows, got -2"),
+    ({"name": 5}, "a dataset name must be text, got 5"),
+], ids=["ids-none", "levels-none", "source-rows-text", "source-rows-float",
+        "source-rows-bool", "source-rows-below-the-rows", "source-rows-negative", "name-int"])
+def test_malformed_constructor_arguments_are_schema_errors(change, message):
+    fields = {"name": "d", "schema": _columns("x numeric explanatory", "y numeric response"),
+              "ids": (0, 1, 2), "values": np.array([[1.0, 2.0, 3.0], [3.0, 5.0, 7.0]]),
+              "levels": ((), ())}
+    with pytest.raises(SchemaError) as caught:
+        Dataset(**{**fields, **change})
+    assert str(caught.value) == message
+    assert Dataset(**fields).source_rows == 3
+    kept = Dataset(**fields, source_rows=np.int64(5))
+    assert kept.source_rows == 5 and len(apply_recipe(kept, PrepRecipe(drop_row_ids=(2,)))) == 2
 
 
 @pytest.mark.parametrize("cells, message", [

@@ -39,6 +39,20 @@ def test_inspect_json_matches_golden(dataset, tmp_path):
 
 
 @pytest.mark.parametrize("dataset", ["cocomo81", "desharnais", "maxwell"])
+def test_inspect_table_matches_golden(dataset, tmp_path):
+    name = f"inspect_{dataset}.txt"
+    assert main(["inspect", "--dataset", dataset, "--out", str(tmp_path / name)]) == 0
+    assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def test_evaluate_kfold_table_matches_golden(tmp_path):
+    name = "evaluate_kfold_10_desharnais.txt"
+    assert main(["evaluate", "--dataset", "desharnais", "--plan", "kfold:10",
+                 "--out", str(tmp_path / name)]) == 0
+    assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("dataset", ["cocomo81", "desharnais", "maxwell"])
 def test_evaluate_loocv_json_matches_golden(dataset, tmp_path):
     name = f"evaluate_loocv_{dataset}.json"
     assert main(["evaluate", "--dataset", dataset, "--plan", "loocv", "--format", "json",

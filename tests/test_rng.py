@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from atlm import rng
@@ -113,6 +113,28 @@ class TestDrawsBelow:
     def test_a_bound_outside_1_to_2_to_32_is_refused(self, bounds):
         with pytest.raises(ValueError):
             Pcg32(1).draws_below(bounds)
+
+
+#: integer bounds, in range or not, and bounds that are no integer
+ANY_BOUNDS = (st.integers(-2, 40) | st.booleans() | st.just((1 << 32) + 1)
+              | st.floats(0, 40) | st.text(max_size=2) | st.none())
+
+
+@given(st.integers(0, (1 << 64) - 1), st.lists(ANY_BOUNDS, max_size=6))
+@settings(max_examples=300, deadline=None)
+@example(1, [2.5])  # next_below drew 2.0 and draws_below 1
+@example(1, [3, 2.0])
+@example(1, [True, 5])
+@example(1, ["7"])
+def test_both_paths_take_and_refuse_the_same_bounds(seed, bounds):
+    bulk, scalar = Pcg32(seed), Pcg32(seed)
+    try:
+        expected = scalar_draws(scalar, bounds)
+    except ValueError:
+        with pytest.raises(ValueError):
+            bulk.draws_below(bounds)
+        return
+    assert bulk.draws_below(bounds) == expected and bulk.state == scalar.state
 
 
 def scalar_shuffle(g: Pcg32, items: list) -> None:
