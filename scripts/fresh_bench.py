@@ -11,10 +11,10 @@ runs, the second on odd ones), so a drift in the machine's speed falls on
 both.  Each launch goes through a helper process that times the child and
 reads its peak resident set size from ``getrusage(RUSAGE_CHILDREN)``.  The
 report gives the median and quartiles per tree and command, and whether
-every run of every tree produced the same bytes (standard output plus the
-files ``reproduce`` writes).  ``evaluate synth loocv`` runs on the CSV and
-schema that ``perfbench.synth.generate(1)`` gives, written into the run's
-temporary directory, as the csv-loocv benchmark workload does.
+every run of every tree exited 0 and produced the same bytes (standard
+output plus the files ``reproduce`` writes).  ``evaluate synth loocv`` runs
+on the CSV and schema that ``perfbench.synth.generate(1)`` gives, written
+into the run's temporary directory, as the csv-loocv benchmark workload does.
 """
 
 from __future__ import annotations
@@ -77,6 +77,13 @@ def launch(src: str, argv: list[str]) -> dict:
     return json.loads(done.stdout)
 
 
+def outputs_identical(launches: list[dict]) -> bool:
+    """Whether every launch exited 0 and all wrote the same bytes.  A launch
+    that fails writes nothing, so failures alone would read as identical."""
+    return (all(run["status"] == 0 for run in launches)
+            and len({run["sha256"] for run in launches}) == 1)
+
+
 def quartiles(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4),
@@ -119,8 +126,8 @@ def main() -> int:
                         "peak_rss_mb": quartiles([s["peak_rss_mb"] for s in runs]),
                         "statuses": sorted({s["status"] for s in runs})}
                  for name, runs in by_tree.items()}
-        entry["outputs_identical"] = len({s["sha256"] for runs in by_tree.values()
-                                          for s in runs}) == 1
+        entry["outputs_identical"] = outputs_identical(
+            [s for runs in by_tree.values() for s in runs])
         report["commands"][cmd] = entry
     text = json.dumps(report, indent=2) + "\n"
     if args.out:

@@ -5,6 +5,9 @@ per-variable skewness-minimizing transforms (none/log/sqrt), ordinary
 least squares with dummy-coded factors, predictions inverted back to the
 original effort scale, plus the error measures and resampling harnesses
 needed to benchmark other models against it on shared splits.
+
+Model internals live in :mod:`atlm.linear` and :mod:`atlm.transforms`, and a
+:class:`PredictionSet` is scored with :func:`atlm.metrics.report`.
 """
 
 from .bundled import builtin_names, builtin_recipe, load_builtin, load_builtin_raw
@@ -39,17 +42,7 @@ from .errors import (
     UnseenLevelError,
     ValidationError,
 )
-from .linear import (
-    DesignMatrix,
-    FittedLinearModel,
-    INTERCEPT,
-    RANK_TOL,
-    UNSEEN_AS_REFERENCE,
-    UNSEEN_ERROR,
-    build_design,
-    fit_ols,
-    predict,
-)
+from .linear import UNSEEN_AS_REFERENCE, UNSEEN_ERROR
 from .metrics import (
     METRIC_FIELDS,
     MetricReport,
@@ -60,21 +53,17 @@ from .metrics import (
     mmre,
     pred,
     re_star,
-    report,
     sa,
 )
-from .pipeline import AtlmModel, PredictionSet, atlm_fit, atlm_predict, pooled
+from .pipeline import AtlmModel, PredictionSet, atlm_fit, atlm_predict
 from .rng import Pcg32
 from .transforms import (
     LOG,
     NONE,
     SQRT,
     TRANSFORM_KINDS,
-    TransformEntry,
     TransformTable,
-    apply_transforms,
     calculate_transforms,
-    invert_predictions,
     skewness_b1,
 )
 from .validation import (

@@ -29,7 +29,7 @@ import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
-from numbers import Real
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -68,11 +68,11 @@ class ColumnSchema:
     role: str = EXPLANATORY
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise SchemaError("column name must be nonempty")
-        if self.kind not in _KINDS:
+        if not isinstance(self.name, str) or not self.name:
+            raise SchemaError(f"column name must be nonempty text, got {self.name!r}")
+        if not isinstance(self.kind, str) or self.kind not in _KINDS:
             raise SchemaError(f"unknown column kind {self.kind!r} for {self.name!r}")
-        if self.role not in _ROLES:
+        if not isinstance(self.role, str) or self.role not in _ROLES:
             raise SchemaError(f"unknown column role {self.role!r} for {self.name!r}")
 
 
@@ -89,7 +89,13 @@ class Schema(tuple):
     """
 
     def __new__(cls, columns):
-        self = super().__new__(cls, columns)
+        try:
+            self = super().__new__(cls, columns)
+            if not all(isinstance(c, ColumnSchema) for c in self):
+                raise TypeError
+        except TypeError:
+            raise SchemaError(f"a schema must be a sequence of ColumnSchema, "
+                              f"got {columns!r}") from None
         self.index = {c.name: i for i, c in enumerate(self)}
         self.active = tuple(i for i, c in enumerate(self) if c.role != IGNORED)
         self.numeric = tuple(i for i in self.active if self[i].kind == NUMERIC)
@@ -144,7 +150,10 @@ class Dataset:
         if not isinstance(self.schema, Schema):
             object.__setattr__(self, "schema", Schema(self.schema))
         self.schema.check(self.name)
-        values = np.asarray(self.values)
+        try:
+            values = np.asarray(self.values)
+        except ValueError:  # ragged
+            raise SchemaError(f"column arrays of {self.name!r} do not fit its schema") from None
         if values.dtype.kind not in "biuf":  # bool, integer or float
             raise SchemaError(f"cells of {self.name!r} must be numbers, not {values.dtype}")
         # a copy, so the caller's array stays writeable and no later write to it,
@@ -196,15 +205,23 @@ class Dataset:
         """Build from one sequence of cells per schema column: numbers, None or
         NaN where missing; or, for a factor, strings, None where missing.  Codes
         follow first appearance.  Any other cell is a SchemaError."""
-        schema, ids = tuple(schema), tuple(ids)
+        schema = Schema(schema)
+        try:
+            ids, columns = tuple(ids), [tuple(cells) for cells in columns]
+        except TypeError:
+            raise SchemaError(f"ids and columns of {name!r} must be sequences") from None
         if any(len(cells) != len(ids) for cells in columns):
             raise SchemaError(f"column arrays of {name!r} do not fit its schema")
         for col, cells in zip(schema, columns):
-            if col.kind == NUMERIC:
-                for rid, cell in zip(ids, cells):
-                    if not (cell is None or isinstance(cell, (Real, np.bool_))):
-                        raise SchemaError(f"numeric column {col.name!r} of {name!r} holds "
-                                          f"{cell!r} in row {rid}, which is not a number")
+            for rid, cell in zip(ids, cells):
+                if cell is None:
+                    continue
+                if col.kind == NUMERIC and not isinstance(cell, (Real, np.bool_)):
+                    raise SchemaError(f"numeric column {col.name!r} of {name!r} holds "
+                                      f"{cell!r} in row {rid}, which is not a number")
+                if col.kind == CATEGORICAL and not isinstance(cell, str):
+                    raise SchemaError(f"factor {col.name!r} of {name!r} has the level "
+                                      f"{cell!r}, which is not text")
         return cls(name, schema, ids, *_matrix(schema, columns), source_rows)
 
     def __len__(self) -> int:
@@ -478,10 +495,17 @@ def _raise_first_bad_cell(path: Path, records, width: int, fields) -> None:
 class PrepRecipe:
     """Documented preparation steps applied to a raw dataset.
 
-    ``drop_row_ids`` refer to row ids of the originally loaded file;
-    ids that were already dropped are skipped (re-applying a recipe is a
-    no-op), ids outside the original file are an error.  ``notes`` travel
-    into evaluation reports so reproduction assumptions stay visible.
+    ``drop_row_ids`` refer to row ids of the dataset the recipe is applied
+    to.  Where its ids are the loaded file's row numbers (all below its
+    ``source_rows``), an id of that file that was already dropped is skipped,
+    so re-applying a recipe is a no-op; any other id that the dataset does not
+    hold is an error.  ``notes`` travel into evaluation reports so
+    reproduction assumptions stay visible.
+
+    ``drop_rows_with_missing`` is a bool and ``set_response`` text or None;
+    every other field is a list or tuple of text, or of integers for
+    ``drop_row_ids``, stored as a tuple (row ids as ints).  The response may
+    not also be an ignored column.  Anything else is a RecipeError.
     """
 
     drop_rows_with_missing: bool = False
@@ -490,6 +514,17 @@ class PrepRecipe:
     set_response: str | None = None
     ignore_columns: tuple[str, ...] = ()
     notes: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        for key, want in _RECIPE_FIELDS.items():
+            value = getattr(self, key)
+            if not _has_type(value, want):
+                raise RecipeError(f"field {key!r} has the wrong type: {value!r}")
+            if isinstance(want, list):
+                object.__setattr__(self, key, tuple(map(operator.index, value)) if want == [int]
+                                   else tuple(value))
+        if self.set_response is not None and self.set_response in self.ignore_columns:
+            raise RecipeError(f"the response {self.set_response!r} is also an ignored column")
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "PrepRecipe":
@@ -503,14 +538,14 @@ class PrepRecipe:
         unknown = set(raw) - set(_RECIPE_FIELDS)
         if unknown:
             raise RecipeError(f"{path}: unknown recipe fields {sorted(unknown)}")
-        for key, value in raw.items():
-            if not _has_type(value, _RECIPE_FIELDS[key]):
-                raise RecipeError(f"{path}: field {key!r} has the wrong type: {value!r}")
-        return cls(**{key: tuple(value) if isinstance(value, list) else value
-                      for key, value in raw.items()})
+        try:
+            return cls(**raw)
+        except RecipeError as exc:
+            raise RecipeError(f"{path}: {exc}") from None
 
 
-#: each recipe field's JSON type: a type, a tuple of types, or [type] for a list
+#: each recipe field's type: a type, a tuple of types, or [type] for a list or
+#: tuple of that type
 _RECIPE_FIELDS = {"drop_rows_with_missing": bool, "drop_row_ids": [int],
                   "cast_to_categorical": [str], "set_response": (str, type(None)),
                   "ignore_columns": [str], "notes": [str]}
@@ -518,7 +553,9 @@ _RECIPE_FIELDS = {"drop_rows_with_missing": bool, "drop_row_ids": [int],
 
 def _has_type(value, want) -> bool:
     if isinstance(want, list):
-        return isinstance(value, list) and all(_has_type(v, want[0]) for v in value)
+        return isinstance(value, (list, tuple)) and all(_has_type(v, want[0]) for v in value)
+    if want is int:  # numpy integers too
+        return isinstance(value, Integral) and not isinstance(value, bool)
     return isinstance(value, want) and (want is bool or not isinstance(value, bool))
 
 
@@ -530,8 +567,15 @@ def apply_recipe(raw: Dataset, recipe: PrepRecipe) -> Dataset:
             raise RecipeError(f"recipe references unknown column {col!r}")
     if recipe.set_response is not None and recipe.set_response not in known:
         raise RecipeError(f"recipe response column {recipe.set_response!r} not found")
+    held = set(raw.ids)
     for rid in recipe.drop_row_ids:
-        if not (0 <= rid < raw.source_rows):
+        if rid in held:
+            continue
+        # ids below source_rows are the loaded file's row numbers: an absent one was dropped
+        if not all(0 <= i < raw.source_rows for i in held):
+            raise RecipeError(f"recipe drops row id {rid}, which dataset {raw.name!r} "
+                              f"does not hold")
+        if not 0 <= rid < raw.source_rows:
             raise RecipeError(
                 f"recipe drops row id {rid}, but the raw dataset only had "
                 f"rows 0..{raw.source_rows - 1}")
@@ -583,8 +627,7 @@ def _category_label(value: float) -> str:
 
 def split(ds: Dataset, train_ids, test_ids) -> tuple[Dataset, Dataset]:
     """Partition rows by id into (train, test), preserving the id order."""
-    train_ids = tuple(train_ids)
-    test_ids = tuple(test_ids)
+    train_ids, test_ids = _split_ids(train_ids), _split_ids(test_ids)
     if not train_ids or not test_ids:
         raise SplitError("train and test id lists must both be nonempty")
     train, test = set(train_ids), set(test_ids)
@@ -599,3 +642,11 @@ def split(ds: Dataset, train_ids, test_ids) -> tuple[Dataset, Dataset]:
                          f"{[i for i in (*train_ids, *test_ids) if i not in position]}")
     return (ds._rows([position[i] for i in train_ids]),
             ds._rows([position[i] for i in test_ids]))
+
+
+def _split_ids(ids) -> tuple[int, ...]:
+    try:
+        ids = tuple(ids)
+    except TypeError:
+        raise SplitError(f"split ids must be a sequence, got {ids!r}") from None
+    return tuple(_integer("a row id", i, SplitError) for i in ids)

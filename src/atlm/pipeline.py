@@ -42,15 +42,27 @@ class AtlmModel:
 class PredictionSet:
     """Row ids with aligned arrays of predicted and actual values, original scale.
 
-    ``predicted`` and ``actual`` must be 1-D, one finite value per row id."""
+    ``row_ids`` is a sequence, stored as a tuple; ``predicted`` and ``actual``
+    must be 1-D, one finite number per row id."""
 
     row_ids: tuple[int, ...]
     predicted: np.ndarray
     actual: np.ndarray
 
     def __post_init__(self) -> None:
+        try:
+            object.__setattr__(self, "row_ids", tuple(self.row_ids))
+        except TypeError:
+            raise PredictionError(f"row_ids must be a sequence, got {self.row_ids!r}") from None
         for name in ("predicted", "actual"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+            value = getattr(self, name)
+            try:
+                array = np.asarray(value)
+                if array.dtype.kind == "c":  # a cast would drop the imaginary part
+                    raise TypeError
+                object.__setattr__(self, name, array.astype(float, copy=False))
+            except (TypeError, ValueError):  # not real numbers, or ragged
+                raise PredictionError(f"{name} must be numbers, got {value!r}") from None
         if not self.predicted.shape == self.actual.shape == (len(self.row_ids),):
             raise PredictionError(
                 f"predicted of shape {self.predicted.shape} and actual of shape "

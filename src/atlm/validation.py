@@ -82,6 +82,8 @@ class ValidationPlan:
                 object.__setattr__(self, name, _integer(name, value, PlanError))
         if not (0 <= self.seed <= _MAX_SEED):
             raise PlanError(f"seed must fit in 64 bits, got {self.seed}")
+        if not isinstance(self.kind, str):
+            raise PlanError(f"a plan kind must be text, got {self.kind!r}")
         if self.kind == LOOCV:
             if self.k is not None or self.test_size is not None or self.repeats is not None:
                 raise PlanError("loocv takes no k/test_size/repeats")

@@ -570,3 +570,57 @@ print(first.coefficients == second.coefficients and first.aliased == second.alia
 """
         done = run_python("-c", script)
         assert done.stdout.split()[0] == "True", done.stderr
+
+    def test_the_package_binds_the_user_api_and_no_submodule_import_rebinds_it(self):
+        script = """
+import importlib, json, pkgutil, sys, types
+import atlm
+def public(module):
+    return {name: value for name, value in vars(module).items()
+            if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+before = public(atlm)
+for info in pkgutil.iter_modules(atlm.__path__):
+    if info.name != "__main__":
+        importlib.import_module("atlm." + info.name)
+after = public(atlm)
+print(json.dumps([sorted(before),
+                  sorted(name for name in before.keys() | after.keys()
+                         if before.get(name) is not after.get(name)),
+                  [f"{module}.{name}" for module, name in json.loads(sys.argv[1])
+                   if not hasattr(sys.modules["atlm." + module], name)]]))
+"""
+        done = run_python("-c", script, json.dumps(MODEL_INTERNALS))
+        # the user API, no name rebound, and every internal still in its submodule
+        assert json.loads(done.stdout) == [sorted(PACKAGE_NAMES), [], []], done.stderr
+
+
+#: the public names of ``import atlm`` that are not submodules: the baseline's user API
+PACKAGE_NAMES = (
+    # bundled data and dataset handling
+    "builtin_names", "builtin_recipe", "load_builtin", "load_builtin_raw",
+    "CATEGORICAL", "EXPLANATORY", "IGNORED", "NUMERIC", "RESPONSE",
+    "ColumnSchema", "Dataset", "PrepRecipe", "apply_recipe", "load_csv", "load_schema", "split",
+    # errors
+    "AtlmError", "ConfigError", "DegenerateSampleError", "FitError", "MetricError",
+    "MissingValueError", "ParseError", "PlanError", "PredictionError", "RecipeError",
+    "SchemaError", "SplitError", "TransformDomainError", "UnseenLevelError", "ValidationError",
+    # the model
+    "UNSEEN_AS_REFERENCE", "UNSEEN_ERROR", "AtlmModel", "PredictionSet", "atlm_fit",
+    "atlm_predict", "LOG", "NONE", "SQRT", "TRANSFORM_KINDS", "TransformTable",
+    "calculate_transforms", "skewness_b1", "Pcg32",
+    # measures
+    "METRIC_FIELDS", "MetricReport", "MetricSummary", "aggregate", "lsd", "mar", "mmre", "pred",
+    "re_star", "sa",
+    # resampling
+    "CvRunSummary", "FoldAssignment", "FoldOutcome", "HOLDOUT", "KFOLD", "LOOCV",
+    "ValidationPlan", "ValidationResult", "generate_folds", "repeat_cv_experiment",
+    "run_validation",
+)
+
+#: names that only their submodules export
+MODEL_INTERNALS = [
+    *(("linear", name) for name in ("DesignMatrix", "FittedLinearModel", "INTERCEPT",
+                                    "RANK_TOL", "build_design", "fit_ols", "predict")),
+    *(("transforms", name) for name in ("apply_transforms", "invert_predictions",
+                                        "TransformEntry")),
+    ("pipeline", "pooled"), ("metrics", "report")]

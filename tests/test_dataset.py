@@ -370,6 +370,10 @@ def test_row_ids_are_stored_as_ints():
         assert str(caught.value) == f"a row id must be an integer, got {bad!r}"
 
 
+TWO_COLUMNS = _columns("x numeric explanatory", "y numeric response")
+THREE_ROWS = np.array([[1.0, 2.0, 3.0], [3.0, 5.0, 7.0]])
+
+
 @pytest.mark.parametrize("change, message", [
     ({"ids": None}, "ids of 'd' must be a sequence, got None"),
     ({"levels": None}, "levels of 'd' must be a sequence, got None"),
@@ -380,11 +384,14 @@ def test_row_ids_are_stored_as_ints():
     ({"source_rows": 1}, "source_rows of 'd' must be -1 or at least its 3 rows, got 1"),
     ({"source_rows": -2}, "source_rows of 'd' must be -1 or at least its 3 rows, got -2"),
     ({"name": 5}, "a dataset name must be text, got 5"),
+    ({"schema": None}, "a schema must be a sequence of ColumnSchema, got None"),
+    ({"schema": 5}, "a schema must be a sequence of ColumnSchema, got 5"),
+    ({"values": [[1.0, 2.0, 3.0], [3.0]]}, "column arrays of 'd' do not fit its schema"),
 ], ids=["ids-none", "levels-none", "source-rows-text", "source-rows-float",
-        "source-rows-bool", "source-rows-below-the-rows", "source-rows-negative", "name-int"])
+        "source-rows-bool", "source-rows-below-the-rows", "source-rows-negative", "name-int",
+        "schema-none", "schema-int", "ragged-values"])
 def test_malformed_constructor_arguments_are_schema_errors(change, message):
-    fields = {"name": "d", "schema": _columns("x numeric explanatory", "y numeric response"),
-              "ids": (0, 1, 2), "values": np.array([[1.0, 2.0, 3.0], [3.0, 5.0, 7.0]]),
+    fields = {"name": "d", "schema": TWO_COLUMNS, "ids": (0, 1, 2), "values": THREE_ROWS,
               "levels": ((), ())}
     with pytest.raises(SchemaError) as caught:
         Dataset(**{**fields, **change})
@@ -394,13 +401,39 @@ def test_malformed_constructor_arguments_are_schema_errors(change, message):
     assert kept.source_rows == 5 and len(apply_recipe(kept, PrepRecipe(drop_row_ids=(2,)))) == 2
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda ds: split(ds, [[0]], [1]), SplitError, "a row id must be an integer, got [0]"),
+    (lambda ds: split(ds, 5, [1]), SplitError, "split ids must be a sequence, got 5"),
+    (lambda ds: Dataset.from_columns("d", None, (0,), [[1.0], [2.0]]), SchemaError,
+     "a schema must be a sequence of ColumnSchema, got None"),
+    (lambda ds: Dataset.from_columns("d", TWO_COLUMNS, None, [[1.0], [2.0]]), SchemaError,
+     "ids and columns of 'd' must be sequences"),
+    (lambda ds: Dataset.from_columns("d", TWO_COLUMNS, (0,), None), SchemaError,
+     "ids and columns of 'd' must be sequences"),
+    (lambda ds: ColumnSchema(5, NUMERIC), SchemaError,
+     "column name must be nonempty text, got 5"),
+    (lambda ds: ColumnSchema(["a"], NUMERIC), SchemaError,
+     "column name must be nonempty text, got ['a']"),
+], ids=["split-nested-ids", "split-int-ids", "from-columns-schema-none",
+        "from-columns-ids-none", "from-columns-columns-none", "column-name-int",
+        "column-name-list"])
+def test_malformed_calls_are_typed_errors(factor_dataset, call, error, message):
+    with pytest.raises(error) as caught:
+        call(factor_dataset)
+    assert str(caught.value) == message
+
+
 @pytest.mark.parametrize("cells, message", [
     ([[1, 2], [1.0, 2.0], [3.0, 4.0]], "factor 'f' of 'bad' has the level 1, which is not text"),
+    # a level that cannot be a dictionary key
+    ([[["a"], "b"], [1.0, 2.0], [3.0, 4.0]],
+     "factor 'f' of 'bad' has the level ['a'], which is not text"),
     ([["a", "b"], [1.0, "b"], [3.0, 4.0]],
      "numeric column 'x' of 'bad' holds 'b' in row 8, which is not a number"),
     ([["a", "b"], [1.0, 2.0], [[3.0], 4.0]],
      "numeric column 'y' of 'bad' holds [3.0] in row 7, which is not a number"),
-], ids=["int-factor-cells", "text-in-a-numeric-column", "a-list-in-the-response"])
+], ids=["int-factor-cells", "list-factor-cell", "text-in-a-numeric-column",
+        "a-list-in-the-response"])
 def test_from_columns_refuses_cells_of_the_wrong_kind(cells, message):
     with pytest.raises(SchemaError) as caught:
         Dataset.from_columns("bad", _columns("f categorical explanatory",
@@ -631,6 +664,19 @@ class TestApplyRecipe:
         with pytest.raises(RecipeError):
             apply_recipe(factor_dataset, PrepRecipe(cast_to_categorical=("nope",)))
 
+    def test_any_row_the_dataset_holds_can_be_dropped(self):
+        ds = Dataset("d", TWO_COLUMNS, (10, 11, 12), THREE_ROWS, ((), ()))
+        assert apply_recipe(ds, PrepRecipe(drop_row_ids=(12, 10))).ids == (11,)
+        # ids that are not the file's row numbers: an id that is absent is not skipped
+        with pytest.raises(RecipeError) as caught:
+            apply_recipe(ds, PrepRecipe(drop_row_ids=(10, 2)))
+        assert str(caught.value) == "recipe drops row id 2, which dataset 'd' does not hold"
+        # the file's row numbers: a dropped row of the file is skipped, a later one refused
+        rows = Dataset("d", TWO_COLUMNS, (0, 2, 4), THREE_ROWS, ((), ()), source_rows=5)
+        assert apply_recipe(rows, PrepRecipe(drop_row_ids=(1, 2))).ids == (0, 4)
+        with pytest.raises(RecipeError, match=r"only had rows 0\.\.4"):
+            apply_recipe(rows, PrepRecipe(drop_row_ids=(5,)))
+
     def test_nonexistent_row_id_is_an_error(self, factor_dataset):
         with pytest.raises(RecipeError):
             apply_recipe(factor_dataset, PrepRecipe(drop_row_ids=(99,)))
@@ -659,6 +705,33 @@ class TestApplyRecipe:
         assert out.schema[0].kind == CATEGORICAL
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"drop_row_ids": ("a",)}, "field 'drop_row_ids' has the wrong type: ('a',)"),
+    ({"drop_row_ids": 5}, "field 'drop_row_ids' has the wrong type: 5"),
+    ({"drop_row_ids": (1.5,)}, "field 'drop_row_ids' has the wrong type: (1.5,)"),
+    ({"drop_row_ids": [np.True_]}, "field 'drop_row_ids' has the wrong type: [np.True_]"),
+    ({"notes": 5}, "field 'notes' has the wrong type: 5"),
+    ({"notes": "abc"}, "field 'notes' has the wrong type: 'abc'"),
+    ({"drop_rows_with_missing": "x"}, "field 'drop_rows_with_missing' has the wrong type: 'x'"),
+    ({"set_response": "x", "ignore_columns": ["z", "x"]},
+     "the response 'x' is also an ignored column"),
+], ids=["text-row-id", "int-row-ids", "float-row-id", "numpy-bool-row-id", "int-notes",
+        "text-notes", "text-flag", "ignored-response"])
+def test_a_recipe_checks_its_own_fields(fields, message):
+    with pytest.raises(RecipeError) as caught:
+        PrepRecipe(**fields)
+    assert str(caught.value) == message
+
+
+def test_recipe_sequences_are_stored_as_tuples_and_row_ids_as_ints():
+    recipe = PrepRecipe(drop_row_ids=[np.int64(3), 1], cast_to_categorical=["lang"],
+                        ignore_columns=["x"], notes=["n"])
+    assert recipe == PrepRecipe(drop_row_ids=(3, 1), cast_to_categorical=("lang",),
+                                ignore_columns=("x",), notes=("n",))
+    assert [type(rid) for rid in recipe.drop_row_ids] == [int, int]
+    assert hash(recipe) == hash(dataclasses.replace(recipe))
+
+
 class TestRecipeFile:
     def test_fields_load_as_tuples(self, tmp_path):
         path = tmp_path / "r.json"
@@ -682,6 +755,21 @@ class TestRecipeFile:
         path.write_text(text)
         with pytest.raises(RecipeError, match="r.json"):
             PrepRecipe.from_json_file(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"drop_row_ids": [1.5]}', "field 'drop_row_ids' has the wrong type: [1.5]"),
+        ('{"notes": [null]}', "field 'notes' has the wrong type: [None]"),
+        ('{"mode": 1}', "unknown recipe fields ['mode']"),
+        ('{"set_response": "x", "ignore_columns": ["x"]}',
+         "the response 'x' is also an ignored column"),
+    ])
+    def test_a_file_error_is_the_constructor_error_after_the_path(self, tmp_path, text,
+                                                                  message):
+        path = tmp_path / "r.json"
+        path.write_text(text)
+        with pytest.raises(RecipeError) as caught:
+            PrepRecipe.from_json_file(path)
+        assert str(caught.value) == f"{path}: {message}"
 
 
 BOM = b"\xef\xbb\xbf"

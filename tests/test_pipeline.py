@@ -155,6 +155,20 @@ def test_prediction_set_rejects_misaligned_arrays(row_ids, predicted, actual):
         PredictionSet(row_ids, predicted, actual)
 
 
+@pytest.mark.parametrize("row_ids, predicted, actual, message", [
+    ((1,), ["a"], [1], "predicted must be numbers, got ['a']"),
+    ((1, 2), [1.0, [2.0, 3.0]], [1.0, 2.0], "predicted must be numbers, got [1.0, [2.0, 3.0]]"),
+    ((1,), [1.0], np.array([2.0 + 1j]), "actual must be numbers, got array([2.+1.j])"),
+    (3, [1.0, 2.0, 3.0], [1.0, 2.0, 3.0], "row_ids must be a sequence, got 3"),
+    (None, [1.0], [1.0], "row_ids must be a sequence, got None"),
+], ids=["text", "ragged", "complex", "int-row-ids", "no-row-ids"])
+def test_prediction_set_refuses_what_is_not_a_sequence_of_numbers(row_ids, predicted, actual,
+                                                                  message):
+    with pytest.raises(PredictionError) as caught:
+        PredictionSet(row_ids, predicted, actual)
+    assert str(caught.value) == message
+
+
 def test_prediction_set_rejects_non_finite():
     with pytest.raises(Exception):
         PredictionSet((0,), [float("inf")], [1.0])
