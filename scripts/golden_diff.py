@@ -9,7 +9,9 @@ the one in the working tree's ``src/``: the folds of ``reproduce table1``,
 ``table2`` and ``figure1``, and of ``evaluate --plan loocv`` on each bundled
 dataset and on the CSV that ``perfbench.synth.generate(1)`` gives (written
 to a temporary directory, as the csv-loocv benchmark workload writes it),
-plus the whole-dataset transform table of each ``inspect`` file.  Each side
+and of ``evaluate --plan kfold:10 --seed 1`` on that CSV, whose failing folds
+hold more than one test row; plus the whole-dataset transform table of each
+``inspect`` file.  Each side
 runs in its own interpreter.  Predictions, metric reports, failure codes and
 failure messages come from ``run_validation``, the path the golden files are
 written by; each fold's transforms come from ``atlm_fit`` on its training rows.
@@ -77,7 +79,7 @@ def dump() -> dict:
     with tempfile.TemporaryDirectory() as work:
         csv_path, schema_path = synth.write(synth.generate(1), Path(work))
         datasets["synth"] = load_csv(csv_path, load_schema(schema_path))
-    runs.append(("evaluate", "synth", "loocv", 1))
+    runs += [("evaluate", "synth", "loocv", 1), ("evaluate", "synth", "kfold:10", 1)]
     out = {f"inspect {name}": {"all rows": [kinds(calculate_transforms(datasets[name])),
                                             [], None, [], None, None]} for name in BUNDLED}
     for command, name, plan_text, seed in runs:

@@ -42,7 +42,6 @@ from .errors import (
     UnseenLevelError,
     ValidationError,
 )
-from .linear import UNSEEN_AS_REFERENCE, UNSEEN_ERROR
 from .metrics import (
     METRIC_FIELDS,
     MetricReport,

@@ -76,6 +76,6 @@ def load_builtin(name: str) -> Dataset:
 
 
 def _check(name: str) -> None:
-    if name not in _RECIPES:
+    if not isinstance(name, str) or name not in _RECIPES:
         raise ConfigError(
             f"unknown bundled dataset {name!r}; available: {', '.join(builtin_names())}")

@@ -19,7 +19,6 @@ from pathlib import Path
 from .bundled import builtin_names, builtin_recipe, load_builtin, load_builtin_raw
 from .dataset import Dataset, PrepRecipe, apply_recipe, format_number, load_csv, load_schema
 from .errors import AtlmError, ConfigError
-from .linear import UNSEEN_ERROR, UNSEEN_POLICIES
 from .report import (
     result_to_csv_text,
     result_to_json_dict,
@@ -106,7 +105,7 @@ def _cmd_inspect(args) -> int:
 def _cmd_evaluate(args) -> int:
     ds, recipe = _resolve_dataset(args)
     plan = ValidationPlan.parse(args.plan, seed=args.seed)
-    result = run_validation(ds, plan, unseen_level=args.unseen_level)
+    result = run_validation(ds, plan)
     if args.format == "json":
         _emit(to_json_text(result_to_json_dict(result, notes=recipe.notes)), args.out)
     elif args.format == "csv":
@@ -166,8 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="run a validation plan and report metrics")
     _add_dataset_options(p)
     _add_plan_options(p)
-    p.add_argument("--unseen-level", choices=UNSEEN_POLICIES, default=UNSEEN_ERROR,
-                   help="policy for factor levels unseen in training")
     p.add_argument("--format", choices=("json", "csv", "table"), default="table")
     p.set_defaults(func=_cmd_evaluate)
 

@@ -27,6 +27,7 @@ import io
 import json
 import math
 import operator
+import os
 from collections.abc import Sequence
 from dataclasses import dataclass
 from numbers import Integral, Real
@@ -343,6 +344,20 @@ def _integer(name: str, value, error: type[AtlmError]) -> int:
     raise error(f"{name} must be an integer, got {value!r}")
 
 
+def _instance(value, kind: type, error: type[AtlmError], what: str):
+    """``value``, which must be a ``kind``; anything else raises ``error``."""
+    if not isinstance(value, kind):
+        raise error(f"{what} must be of type {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
+def _path(path, error: type[AtlmError], what: str) -> Path:
+    """``path``, text or an ``os.PathLike``, as a Path; anything else raises ``error``."""
+    if not isinstance(path, (str, os.PathLike)):
+        raise error(f"a {what} path must be text or a path, got {type(path).__name__}")
+    return Path(path)
+
+
 def _matrix(schema, columns) -> tuple[np.ndarray, tuple]:
     """``values`` and ``levels`` of a dataset from one sequence of cells per
     column: numbers, or strings for factors; None, or a NaN number, where missing."""
@@ -374,7 +389,7 @@ def _read_text(path: Path, error: type[AtlmError], what: str) -> str:
 
 def load_schema(path: str | Path) -> Schema:
     """Read a sidecar schema: one ``name kind role`` line per column."""
-    path = Path(path)
+    path = _path(path, SchemaError, "schema")
     columns = []
     for lineno, line in enumerate(_read_text(path, SchemaError, "schema").splitlines(),
                                   start=1):
@@ -407,7 +422,7 @@ def load_csv(path: str | Path, schema: tuple[ColumnSchema, ...],
     that ``float`` takes whole needs no stripping; only a column where it
     fails is stripped and tested for markers cell by cell.
     """
-    path = Path(path)
+    path, schema = _path(path, ParseError, "data"), Schema(schema)
     text = _read_text(path, ParseError, "data")
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
@@ -447,7 +462,7 @@ def load_csv(path: str | Path, schema: tuple[ColumnSchema, ...],
         next(reader)
         _raise_first_bad_cell(path, reader, len(header), fields)
         raise
-    return Dataset._owned(name if name is not None else path.stem, Schema(schema),
+    return Dataset._owned(name if name is not None else path.stem, schema,
                           tuple(range(len(body))), values, levels, len(body))
 
 
@@ -528,7 +543,7 @@ class PrepRecipe:
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "PrepRecipe":
-        path = Path(path)
+        path = _path(path, RecipeError, "recipe")
         try:
             raw = json.loads(_read_text(path, RecipeError, "recipe"))
         except json.JSONDecodeError as exc:
@@ -561,6 +576,8 @@ def _has_type(value, want) -> bool:
 
 def apply_recipe(raw: Dataset, recipe: PrepRecipe) -> Dataset:
     """Drop rows, re-type and ignore columns, designate the response."""
+    _instance(raw, Dataset, SchemaError, "a raw dataset")
+    _instance(recipe, PrepRecipe, RecipeError, "a recipe")
     known = raw.schema.index
     for col in (*recipe.cast_to_categorical, *recipe.ignore_columns):
         if col not in known:
@@ -627,6 +644,7 @@ def _category_label(value: float) -> str:
 
 def split(ds: Dataset, train_ids, test_ids) -> tuple[Dataset, Dataset]:
     """Partition rows by id into (train, test), preserving the id order."""
+    _instance(ds, Dataset, SchemaError, "a dataset")
     train_ids, test_ids = _split_ids(train_ids), _split_ids(test_ids)
     if not train_ids or not test_ids:
         raise SplitError("train and test id lists must both be nonempty")

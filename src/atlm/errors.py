@@ -42,6 +42,7 @@ class PlanError(AtlmError):
 
 
 class SplitError(AtlmError):
+    """Row ids that ``split`` cannot partition: empty, overlapping, repeated or unknown."""
     code = "E_SPLIT"
 
 
@@ -66,16 +67,20 @@ class UnseenLevelError(AtlmError):
 
 
 class FitError(AtlmError):
+    """A least-squares fit with too few rows, no usable column, or a singular solve."""
     code = "E_FIT"
 
 
 class PredictionError(AtlmError):
+    """A malformed or non-finite prediction set, or a model that is not an AtlmModel."""
     code = "E_PREDICT"
 
 
 class MetricError(AtlmError):
+    """A measure undefined for its prediction set, or a measure's malformed argument."""
     code = "E_METRIC"
 
 
 class ValidationError(AtlmError):
+    """A validation plan whose every fold failed, so nothing is left to score."""
     code = "E_VALIDATION"

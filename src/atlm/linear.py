@@ -32,10 +32,6 @@ from .errors import FitError, MissingValueError, SchemaError, UnseenLevelError
 
 INTERCEPT = "intercept"
 
-UNSEEN_ERROR = "error"
-UNSEEN_AS_REFERENCE = "as-reference"
-UNSEEN_POLICIES = (UNSEEN_ERROR, UNSEEN_AS_REFERENCE)
-
 #: relative pivot magnitude below which a design column is aliased
 RANK_TOL = 1e-7
 
@@ -71,23 +67,20 @@ def _unseen_level_error(factor: str, level: str, row_id: int) -> UnseenLevelErro
                             f"that was not seen in training")
 
 
-def _check_design(ds: Dataset, unseen_level: str) -> None:
-    if unseen_level not in UNSEEN_POLICIES:
-        raise SchemaError(f"unknown unseen-level policy {unseen_level!r}")
+def _check_design(ds: Dataset) -> None:
     if not ds.schema.explanatory:
         raise SchemaError(f"dataset {ds.name!r} has no explanatory columns")
 
 
-def build_design(ds: Dataset, levels: dict | None = None,
-                 unseen_level: str = UNSEEN_ERROR) -> DesignMatrix:
+def build_design(ds: Dataset, levels: dict | None = None) -> DesignMatrix:
     """Intercept + numeric columns + L-1 dummy columns per factor, in schema order.
 
     ``levels`` is supplied at prediction time with the training level
     dictionaries; without it (training time) a factor's levels are the ones
     its codes use, in first appearance order, reference level first.  A
-    missing factor cell raises MissingValueError.
-    """
-    _check_design(ds, unseen_level)
+    missing factor cell raises MissingValueError, and a level that ``levels``
+    lacks raises UnseenLevelError."""
+    _check_design(ds)
 
     labels: list[str] = [INTERCEPT]
     # the design's columns, built as the rows of its transpose
@@ -113,7 +106,7 @@ def build_design(ds: Dataset, levels: dict | None = None,
         # each row's position in lvls; -1 for a level training never saw
         position = {level: k for k, level in enumerate(lvls)}
         index = np.array([position.get(level, -1) for level in names], dtype=np.intp)[codes]
-        if unseen_level == UNSEEN_ERROR and (index < 0).any():
+        if (index < 0).any():
             row = int(index.argmin())
             raise _unseen_level_error(col.name, names[codes[row]], ds.ids[row])
         factor_levels[col.name] = lvls
@@ -229,10 +222,9 @@ def _workspace(rows: int, columns: int) -> tuple[int, int]:
             int(orgqr(reflectors, np.zeros(min(rows, columns)), lwork=-1)[1][0]))
 
 
-def predict(model: FittedLinearModel, test: Dataset,
-            unseen_level: str = UNSEEN_ERROR) -> np.ndarray:
+def predict(model: FittedLinearModel, test: Dataset) -> np.ndarray:
     """Evaluate the fitted model on new rows; aliased columns contribute 0."""
-    design = build_design(test, levels=model.factor_levels, unseen_level=unseen_level)
+    design = build_design(test, levels=model.factor_levels)
     if design.labels != model.design_labels:
         raise SchemaError(
             "test design does not match training design: "

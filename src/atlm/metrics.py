@@ -29,6 +29,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .dataset import _instance
 from .errors import MetricError
 from .pipeline import PredictionSet
 
@@ -67,6 +68,11 @@ class MetricSummary:
         }
 
 
+def _size(ps: PredictionSet) -> int:
+    """``len(ps)``; anything but a PredictionSet raises MetricError."""
+    return len(_instance(ps, PredictionSet, MetricError, "a prediction set"))
+
+
 def _relative_errors(ps: PredictionSet) -> np.ndarray:
     if np.any(ps.actual <= 0.0):
         raise MetricError("relative error undefined: actual values must be > 0")
@@ -76,7 +82,7 @@ def _relative_errors(ps: PredictionSet) -> np.ndarray:
 @np.errstate(over="ignore", invalid="ignore")
 def mmre(ps: PredictionSet) -> float:
     """Mean magnitude of relative error."""
-    if len(ps) == 0:
+    if _size(ps) == 0:
         raise MetricError("empty prediction set")
     return float(np.mean(_relative_errors(ps)))
 
@@ -87,7 +93,7 @@ def pred(ps: PredictionSet, x: float = 25.0) -> float:
     # a bool is an int, and a NaN compares false with everything
     if isinstance(x, bool) or not isinstance(x, numbers.Real) or not x > 0:
         raise MetricError(f"pred threshold must be a positive number, got {x!r}")
-    if len(ps) == 0:
+    if _size(ps) == 0:
         raise MetricError("empty prediction set")
     return float(np.mean(_relative_errors(ps) <= x / 100.0))
 
@@ -95,7 +101,7 @@ def pred(ps: PredictionSet, x: float = 25.0) -> float:
 @np.errstate(over="ignore", invalid="ignore")
 def mar(ps: PredictionSet) -> float:
     """Mean absolute residual."""
-    if len(ps) == 0:
+    if _size(ps) == 0:
         raise MetricError("empty prediction set")
     return float(np.mean(np.abs(ps.predicted - ps.actual)))
 
@@ -110,7 +116,7 @@ def re_star(ps: PredictionSet) -> float:
     round back to them.  A variance that underflows to zero counts as
     constant too.
     """
-    if len(ps) < 2:
+    if _size(ps) < 2:
         raise MetricError("re_star needs at least 2 rows")
     var_actual = float(np.var(ps.actual, ddof=1))
     if (ps.actual == ps.actual[0]).all() or var_actual == 0.0:
@@ -124,7 +130,7 @@ def lsd(ps: PredictionSet) -> float:
     With e_i = ln(actual_i) - ln(predicted_i) and s2 their sample variance:
     sqrt( sum_i (e_i + s2/2)^2 / (n-1) ).
     """
-    if len(ps) < 2:
+    if _size(ps) < 2:
         raise MetricError("lsd needs at least 2 rows")
     if np.any(ps.actual <= 0.0) or np.any(ps.predicted <= 0.0):
         raise MetricError("lsd undefined: actuals and predictions must be > 0")
@@ -142,13 +148,16 @@ def sa(ps: PredictionSet, training_response) -> float:
     |actual_i - y_j| over all (test row i, training row j) pairs.
     """
     try:
-        train = np.asarray(training_response, dtype=float)
+        train = np.asarray(training_response)
+        if train.dtype.kind == "c":  # a cast would drop the imaginary part
+            raise TypeError
+        train = train.astype(float, copy=False)
     except (TypeError, ValueError):
         raise MetricError("sa needs a 1-D training response sample, got a ragged "
                           "or non-numeric one") from None
     if train.ndim != 1:
         raise MetricError(f"sa needs a 1-D training response sample, got shape {train.shape}")
-    if len(ps) == 0:
+    if _size(ps) == 0:
         raise MetricError("empty prediction set")
     if train.size == 0:
         raise MetricError("sa needs a nonempty training response sample")
@@ -162,7 +171,7 @@ def sa(ps: PredictionSet, training_response) -> float:
 
 def report(ps: PredictionSet, training_response) -> MetricReport:
     """All measures for one prediction set: the six definitions, in report order."""
-    return MetricReport(len(ps), mmre(ps), pred(ps), lsd(ps), re_star(ps),
+    return MetricReport(_size(ps), mmre(ps), pred(ps), lsd(ps), re_star(ps),
                         sa(ps, training_response), mar(ps))
 
 
@@ -224,9 +233,15 @@ def _var(a: np.ndarray) -> np.ndarray:
 
 def aggregate(reports) -> MetricSummary:
     """Elementwise mean and n-1 standard deviation across reports."""
-    reports = list(reports)
+    try:
+        reports = list(reports)
+    except TypeError:
+        raise MetricError(f"aggregate needs an iterable of MetricReports, "
+                          f"got {type(reports).__name__}") from None
     if not reports:
         raise MetricError("cannot aggregate an empty report list")
+    for r in reports:
+        _instance(r, MetricReport, MetricError, "each aggregated report")
     # (metrics x reports): each metric's row is reduced as its own 1-D array would be
     values = np.array(list(map(operator.attrgetter(*METRIC_FIELDS), reports)), dtype=float).T.copy()
     means, stds = (dict(zip(METRIC_FIELDS, row.tolist())) for row in _mean_std(values))

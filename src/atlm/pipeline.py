@@ -15,11 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset
-from .errors import DegenerateSampleError, FitError, PredictionError
+from .dataset import Dataset, _instance
+from .errors import DegenerateSampleError, FitError, PredictionError, SchemaError
 from .linear import (
     FittedLinearModel,
-    UNSEEN_ERROR,
     build_design,
     fit_ols,
     predict as linear_predict,
@@ -115,7 +114,7 @@ def pooled(prediction_sets) -> PredictionSet:
 
 def atlm_fit(training: Dataset) -> AtlmModel:
     """Select transforms on the training data and fit the linear model."""
-    training.require_no_missing("fit")
+    _instance(training, Dataset, SchemaError, "training data").require_no_missing("fit")
     if len(training) < 3:
         raise _too_few_rows_error(training.name, len(training))
     transforms = calculate_transforms(training)
@@ -128,12 +127,12 @@ def atlm_fit(training: Dataset) -> AtlmModel:
     return AtlmModel(transforms=transforms, linear=linear)
 
 
-def atlm_predict(model: AtlmModel, test: Dataset,
-                 unseen_level: str = UNSEEN_ERROR) -> PredictionSet:
+def atlm_predict(model: AtlmModel, test: Dataset) -> PredictionSet:
     """Predict the test rows on the original response scale."""
-    test.require_no_missing("predict")
+    _instance(model, AtlmModel, PredictionError, "a model")
+    _instance(test, Dataset, SchemaError, "test data").require_no_missing("predict")
     transformed = apply_transforms(model.transforms, test)
-    raw = linear_predict(model.linear, transformed, unseen_level=unseen_level)
+    raw = linear_predict(model.linear, transformed)
     return PredictionSet(row_ids=test.ids,
                          predicted=invert_predictions(model.transforms, raw),
                          actual=test.response_column())

@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import CATEGORICAL, Dataset
+from .dataset import CATEGORICAL, Dataset, _instance
 from .errors import DegenerateSampleError, SchemaError, TransformDomainError
 
 NONE = "none"
@@ -311,6 +311,7 @@ def _fold_choices(forward: np.ndarray, tests: np.ndarray) -> np.ndarray:
 def calculate_transforms(training: Dataset) -> TransformTable:
     """Choose, per variable, the admissible transform of least |b1| skew; a
     missing or non-finite active numeric cell raises MissingValueError."""
+    _instance(training, Dataset, SchemaError, "training data")
     schema, numeric = training.schema, training.schema.numeric
     values = training.values.take(numeric, axis=0)
     if not np.isfinite(values).all():

@@ -30,11 +30,11 @@ the finiteness check, the ids and actuals of the PredictionSets and the
 metric reports run once per group.  Each fold equals a fit of its rows
 through the public single-model API (``atlm_fit``, ``atlm_predict``), the
 oracle of this path, failures included: the plan path words every per-fold
-error in the public path's order, through the same helpers.  Inputs that fail every fold are
-refused before any fit, after every PlanError: an unknown unseen-level
-policy, then no explanatory column (SchemaError), then a missing or
-non-finite active cell (MissingValueError).  A failed fold (transform domain
-violation, unseen factor level, ...) carries the error's code and message
+error in the public path's order, through the same helpers.  Inputs that
+fail every fold are refused before any fit, in this order: a PlanError, then
+no explanatory column (SchemaError), then a missing or non-finite active
+cell (MissingValueError).  A failed fold (transform domain violation, a test
+factor level that training lacks, ...) carries the error's code and message
 instead of predictions; it is excluded from aggregation but never silently
 dropped.  Leave-one-out test sets are singletons, on which the
 variance-based measures are undefined, so its metrics are computed once
@@ -50,9 +50,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataset import CATEGORICAL, Dataset, _integer
-from .errors import FitError, PlanError, ValidationError
-from .linear import UNSEEN_ERROR, _check_design, _qr_solve, _unseen_level_error
+from .dataset import CATEGORICAL, Dataset, _instance, _integer
+from .errors import FitError, PlanError, SchemaError, ValidationError
+from .linear import _check_design, _qr_solve, _unseen_level_error
 from .metrics import MetricReport, MetricSummary, aggregate, report, report_stack
 from .pipeline import (PredictionSet, _non_finite_error, _too_few_rows_error,
                        _too_narrow_error, pooled)
@@ -182,10 +182,21 @@ def _test_masks(ds: Dataset, plan: ValidationPlan, fingerprint: str) -> np.ndarr
     return tests
 
 
+def _fingerprint(ds: Dataset, plans: list) -> str:
+    """``ds.fingerprint()``, once ``ds`` is a Dataset (else SchemaError) and each
+    of ``plans`` a ValidationPlan (else PlanError)."""
+    _instance(ds, Dataset, SchemaError, "a dataset")
+    for plan in plans:
+        if not isinstance(plan, ValidationPlan):
+            raise PlanError(f"a plan must be of type ValidationPlan, got {type(plan).__name__}; "
+                            f"ValidationPlan.parse reads plan text such as 'kfold:10'")
+    return ds.fingerprint()
+
+
 def generate_folds(ds: Dataset, plan: ValidationPlan) -> FoldAssignment:
     """The plan's folds as (train ids, test ids) pairs, both sides in the
     dataset's row order."""
-    fingerprint = ds.fingerprint()
+    fingerprint = _fingerprint(ds, [plan])
     tests = _test_masks(ds, plan, fingerprint)
     # a fold whose test rows are one run, as every LOOCV fold's are, is sliced
     # from the ids, which reuses their int objects; any other is gathered, as
@@ -241,13 +252,13 @@ class ValidationResult:
         return self.n_folds - len(self.failures)
 
 
-def _fit_plan(ds: Dataset, tests: np.ndarray, unseen_level: str) -> list[FoldOutcome]:
+def _fit_plan(ds: Dataset, tests: np.ndarray) -> list[FoldOutcome]:
     """Every fold's outcome, as a fit of its rows through the public API gives it,
     once the caller has refused the inputs that fail every fold (_run_plans)."""
     schema, sizes = ds.schema, np.count_nonzero(~tests, axis=1)
     candidates, factors = _candidates(ds)
     chosen = _fold_choices(candidates[1:1 + len(TRANSFORM_KINDS) * len(schema.numeric)], tests)
-    designs, errors = _designs(ds, candidates, factors, tests, sizes, chosen, unseen_level)
+    designs, errors = _designs(ds, candidates, factors, tests, sizes, chosen)
     kinds, outcomes = chosen[schema.numeric.index(schema.response)], [None] * len(tests)
     for size in set(sizes.tolist()):
         for outcome in _fit_group(ds, candidates, tests, np.flatnonzero(sizes == size),
@@ -271,14 +282,14 @@ def _candidates(ds: Dataset):
 
 
 def _designs(ds: Dataset, candidates: np.ndarray, factors: dict, tests: np.ndarray,
-             sizes: np.ndarray, chosen: np.ndarray, unseen_level: str) -> tuple[list, list]:
+             sizes: np.ndarray, chosen: np.ndarray) -> tuple[list, list]:
     """``(designs, errors)`` per fold of the (folds x rows) test masks
     ``tests``, with training size ``sizes`` and its column of the (variables x
     folds) kinds ``chosen``: its design's candidate rows, in build_design's
     order, or None under 3 training rows or the design's width; and the first
     error of the public path that a fit does not raise, or None.  In that
     path's order: under 3 training rows, under the design's width, a test cell
-    outside its chosen domain, or, under ``error``, an unseen level.
+    outside its chosen domain, or an unseen level.
 
     One pass serves every fold, and only failing folds are searched for the
     row and column their error names.  A factor's levels, in the order
@@ -310,12 +321,11 @@ def _designs(ds: Dataset, candidates: np.ndarray, factors: dict, tests: np.ndarr
                                     (np.cumsum(counts) - counts)[held], axis=1)
         seen = first_column + held[np.argsort(first, axis=1, kind="stable")]
         present = np.count_nonzero(first < n, axis=1)
-        if unseen_level == UNSEEN_ERROR:
-            for fold in np.flatnonzero(present < len(held)).tolist():
-                # every row of a level that training lacks is a test row
-                row = int(np.isin(codes, held[first[fold] == n]).argmax())
-                unseen.setdefault(fold, _unseen_level_error(
-                    schema[i].name, ds.levels[i][codes[row]], ds.ids[row]))
+        for fold in np.flatnonzero(present < len(held)).tolist():
+            # every row of a level that training lacks is a test row
+            row = int(np.isin(codes, held[first[fold] == n]).argmax())
+            unseen.setdefault(fold, _unseen_level_error(
+                schema[i].name, ds.levels[i][codes[row]], ds.ids[row]))
         slots.append(np.where(np.arange(1, len(held)) < present[:, None], seen[:, 1:], -1))
     columns = np.concatenate(slots, axis=1)
     kept = columns >= 0
@@ -404,21 +414,21 @@ def _fit_group(ds: Dataset, candidates: np.ndarray, tests: np.ndarray, folds: np
                                                         actual[row]), reports.get(row)))
 
 
-def _run_plans(ds: Dataset, plans: list, unseen_level: str) -> Iterator[ValidationResult]:
+def _run_plans(ds: Dataset, plans: list) -> Iterator[ValidationResult]:
     """Each plan's :func:`run_validation` result in turn, from one fingerprint
     and one ``_fit_plan`` pass over the plans' stacked masks.  Every PlanError
     comes first, then the refusals of inputs that fail every fold, in
     :func:`run_validation`'s order; then a plan raises what it alone would."""
-    fingerprint = ds.fingerprint()
+    fingerprint = _fingerprint(ds, plans)
     masks = [_test_masks(ds, plan, fingerprint) for plan in plans]
     for plan, tests in zip(plans, masks):
         if plan.kind != LOOCV and tests.sum(axis=1).min() < 2:
             raise PlanError(f"plan {plan.label()} leaves test folds of 1 row in the {len(ds)} "
                             f"rows of {ds.name!r}; per-fold measures need at least 2, so use loocv")
-    _check_design(ds, unseen_level)
+    _check_design(ds)
     ds.require_no_missing("validate")
     # a single plan's masks are fitted as they are, not copied into a stack
-    fitted = _fit_plan(ds, np.concatenate(masks) if len(masks) > 1 else masks[0], unseen_level)
+    fitted = _fit_plan(ds, np.concatenate(masks) if len(masks) > 1 else masks[0])
     for plan, tests in zip(plans, masks):
         outcomes, fitted = fitted[:len(tests)], fitted[len(tests):]
         # each plan numbers its folds from 0
@@ -442,17 +452,17 @@ def _run_plans(ds: Dataset, plans: list, unseen_level: str) -> Iterator[Validati
                                aggregate(reports))
 
 
-def run_validation(ds: Dataset, plan: ValidationPlan, *,
-                   unseen_level: str = UNSEEN_ERROR) -> ValidationResult:
+def run_validation(ds: Dataset, plan: ValidationPlan) -> ValidationResult:
     """Fit, predict and score every fold of the plan.
 
-    Refused before any fit, in this order: a PlanError, such as a k-fold or
-    holdout plan with a test fold of one row, where the per-fold measures need
-    two; then an unknown ``unseen_level``, then no explanatory column
+    A ``ds`` that is not a Dataset raises SchemaError, and a ``plan`` that is
+    not a ValidationPlan PlanError.  Refused before any fit, in this order: a
+    PlanError, such as a k-fold or holdout plan with a test fold of one row,
+    where the per-fold measures need two; then no explanatory column
     (SchemaError); then a missing or non-finite active cell (MissingValueError).
     Then a ValidationError if every fold failed, else the MetricError of the
     first fold, in fold order, with an undefined measure."""
-    return next(_run_plans(ds, [plan], unseen_level))
+    return next(_run_plans(ds, [plan]))
 
 
 @dataclass(frozen=True)
@@ -465,15 +475,16 @@ class CvRunSummary:
     n_succeeded: int
 
 
-def repeat_cv_experiment(ds: Dataset, k: int, runs: int, base_seed: int = 1, *,
-                         unseen_level: str = UNSEEN_ERROR) -> tuple[CvRunSummary, ...]:
+def repeat_cv_experiment(ds: Dataset, k: int, runs: int,
+                         base_seed: int = 1) -> tuple[CvRunSummary, ...]:
     """Independent k-fold runs with seeds base_seed, base_seed+1, ..., fitted in one
     pass; a bad run count or seed, then :func:`run_validation`'s refusals, come first."""
     runs = _integer("runs", runs, PlanError)
+    base_seed = _integer("base_seed", base_seed, PlanError)
     if runs < 2:
         raise PlanError(f"repeat experiment needs at least 2 runs, got {runs}")
     plans = [ValidationPlan(kind=KFOLD, seed=base_seed + run, k=k) for run in range(runs)]
     return tuple(CvRunSummary(run, result.plan.seed, result.summary.means["re_star"],
                               float(result.summary.stds["re_star"] / np.sqrt(result.n_succeeded)),
                               result.n_folds, result.n_succeeded)
-                 for run, result in enumerate(_run_plans(ds, plans, unseen_level)))
+                 for run, result in enumerate(_run_plans(ds, plans)))

@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 import atlm
 from atlm.cli import build_parser, main
 from atlm.errors import AtlmError
-from atlm.linear import UNSEEN_POLICIES
+from atlm.metrics import METRIC_FIELDS
+from perfbench import synth
 
 # chosen transforms for the bundled cocomo81 file, recorded once as a golden
 COCOMO81_GOLDEN_TRANSFORMS = {
@@ -37,6 +38,16 @@ def run_on_csv(tmp_path, text: str, argv) -> int:
         "a numeric explanatory\nb numeric explanatory\ny numeric response\n")
     return main([*argv, "--dataset", str(tmp_path / "data.csv"),
                  "--schema", str(tmp_path / "data.schema")])
+
+
+def csv_cell(cell: str):
+    """A cell of a CSV report: None if empty, else a float where it parses as one."""
+    if not cell:
+        return None
+    try:
+        return float(cell)
+    except ValueError:
+        return cell
 
 
 class TestInspect:
@@ -109,6 +120,35 @@ class TestEvaluate:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0].startswith("fold,status,n,")
         assert len([l for l in lines if l.endswith("") and l[0].isdigit()]) == 5
+
+    @pytest.mark.parametrize("plan", ["loocv", "kfold:10"])
+    def test_each_csv_row_matches_the_json_report(self, tmp_path, capsys, plan):
+        # on the csv-loocv benchmark's CSV, folds fail with E_DOMAIN and E_UNSEEN_LEVEL
+        # under both plans, and loocv adds the pooled row.  Numbers are compared as
+        # floats, so the test holds wherever the two formats come from one run
+        csv_path, schema_path = synth.write(synth.generate(1), tmp_path)
+        argv = ["evaluate", "--dataset", str(csv_path), "--schema", str(schema_path),
+                "--plan", plan, "--seed", "1", "--format"]
+        assert main(argv + ["json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert main(argv + ["csv"]) == 0
+        header, *rows = [list(map(csv_cell, line.split(",")))
+                         for line in capsys.readouterr().out.splitlines()]
+
+        def cells(report):
+            return [report["n"], *(report[m] for m in METRIC_FIELDS)]
+
+        expected = [[f["fold"], f["failed"]] + [None] * (1 + len(METRIC_FIELDS))
+                    if "failed" in f else [f["fold"], "ok", *cells(f)]
+                    for f in payload["folds"] if "failed" in f or "mar" in f]
+        if plan == "loocv":
+            expected.append(["pooled", "ok", *cells(payload["pooled"])])
+        metrics = payload["aggregate"]["metrics"]
+        expected += [[stat, None, None, *(metrics[m][stat] for m in METRIC_FIELDS)]
+                     for stat in ("mean", "std")]
+        assert header == ["fold", "status", "n", *METRIC_FIELDS]
+        assert rows == expected
+        assert {"E_DOMAIN", "E_UNSEEN_LEVEL"} <= {status for _, status, *_ in rows}
 
     def test_desharnais_report_carries_outlier_note(self, capsys):
         code = main(["evaluate", "--dataset", "desharnais", "--plan", "kfold:5",
@@ -305,6 +345,15 @@ class TestErrorContract:
         assert exc.value.code == 2
         assert capsys.readouterr().err.startswith("error[E_USAGE]")
 
+    def test_the_unseen_level_option_is_a_usage_error(self, capsys):
+        # a fold whose test rows hold a level that training lacks fails: no option changes that
+        with pytest.raises(SystemExit) as exc:
+            main(["evaluate", "--dataset", "maxwell", "--plan", "kfold:10",
+                  "--unseen-level", "error"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[E_USAGE]") and err.count("\n") == 1
+
 
 def documented_statuses() -> dict:
     """Error code -> exit status, from the error classes, plus argparse's usage errors."""
@@ -331,14 +380,13 @@ OPTION_VALUES = {
                | st.integers(-1, 70).map("kfold:{}".format)
                | st.tuples(st.integers(-1, 70), st.integers(0, 3)).map("holdout:{0[0]}x{0[1]}".format)),
     "--seed": st.integers(-2, 2 ** 64 + 1).map(str),
-    "--unseen-level": st.sampled_from(UNSEEN_POLICIES),
     # relative paths: each example runs inside its own temporary directory
     "--out": st.sampled_from(["out.txt", "outdir", "data.csv", ".", "gone/out.json"]),
 }
 #: each subcommand's required flags, then its optional ones
 FLAGS = {"inspect": (["--dataset"], ["--schema", "--recipe", "--format", "--out"]),
-         "evaluate": (["--dataset", "--plan"], ["--schema", "--recipe", "--seed",
-                                                "--unseen-level", "--format", "--out"]),
+         "evaluate": (["--dataset", "--plan"], ["--schema", "--recipe", "--seed", "--format",
+                                                "--out"]),
          "export-folds": (["--dataset", "--plan"], ["--schema", "--recipe", "--seed", "--out"]),
          "reproduce": ([], ["--out"])}
 
@@ -605,9 +653,8 @@ PACKAGE_NAMES = (
     "MissingValueError", "ParseError", "PlanError", "PredictionError", "RecipeError",
     "SchemaError", "SplitError", "TransformDomainError", "UnseenLevelError", "ValidationError",
     # the model
-    "UNSEEN_AS_REFERENCE", "UNSEEN_ERROR", "AtlmModel", "PredictionSet", "atlm_fit",
-    "atlm_predict", "LOG", "NONE", "SQRT", "TRANSFORM_KINDS", "TransformTable",
-    "calculate_transforms", "skewness_b1", "Pcg32",
+    "AtlmModel", "PredictionSet", "atlm_fit", "atlm_predict", "LOG", "NONE", "SQRT",
+    "TRANSFORM_KINDS", "TransformTable", "calculate_transforms", "skewness_b1", "Pcg32",
     # measures
     "METRIC_FIELDS", "MetricReport", "MetricSummary", "aggregate", "lsd", "mar", "mmre", "pred",
     "re_star", "sa",

@@ -18,7 +18,6 @@ from atlm.linear import (
     NON_FINITE_COEFFICIENT,
     RANK_TOL,
     SINGULAR_FACTOR,
-    UNSEEN_AS_REFERENCE,
     build_design,
     fit_ols,
     predict,
@@ -85,17 +84,6 @@ class TestBuildDesign:
         test = make_dataset({"f": ["d"], "y": [1]}, response="y", categorical=("f",))
         with pytest.raises(UnseenLevelError, match="'d'"):
             build_design(test, levels=design.factor_levels)
-
-    def test_unseen_level_as_reference_policy(self):
-        train = make_dataset({"f": ["a", "b", "a"], "y": [1, 2, 3]},
-                             response="y", categorical=("f",))
-        design = build_design(train)
-        test = make_dataset({"f": ["d", "b"], "y": [1, 1]}, response="y",
-                            categorical=("f",))
-        out = build_design(test, levels=design.factor_levels,
-                           unseen_level=UNSEEN_AS_REFERENCE)
-        assert out.matrix[0].tolist() == [1.0, 0.0]  # treated as the reference level
-        assert out.matrix[1].tolist() == [1.0, 1.0]
 
     def test_a_missing_factor_cell_is_a_missing_value_error(self, factor_dataset):
         # row id 7 is the second row; build_design at fit and at predict time

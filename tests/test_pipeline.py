@@ -13,9 +13,7 @@ from atlm.errors import (
     MissingValueError,
     PredictionError,
     TransformDomainError,
-    UnseenLevelError,
 )
-from atlm.linear import UNSEEN_AS_REFERENCE
 from atlm.pipeline import PredictionSet, atlm_fit, atlm_predict, pooled
 from atlm.transforms import LOG, NONE
 
@@ -116,17 +114,6 @@ class TestPredict:
         test = make_dataset({"x": [1000.0], "y": [1.0]}, response="y")
         with pytest.raises(PredictionError):
             atlm_predict(model, test)
-
-    def test_unseen_level_policy_threads_through(self):
-        train = make_dataset(
-            {"f": ["a", "b", "a", "b", "a", "b"], "y": [1, 2, 1.1, 2.2, 0.9, 1.8]},
-            response="y", categorical=("f",))
-        model = atlm_fit(train)
-        test = make_dataset({"f": ["zz"], "y": [1.0]}, response="y", categorical=("f",))
-        with pytest.raises(UnseenLevelError):
-            atlm_predict(model, test)
-        out = atlm_predict(model, test, unseen_level=UNSEEN_AS_REFERENCE)
-        assert len(out) == 1
 
     def test_end_to_end_determinism(self):
         ds = load_builtin("cocomo81")

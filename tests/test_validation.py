@@ -18,7 +18,7 @@ from atlm.dataset import (CATEGORICAL, EXPLANATORY, IGNORED, NUMERIC, RESPONSE, 
                           Dataset, load_csv, load_schema, split)
 from atlm.errors import (AtlmError, FitError, MetricError, MissingValueError, PlanError,
                          SchemaError, ValidationError)
-from atlm.linear import INTERCEPT, SINGULAR_FACTOR, UNSEEN_POLICIES
+from atlm.linear import INTERCEPT, SINGULAR_FACTOR
 from atlm.metrics import report
 from atlm.pipeline import PredictionSet, atlm_fit, atlm_predict
 from atlm.rng import Pcg32
@@ -384,12 +384,12 @@ def no_public_fit():
     assert [name for name, m in zip(names, wrapped) if m.called] == []
 
 
-def fit_through_split(ds, fold, unseen_level="error"):
+def fit_through_split(ds, fold):
     """(predictions, code, message) of one fold fitted through the public
     split: the predictions, or the code and message of the error."""
     try:
         train, test = split(ds, *fold)
-        return atlm_predict(atlm_fit(train), test, unseen_level=unseen_level), None, None
+        return atlm_predict(atlm_fit(train), test), None, None
     except AtlmError as exc:
         return None, exc.code, str(exc)
 
@@ -519,32 +519,30 @@ COMPETING_ERRORS = {
 
 
 @given(st.one_of(split_plans(), split_plans().map(
-    lambda case: (case[0], ValidationPlan(kind="loocv", seed=case[1].seed))), mixed_plans()),
-    st.sampled_from(UNSEEN_POLICIES))
+    lambda case: (case[0], ValidationPlan(kind="loocv", seed=case[1].seed))), mixed_plans()))
 # fold 0 tests x = 0 under the log chosen on its training rows: exp(-inf) = 0
 # must fail the fold, not predict 0
-@example((make_dataset({"x": X10, "y": Y10}, response="y"), LOOCV), "error")
-@example(COMPETING_ERRORS["a domain error before an unseen level"][0], "error")
-@example(COMPETING_ERRORS["the earlier of two domain columns"][0], "error")
-@example(COMPETING_ERRORS["the earlier of two domain rows"][0], "error")
-@example(COMPETING_ERRORS["the earlier of two factors with an unseen level"][0], "error")
-@example(COMPETING_ERRORS["a design wider than training before a domain error"][0], "error")
-@example(COMPETING_ERRORS["an unseen level before a non-finite prediction"][0], "error")
-# the three refusals
-@example((make_dataset({"x": X10, "y": Y10}, response="y"), LOOCV), "bogus")
-@example((make_dataset({"y": Y10}, response="y"), LOOCV), "error")
-@example((NON_FINITE_X, ValidationPlan(kind="kfold", k=3)), "error")
+@example((make_dataset({"x": X10, "y": Y10}, response="y"), LOOCV))
+@example(COMPETING_ERRORS["a domain error before an unseen level"][0])
+@example(COMPETING_ERRORS["the earlier of two domain columns"][0])
+@example(COMPETING_ERRORS["the earlier of two domain rows"][0])
+@example(COMPETING_ERRORS["the earlier of two factors with an unseen level"][0])
+@example(COMPETING_ERRORS["a design wider than training before a domain error"][0])
+@example(COMPETING_ERRORS["an unseen level before a non-finite prediction"][0])
+# the two refusals
+@example((make_dataset({"y": Y10}, response="y"), LOOCV))
+@example((NON_FINITE_X, ValidationPlan(kind="kfold", k=3)))
 @settings(max_examples=200, deadline=None)
-def test_each_fold_equals_a_fit_of_its_exported_ids(case, unseen_level):
+def test_each_fold_equals_a_fit_of_its_exported_ids(case):
     # the harness selects transforms and gathers designs once per plan, on
     # row positions; the exported id tuples, fitted one fold at a time
     # through the public split, atlm_fit and atlm_predict, must give the
     # same fold: the same predictions, or the same failure code and message
     ds, plan = case
     folds = generate_folds(ds, plan).folds
-    expected = [fit_through_split(ds, fold, unseen_level) for fold in folds]
+    expected = [fit_through_split(ds, fold) for fold in folds]
     try:  # what run_validation refuses after every PlanError, before any fit
-        linear._check_design(ds, unseen_level)
+        linear._check_design(ds)
         ds.require_no_missing("validate")
         refusal = None
     except (SchemaError, MissingValueError) as exc:
@@ -552,7 +550,7 @@ def test_each_fold_equals_a_fit_of_its_exported_ids(case, unseen_level):
         # a refusal hides no fold that the public path would fit
         assert all(predictions is None for predictions, _, _ in expected)
     try:
-        outcomes = run_validation(ds, plan, unseen_level=unseen_level).outcomes
+        outcomes = run_validation(ds, plan).outcomes
     except PlanError:
         assert plan.kind != "loocv" and min(len(test) for _, test in folds) == 1
     except (SchemaError, MissingValueError) as exc:
@@ -566,16 +564,14 @@ def test_each_fold_equals_a_fit_of_its_exported_ids(case, unseen_level):
         assert refusal is None
         assert [(o.predictions, o.code, o.message) for o in outcomes] == expected
     if refusal is None:  # the fits themselves, whatever scoring makes of them
-        outcomes = validation._fit_plan(ds, validation._test_masks(ds, plan, ds.fingerprint()),
-                                        unseen_level)
+        outcomes = validation._fit_plan(ds, validation._test_masks(ds, plan, ds.fingerprint()))
         assert [(o.predictions, o.code, o.message) for o in outcomes] == expected
 
 
 @pytest.mark.parametrize("pair", COMPETING_ERRORS)
 def test_a_fold_with_two_errors_fails_with_the_public_path_s_first(pair):
     (ds, plan), fold, code, message = COMPETING_ERRORS[pair]
-    outcome = validation._fit_plan(ds, validation._test_masks(ds, plan, ds.fingerprint()),
-                                   "error")[fold]
+    outcome = validation._fit_plan(ds, validation._test_masks(ds, plan, ds.fingerprint()))[fold]
     assert (outcome.code, outcome.message) == (code, message)
     assert fit_through_split(ds, generate_folds(ds, plan).folds[fold]) == (None, code, message)
 
@@ -587,20 +583,19 @@ def test_a_fit_error_comes_before_the_errors_of_the_test_rows():
     singular = mock.Mock(side_effect=FitError(SINGULAR_FACTOR))
     with mock.patch.object(linear, "_qr_solve", singular), \
             mock.patch.object(validation, "_qr_solve", singular):
-        outcomes = validation._fit_plan(ds, validation._test_masks(ds, plan, ds.fingerprint()),
-                                        "error")
+        outcomes = validation._fit_plan(ds, validation._test_masks(ds, plan, ds.fingerprint()))
         expected = [fit_through_split(ds, fold) for fold in generate_folds(ds, plan).folds]
     assert [(o.predictions, o.code, o.message) for o in outcomes] == expected
     assert expected[0] == (None, "E_FIT", SINGULAR_FACTOR)
 
 
-@given(mixed_plans(), st.sampled_from(UNSEEN_POLICIES))
+@given(mixed_plans())
 @settings(max_examples=100, deadline=None)
-def test_each_plan_path_prediction_set_passes_the_constructor_checks(case, unseen_level):
+def test_each_plan_path_prediction_set_passes_the_constructor_checks(case):
     # the plan path builds its PredictionSets without the constructor's checks
     ds, plan = case
     tests = validation._test_masks(ds, plan, ds.fingerprint())
-    for o in validation._fit_plan(ds, tests, unseen_level):
+    for o in validation._fit_plan(ds, tests):
         if not o.failed:
             ps = o.predictions
             assert ps == PredictionSet(ps.row_ids, ps.predicted, ps.actual)
@@ -617,12 +612,12 @@ def clashing_dataset(name):
                         response="y", categorical=("f",))
 
 
-@given(mixed_plans(), st.sampled_from(UNSEEN_POLICIES))
-@example((clashing_dataset("intercept"), ValidationPlan(kind="loocv")), "error")
-@example((clashing_dataset("f=b"), ValidationPlan(kind="kfold", k=4)), "error")
-@example((clashing_dataset("f=a"), ValidationPlan(kind="loocv")), "as-reference")
+@given(mixed_plans())
+@example((clashing_dataset("intercept"), ValidationPlan(kind="loocv")))
+@example((clashing_dataset("f=b"), ValidationPlan(kind="kfold", k=4)))
+@example((clashing_dataset("f=a"), ValidationPlan(kind="loocv")))
 @settings(max_examples=150, deadline=None)
-def test_renaming_every_column_changes_no_fold(case, unseen_level):
+def test_renaming_every_column_changes_no_fold(case):
     # a fit is keyed by design position, so a column named as the design
     # names the intercept or a factor level fits as under any other name.
     # Both fit the original's folds: the fingerprint, which seeds the
@@ -630,7 +625,7 @@ def test_renaming_every_column_changes_no_fold(case, unseen_level):
     ds, plan = case
     renamed = replace(ds, schema=[replace(col, name=f"r{i}") for i, col in enumerate(ds.schema)])
     tests = validation._test_masks(ds, plan, ds.fingerprint())
-    original, other = (validation._fit_plan(d, tests, unseen_level) for d in (ds, renamed))
+    original, other = (validation._fit_plan(d, tests) for d in (ds, renamed))
     assert [(o.predictions, o.code) for o in original] == \
         [(o.predictions, o.code) for o in other]
 
@@ -642,20 +637,20 @@ def two_training_rows_case():
     return ds, ValidationPlan(kind="kfold", k=2, seed=1)
 
 
-@given(mixed_plans(), st.sampled_from(UNSEEN_POLICIES), st.integers(2, 3), st.integers(0, 99))
-@example(two_training_rows_case(), "error", 2, 1)
+@given(mixed_plans(), st.integers(2, 3), st.integers(0, 99))
+@example(two_training_rows_case(), 2, 1)
 @settings(max_examples=100, deadline=None)
-def test_a_stacked_pass_equals_its_plans_fitted_alone(case, unseen_level, count, seed):
+def test_a_stacked_pass_equals_its_plans_fitted_alone(case, count, seed):
     # an experiment fits the masks of all its runs in one pass; the plan-wide
     # candidates, screen and designs must leave each fold as its plan alone gives it
     ds, plan = case
     masks = [validation._test_masks(ds, replace(plan, seed=seed + i), ds.fingerprint())
              for i in range(count)]
-    stacked = validation._fit_plan(ds, np.concatenate(masks), unseen_level)
+    stacked = validation._fit_plan(ds, np.concatenate(masks))
     alone, start = [], 0
     for tests in masks:
         alone += [replace(o, fold=start + o.fold)
-                  for o in validation._fit_plan(ds, tests, unseen_level)]
+                  for o in validation._fit_plan(ds, tests)]
         start += len(tests)
     assert [(o.fold, o.predictions, o.code, o.message) for o in stacked] == \
         [(o.fold, o.predictions, o.code, o.message) for o in alone]
@@ -668,7 +663,7 @@ def test_a_fold_with_two_training_rows_fails_on_the_plan_path():
     tests = validation._test_masks(ds, plan, ds.fingerprint())
     assert np.count_nonzero(~tests, axis=1).tolist() == [2, 3]
     with no_public_fit():
-        outcomes = validation._fit_plan(ds, tests, "error")
+        outcomes = validation._fit_plan(ds, tests)
     assert outcomes[0].code == "E_DEGENERATE" and not outcomes[1].failed
     folds = generate_folds(ds, plan).folds
     assert [(o.predictions, o.code, o.message) for o in outcomes] == \
@@ -738,20 +733,17 @@ def sparse_factor_dataset():
 
 
 @pytest.mark.parametrize("plan", ["loocv", "kfold:3", "kfold:4", "holdout:3x8"])
-@pytest.mark.parametrize("unseen_level", UNSEEN_POLICIES)
-def test_a_level_held_by_no_row_or_one_row_keeps_every_fold(plan, unseen_level):
+def test_a_level_held_by_no_row_or_one_row_keeps_every_fold(plan):
     # the plan path orders each factor's levels from one segment per level a
     # row holds; a declared level that no row holds has no segment
     ds = sparse_factor_dataset()
     for seed in (1, 2, 3):
         plan_ = ValidationPlan.parse(plan, seed=seed)
         folds = generate_folds(ds, plan_).folds
-        outcomes = validation._fit_plan(ds, validation._test_masks(ds, plan_, ds.fingerprint()),
-                                        unseen_level)
-        expected = [fit_through_split(ds, fold, unseen_level) for fold in folds]
+        outcomes = validation._fit_plan(ds, validation._test_masks(ds, plan_, ds.fingerprint()))
+        expected = [fit_through_split(ds, fold) for fold in folds]
         assert [(o.predictions, o.code, o.message) for o in outcomes] == expected
-        codes = {code for _, code, _ in expected}
-        assert codes == ({None, "E_UNSEEN_LEVEL"} if unseen_level == "error" else {None})
+        assert {code for _, code, _ in expected} == {None, "E_UNSEEN_LEVEL"}
 
 
 def test_no_fold_is_fitted_a_second_time(tmp_path):
@@ -780,30 +772,17 @@ def test_the_planted_folds_fail_as_through_the_public_split(tmp_path):
     assert failed == {fold: fit_through_split(ds, folds[fold])[1:] for fold in failed}
 
 
-def test_an_unknown_unseen_level_policy_fails_every_fold():
-    # every fold would fail at its prediction, so the input is refused before any fit
-    ds = load_builtin("cocomo81")
-    with mock.patch.object(validation, "_fit_plan") as fit, pytest.raises(SchemaError) as exc:
-        run_validation(ds, ValidationPlan(kind="kfold", k=10, seed=1), unseen_level="bogus")
-    assert str(exc.value) == "unknown unseen-level policy 'bogus'"
-    fit.assert_not_called()
-
-
-@pytest.mark.parametrize("ds, plan, unseen_level, error, message", [
-    (NON_FINITE_Y_ONLY, ValidationPlan(kind="kfold", k=10), "bogus", PlanError,
+@pytest.mark.parametrize("ds, plan, error, message", [
+    (NON_FINITE_Y_ONLY, ValidationPlan(kind="kfold", k=10), PlanError,
      "plan kfold:10 leaves test folds of 1 row"),
-    (NON_FINITE_Y_ONLY, LOOCV, "bogus", SchemaError, "unknown unseen-level policy 'bogus'"),
-    (NON_FINITE_Y_ONLY, LOOCV, "error", SchemaError,
-     "dataset 'yonly' has no explanatory columns"),
-    (NON_FINITE_X, LOOCV, "bogus", SchemaError, "unknown unseen-level policy 'bogus'"),
-    (NON_FINITE_X, LOOCV, "error", MissingValueError,
+    (NON_FINITE_Y_ONLY, LOOCV, SchemaError, "dataset 'yonly' has no explanatory columns"),
+    (NON_FINITE_X, LOOCV, MissingValueError,
      "validate: dataset 'test' has a missing value in column 'x', row 9"),
 ])
-def test_the_refusals_come_after_every_plan_error_and_in_order(ds, plan, unseen_level, error,
-                                                               message):
+def test_the_refusals_come_after_every_plan_error_and_in_order(ds, plan, error, message):
     # each input also meets every refusal after the one it raises
     with mock.patch.object(validation, "_fit_plan") as fit, pytest.raises(error) as exc:
-        run_validation(ds, plan, unseen_level=unseen_level)
+        run_validation(ds, plan)
     assert str(exc.value).startswith(message)
     fit.assert_not_called()
 
@@ -888,17 +867,15 @@ class TestRepeatCv:
         # every fold of every run reached the patched scorer
         assert sorted(scored) == sorted(fault_of)
 
-    @pytest.mark.parametrize("ds, unseen_level", [
-        (linear_dataset(), "bogus"), (NON_FINITE_Y_ONLY, "error"), (NON_FINITE_X, "error")],
-        ids=["an-unknown-policy", "no-explanatory-column", "a-non-finite-cell"])
-    def test_an_input_that_fails_every_fold_is_refused_before_any_fit(self, ds, unseen_level):
+    @pytest.mark.parametrize("ds", [NON_FINITE_Y_ONLY, NON_FINITE_X],
+                             ids=["no-explanatory-column", "a-non-finite-cell"])
+    def test_an_input_that_fails_every_fold_is_refused_before_any_fit(self, ds):
         # as run_validation refuses it
         with pytest.raises(AtlmError) as alone:
-            run_validation(ds, ValidationPlan(kind="kfold", k=3, seed=1),
-                           unseen_level=unseen_level)
+            run_validation(ds, ValidationPlan(kind="kfold", k=3, seed=1))
         with mock.patch.object(validation, "_fit_plan") as fit, \
                 pytest.raises(AtlmError) as experiment:
-            repeat_cv_experiment(ds, k=3, runs=2, unseen_level=unseen_level)
+            repeat_cv_experiment(ds, k=3, runs=2)
         fit.assert_not_called()
         assert isinstance(alone.value, (SchemaError, MissingValueError))
         assert (type(experiment.value), str(experiment.value)) == \
