@@ -3,6 +3,8 @@
 A :class:`Dataset` is immutable and columnar: one (columns x rows) matrix
 holds every column, a missing cell as NaN, so per-fold work is whole-array
 operations, and every change returns a new instance that folds can share.
+Every dataset, loaded or derived (prepared, split or transformed), is built
+by the :class:`Dataset` constructor and so passes all of its checks.
 Rows keep the identifiers they were assigned when the raw file was loaded
 (0-based line order).  Inside the library a row is its position in the
 matrix, and a set of rows is an array of positions or a boolean mask over
@@ -16,7 +18,7 @@ position, the active, numeric and explanatory columns, the response) and
 whether it is well formed.  They are worked out once, when the schema is
 built; every dataset derived from it (splits, transformed copies) carries
 the same schema object, so no per-fold step looks a column up by name or
-checks the schema again.
+works the positions out again.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import math
 import operator
 import os
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from numbers import Integral, Real
 from pathlib import Path
 
@@ -55,6 +57,10 @@ _ROLES = (EXPLANATORY, RESPONSE, IGNORED)
 
 #: cell spellings treated as missing when loading CSV files
 MISSING_TOKENS = ("", "?", "NA")
+
+#: what a factor's levels may be: tuple and list come before the Sequence ABC,
+#: whose isinstance check costs about 0.5 us
+_SEQUENCES = (tuple, list, Sequence)
 
 
 def format_number(value: float) -> str:
@@ -90,6 +96,8 @@ class Schema(tuple):
     """
 
     def __new__(cls, columns):
+        if isinstance(columns, Schema):  # immutable, so shared as it is
+            return columns
         try:
             self = super().__new__(cls, columns)
             if not all(isinstance(c, ColumnSchema) for c in self):
@@ -136,6 +144,7 @@ class Dataset:
     identifiers, stored as ints; ``source_rows`` is the row count of the loaded
     file, which recipe row references are validated against: an integer no
     smaller than the dataset's row count, or -1 (the default) for that count.
+    Every dataset the package returns, loaded or derived, is built here.
     """
 
     name: str
@@ -148,8 +157,7 @@ class Dataset:
     def __post_init__(self) -> None:
         if not isinstance(self.name, str):
             raise SchemaError(f"a dataset name must be text, got {self.name!r}")
-        if not isinstance(self.schema, Schema):
-            object.__setattr__(self, "schema", Schema(self.schema))
+        object.__setattr__(self, "schema", Schema(self.schema))
         self.schema.check(self.name)
         try:
             values = np.asarray(self.values)
@@ -170,13 +178,22 @@ class Dataset:
         width = len(self.schema)
         if not (self.values.shape == (width, len(self.ids)) and len(self.levels) == width):
             raise SchemaError(f"column arrays of {self.name!r} do not fit its schema")
-        object.__setattr__(self, "ids", tuple(_integer("a row id", i, SchemaError)
-                                              for i in self.ids))
+        if not set(map(type, self.ids)) <= {int}:  # numpy integers convert; a bool fails
+            object.__setattr__(self, "ids", tuple(_integer("a row id", i, SchemaError)
+                                                  for i in self.ids))
         if len(set(self.ids)) != len(self.ids):
             raise SchemaError("row ids must be unique")
+        # which factors' codes are each NaN or an integer in 0..L-1 for their L
+        # levels, worked out in one pass over every factor's cells
+        factors = [i for i, col in enumerate(self.schema) if col.kind == CATEGORICAL]
+        codes = self.values[factors].T
+        sizes = [len(names) if isinstance(names, _SEQUENCES) else 0
+                 for names in map(self.levels.__getitem__, factors)]
+        fits = np.isnan(codes) | (codes >= 0) & (codes < sizes) & (np.floor(codes) == codes)
+        fitting = dict(zip(factors, fits.all(axis=0).tolist()))
         for i, col in enumerate(self.schema):
             names = self.levels[i]
-            if isinstance(names, str) or not isinstance(names, Sequence):
+            if isinstance(names, str) or not isinstance(names, _SEQUENCES):
                 raise SchemaError(f"levels of column {col.name!r} of {self.name!r} must be "
                                   f"a sequence of strings, got {names!r}")
             if col.kind != CATEGORICAL:
@@ -187,8 +204,7 @@ class Dataset:
             if strange:
                 raise SchemaError(f"factor {col.name!r} of {self.name!r} has the level "
                                   f"{strange[0]!r}, which is not text")
-            codes = self.values[i][~np.isnan(self.values[i])]
-            if len(set(names)) < len(names) or not set(codes.tolist()) <= set(range(len(names))):
+            if len(set(names)) < len(names) or not fitting[i]:
                 raise SchemaError(f"factor {col.name!r} of {self.name!r} repeats a "
                                   f"level name or has a code outside its {len(names)} levels")
         object.__setattr__(self, "levels", tuple(map(tuple, self.levels)))
@@ -312,25 +328,8 @@ class Dataset:
         """The rows at the positions ``at``, in that order, or where the
         boolean mask ``at`` is set."""
         at = np.arange(len(self.ids))[at]  # positions; take keeps the matrix in C order
-        return self._derive(tuple(map(self.ids.__getitem__, at.tolist())),
-                            self.values.take(at, axis=1))
-
-    def _derive(self, ids: tuple[int, ...], values: np.ndarray) -> "Dataset":
-        """This dataset with other rows or cell values, built by :meth:`_owned`."""
-        return Dataset._owned(self.name, self.schema, ids, values, self.levels, self.source_rows)
-
-    @classmethod
-    def _owned(cls, name: str, schema: Schema, ids: tuple[int, ...], values: np.ndarray,
-               levels: tuple, source_rows: int) -> "Dataset":
-        """A dataset whose schema alone is checked: the caller guarantees that the
-        float64 ``values``, made read-only and held by no one else, fit the schema
-        and the unique ``ids``, and that factor codes index distinct levels."""
-        schema.check(name)
-        values.flags.writeable = False
-        new = object.__new__(cls)
-        new.__dict__.update(name=name, schema=schema, ids=ids, values=values, levels=levels,
-                            source_rows=source_rows)
-        return new
+        return replace(self, ids=tuple(map(self.ids.__getitem__, at.tolist())),
+                       values=self.values.take(at, axis=1))
 
 
 def _integer(name: str, value, error: type[AtlmError]) -> int:
@@ -410,7 +409,8 @@ def load_schema(path: str | Path) -> Schema:
 
 def load_csv(path: str | Path, schema: tuple[ColumnSchema, ...],
              name: str | None = None) -> Dataset:
-    """Load a comma-separated UTF-8 file with a header row.
+    """Load a comma-separated UTF-8 file with a header row as the dataset
+    ``name``, text, which defaults to the file's stem.
 
     The header must contain exactly the schema's column names (any order).
     Numeric cells must parse as finite numbers; empty, ``?`` and ``NA``
@@ -462,8 +462,8 @@ def load_csv(path: str | Path, schema: tuple[ColumnSchema, ...],
         next(reader)
         _raise_first_bad_cell(path, reader, len(header), fields)
         raise
-    return Dataset._owned(name if name is not None else path.stem, schema,
-                          tuple(range(len(body))), values, levels, len(body))
+    return Dataset(name if name is not None else path.stem, schema, tuple(range(len(body))),
+                   values, levels, len(body))
 
 
 def _parse_column(cells, numeric: bool) -> list:
@@ -597,9 +597,6 @@ def apply_recipe(raw: Dataset, recipe: PrepRecipe) -> Dataset:
                 f"recipe drops row id {rid}, but the raw dataset only had "
                 f"rows 0..{raw.source_rows - 1}")
 
-    drop = set(recipe.drop_row_ids)
-    ds = raw._rows([rid not in drop for rid in raw.ids])
-
     schema = list(raw.schema)
     casts = set(recipe.cast_to_categorical)
     ignores = set(recipe.ignore_columns)
@@ -615,18 +612,23 @@ def apply_recipe(raw: Dataset, recipe: PrepRecipe) -> Dataset:
                 role = EXPLANATORY
         if (kind, role) != (col.kind, col.role):
             schema[i] = ColumnSchema(col.name, kind, role)
+    if schema == list(raw.schema):  # unchanged: share the schema and its positions
+        schema = raw.schema
 
-    if schema != list(raw.schema):  # a column changes kind or role
-        values, levels = ds.values.copy(), list(ds.levels)
-        for i in [i for i, (c, old) in enumerate(zip(schema, raw.schema)) if c.kind != old.kind]:
-            cells = ds.column(schema[i].name)  # numbers, None where missing
-            labels = {v: v if v is None else _category_label(v) for v in dict.fromkeys(cells)}
-            values[i], levels[i] = _codes(list(map(labels.__getitem__, cells)))
-        ds = Dataset._owned(ds.name, Schema(schema), ds.ids, values, tuple(levels),
-                            ds.source_rows)
-
+    # the result is built once, from the kept rows' cells; a cast's levels
+    # follow first appearance among the rows that the drop list keeps
+    drop = set(recipe.drop_row_ids)
+    rows = np.flatnonzero([rid not in drop for rid in raw.ids])
+    values, levels = raw.values[:, rows], list(raw.levels)
+    for i in [i for i, (c, old) in enumerate(zip(schema, raw.schema)) if c.kind != old.kind]:
+        cells = [None if math.isnan(v) else v for v in values[i].tolist()]
+        labels = {v: v if v is None else _category_label(v) for v in dict.fromkeys(cells)}
+        values[i], levels[i] = _codes(list(map(labels.__getitem__, cells)))
     if recipe.drop_rows_with_missing:
-        ds = ds._rows(~np.isnan(ds.values).any(axis=0))
+        full = ~np.isnan(values).any(axis=0)
+        rows, values = rows[full], values[:, full]
+    ds = Dataset(raw.name, schema, tuple(map(raw.ids.__getitem__, rows.tolist())), values,
+                 tuple(levels), raw.source_rows)
 
     gap = ds._first_gap(non_finite=False)
     if gap is not None:

@@ -24,7 +24,8 @@ exact one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from numbers import Real
 from typing import NamedTuple
 
 import numpy as np
@@ -64,9 +65,18 @@ def skewness_b1(values) -> float:
     g1 = m3 / m2^(3/2) with m_r the r-th central moment using a 1/n
     denominator.  Needs n >= 3 and values that are not all equal (tested
     exactly, as the computed variance of a constant sample need not be 0).
-    A finite sample whose moments overflow is scaled down first.
+    A finite sample whose moments overflow is scaled down first.  A sample
+    that is not a 1-D sequence of real numbers is refused before its size.
     """
-    a = np.asarray(values, dtype=float)
+    try:
+        a = np.asarray(values)
+        if a.ndim != 1 or not (a.dtype.kind in "biuf" or a.dtype.kind == "O"
+                               and all(isinstance(v, Real) for v in a)):
+            raise ValueError
+        a = a.astype(float)  # an int too large for a float overflows
+    except (ValueError, OverflowError):  # ragged, or not real numbers
+        raise DegenerateSampleError(f"skewness needs a 1-D sequence of real numbers, "
+                                    f"got {values!r}") from None
     n = a.size
     if n < 3:
         raise DegenerateSampleError(f"skewness needs at least 3 values, got {n}")
@@ -371,7 +381,7 @@ def apply_transforms(table: TransformTable, ds: Dataset) -> Dataset:
         raise _domain_error(out[i, row], schema[i].name, ds.ids[row], entries[schema[i].name].kind)
     for kind, at in columns.items():
         out[at] = _FORWARD[kind](out[at])
-    return ds._derive(ds.ids, out)
+    return replace(ds, values=out)
 
 
 def invert_predictions(table: TransformTable, predictions) -> list[float]:

@@ -6,13 +6,17 @@ The call must succeed or raise an :class:`~atlm.errors.AtlmError`: no bare
 ``TypeError``, ``ValueError`` or ``AttributeError`` may leave it.  An argument
 of the wrong type raises the error class that belongs to it: SchemaError for a
 dataset or a schema path, ParseError for a data path, PlanError for a plan,
-RecipeError for a recipe, PredictionError for a model and MetricError for a
-prediction set or a list of reports.
+RecipeError for a recipe or a recipe path, PredictionError for a model,
+MetricError for a prediction set or a list of reports and DegenerateSampleError
+for a sample to score.
 """
 
 from __future__ import annotations
 
+import json
+import tempfile
 from importlib.resources import files
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,12 +28,12 @@ from atlm import metrics
 from atlm.bundled import builtin_recipe, load_builtin, load_builtin_raw
 from atlm.dataset import (ColumnSchema, Dataset, PrepRecipe, apply_recipe, load_csv, load_schema,
                           split)
-from atlm.errors import (AtlmError, ConfigError, FitError, MetricError, ParseError, PlanError,
-                         PredictionError, RecipeError, SchemaError)
+from atlm.errors import (AtlmError, ConfigError, DegenerateSampleError, FitError, MetricError,
+                         ParseError, PlanError, PredictionError, RecipeError, SchemaError)
 from atlm.linear import DesignMatrix, fit_ols
 from atlm.pipeline import PredictionSet, atlm_fit, atlm_predict
 from atlm.transforms import (TransformTable, apply_transforms, calculate_transforms,
-                             invert_predictions)
+                             invert_predictions, skewness_b1)
 from atlm.validation import ValidationPlan, generate_folds, repeat_cv_experiment, run_validation
 
 SCHEMA = (ColumnSchema("x", "numeric"), ColumnSchema("f", "categorical"),
@@ -40,6 +44,10 @@ COCOMO81 = load_builtin("cocomo81")
 KFOLD3 = ValidationPlan(kind="kfold", k=3)
 PREDICTIONS = PredictionSet((0, 1, 2), [1.0, 2.0, 4.0], [1.5, 2.5, 3.0])
 DATA = files("atlm") / "data"
+#: a valid recipe file, removed with its directory when the process exits
+RECIPE_DIR = tempfile.TemporaryDirectory()
+RECIPE = Path(RECIPE_DIR.name) / "d.recipe"
+RECIPE.write_text(json.dumps({"drop_row_ids": [1], "set_response": "y", "notes": ["n"]}))
 
 #: each callable with the keyword arguments of a valid call
 CALLS = {
@@ -52,6 +60,7 @@ CALLS = {
     "PrepRecipe": (PrepRecipe, {"drop_rows_with_missing": True, "drop_row_ids": (1, 4),
                                 "cast_to_categorical": ("x",), "set_response": "y",
                                 "ignore_columns": ("f",), "notes": ("n",)}),
+    "PrepRecipe.from_json_file": (PrepRecipe.from_json_file, {"path": RECIPE}),
     "PredictionSet": (PredictionSet, {"row_ids": (0, 1), "predicted": [1.0, 2.0],
                                       "actual": np.array([1.5, 2.5])}),
     "ValidationPlan(loocv)": (ValidationPlan, {"kind": "loocv", "seed": 3}),
@@ -67,10 +76,12 @@ CALLS = {
     "atlm_fit": (atlm_fit, {"training": COCOMO81}),
     "atlm_predict": (atlm_predict, {"model": atlm_fit(COCOMO81), "test": COCOMO81}),
     "calculate_transforms": (calculate_transforms, {"training": COCOMO81}),
+    "skewness_b1": (skewness_b1, {"values": [1.0, 2.0, 4.0]}),
     "apply_recipe": (apply_recipe, {"raw": load_builtin_raw("desharnais"),
                                     "recipe": builtin_recipe("desharnais")}),
     "load_csv": (load_csv, {"path": str(DATA / "cocomo81.csv"),
-                            "schema": load_schema(str(DATA / "cocomo81.schema"))}),
+                            "schema": load_schema(str(DATA / "cocomo81.schema")),
+                            "name": "c"}),
     "load_schema": (load_schema, {"path": DATA / "maxwell.schema"}),
     "load_builtin": (load_builtin, {"name": "maxwell"}),
     "load_builtin_raw": (load_builtin_raw, {"name": "maxwell"}),
@@ -92,11 +103,17 @@ ARGUMENT_ERRORS = [
     ("atlm_fit", "training", SchemaError), ("atlm_predict", "model", PredictionError),
     ("atlm_predict", "test", SchemaError), ("calculate_transforms", "training", SchemaError),
     ("apply_recipe", "raw", SchemaError), ("apply_recipe", "recipe", RecipeError),
-    ("load_csv", "path", ParseError), ("load_schema", "path", SchemaError),
+    ("load_csv", "path", ParseError), ("load_csv", "name", SchemaError),
+    ("load_schema", "path", SchemaError), ("PrepRecipe.from_json_file", "path", RecipeError),
+    ("skewness_b1", "values", DegenerateSampleError),
     *((call, "ps", MetricError)
       for call in ("mmre", "pred", "mar", "lsd", "re_star", "sa", "report")),
     ("aggregate", "reports", MetricError),
 ]
+
+#: the values of the wrong-type test that an argument takes: a loaded dataset
+#: is named by text, or by its file's stem for None
+TAKES = {("load_csv", "name"): (None, "text")}
 
 #: a numpy array of a dtype or a shape that no argument takes
 wrong_arrays = hnp.arrays(
@@ -142,6 +159,11 @@ cases = st.sampled_from(sorted(CALLS)).flatmap(
 @example(("apply_recipe", "raw", None))
 @example(("apply_recipe", "recipe", None))
 @example(("load_csv", "path", 5))
+@example(("load_csv", "name", 5))
+@example(("PrepRecipe.from_json_file", "path", None))
+@example(("skewness_b1", "values", "ab"))
+@example(("skewness_b1", "values", [[1, 2], [3, 5]]))
+@example(("skewness_b1", "values", np.array([1.0, 2j, 3.0])))
 @example(("load_schema", "path", None))
 @example(("load_builtin", "name", ["maxwell"]))
 @example(("mar", "ps", None))
@@ -164,6 +186,9 @@ def test_a_malformed_argument_succeeds_or_raises_an_atlm_error(case):
 @pytest.mark.parametrize("value", [None, "text", 5, [1, 2]], ids=["None", "text", "int", "list"])
 def test_an_argument_of_the_wrong_type_raises_its_own_error_class(call, name, error, value):
     function, valid = CALLS[call]
+    if value in TAKES.get((call, name), ()):
+        function(**{**valid, name: value})
+        return
     with pytest.raises(error):
         function(**{**valid, name: value})
 

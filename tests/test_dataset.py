@@ -324,6 +324,48 @@ def test_a_factor_needs_distinct_levels_that_its_codes_index(codes, levels):
                                  "outside its 3 levels")
 
 
+def first_factor_fault(factors) -> str | None:
+    """The factor checks as the constructor made them, one factor at a time in
+    column order: a level that is not text, then a repeated level or a code
+    that is not NaN or in ``range(len(levels))``; the first fault's message."""
+    for k, (codes, levels) in enumerate(factors):
+        strange = [level for level in levels if not isinstance(level, str)]
+        if strange:
+            return f"factor 'f{k}' of 'd' has the level {strange[0]!r}, which is not text"
+        if (len(set(levels)) < len(levels)
+                or not {c for c in codes if not math.isnan(c)} <= set(range(len(levels)))):
+            return (f"factor 'f{k}' of 'd' repeats a level name or has a code outside its "
+                    f"{len(levels)} levels")
+    return None
+
+
+#: a code in range, past it, negative, fractional, a signed zero, infinite or missing
+FACTOR_CODES = st.sampled_from([0.0, -0.0, 1.0, 2.0, 3.0, -1.0, 0.5, math.inf, -math.inf,
+                                math.nan])
+
+
+@given(st.lists(st.tuples(st.lists(FACTOR_CODES, min_size=4, max_size=4),
+                          st.lists(st.sampled_from(["a", "b", "c", 1]), max_size=3)),
+                min_size=1, max_size=4))
+@settings(max_examples=300, deadline=None)
+# the second factor's non-text level comes after the first factor's stray code
+@example([([0.0, 1.0, 2.0, 0.0], ["a", "b"]), ([0.0] * 4, [1])])
+@example([([math.nan, 0.0, -0.0, 1.0], ["a", "b"]), ([0.0, 1.0, 0.0, 0.0], ["a", "b"])])
+def test_the_factor_checks_name_the_first_fault_that_the_cell_by_cell_rule_finds(factors):
+    # the constructor checks every factor's codes in one array pass
+    schema = [*(ColumnSchema(f"f{k}", CATEGORICAL) for k in range(len(factors))),
+              ColumnSchema("y", NUMERIC, RESPONSE)]
+    values = np.array([*(codes for codes, _ in factors), [1.0, 2.0, 3.0, 4.0]])
+    levels = (*(tuple(names) for _, names in factors), ())
+    fault = first_factor_fault(factors)
+    if fault is None:
+        assert Dataset("d", schema, range(4), values, levels).levels == levels
+        return
+    with pytest.raises(SchemaError) as caught:
+        Dataset("d", schema, range(4), values, levels)
+    assert str(caught.value) == fault
+
+
 @pytest.mark.parametrize("levels, message", [
     ((("a", "b"), ("q",), ()), "numeric column 'x' of 'bad' has levels"),
     ((("a", 1), (), ()), "factor 'f' of 'bad' has the level 1, which is not text"),
@@ -457,8 +499,8 @@ def test_a_missing_factor_cell_needs_no_level():
 
 
 def test_a_loaded_factor_given_to_the_constructor_is_still_checked():
-    # the loaders build their datasets without the factor check; a loaded
-    # dataset's levels, given to the public constructor, are checked as any
+    # a loaded dataset's levels, given to the public constructor, are
+    # checked as any
     ds = load_builtin("maxwell")
     i = next(i for i, levels in enumerate(ds.levels) if levels)
     levels = list(ds.levels)
@@ -478,7 +520,8 @@ LOADED_FINGERPRINTS = {"cocomo81": ("41a5588aaa4b7b40", "41a5588aaa4b7b40"),
 
 @pytest.mark.parametrize("name", LOADED_FINGERPRINTS)
 def test_loaded_datasets_pass_every_constructor_check(name, tmp_path):
-    # load_csv and apply_recipe build their datasets without the factor check
+    # load_csv and apply_recipe build their datasets through the constructor, so a
+    # rebuild of the same fields equals them, and they hold their own read-only copy
     if name == "synth":
         csv_path, schema_path = synth.write(synth.generate(1), tmp_path)
         loaded = [load_csv(csv_path, load_schema(schema_path))]
@@ -641,6 +684,14 @@ class TestApplyRecipe:
         assert out.ids == (0, 2, 3)
         assert out.column("lang") == ("1", "3", "1")
         assert out.schema[out.column_index("lang")].kind == CATEGORICAL
+
+    def test_cast_levels_follow_the_rows_the_drop_list_keeps(self):
+        # the level "3" is seen only in a row dropped for its missing cell, and stays
+        ds = make_dataset({"lang": [1, 2, 3, 2], "x": [1, 2, None, 4], "y": [5, 6, 7, 8]},
+                          response="y")
+        out = apply_recipe(ds, PrepRecipe(drop_row_ids=(0,), cast_to_categorical=("lang",),
+                                          drop_rows_with_missing=True))
+        assert (out.ids, out.levels[0], out.column("lang")) == ((1, 3), ("2", "3"), ("2", "2"))
 
     def test_drop_missing_rows(self):
         ds = make_dataset({"x": [1, None, 3, 4], "y": [5, 6, 7, 8]}, response="y")
@@ -846,7 +897,8 @@ class TestSplit:
                                  (0, 1, 0), [[1.0, 2.0, 3.0]])
 
     def test_derived_datasets_pass_every_constructor_check(self):
-        # split and apply_transforms build their datasets without the checks
+        # split and apply_transforms build their datasets through the constructor,
+        # so a rebuild of the same fields equals them and keeps the one schema
         ds = load_builtin("maxwell")
         train, test = split(ds, ds.ids[5:], ds.ids[:5])
         transformed = apply_transforms(calculate_transforms(train), test)

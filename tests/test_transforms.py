@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -69,6 +70,23 @@ class TestSkewness:
     def test_too_short_sample_is_degenerate(self):
         with pytest.raises(DegenerateSampleError):
             skewness_b1([1, 2])
+
+    @pytest.mark.parametrize("values", ["ab", [1, "x", 3], [[1, 2], [3]], [[1, 2], [3, 5]],
+                                        np.array([1.0, 2j, 3.0]), None, [1, None, 3]],
+                             ids=["text", "a text cell", "ragged", "2-D", "complex", "None",
+                                  "a None cell"])
+    def test_a_sample_that_is_not_1d_real_numbers_is_degenerate(self, values):
+        # these ended in numpy's bare ValueError, were flattened, lost their
+        # imaginary part or read "needs at least 3 values, got 1"
+        with pytest.raises(DegenerateSampleError) as caught:
+            skewness_b1(values)
+        assert str(caught.value) == ("skewness needs a 1-D sequence of real numbers, "
+                                     f"got {values!r}")
+
+    def test_real_numbers_of_any_type_are_scored(self):
+        # an int too large for int64 and a Fraction make an object array
+        assert (skewness_b1([2 ** 70, 1, 2]) == skewness_b1([Fraction(2 ** 70), 1, 2])
+                == skewness_b1([2.0 ** 70, 1.0, 2.0]))
 
     def test_a_sample_whose_moments_overflow_is_scaled_down(self):
         xs = [1.0, 2.0, 3.0, 4.0, 100.0]
