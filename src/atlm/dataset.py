@@ -141,10 +141,8 @@ class Dataset:
     distinct strings, stored as a tuple (empty for a numeric column); a missing
     cell is NaN.  A ``schema`` given as a plain sequence of columns is stored
     as a :class:`Schema`.  ``name`` is text.  ``ids`` are the original row
-    identifiers, stored as ints; ``source_rows`` is the row count of the loaded
-    file, which recipe row references are validated against: an integer no
-    smaller than the dataset's row count, or -1 (the default) for that count.
-    Every dataset the package returns, loaded or derived, is built here.
+    identifiers, distinct and stored as ints.  Every dataset the package
+    returns, loaded or derived, is built here.
     """
 
     name: str
@@ -152,7 +150,6 @@ class Dataset:
     ids: tuple[int, ...]
     values: np.ndarray
     levels: tuple[tuple[str, ...], ...]
-    source_rows: int = -1
 
     def __post_init__(self) -> None:
         if not isinstance(self.name, str):
@@ -208,17 +205,9 @@ class Dataset:
                 raise SchemaError(f"factor {col.name!r} of {self.name!r} repeats a "
                                   f"level name or has a code outside its {len(names)} levels")
         object.__setattr__(self, "levels", tuple(map(tuple, self.levels)))
-        source_rows = _integer("source_rows", self.source_rows, SchemaError)
-        if source_rows == -1:
-            source_rows = len(self.ids)
-        elif source_rows < len(self.ids):
-            raise SchemaError(f"source_rows of {self.name!r} must be -1 or at least its "
-                              f"{len(self.ids)} rows, got {source_rows}")
-        object.__setattr__(self, "source_rows", source_rows)
 
     @classmethod
-    def from_columns(cls, name: str, schema, ids, columns,
-                     source_rows: int = -1) -> "Dataset":
+    def from_columns(cls, name: str, schema, ids, columns) -> "Dataset":
         """Build from one sequence of cells per schema column: numbers, None or
         NaN where missing; or, for a factor, strings, None where missing.  Codes
         follow first appearance.  Any other cell is a SchemaError."""
@@ -239,17 +228,16 @@ class Dataset:
                 if col.kind == CATEGORICAL and not isinstance(cell, str):
                     raise SchemaError(f"factor {col.name!r} of {name!r} has the level "
                                       f"{cell!r}, which is not text")
-        return cls(name, schema, ids, *_matrix(schema, columns), source_rows)
+        return cls(name, schema, ids, *_matrix(schema, columns))
 
     def __len__(self) -> int:
         return len(self.ids)
 
     def __eq__(self, other) -> bool:
-        """Same name, schema, ids, source row count, levels and cells; missing
-        (NaN) cells match."""
+        """Same name, schema, ids, levels and cells; missing (NaN) cells match."""
         return isinstance(other, Dataset) and (
-            (self.name, self.schema, self.ids, self.source_rows, self.levels)
-            == (other.name, other.schema, other.ids, other.source_rows, other.levels)
+            (self.name, self.schema, self.ids, self.levels)
+            == (other.name, other.schema, other.ids, other.levels)
             and np.array_equal(self.values, other.values, equal_nan=True))
 
     @property
@@ -323,13 +311,6 @@ class Dataset:
         row = int(filled.all(axis=0).argmin())
         name = self.schema[active[int(filled[:, row].argmin())]].name
         return name, self.ids[row], self.column(name)[row]
-
-    def _rows(self, at) -> "Dataset":
-        """The rows at the positions ``at``, in that order, or where the
-        boolean mask ``at`` is set."""
-        at = np.arange(len(self.ids))[at]  # positions; take keeps the matrix in C order
-        return replace(self, ids=tuple(map(self.ids.__getitem__, at.tolist())),
-                       values=self.values.take(at, axis=1))
 
 
 def _integer(name: str, value, error: type[AtlmError]) -> int:
@@ -463,7 +444,7 @@ def load_csv(path: str | Path, schema: tuple[ColumnSchema, ...],
         _raise_first_bad_cell(path, reader, len(header), fields)
         raise
     return Dataset(name if name is not None else path.stem, schema, tuple(range(len(body))),
-                   values, levels, len(body))
+                   values, levels)
 
 
 def _parse_column(cells, numeric: bool) -> list:
@@ -510,12 +491,10 @@ def _raise_first_bad_cell(path: Path, records, width: int, fields) -> None:
 class PrepRecipe:
     """Documented preparation steps applied to a raw dataset.
 
-    ``drop_row_ids`` refer to row ids of the dataset the recipe is applied
-    to.  Where its ids are the loaded file's row numbers (all below its
-    ``source_rows``), an id of that file that was already dropped is skipped,
-    so re-applying a recipe is a no-op; any other id that the dataset does not
-    hold is an error.  ``notes`` travel into evaluation reports so
-    reproduction assumptions stay visible.
+    Each of ``drop_row_ids`` must be the id of a row that the dataset the
+    recipe is applied to holds; any other id is an error, so a recipe that
+    drops rows cannot be applied to its own result.  ``notes`` travel into
+    evaluation reports so reproduction assumptions stay visible.
 
     ``drop_rows_with_missing`` is a bool and ``set_response`` text or None;
     every other field is a list or tuple of text, or of integers for
@@ -586,16 +565,9 @@ def apply_recipe(raw: Dataset, recipe: PrepRecipe) -> Dataset:
         raise RecipeError(f"recipe response column {recipe.set_response!r} not found")
     held = set(raw.ids)
     for rid in recipe.drop_row_ids:
-        if rid in held:
-            continue
-        # ids below source_rows are the loaded file's row numbers: an absent one was dropped
-        if not all(0 <= i < raw.source_rows for i in held):
+        if rid not in held:
             raise RecipeError(f"recipe drops row id {rid}, which dataset {raw.name!r} "
                               f"does not hold")
-        if not 0 <= rid < raw.source_rows:
-            raise RecipeError(
-                f"recipe drops row id {rid}, but the raw dataset only had "
-                f"rows 0..{raw.source_rows - 1}")
 
     schema = list(raw.schema)
     casts = set(recipe.cast_to_categorical)
@@ -628,7 +600,7 @@ def apply_recipe(raw: Dataset, recipe: PrepRecipe) -> Dataset:
         full = ~np.isnan(values).any(axis=0)
         rows, values = rows[full], values[:, full]
     ds = Dataset(raw.name, schema, tuple(map(raw.ids.__getitem__, rows.tolist())), values,
-                 tuple(levels), raw.source_rows)
+                 tuple(levels))
 
     gap = ds._first_gap(non_finite=False)
     if gap is not None:
@@ -660,8 +632,9 @@ def split(ds: Dataset, train_ids, test_ids) -> tuple[Dataset, Dataset]:
     if not (train <= position.keys() and test <= position.keys()):
         raise SplitError(f"ids not present in dataset {ds.name!r}: "
                          f"{[i for i in (*train_ids, *test_ids) if i not in position]}")
-    return (ds._rows([position[i] for i in train_ids]),
-            ds._rows([position[i] for i in test_ids]))
+    # take keeps each half's matrix in C order
+    return tuple(replace(ds, ids=ids, values=ds.values.take([position[i] for i in ids], axis=1))
+                 for ids in (train_ids, test_ids))
 
 
 def _split_ids(ids) -> tuple[int, ...]:

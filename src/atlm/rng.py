@@ -22,6 +22,8 @@ from there, as the scalar loop would.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
@@ -70,10 +72,27 @@ def _output(states: np.ndarray) -> np.ndarray:
             ).astype(np.uint64)
 
 
+def _index(name: str, value) -> int:
+    """``value`` as an int, numpy integers too; a value that ``operator.index``
+    refuses raises ValueError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 class Pcg32:
-    """pcg32 generator; ``seed`` is the state seed, ``stream`` the sequence."""
+    """pcg32 generator; ``seed`` is the state seed, ``stream`` the sequence.
+
+    Both are integers, Python or numpy, taken mod 2^64 as the C reference's
+    ``uint64_t`` arguments are.  A bad argument, here or in a draw, raises
+    ValueError, not an :class:`~atlm.errors.AtlmError`: the generator is a
+    building block, and :class:`~atlm.validation.ValidationPlan` refuses a bad
+    plan seed with PlanError before a generator sees it.
+    """
 
     def __init__(self, seed: int, stream: int = 0):
+        seed, stream = _index("seed", seed), _index("stream", stream)
         self.state = 0
         self.inc = (((stream & _MASK64) << 1) | 1) & _MASK64
         self._next()

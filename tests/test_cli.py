@@ -476,11 +476,16 @@ CELLS = (st.integers(1, 400).map(str)
                             "u", "v,w"]))
 
 
+#: a recipe that drops row 12 of a generated file, which has at most 12 rows
+ABSENT_ROW_RECIPE = '{"drop_row_ids": [12]}'
+
+
 @st.composite
 def data_files(draw) -> dict:
     """A small schema file, a CSV file whose header mostly matches it, and a
-    recipe that may drop rows with missing cells: mostly well formed, now
-    and then a junk schema line, header name, cell or record length."""
+    recipe that may drop rows with missing cells, row 0 or row 12, which no
+    generated file holds: mostly well formed, now and then a junk schema
+    line, header name, cell or record length."""
     def rarely() -> bool:
         return draw(st.integers(0, 9)) == 0
 
@@ -498,7 +503,8 @@ def data_files(draw) -> dict:
         if rarely():
             cells = cells[:-1] if draw(st.booleans()) else cells + ["7"]
         rows.append(",".join(f'"{c}"' if "," in c else c for c in cells))
-    recipe = draw(st.sampled_from(["{}", '{"drop_rows_with_missing": true}']))
+    recipe = draw(st.sampled_from(["{}", '{"drop_rows_with_missing": true}',
+                                   '{"drop_row_ids": [0]}', ABSENT_ROW_RECIPE]))
     return {"data.csv": "\n".join([",".join(header), *rows]) + "\n",
             "data.schema": "\n".join(lines) + "\n", "recipe.json": recipe}
 
@@ -517,6 +523,10 @@ class TestGeneratedInputFiles:
                      ["evaluate", *inputs, "--plan", "kfold:2", "--format", "json"]):
             status, _out, err, _written = run_in_scratch_directory(argv, files)
             assert_success_or_one_error_line(argv, status, err)
+            if files["recipe.json"] == ABSENT_ROW_RECIPE:
+                # refused by the recipe (E_RECIPE, status 2), or by an input read before it
+                assert status != 0, argv
+                assert "row id 12" in err or not err.startswith("error[E_RECIPE]"), (argv, err)
 
 
 #: call sequences where a parser kept from an earlier call could leak into a later one

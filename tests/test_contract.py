@@ -52,10 +52,10 @@ RECIPE.write_text(json.dumps({"drop_row_ids": [1], "set_response": "y", "notes":
 #: each callable with the keyword arguments of a valid call
 CALLS = {
     "Dataset": (Dataset, {"name": "d", "schema": SCHEMA, "ids": (0, 1, 2), "values": VALUES,
-                          "levels": ((), ("a", "b"), ()), "source_rows": -1}),
+                          "levels": ((), ("a", "b"), ())}),
     "Dataset.from_columns": (Dataset.from_columns, {
         "name": "d", "schema": SCHEMA, "ids": (0, 1, 2),
-        "columns": [[1.0, 2.0, 3.0], ["a", "b", "a"], [3.0, 5.0, 7.0]], "source_rows": 5}),
+        "columns": [[1.0, 2.0, 3.0], ["a", "b", "a"], [3.0, 5.0, 7.0]]}),
     "ColumnSchema": (ColumnSchema, {"name": "x", "kind": "numeric", "role": "response"}),
     "PrepRecipe": (PrepRecipe, {"drop_rows_with_missing": True, "drop_row_ids": (1, 4),
                                 "cast_to_categorical": ("x",), "set_response": "y",

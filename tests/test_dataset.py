@@ -169,7 +169,7 @@ def reference_load_csv(path, schema, name=None) -> Dataset:
                     cells.append(text)
     n = len(columns[0]) if columns else 0
     return Dataset.from_columns(name if name is not None else path.stem, schema,
-                                range(n), columns, source_rows=n)
+                                range(n), columns)
 
 
 #: whitespace ``str.strip`` removes; ``float`` refuses the separators \x1c-\x1f
@@ -419,28 +419,17 @@ THREE_ROWS = np.array([[1.0, 2.0, 3.0], [3.0, 5.0, 7.0]])
 @pytest.mark.parametrize("change, message", [
     ({"ids": None}, "ids of 'd' must be a sequence, got None"),
     ({"levels": None}, "levels of 'd' must be a sequence, got None"),
-    ({"source_rows": "x"}, "source_rows must be an integer, got 'x'"),
-    ({"source_rows": 1.5}, "source_rows must be an integer, got 1.5"),
-    ({"source_rows": True}, "source_rows must be an integer, got True"),
-    # below the row count: a recipe would refuse to drop a row the dataset holds
-    ({"source_rows": 1}, "source_rows of 'd' must be -1 or at least its 3 rows, got 1"),
-    ({"source_rows": -2}, "source_rows of 'd' must be -1 or at least its 3 rows, got -2"),
     ({"name": 5}, "a dataset name must be text, got 5"),
     ({"schema": None}, "a schema must be a sequence of ColumnSchema, got None"),
     ({"schema": 5}, "a schema must be a sequence of ColumnSchema, got 5"),
     ({"values": [[1.0, 2.0, 3.0], [3.0]]}, "column arrays of 'd' do not fit its schema"),
-], ids=["ids-none", "levels-none", "source-rows-text", "source-rows-float",
-        "source-rows-bool", "source-rows-below-the-rows", "source-rows-negative", "name-int",
-        "schema-none", "schema-int", "ragged-values"])
+], ids=["ids-none", "levels-none", "name-int", "schema-none", "schema-int", "ragged-values"])
 def test_malformed_constructor_arguments_are_schema_errors(change, message):
     fields = {"name": "d", "schema": TWO_COLUMNS, "ids": (0, 1, 2), "values": THREE_ROWS,
               "levels": ((), ())}
     with pytest.raises(SchemaError) as caught:
         Dataset(**{**fields, **change})
     assert str(caught.value) == message
-    assert Dataset(**fields).source_rows == 3
-    kept = Dataset(**fields, source_rows=np.int64(5))
-    assert kept.source_rows == 5 and len(apply_recipe(kept, PrepRecipe(drop_row_ids=(2,)))) == 2
 
 
 @pytest.mark.parametrize("call, error, message", [
@@ -528,7 +517,7 @@ def test_loaded_datasets_pass_every_constructor_check(name, tmp_path):
     else:
         loaded = [load_builtin_raw(name), load_builtin(name)]
     for ds, fingerprint in zip(loaded, LOADED_FINGERPRINTS[name], strict=True):
-        checked = Dataset(ds.name, ds.schema, ds.ids, ds.values, ds.levels, ds.source_rows)
+        checked = Dataset(ds.name, ds.schema, ds.ids, ds.values, ds.levels)
         assert checked == ds and ds.fingerprint()[:16] == fingerprint
         assert ds.values.dtype == np.float64 and ds.values.base is None
         assert not ds.values.flags.writeable
@@ -718,27 +707,44 @@ class TestApplyRecipe:
     def test_any_row_the_dataset_holds_can_be_dropped(self):
         ds = Dataset("d", TWO_COLUMNS, (10, 11, 12), THREE_ROWS, ((), ()))
         assert apply_recipe(ds, PrepRecipe(drop_row_ids=(12, 10))).ids == (11,)
-        # ids that are not the file's row numbers: an id that is absent is not skipped
         with pytest.raises(RecipeError) as caught:
             apply_recipe(ds, PrepRecipe(drop_row_ids=(10, 2)))
         assert str(caught.value) == "recipe drops row id 2, which dataset 'd' does not hold"
-        # the file's row numbers: a dropped row of the file is skipped, a later one refused
-        rows = Dataset("d", TWO_COLUMNS, (0, 2, 4), THREE_ROWS, ((), ()), source_rows=5)
-        assert apply_recipe(rows, PrepRecipe(drop_row_ids=(1, 2))).ids == (0, 4)
-        with pytest.raises(RecipeError, match=r"only had rows 0\.\.4"):
-            apply_recipe(rows, PrepRecipe(drop_row_ids=(5,)))
+
+    def test_a_row_only_the_other_half_of_a_split_holds_is_refused(self):
+        # the test half's ids are all row numbers of the loaded file, and a row
+        # of the training half used to be skipped there without a word
+        ds = load_builtin("desharnais")
+        _train, test = split(ds, ds.ids[:40], ds.ids[40:])
+        with pytest.raises(RecipeError) as caught:
+            apply_recipe(test, PrepRecipe(drop_row_ids=(ds.ids[41], ds.ids[0], ds.ids[1])))
+        assert str(caught.value) == (f"recipe drops row id {ds.ids[0]}, which dataset "
+                                     f"'desharnais' does not hold")
 
     def test_nonexistent_row_id_is_an_error(self, factor_dataset):
         with pytest.raises(RecipeError):
             apply_recipe(factor_dataset, PrepRecipe(drop_row_ids=(99,)))
 
-    def test_idempotent_once_drops_applied(self):
+    def test_a_recipe_that_drops_rows_cannot_be_applied_to_its_own_result(self):
         ds = make_dataset({"x": [1, 2, 3, 4, None], "y": [5, 6, 7, 8, 9]},
                           response="y")
-        recipe = PrepRecipe(drop_rows_with_missing=True, drop_row_ids=(1,))
+        once = apply_recipe(ds, PrepRecipe(drop_rows_with_missing=True, drop_row_ids=(0, 3, 1)))
+        assert once.ids == (2,)
+        with pytest.raises(RecipeError) as caught:
+            apply_recipe(once, PrepRecipe(drop_row_ids=(0, 3, 1)))
+        assert str(caught.value) == "recipe drops row id 0, which dataset 'test' does not hold"
+        builtin = load_builtin("desharnais")
+        with pytest.raises(RecipeError, match="drops row id 25, which dataset 'desharnais'"):
+            apply_recipe(builtin, builtin_recipe("desharnais"))
+
+    def test_a_recipe_that_drops_no_row_id_gives_its_own_result_again(self):
+        ds = make_dataset({"lang": [1, 2, 3, 1, 2], "x": [1, 2, 3, 4, None], "z": [1, 1, 2, 2, 3],
+                           "y": [5, 6, 7, 8, 9]}, response="y")
+        recipe = PrepRecipe(drop_rows_with_missing=True, cast_to_categorical=("lang",),
+                            ignore_columns=("z",))
         once = apply_recipe(ds, recipe)
-        twice = apply_recipe(once, recipe)
-        assert once == twice
+        assert once.ids == (0, 1, 2, 3) and once.schema[0].kind == CATEGORICAL
+        assert apply_recipe(once, recipe) == once
 
     @given(st.lists(st.none() | st.floats() | st.sampled_from([0.0, -0.0, 1.0, 2.5]),
                     max_size=12))

@@ -22,6 +22,36 @@ def test_streams_are_independent():
     assert a != b
 
 
+def first_draws(g: Pcg32) -> list[int]:
+    return [g.next_uint32() for _ in range(4)]
+
+
+@pytest.mark.parametrize("kind", [np.int8, np.int16, np.int32, np.int64,
+                                  np.uint8, np.uint16, np.uint32, np.uint64])
+def test_a_numpy_integer_seed_or_stream_draws_as_the_python_int(kind):
+    # numpy integers used to overflow the 64-bit mask, or warn and draw numpy scalars
+    want = first_draws(Pcg32(3, stream=5))
+    for seed, stream in [(kind(3), 5), (3, kind(5)), (kind(3), kind(5))]:
+        g = Pcg32(seed, stream)
+        assert type(g.state) is int and type(g.inc) is int
+        draws = first_draws(g)
+        assert draws == want and {type(d) for d in draws} == {int}
+
+
+def test_seed_and_stream_are_taken_mod_2_to_64():
+    want = first_draws(Pcg32(3, stream=5))
+    assert first_draws(Pcg32(3 + (1 << 64), stream=5 - (1 << 64))) == want
+    assert first_draws(Pcg32(-1, stream=-1)) == first_draws(Pcg32((1 << 64) - 1, (1 << 64) - 1))
+
+
+@pytest.mark.parametrize("bad", ["a", "3", 1.5, np.float64(3.0), None, [1]])
+def test_a_seed_or_stream_that_is_no_integer_is_refused(bad):
+    for args, name in [((bad,), "seed"), ((1, bad), "stream")]:
+        with pytest.raises(ValueError) as caught:
+            Pcg32(*args)
+        assert str(caught.value) == f"{name} must be an integer, got {bad!r}"
+
+
 def test_next_below_bounds_and_determinism():
     g = Pcg32(99, stream=7)
     draws = [g.next_below(10) for _ in range(1000)]
