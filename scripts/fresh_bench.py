@@ -12,9 +12,11 @@ both.  Each launch goes through a helper process that times the child and
 reads its peak resident set size from ``getrusage(RUSAGE_CHILDREN)``.  The
 report gives the median and quartiles per tree and command, and whether
 every run of every tree exited 0 and produced the same bytes (standard
-output plus the files ``reproduce`` writes).  ``evaluate synth loocv`` runs
-on the CSV and schema that ``perfbench.synth.generate(1)`` gives, written
-into the run's temporary directory, as the csv-loocv benchmark workload does.
+output plus the files ``reproduce`` writes).  ``evaluate synth loocv`` and
+``export-folds synth loocv`` run on the CSV and schema that
+``perfbench.synth.generate(1)`` gives, written into the run's temporary
+directory, as the csv-loocv benchmark workload does; the export is the
+largest that ``export-folds`` writes among these commands.
 """
 
 from __future__ import annotations
@@ -46,6 +48,8 @@ COMMANDS = {
                                             "--plan", "holdout:10x30"],
     "evaluate synth loocv": ["evaluate", "--dataset", "projects.csv", "--schema",
                              "projects.schema", "--plan", "loocv", "--format", "json"],
+    "export-folds synth loocv": ["export-folds", "--dataset", "projects.csv", "--schema",
+                                 "projects.schema", "--plan", "loocv"],
 }
 
 

@@ -20,6 +20,7 @@ from .bundled import builtin_names, builtin_recipe, load_builtin, load_builtin_r
 from .dataset import Dataset, PrepRecipe, apply_recipe, format_number, load_csv, load_schema
 from .errors import AtlmError, ConfigError
 from .report import (
+    fold_assignment_json_text,
     result_to_csv_text,
     result_to_json_dict,
     result_to_table_text,
@@ -118,8 +119,7 @@ def _cmd_evaluate(args) -> int:
 def _cmd_export_folds(args) -> int:
     ds, _recipe = _resolve_dataset(args)
     plan = ValidationPlan.parse(args.plan, seed=args.seed)
-    assignment = generate_folds(ds, plan)
-    _emit(to_json_text(assignment.to_json_dict()), args.out)
+    _emit(fold_assignment_json_text(generate_folds(ds, plan)), args.out)
     return 0
 
 

@@ -6,10 +6,12 @@ import json
 import math
 from json.encoder import encode_basestring_ascii
 
+import numpy as np
+
 from .dataset import format_number
 from .metrics import METRIC_FIELDS, MetricReport
 from .transforms import TRANSFORM_KINDS, TransformTable
-from .validation import ValidationResult
+from .validation import FoldAssignment, ValidationResult
 
 #: column order used by the aligned summary tables
 TABLE_METRICS = (("lsd", "LSD"), ("mmre", "MMRE"),
@@ -52,18 +54,9 @@ def to_json_text(payload: dict) -> str:
     Scalars come from the C routines the json module uses: strings escaped
     to ASCII, finite floats by ``float.__repr__``, ints by ``int.__repr__``,
     and bool, None, NaN and the infinities by ``JSONEncoder``, which raises
-    TypeError for a type JSON has no form for.  A list of plain ints, the
-    row ids of a fold, is joined from one memo of id texts per call.  The
-    payload must hold no cycle."""
-    return _render(payload, "\n", _IdTexts()) + "\n"
-
-
-class _IdTexts(dict):
-    """int -> its JSON text, filled on first use."""
-
-    def __missing__(self, key: int) -> str:
-        text = self[key] = int.__repr__(key)
-        return text
+    TypeError for a type JSON has no form for.  The payload must hold no
+    cycle."""
+    return _render(payload, "\n") + "\n"
 
 
 _ENCODER = json.JSONEncoder()
@@ -79,7 +72,7 @@ def _scalar(value) -> str:
     return _ENCODER.encode(value)
 
 
-def _render(value, pad: str, ids: _IdTexts) -> str:
+def _render(value, pad: str) -> str:
     """``value`` as JSON text, its nested lines indented by ``pad`` (a
     newline and the current indent)."""
     if isinstance(value, dict):
@@ -87,20 +80,53 @@ def _render(value, pad: str, ids: _IdTexts) -> str:
             return "{}"
         inner = pad + "  "
         return "{" + inner + ("," + inner).join(
-            [f"{encode_basestring_ascii(k)}: {_render(v, inner, ids)}"
+            [f"{encode_basestring_ascii(k)}: {_render(v, inner)}"
              for k, v in sorted(value.items())]) + pad + "}"
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
         inner = pad + "  "
-        # plain ints only: a bool or an integral float would hit the memo
-        # entry of the int it equals, but is written differently
-        if list(map(type, value)).count(int) == len(value):
-            items = map(ids.__getitem__, value)
-        else:
-            items = [_render(v, inner, ids) for v in value]
-        return "[" + inner + ("," + inner).join(items) + pad + "]"
+        return "[" + inner + ("," + inner).join([_render(v, inner) for v in value]) + pad + "]"
     return _scalar(value)
+
+
+def fold_assignment_json_text(assignment: FoldAssignment) -> str:
+    """``to_json_text(assignment.to_json_dict())``, byte for byte, written
+    from the assignment's ids and test masks, each fold of which tests a row
+    (a fold with none is a ValueError).
+
+    Each id is rendered once, as a list item with its leading separator, into
+    one text.  A fold's test items are looked up, and its training items, the
+    runs of rows between its test rows, are slices of the text, so a fold
+    costs Python work in its test size, not in the row count.  A list's first
+    item drops its separator's comma."""
+    items = [",\n        " + int.__repr__(i) for i in assignment.ids]
+    text = "".join(items)
+    starts = np.cumsum([0, *map(len, items)])  # item i spans starts[i]:starts[i + 1]
+    tests = assignment.tests
+    rows = np.nonzero(tests)[1]  # each fold's test rows, folds in order
+    positions = rows.tolist()
+    edges = np.column_stack((starts[rows], starts[rows + 1])).ravel().tolist()
+    parts = ['{\n  "dataset_fingerprint": ',
+             encode_basestring_ascii(assignment.dataset_fingerprint), ',\n  "folds": [']
+    begin = 0
+    for end in np.cumsum(np.count_nonzero(tests, axis=1)).tolist():
+        first, *rest = positions[begin:end]
+        parts += (',\n    {\n      "test": [' if begin else '\n    {\n      "test": [',
+                  items[first][1:], *map(items.__getitem__, rest), '\n      ],\n      "train": ')
+        # the training items, the runs between test rows, span cuts[0]:cuts[1], cuts[2]:cuts[3], ...
+        cuts = [0, *edges[2 * begin:2 * end], len(text)]
+        spans = [(a, b) for a, b in zip(cuts[::2], cuts[1::2]) if a < b]
+        if spans:
+            (a, b), *spans = spans
+            parts += ("[", text[a + 1:b], *[text[a:b] for a, b in spans], "\n      ]\n    }")
+        else:
+            parts.append("[]\n    }")
+        begin = end
+    parts += ("\n  ]" if len(tests) else "]", ',\n  "plan": ',
+              encode_basestring_ascii(assignment.plan.label()),
+              ',\n  "seed": ', int.__repr__(assignment.plan.seed), "\n}\n")
+    return "".join(parts)
 
 
 def _metric_cells(r: MetricReport) -> str:

@@ -7,9 +7,10 @@ models evaluated under the same plan see byte-identical splits.
 
 A plan's folds are one (folds x rows) boolean mask of test rows over row
 positions, from generation to scoring; a fold trains on the rows its mask
-leaves out.  Row ids appear only in :func:`generate_folds`, which formats
-the masks as (train ids, test ids) tuples for export, and in the
-:class:`~atlm.pipeline.PredictionSet` of each fold.
+leaves out.  A :class:`FoldAssignment` holds the masks with the dataset's ids;
+row ids appear only where its folds are read as (train ids, test ids)
+tuples or written as export JSON (``report.fold_assignment_json_text``),
+and in the :class:`~atlm.pipeline.PredictionSet` of each fold.
 
 A call computes the fingerprint once and fits and scores in one pass a
 plan's folds, or an experiment's runs as their stacked masks, each fold to
@@ -47,6 +48,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -136,14 +138,35 @@ class ValidationPlan:
         raise PlanError(f"unknown plan {text!r}; expected loocv, kfold:K or holdout:SxR")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FoldAssignment:
+    """A plan's folds over a dataset: the dataset's row ``ids`` and the plan's
+    (folds x rows) boolean ``tests`` mask over their positions, which
+    :func:`generate_folds` makes read-only.  A fold trains on the rows its
+    mask leaves out."""
+
     plan: ValidationPlan
     dataset_fingerprint: str
-    folds: tuple
+    ids: tuple[int, ...]
+    tests: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.folds)
+        return len(self.tests)
+
+    def __eq__(self, other) -> bool:
+        """Same plan, fingerprint, ids and test masks."""
+        return isinstance(other, FoldAssignment) and (
+            (self.plan, self.dataset_fingerprint, self.ids)
+            == (other.plan, other.dataset_fingerprint, other.ids)
+            and np.array_equal(self.tests, other.tests))
+
+    @cached_property
+    def folds(self) -> tuple:
+        """Each fold as a (train ids, test ids) pair, both sides in the
+        dataset's row order."""
+        ids = np.array(self.ids, dtype=object)  # ints of any size, as they are
+        return tuple((tuple(ids[~test].tolist()), tuple(ids[test].tolist()))
+                     for test in self.tests)
 
     def to_json_dict(self) -> dict:
         return {
@@ -194,20 +217,11 @@ def _fingerprint(ds: Dataset, plans: list) -> str:
 
 
 def generate_folds(ds: Dataset, plan: ValidationPlan) -> FoldAssignment:
-    """The plan's folds as (train ids, test ids) pairs, both sides in the
-    dataset's row order."""
+    """The plan's folds over ``ds``, as its ids and the plan's read-only test masks."""
     fingerprint = _fingerprint(ds, [plan])
     tests = _test_masks(ds, plan, fingerprint)
-    # a fold whose test rows are one run, as every LOOCV fold's are, is sliced
-    # from the ids, which reuses their int objects; any other is gathered, as
-    # slicing at each of the scattered runs of k-fold measured slower
-    ids, gather = ds.ids, np.array(ds.ids)
-    runs = zip(tests.argmax(axis=1).tolist(), (len(ids) - tests[:, ::-1].argmax(axis=1)).tolist(),
-               np.count_nonzero(tests, axis=1).tolist())
-    return FoldAssignment(plan, fingerprint, tuple(
-        (ids[:a] + ids[b:], ids[a:b]) if b - a == size
-        else (tuple(gather[~test].tolist()), tuple(gather[test].tolist()))
-        for test, (a, b, size) in zip(tests, runs)))
+    tests.flags.writeable = False
+    return FoldAssignment(plan, fingerprint, ds.ids, tests)
 
 
 @dataclass(frozen=True)

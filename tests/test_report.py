@@ -21,7 +21,8 @@ SCALARS = st.one_of(
     st.floats(), EDGE_FLOATS,
     st.text(), st.text(st.characters(max_codepoint=0x1F)),  # control characters
 )
-#: lists of ints with values that hash like ints: bools and integral floats
+#: lists of ints mixed with values that equal ints but are written otherwise:
+#: bools and integral floats
 ID_LISTS = st.lists(st.one_of(st.integers(-3, 300), st.booleans(),
                               st.sampled_from([0.0, 1.0, 2.0])))
 

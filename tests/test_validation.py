@@ -5,6 +5,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -21,6 +22,7 @@ from atlm.errors import (AtlmError, FitError, MetricError, MissingValueError, Pl
 from atlm.linear import INTERCEPT, SINGULAR_FACTOR
 from atlm.metrics import report
 from atlm.pipeline import PredictionSet, atlm_fit, atlm_predict
+from atlm.report import fold_assignment_json_text
 from atlm.rng import Pcg32
 from atlm.validation import (
     CvRunSummary,
@@ -120,15 +122,19 @@ def reference_folds(ds, plan):
                  for test in tests)
 
 
+def ids_dataset(ids):
+    """A linear dataset whose rows carry ``ids``; for positive ids every
+    response is positive, so every fitted fold can be scored."""
+    return Dataset.from_columns("gaps", linear_dataset(1).schema, ids,
+                                [[float(i) for i in ids], [3.0 * i + 5 for i in ids]])
+
+
 @st.composite
 def split_plans(draw):
     """A dataset of 2 to 90 rows with gaps in its ids, and a k-fold or
     holdout plan that fits it."""
     n = draw(st.integers(2, 90))
-    ids = draw(st.permutations(range(n + 3)))[:n]
-    # responses are positive, so every fitted fold can be scored
-    ds = Dataset.from_columns("gaps", linear_dataset(1).schema, ids,
-                              [[float(i) for i in ids], [3.0 * i + 5 for i in ids]])
+    ds = ids_dataset(draw(st.permutations(range(n + 3)))[:n])
     seed = draw(st.integers(0, (1 << 64) - 1))
     if draw(st.booleans()):
         plan = ValidationPlan(kind="kfold", seed=seed, k=draw(st.integers(2, n)))
@@ -191,6 +197,9 @@ class TestGenerateFolds:
 
     @given(split_plans())
     @settings(max_examples=150, deadline=None)
+    # ids below 0 and at or above 2**63: numpy converts them together to floats
+    @example((ids_dataset([-5, 0, (1 << 63) + 1, 12, 3, 7]),
+              ValidationPlan(kind="kfold", k=3, seed=2)))
     def test_equal_to_scalar_shuffles_of_the_ids(self, case):
         ds, plan = case
         assert generate_folds(ds, plan).folds == reference_folds(ds, plan)
@@ -201,6 +210,59 @@ class TestGenerateFolds:
                              response="y")
         b = generate_folds(other, ValidationPlan(kind="kfold", k=4, seed=1))
         assert a.folds != b.folds
+
+
+@st.composite
+def loocv_plans(draw):
+    """A dataset of 1 to 90 rows with gaps in its ids, and a LOOCV plan."""
+    n = draw(st.integers(1, 90))
+    return (ids_dataset(draw(st.permutations(range(n + 3)))[:n]),
+            ValidationPlan(kind="loocv", seed=draw(st.integers(0, (1 << 64) - 1))))
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+class TestFoldAssignment:
+    @given(st.one_of(split_plans(), loocv_plans()))
+    @settings(max_examples=200, deadline=None)
+    @example((ids_dataset([7]), ValidationPlan(kind="loocv")))  # trains on []
+    @example((ids_dataset([0, 2, 5, 9]), ValidationPlan(kind="kfold", k=4, seed=3)))
+    @example((ids_dataset([4, 1, 8, 3, 6]),
+              ValidationPlan(kind="holdout", test_size=4, repeats=3, seed=9)))
+    @example((ids_dataset([-5, 0, (1 << 64) + 3, 12, -(1 << 70), 1 << 63]),
+              ValidationPlan(kind="kfold", k=3, seed=2)))
+    @example((ids_dataset([-5, 0, (1 << 64) + 3, 12, -(1 << 70), 1 << 63]),
+              ValidationPlan(kind="loocv")))
+    def test_json_text_equals_json_dumps(self, case):
+        assignment = generate_folds(*case)
+        assert fold_assignment_json_text(assignment) == \
+            json.dumps(assignment.to_json_dict(), indent=2, sort_keys=True) + "\n"
+
+    def test_equal_for_one_dataset_and_plan_only(self):
+        ds = load_builtin("desharnais")
+        plan = ValidationPlan(kind="holdout", test_size=10, repeats=5, seed=3)
+        a, b = generate_folds(ds, plan), generate_folds(ds, plan)
+        assert a == b and a is not b
+        assert a != generate_folds(ds, replace(plan, seed=4))
+        assert a != generate_folds(load_builtin("maxwell"), plan)
+
+    def test_test_masks_cannot_be_written(self):
+        assignment = generate_folds(linear_dataset(6), ValidationPlan(kind="loocv"))
+        with pytest.raises(ValueError, match="read-only"):
+            assignment.tests[0, 1] = True
+
+    @pytest.mark.parametrize("plan", ["loocv", "kfold:10", "holdout:10x30"])
+    @pytest.mark.parametrize("name", ["cocomo81", "desharnais", "maxwell"])
+    def test_folds_and_json_dict_equal_the_golden_export(self, name, plan):
+        # export-folds writes these files without to_json_dict or folds, so
+        # this ties both to the same bytes
+        golden = (GOLDEN / f"export_folds_{plan.replace(':', '_')}_{name}.json").read_text()
+        assignment = generate_folds(load_builtin(name), ValidationPlan.parse(plan))
+        folds = json.loads(golden)["folds"]
+        assert len(assignment) == len(folds)
+        assert assignment.folds == tuple((tuple(f["train"]), tuple(f["test"])) for f in folds)
+        assert json.dumps(assignment.to_json_dict(), indent=2, sort_keys=True) + "\n" == golden
 
 
 class TestRunValidation:
