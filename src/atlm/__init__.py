@@ -8,6 +8,13 @@ needed to benchmark other models against it on shared splits.
 
 Model internals live in :mod:`atlm.linear` and :mod:`atlm.transforms`, and a
 :class:`PredictionSet` is scored with :func:`atlm.metrics.report`.
+
+The result records are outputs: :class:`AtlmModel`, :class:`TransformTable`,
+:class:`MetricReport`, :class:`MetricSummary`, :class:`FoldOutcome`,
+:class:`ValidationResult`, :class:`CvRunSummary` and :class:`FoldAssignment`
+are built by the package, and their fields are not checked; the renderers of
+:mod:`atlm.report` take them as the package built them.  A model is also the
+input of :func:`atlm_predict`, which checks the type of each of its two fields.
 """
 
 from .bundled import builtin_names, builtin_recipe, load_builtin, load_builtin_raw

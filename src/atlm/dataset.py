@@ -19,6 +19,10 @@ whether it is well formed.  They are worked out once, when the schema is
 built; every dataset derived from it (splits, transformed copies) carries
 the same schema object, so no per-fold step looks a column up by name or
 works the positions out again.
+
+:func:`load_csv` reads a plain file with one ``np.loadtxt`` pass, and any
+other file with ``csv.reader``, the reference for every value and error
+message.  :func:`apply_recipe` returns its input when the recipe changes nothing.
 """
 
 from __future__ import annotations
@@ -398,10 +402,16 @@ def load_csv(path: str | Path, schema: tuple[ColumnSchema, ...],
     cells become missing markers to be resolved by a recipe.  A bad record
     or cell raises ParseError naming the first one, row by row.
 
-    Cells are parsed a whole column at a time.  ``float`` ignores surrounding
-    whitespace and no missing marker parses as a number, so a numeric column
-    that ``float`` takes whole needs no stripping; only a column where it
-    fails is stripped and tested for markers cell by cell.
+    A plain file, with no quote, carriage return, NUL or two commas in a row,
+    at least one data line and no more text than ``csv.field_size_limit()``,
+    is read by one ``np.loadtxt`` pass, which gives every cell the value the
+    csv path gives it.  Any other file, and a plain one with a cell that pass
+    refuses, a missing marker or a non-finite number, is read by ``csv.reader``:
+    the path that reads every file and words every error.  There, cells are
+    parsed a whole column at a time.  ``float`` ignores surrounding whitespace
+    and no missing marker parses as a number, so a numeric column that
+    ``float`` takes whole needs no stripping; only a column where it fails is
+    stripped and tested for markers cell by cell.
     """
     path, schema = _path(path, ParseError, "data"), Schema(schema)
     text = _read_text(path, ParseError, "data")
@@ -424,27 +434,72 @@ def load_csv(path: str | Path, schema: tuple[ColumnSchema, ...],
             + (f"; unexpected {sorted(extra)}" if extra else "")
             + (f"; repeated {sorted(repeated)}" if repeated else ""))
     fields = [(col.name, col.kind == NUMERIC, header.index(col.name)) for col in schema]
+    plain = _read_plain(text, fields) if _is_plain(text) else None
+    if plain is not None:
+        values, levels = plain
+    else:  # the csv path
+        try:
+            body = [record for record in reader if record]
+            if set(map(len, body)) - {len(header)}:
+                raise ValueError("a record of the wrong width")
+            cells = list(zip(*body)) or [()] * len(header)
+            columns = [_parse_column(cells[src], numeric) for _name, numeric, src in fields]
+            values, levels = _matrix(schema, columns)
+            # each missing marker is one NaN, so a column whose non-finite cells
+            # outnumber its markers holds a number that is not finite
+            counts = np.count_nonzero(~np.isfinite(values), axis=1).tolist()
+            if any(n and n != column.count(None) for n, column in zip(counts, columns)):
+                raise ValueError("a number that is not finite")
+        except (ValueError, csv.Error):
+            # name the first bad record or cell from a fresh reader; a record that
+            # the reader itself refuses is a bad record too
+            reader = csv.reader(io.StringIO(text, newline=""))
+            next(reader)
+            _raise_first_bad_cell(path, reader, len(header), fields)
+            raise
+    return Dataset(name if name is not None else path.stem, schema,
+                   tuple(range(values.shape[1])), values, levels)
+
+
+def _is_plain(text: str) -> bool:
+    """Whether numpy's C reader may read the file: not where it could split a
+    record otherwise than csv.reader (a quote, a carriage return, a NUL), where
+    a field could pass the csv size limit, or where no line follows the header
+    (numpy warns).  Nor where two commas make an empty cell, which it would
+    refuse in a numeric column after a wasted attempt; on a 200-row file a
+    vector pass finds them in less than half the time of a substring search."""
+    if (len(text) > csv.field_size_limit() or "\n" not in text.rstrip("\n")
+            or '"' in text or "\r" in text or "\0" in text):
+        return False
+    comma = np.frombuffer(text.encode(), np.uint8) == ord(",")
+    return not (comma[1:] & comma[:-1]).any()
+
+
+def _read_plain(text: str, fields):
+    """``values`` and ``levels`` from one ``np.loadtxt`` pass over plain text,
+    whose records are its non-empty lines split at commas, as csv.reader splits
+    them; or None where the pass refuses a record or cell, or reads a missing
+    marker or a non-finite number.  It strips what ``str.strip`` strips, and
+    reads only ASCII numbers without underscores, each to the float ``float``
+    gives.  A factor's cells are stripped and coded as on the csv path."""
     try:
-        body = [record for record in reader if record]
-        if set(map(len, body)) - {len(header)}:
-            raise ValueError("a record of the wrong width")
-        cells = list(zip(*body)) or [()] * len(header)
-        columns = [_parse_column(cells[src], numeric) for _name, numeric, src in fields]
-        values, levels = _matrix(schema, columns)
-        # each missing marker is one NaN, so a column whose non-finite cells
-        # outnumber its markers holds a number that is not finite
-        counts = np.count_nonzero(~np.isfinite(values), axis=1).tolist()
-        if any(n and n != column.count(None) for n, column in zip(counts, columns)):
-            raise ValueError("a number that is not finite")
-    except (ValueError, csv.Error):
-        # name the first bad record or cell from a fresh reader; a record that
-        # the reader itself refuses is a bad record too
-        reader = csv.reader(io.StringIO(text, newline=""))
-        next(reader)
-        _raise_first_bad_cell(path, reader, len(header), fields)
-        raise
-    return Dataset(name if name is not None else path.stem, schema, tuple(range(len(body))),
-                   values, levels)
+        # a schema that repeats a name repeats a field name, which np.dtype
+        # refuses: the csv path reads that file, and the constructor names the fault
+        dtype = np.dtype([(f"f{src}", float if numeric else object)
+                          for src, numeric in sorted((s, n) for _name, n, s in fields)])
+        table = np.loadtxt(io.StringIO(text), dtype=dtype, delimiter=",", skiprows=1,
+                           comments=None, quotechar=None, ndmin=1)
+    except ValueError:
+        return None
+    values, levels = np.empty((len(fields), len(table))), []
+    for row, (_name, numeric, src) in zip(values, fields):
+        if numeric:
+            row[:], names = table[f"f{src}"], ()
+        else:  # a marker's code is None, a NaN in the row
+            row[:], names = _codes(_parse_column(table[f"f{src}"].tolist(), False))
+        levels.append(names)
+    # a missing marker is a NaN, and so is a NaN, inf or overflowing number
+    return (values, tuple(levels)) if np.isfinite(values).all() else None
 
 
 def _parse_column(cells, numeric: bool) -> list:
@@ -554,7 +609,12 @@ def _has_type(value, want) -> bool:
 
 
 def apply_recipe(raw: Dataset, recipe: PrepRecipe) -> Dataset:
-    """Drop rows, re-type and ignore columns, designate the response."""
+    """Drop rows, re-type and ignore columns, designate the response.
+
+    A recipe that keeps the schema and drops and casts nothing, such as
+    ``PrepRecipe()`` or one that only holds notes, returns ``raw`` itself (a
+    dataset is immutable).  Either way, a missing cell left in an active column
+    is a RecipeError that names it."""
     _instance(raw, Dataset, SchemaError, "a raw dataset")
     _instance(recipe, PrepRecipe, RecipeError, "a recipe")
     known = raw.schema.index
@@ -587,20 +647,22 @@ def apply_recipe(raw: Dataset, recipe: PrepRecipe) -> Dataset:
     if schema == list(raw.schema):  # unchanged: share the schema and its positions
         schema = raw.schema
 
-    # the result is built once, from the kept rows' cells; a cast's levels
-    # follow first appearance among the rows that the drop list keeps
-    drop = set(recipe.drop_row_ids)
-    rows = np.flatnonzero([rid not in drop for rid in raw.ids])
-    values, levels = raw.values[:, rows], list(raw.levels)
-    for i in [i for i, (c, old) in enumerate(zip(schema, raw.schema)) if c.kind != old.kind]:
-        cells = [None if math.isnan(v) else v for v in values[i].tolist()]
-        labels = {v: v if v is None else _category_label(v) for v in dict.fromkeys(cells)}
-        values[i], levels[i] = _codes(list(map(labels.__getitem__, cells)))
-    if recipe.drop_rows_with_missing:
-        full = ~np.isnan(values).any(axis=0)
-        rows, values = rows[full], values[:, full]
-    ds = Dataset(raw.name, schema, tuple(map(raw.ids.__getitem__, rows.tolist())), values,
-                 tuple(levels))
+    ds = raw  # when nothing changes: a dataset is immutable, so it is shared as it is
+    if schema is not raw.schema or recipe.drop_row_ids or recipe.drop_rows_with_missing:
+        # the result is built once, from the kept rows' cells; a cast's levels
+        # follow first appearance among the rows that the drop list keeps
+        drop = set(recipe.drop_row_ids)
+        rows = np.flatnonzero([rid not in drop for rid in raw.ids])
+        values, levels = raw.values[:, rows], list(raw.levels)
+        for i in [i for i, (c, old) in enumerate(zip(schema, raw.schema)) if c.kind != old.kind]:
+            cells = [None if math.isnan(v) else v for v in values[i].tolist()]
+            labels = {v: v if v is None else _category_label(v) for v in dict.fromkeys(cells)}
+            values[i], levels[i] = _codes(list(map(labels.__getitem__, cells)))
+        if recipe.drop_rows_with_missing:
+            full = ~np.isnan(values).any(axis=0)
+            rows, values = rows[full], values[:, full]
+        ds = Dataset(raw.name, schema, tuple(map(raw.ids.__getitem__, rows.tolist())), values,
+                     tuple(levels))
 
     gap = ds._first_gap(non_finite=False)
     if gap is not None:

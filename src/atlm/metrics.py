@@ -38,6 +38,9 @@ METRIC_FIELDS = ("mmre", "pred25", "lsd", "re_star", "sa", "mar")
 
 @dataclass(frozen=True)
 class MetricReport:
+    """The error measures of one prediction set.  An output record, built by
+    the package and not checked (see :mod:`atlm`)."""
+
     n: int
     mmre: float
     pred25: float
@@ -52,7 +55,8 @@ class MetricReport:
 
 @dataclass(frozen=True)
 class MetricSummary:
-    """Per-metric mean and n-1 standard deviation across fold reports."""
+    """Per-metric mean and n-1 standard deviation across fold reports.
+    An output record, built by the package and not checked (see :mod:`atlm`)."""
 
     means: dict
     stds: dict

@@ -33,6 +33,10 @@ from .transforms import (
 
 @dataclass(frozen=True)
 class AtlmModel:
+    """A fitted model, as :func:`atlm_fit` builds it.  :func:`atlm_predict` checks
+    that ``transforms`` is a TransformTable and ``linear`` a FittedLinearModel (a
+    PredictionError otherwise) and takes their contents as ``atlm_fit`` built them."""
+
     transforms: TransformTable
     linear: FittedLinearModel
 
@@ -130,6 +134,8 @@ def atlm_fit(training: Dataset) -> AtlmModel:
 def atlm_predict(model: AtlmModel, test: Dataset) -> PredictionSet:
     """Predict the test rows on the original response scale."""
     _instance(model, AtlmModel, PredictionError, "a model")
+    _instance(model.transforms, TransformTable, PredictionError, "a model's transforms")
+    _instance(model.linear, FittedLinearModel, PredictionError, "a model's linear fit")
     _instance(test, Dataset, SchemaError, "test data").require_no_missing("predict")
     transformed = apply_transforms(model.transforms, test)
     raw = linear_predict(model.linear, transformed)

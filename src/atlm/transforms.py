@@ -119,7 +119,8 @@ class TransformEntry(NamedTuple):
 
 @dataclass(frozen=True)
 class TransformTable:
-    """Per-variable transform choices computed from one training dataset."""
+    """Per-variable transform choices computed from one training dataset.
+    An output record, built by the package and not checked (see :mod:`atlm`)."""
 
     entries: dict
     response: str

@@ -143,7 +143,8 @@ class FoldAssignment:
     """A plan's folds over a dataset: the dataset's row ``ids`` and the plan's
     (folds x rows) boolean ``tests`` mask over their positions, which
     :func:`generate_folds` makes read-only.  A fold trains on the rows its
-    mask leaves out."""
+    mask leaves out.  An output record, built by the package and not checked
+    (see :mod:`atlm`)."""
 
     plan: ValidationPlan
     dataset_fingerprint: str
@@ -231,6 +232,7 @@ class FoldOutcome:
     A successful fold has ``predictions``, plus a metric ``report`` under
     k-fold and holdout plans.  A failed fold has the ``code`` and
     ``message`` of the error that stopped it, and no predictions.
+    An output record, built by the package and not checked (see :mod:`atlm`).
     """
 
     fold: int
@@ -246,6 +248,10 @@ class FoldOutcome:
 
 @dataclass(frozen=True)
 class ValidationResult:
+    """A plan's fold outcomes over one dataset, with their pooled report (LOOCV)
+    or summary (k-fold and holdout).  An output record, built by the package
+    and not checked (see :mod:`atlm`)."""
+
     dataset_name: str
     dataset_fingerprint: str
     plan: ValidationPlan
@@ -481,6 +487,9 @@ def run_validation(ds: Dataset, plan: ValidationPlan) -> ValidationResult:
 
 @dataclass(frozen=True)
 class CvRunSummary:
+    """One run of :func:`repeat_cv_experiment`.  An output record, built by the
+    package and not checked (see :mod:`atlm`)."""
+
     run: int
     seed: int
     re_star_mean: float
@@ -492,7 +501,13 @@ class CvRunSummary:
 def repeat_cv_experiment(ds: Dataset, k: int, runs: int,
                          base_seed: int = 1) -> tuple[CvRunSummary, ...]:
     """Independent k-fold runs with seeds base_seed, base_seed+1, ..., fitted in one
-    pass; a bad run count or seed, then :func:`run_validation`'s refusals, come first."""
+    pass; a bad run count or seed, then :func:`run_validation`'s refusals, come first.
+
+    The run count has no upper bound, as a holdout plan's repeats have none.  The
+    runs' plans and fold masks are held at once, so time and memory grow in
+    proportion to ``runs``, and a count too large for memory ends in MemoryError
+    rather than a PlanError: the largest count that fits depends on the dataset
+    and the machine, so no bound stated here could be exact."""
     runs = _integer("runs", runs, PlanError)
     base_seed = _integer("base_seed", base_seed, PlanError)
     if runs < 2:

@@ -300,7 +300,8 @@ class TestErrorContract:
     @pytest.mark.parametrize("text, line", [
         ('"' + "x" * (csv.field_size_limit() + 1) + '",b,y\n1,1,1\n', 1),
         ("a,b,y\n1,1,1\n2,\"" + "9" * (csv.field_size_limit() + 1) + '",1\n', 3),
-    ], ids=["header", "record"])
+        ("a,b,y\n1,1,1\n2," + "9" * (csv.field_size_limit() + 1) + ",1\n", 3),
+    ], ids=["header", "record", "unquoted"])
     def test_a_field_over_the_csv_size_limit_is_one_parse_error(self, tmp_path, capsys,
                                                                  text, line):
         assert run_on_csv(tmp_path, text, ["inspect"]) == 2

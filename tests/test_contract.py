@@ -31,7 +31,7 @@ from atlm.dataset import (ColumnSchema, Dataset, PrepRecipe, apply_recipe, load_
 from atlm.errors import (AtlmError, ConfigError, DegenerateSampleError, FitError, MetricError,
                          ParseError, PlanError, PredictionError, RecipeError, SchemaError)
 from atlm.linear import DesignMatrix, fit_ols
-from atlm.pipeline import PredictionSet, atlm_fit, atlm_predict
+from atlm.pipeline import AtlmModel, PredictionSet, atlm_fit, atlm_predict
 from atlm.transforms import (TransformTable, apply_transforms, calculate_transforms,
                              invert_predictions, skewness_b1)
 from atlm.validation import ValidationPlan, generate_folds, repeat_cv_experiment, run_validation
@@ -200,6 +200,7 @@ def without(table: TransformTable, variable: str) -> TransformTable:
 
 TABLE = calculate_transforms(DATASET)
 EMPTY = PredictionSet((), [], [])
+MODEL = CALLS["atlm_predict"][1]["model"]
 
 #: (call, error class, message) of refusals that no other test reaches
 REFUSALS = {
@@ -225,6 +226,12 @@ REFUSALS = {
     "an unknown bundled dataset": (
         lambda: load_builtin_raw("nope"), ConfigError,
         "unknown bundled dataset 'nope'; available: cocomo81, desharnais, maxwell"),
+    "a model without a transform table": (
+        lambda: atlm_predict(AtlmModel(MODEL.linear, MODEL.linear), COCOMO81), PredictionError,
+        "a model's transforms must be of type TransformTable, got FittedLinearModel"),
+    "a model without a linear fit": (
+        lambda: atlm_predict(AtlmModel(MODEL.transforms, None), COCOMO81), PredictionError,
+        "a model's linear fit must be of type FittedLinearModel, got NoneType"),
     "pred of no rows": (lambda: metrics.pred(EMPTY), MetricError, "empty prediction set"),
     "mar of no rows": (lambda: metrics.mar(EMPTY), MetricError, "empty prediction set"),
     "sa of no rows": (lambda: metrics.sa(EMPTY, [1.0]), MetricError, "empty prediction set"),

@@ -109,6 +109,16 @@ def test_a_repeated_header_name_is_named(tmp_path, header, names, reason):
         assert str(caught.value) == f"{path}: header does not match schema{reason}"
 
 
+def test_a_schema_that_repeats_a_name_is_refused_by_the_constructor(tmp_path):
+    path = write_small_csv(tmp_path, "x,x,y\n1,2,3\n")
+    schema = [ColumnSchema("x", NUMERIC), ColumnSchema("x", NUMERIC),
+              ColumnSchema("y", NUMERIC, RESPONSE)]
+    for loader in (load_csv, reference_load_csv):
+        with pytest.raises(SchemaError) as caught:
+            loader(path, schema)
+        assert str(caught.value) == "duplicate column names in 'small'"
+
+
 def reference_load_csv(path, schema, name=None) -> Dataset:
     """The cell-by-cell loader: strip, missing test, ``float`` and
     ``math.isfinite`` for each cell, record by record.  An error of the csv
@@ -180,6 +190,8 @@ NUMBERS = (st.floats(allow_nan=False, allow_infinity=False).map(repr)
 NON_FINITE = st.sampled_from(["nan", "NaN", "inf", "-inf", "Infinity", "1e999", "-1e999"])
 MISSING = st.sampled_from(MISSING_TOKENS + ("na", "N/A"))
 LABELS = st.sampled_from(["a", "b", "c,d", 'say "hi"', "é", "1.0", "x\ny"])
+#: labels that need no quotes
+PLAIN_LABELS = st.sampled_from(["a", "b", "é", "1.0", "#x", "a b"])
 
 
 def quoted(cell: str, force: bool) -> str:
@@ -193,11 +205,13 @@ def csv_files(draw):
     """(CSV text, schema): padded numbers and labels, padded missing markers,
     blank lines and quoted cells, with CRLF or LF line ends.  In half the
     files a cell may also be NaN, infinite or unparseable, or a record short
-    or long."""
+    or long.  Half the files are plain, as numpy's C reader takes them: LF line
+    ends and no quoted cell."""
     def one_in(k: int) -> bool:
         return draw(st.integers(1, k)) == 1
 
-    faulty = draw(st.booleans())
+    faulty, plain = draw(st.booleans()), draw(st.booleans())
+    labels = PLAIN_LABELS if plain else LABELS
     kinds = draw(st.lists(st.sampled_from([NUMERIC, CATEGORICAL]), max_size=3))
     schema = [ColumnSchema(f"c{i}", kind) for i, kind in enumerate(kinds)]
     schema.append(ColumnSchema("y", NUMERIC, RESPONSE))
@@ -209,16 +223,16 @@ def csv_files(draw):
         cells = []
         for col in order:
             if faulty and one_in(12):
-                text = draw(NON_FINITE | LABELS)
-            elif one_in(6):
+                text = draw(NON_FINITE | labels)
+            elif one_in(24 if plain else 6):  # a marker sends a plain file to csv.reader
                 text = draw(MISSING)
             else:
-                text = draw(NUMBERS if col.kind == NUMERIC else LABELS)
-            cells.append(quoted(draw(PADS) + text + draw(PADS), one_in(8)))
+                text = draw(NUMBERS if col.kind == NUMERIC else labels)
+            cells.append(quoted(draw(PADS) + text + draw(PADS), not plain and one_in(8)))
         if faulty and one_in(10):
             cells = cells[:-1] if draw(st.booleans()) else cells + ["1"]
         lines.append(",".join(cells))
-    end = draw(st.sampled_from(["\n", "\r\n"]))
+    end = "\n" if plain else draw(st.sampled_from(["\n", "\r\n"]))
     return end.join(lines) + draw(st.sampled_from(["", end])), tuple(schema)
 
 
@@ -238,6 +252,7 @@ def load_both(text: str, schema) -> tuple:
 
 SCHEMA_XFY = (ColumnSchema("x", NUMERIC), ColumnSchema("f", CATEGORICAL),
               ColumnSchema("y", NUMERIC, RESPONSE))
+SCHEMA_Y = (ColumnSchema("y", NUMERIC, RESPONSE),)
 
 
 @given(csv_files())
@@ -252,12 +267,57 @@ SCHEMA_XFY = (ColumnSchema("x", NUMERIC), ColumnSchema("f", CATEGORICAL),
 @example(("x,f,y\n1,a,inf\n1e999,a,2\n", SCHEMA_XFY))  # the later column, the earlier row
 @example(("x,f,y\n1,a,NA\n1,a,abc\n2,a,nan\n", SCHEMA_XFY))  # a marker, then bad cells
 @example(("x,f,y\n?,a,1\nNA,a,2\nnan,a,3\n", SCHEMA_XFY))  # two markers, then a nan number
+# plain LF files, which numpy's C reader reads first
+@example(("x,f,y\n1,a,2\n \t\n3,b,4\n", SCHEMA_XFY))  # a whitespace-only line
+@example(("y\n1\n \t\n2\n", SCHEMA_Y))  # ... which is a missing cell in one column
+@example(("x,f,y\n\x1c1\x1c,a,\xa02\xa0\n\x1f 3,b,4\u2003\n", SCHEMA_XFY))  # padded numbers
+@example(("x,f,y\n1_000,a,2\n", SCHEMA_XFY))
+@example(("x,f,y\n0x10,a,2\n", SCHEMA_XFY))
+@example(("x,f,y\n\u0661\u0662,a,2\n", SCHEMA_XFY))  # Arabic-Indic digits
+@example(("x,f,y\n1,a,2\n3,b,1e999\n", SCHEMA_XFY))
+@example(("x,f,y\n1,NA,2\n3, ? ,4\n", SCHEMA_XFY))  # factor markers
+@example(("x,f,y\n1,#a,2\n2,b # c,3\n", SCHEMA_XFY))  # a level holding #
+@example(("x,f,y\n\n\n", SCHEMA_XFY))  # a header, then only blank lines
 def test_load_csv_equals_the_cell_by_cell_loader(file):
     text, schema = file
     fast, reference = load_both(text, schema)
     assert fast == reference
     if isinstance(fast, Dataset):
         assert fast.values.tobytes() == reference.values.tobytes()  # -0.0 and NaN bits too
+
+
+@pytest.fixture
+def loadtxt_calls(monkeypatch) -> list:
+    """One entry per ``np.loadtxt`` call made while the test runs."""
+    calls, loadtxt = [], np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda *args, **kwargs: calls.append(1) or
+                        loadtxt(*args, **kwargs))
+    return calls
+
+
+@pytest.mark.parametrize("text, c_reads", [
+    ("x,f,y\n1,a,2\n\n3,b,4", 1),  # plain: one np.loadtxt pass
+    ("x,f,y\n1,a,2\n3,b,4e999\n", 1),  # ... which a non-finite number sends on
+    ('x,f,y\n1,"a",2\n', 0),  # a quote
+    ("x,f,y\r\n1,a,2\r\n", 0),  # a carriage return
+    ("x,f,y\n1,a\x00,2\n", 0),  # a NUL
+    ("x,f,y\n1,,2\n", 0),  # an empty cell between two commas
+    ("x,f,y\n,a,2\n", 1),  # an empty first cell, which np.loadtxt refuses
+    ("x,f,y\n1,a,", 1),  # an empty last cell
+    ("x,f,y\n\n", 0),  # no data line
+    ("x,f,y\n1,a," + "9" * csv.field_size_limit() + "\n", 0),  # past the csv size limit
+])
+def test_numpy_reads_only_plain_text(loadtxt_calls, text, c_reads):
+    fast, reference = load_both(text, SCHEMA_XFY)
+    assert fast == reference
+    assert len(loadtxt_calls) == c_reads
+
+
+@pytest.mark.parametrize("name, c_reads", [("cocomo81", 1), ("desharnais", 0), ("maxwell", 1)])
+def test_only_the_bundled_file_with_empty_cells_goes_to_the_csv_reader(loadtxt_calls, name,
+                                                                       c_reads):
+    load_builtin_raw(name)
+    assert len(loadtxt_calls) == c_reads
 
 
 def test_a_bad_cell_is_named_before_a_later_record_stops_the_reader():
@@ -658,8 +718,14 @@ def test_fingerprint_ignores_display_name():
 
 class TestApplyRecipe:
     def test_identity_recipe_keeps_rows(self, factor_dataset):
-        out = apply_recipe(factor_dataset, PrepRecipe())
-        assert out == factor_dataset
+        # a recipe that changes nothing returns the dataset it was given
+        assert apply_recipe(factor_dataset, PrepRecipe()) is factor_dataset
+
+    def test_a_notes_only_recipe_returns_the_raw_dataset_as_it_was(self):
+        raw = load_builtin_raw("cocomo81")
+        prepared = apply_recipe(raw, builtin_recipe("cocomo81"))
+        assert prepared is raw
+        assert prepared.fingerprint()[:16] == LOADED_FINGERPRINTS["cocomo81"][1]
 
     def test_set_response_moves_role(self, factor_dataset):
         out = apply_recipe(factor_dataset, PrepRecipe(set_response="x"))
@@ -690,8 +756,10 @@ class TestApplyRecipe:
 
     def test_missing_left_behind_is_an_error(self):
         ds = make_dataset({"x": [1, None, 3], "y": [5, 6, 7]}, response="y")
-        with pytest.raises(RecipeError, match="missing"):
+        with pytest.raises(RecipeError) as caught:
             apply_recipe(ds, PrepRecipe())
+        assert str(caught.value) == ("prepared dataset still has a missing value in column "
+                                     "'x', row 1; drop the row or ignore the column")
 
     def test_ignored_column_may_keep_missing(self):
         ds = make_dataset({"x": [1, None, 3], "z": [1, 2, 3], "y": [5, 6, 7]},
