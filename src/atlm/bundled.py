@@ -1,8 +1,10 @@
 """Bundled benchmark datasets and their default preparation recipes.
 
-The CSV/schema pairs live in ``atlm/data``.  Recipes encode the documented
-preparation steps; where a published step is ambiguous the recipe carries a
-note that propagates into evaluation reports.
+The CSV/schema pairs live in ``atlm/data``.  They are read by a plain path
+under the package directory, built once at import; like the loaders, which
+open a path, this needs the package installed as files.
+Recipes encode the documented preparation steps; where a published step is
+ambiguous the recipe carries a note that propagates into evaluation reports.
 
 The bundled files are reconstructions of the public effort datasets,
 assembled to match their published shape and statistics; cell-level values
@@ -12,10 +14,12 @@ benchmarking this package should fetch the original distributions.
 
 from __future__ import annotations
 
-from importlib.resources import files
+from pathlib import Path
 
 from .dataset import Dataset, PrepRecipe, apply_recipe, load_csv, load_schema
 from .errors import ConfigError
+
+_DATA = Path(__file__).with_name("data")
 
 _RECIPES = {
     "cocomo81": PrepRecipe(
@@ -65,9 +69,8 @@ def builtin_recipe(name: str) -> PrepRecipe:
 def load_builtin_raw(name: str) -> Dataset:
     """The bundled file as shipped, before any preparation."""
     _check(name)
-    data_dir = files("atlm") / "data"
-    schema = load_schema(str(data_dir / f"{name}.schema"))
-    return load_csv(str(data_dir / f"{name}.csv"), schema, name=name)
+    schema = load_schema(_DATA / f"{name}.schema")
+    return load_csv(_DATA / f"{name}.csv", schema, name=name)
 
 
 def load_builtin(name: str) -> Dataset:

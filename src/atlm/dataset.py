@@ -403,7 +403,7 @@ def load_csv(path: str | Path, schema: tuple[ColumnSchema, ...],
     or cell raises ParseError naming the first one, row by row.
 
     A plain file, with no quote, carriage return, NUL or two commas in a row,
-    at least one data line and no more text than ``csv.field_size_limit()``,
+    at least one data line and no line longer than ``csv.field_size_limit()``,
     is read by one ``np.loadtxt`` pass, which gives every cell the value the
     csv path gives it.  Any other file, and a plain one with a cell that pass
     refuses, a missing marker or a non-finite number, is read by ``csv.reader``:
@@ -464,15 +464,23 @@ def load_csv(path: str | Path, schema: tuple[ColumnSchema, ...],
 def _is_plain(text: str) -> bool:
     """Whether numpy's C reader may read the file: not where it could split a
     record otherwise than csv.reader (a quote, a carriage return, a NUL), where
-    a field could pass the csv size limit, or where no line follows the header
-    (numpy warns).  Nor where two commas make an empty cell, which it would
-    refuse in a numeric column after a wasted attempt; on a 200-row file a
-    vector pass finds them in less than half the time of a substring search."""
-    if (len(text) > csv.field_size_limit() or "\n" not in text.rstrip("\n")
-            or '"' in text or "\r" in text or "\0" in text):
+    a line, and so a field, could pass the csv size limit, or where no line
+    follows the header (numpy warns).  Nor where two commas make an empty cell,
+    which it would refuse in a numeric column after a wasted attempt; on a
+    200-row file a vector pass finds them in less than half the time of a
+    substring search.  A line is measured in encoded bytes, never fewer than
+    its characters, which the limit counts."""
+    if "\n" not in text.rstrip("\n") or '"' in text or "\r" in text or "\0" in text:
         return False
-    comma = np.frombuffer(text.encode(), np.uint8) == ord(",")
-    return not (comma[1:] & comma[:-1]).any()
+    data = np.frombuffer(text.encode(), np.uint8)
+    comma = data == ord(",")
+    if (comma[1:] & comma[:-1]).any():
+        return False
+    if len(data) <= csv.field_size_limit():  # no line is longer than the whole text
+        return True
+    # each gap between newlines, the text's ends counting as newlines, is a line and its end
+    gaps = np.diff(np.flatnonzero(data == ord("\n")), prepend=-1, append=len(data))
+    return int(gaps.max()) - 1 <= csv.field_size_limit()
 
 
 def _read_plain(text: str, fields):

@@ -8,9 +8,12 @@ selected with the standard odd-increment construction.
 
 :meth:`Pcg32.next_below` is the scalar reference: one LCG step and one
 rejection test per draw.  :meth:`Pcg32.draws_below` gives the same draws a
-whole array at a time by jumping ahead.  With multiplier ``a``, increment
-``c`` and state ``s`` before the first draw, the state before the k-th draw
-is ``a^k s + c (a^0 + ... + a^(k-1))`` mod 2^64.  The two coefficient
+whole array at a time by jumping ahead.  Its bounds are one integer array,
+and an integer ndarray is taken as it is; :meth:`Pcg32.shuffle` builds the
+bounds of all its lists as one such array, with no Python work per element
+before the draws.  With multiplier ``a``, increment ``c`` and state ``s``
+before the first draw, the state before the k-th draw is
+``a^k s + c (a^0 + ... + a^(k-1))`` mod 2^64.  The two coefficient
 tables are built by doubling in uint64 arrays, whose arithmetic wraps mod
 2^64 as the LCG does.  They depend on neither the seed nor the stream, so
 one read-only pair is kept for the process and grown when a call needs more
@@ -124,10 +127,12 @@ class Pcg32:
     def draws_below(self, bounds) -> list[int]:
         """``[next_below(b) for b in bounds]``, leaving the same state, drawn
         a whole array at a time (see the module docstring).  The bounds are
-        integers in 1..2^32: any other bound, a float or text among them,
-        makes the array numpy builds of them one of another kind, and is
-        refused as ``next_below`` refuses it."""
-        bounds = np.array(list(bounds))
+        integers in 1..2^32, read as one integer array: an integer ndarray is
+        taken as it is, and any other iterable is made into one by numpy.
+        Any other bound, a float or text among them, makes that array one of
+        another kind, and is refused as ``next_below`` refuses it."""
+        if not (isinstance(bounds, np.ndarray) and bounds.dtype.kind in "biu"):
+            bounds = np.array(list(bounds))
         if bounds.size and bounds.dtype.kind not in "biu":
             raise ValueError(f"bounds must be integers in 1..2^32, got {bounds.dtype} bounds")
         if bounds.size and not (0 < bounds.min() and bounds.max() <= 1 << 32):
@@ -154,9 +159,11 @@ class Pcg32:
 
         The lists are shuffled one after another, as successive calls would
         shuffle them, with all of their draws taken in one
-        :meth:`draws_below` call."""
-        draws = iter(self.draws_below(i + 1 for items in lists
-                                      for i in range(len(items) - 1, 0, -1)))
+        :meth:`draws_below` call.  Its bounds, ``len(items)`` down to 2 for
+        each list, are built as one integer array of concatenated ranges."""
+        bounds = np.concatenate([np.arange(len(items), 1, -1) for items in lists]
+                                or [np.empty(0, dtype=int)])
+        draws = iter(self.draws_below(bounds))
         for items in lists:
             for i, j in zip(range(len(items) - 1, 0, -1), draws):
                 items[i], items[j] = items[j], items[i]

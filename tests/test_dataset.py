@@ -305,7 +305,10 @@ def loadtxt_calls(monkeypatch) -> list:
     ("x,f,y\n,a,2\n", 1),  # an empty first cell, which np.loadtxt refuses
     ("x,f,y\n1,a,", 1),  # an empty last cell
     ("x,f,y\n\n", 0),  # no data line
-    ("x,f,y\n1,a," + "9" * csv.field_size_limit() + "\n", 0),  # past the csv size limit
+    ("x,f,y\n1,a," + "9" * csv.field_size_limit() + "\n", 0),  # a line past the csv size limit
+    # short lines whose total is past the limit, which bounds a field, not the file
+    pytest.param("x,f,y\n" + "1,a,2\n3,b,4\n" * (csv.field_size_limit() // 12 + 1), 1,
+                 id="short-lines-past-the-limit"),
 ])
 def test_numpy_reads_only_plain_text(loadtxt_calls, text, c_reads):
     fast, reference = load_both(text, SCHEMA_XFY)

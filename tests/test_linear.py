@@ -176,6 +176,18 @@ class TestFitOls:
         assert [model.coefficients[at] for at in model.aliased] == [0.0, 0.0]
         assert x @ model.coefficients == pytest.approx(y.tolist(), rel=1e-8)
 
+    @pytest.mark.parametrize("eps, rank", [(1e-9, 2), (1e-5, 3)])
+    def test_a_nearly_collinear_column_is_aliased_only_below_the_rank_tolerance(self, eps,
+                                                                                rank):
+        # [1, x, x + eps b]: the third pivot is about 1e-9 of the first at eps =
+        # 1e-9, which a tolerance of 1e-7 aliases and one of 1e-10 would keep,
+        # and about 1e-5 of it at eps = 1e-5, which any tolerance near 1e-7 keeps
+        rng = Pcg32(23, stream=6)
+        x, b = random_system(rng, 20, 2)
+        near = np.column_stack([x, x[:, 1] + eps * b])
+        model = fit_ols(DesignMatrix(("intercept", "x", "near"), near, {}), b)
+        assert len(model.coefficients) - len(model.aliased) == rank
+
     @pytest.mark.parametrize("where", ["design", "response"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_input_is_a_fit_error(self, where, bad):

@@ -176,6 +176,11 @@ def scalar_shuffle(g: Pcg32, items: list) -> None:
 @given(st.integers(0, (1 << 64) - 1),
        st.lists(st.integers(0, 40).map(lambda n: list(range(n))), max_size=6))
 @settings(max_examples=100, deadline=None)
+# holdout:10x30 on 200 rows: 30 lists of 200, one array of 5970 bounds
+@example(2024, [list(range(200)) for _ in range(30)])
+@example(6, [])  # no list
+@example(6, [[], [0], []])  # lists of length 0 and 1 draw nothing
+@example(6, [[0], list(range(5)), [], [0, 1]])
 def test_shuffling_lists_together_equals_shuffling_them_in_turn(seed, lists):
     together, in_turn = Pcg32(seed, stream=11), Pcg32(seed, stream=11)
     want = [list(items) for items in lists]
@@ -184,3 +189,26 @@ def test_shuffling_lists_together_equals_shuffling_them_in_turn(seed, lists):
     together.shuffle(*lists)
     assert lists == want
     assert together.state == in_turn.state
+
+
+SMALL_BOUNDS = [1, 2, 3, 7, 100, 1, 9, 127] * 8
+HIGH_ARRAY_BOUNDS = [(1 << 31) + 1, 1 << 32, 3 << 30, 5] * 50
+
+
+@pytest.mark.parametrize("bounds, kind", [(SMALL_BOUNDS, kind) for kind in (
+    np.int8, np.int32, np.int64, np.uint16, np.uint64)] + [
+    ([True] * 10, np.bool_), (HIGH_ARRAY_BOUNDS, np.int64), (HIGH_ARRAY_BOUNDS, np.uint64)])
+def test_an_integer_array_of_bounds_draws_as_the_same_bounds_as_a_list(bounds, kind):
+    array = np.array(bounds, dtype=kind)
+    from_array, from_list = Pcg32(4, stream=2), Pcg32(4, stream=2)
+    assert from_array.draws_below(array) == from_list.draws_below(bounds)
+    assert from_array.state == from_list.state
+    assert array.tolist() == bounds  # the caller's array is left as it was
+
+
+@pytest.mark.parametrize("bounds", [[3.0, 5.0], [2.5], [4.0]])
+def test_a_float_array_of_bounds_is_refused_as_float_bounds_are(bounds):
+    for given_as in (bounds, np.array(bounds)):
+        g = Pcg32(1)
+        with pytest.raises(ValueError, match="bounds must be integers"):
+            g.draws_below(given_as)
