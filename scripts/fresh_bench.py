@@ -17,7 +17,10 @@ run on the CSV and schema that ``perfbench.synth.generate(1)`` gives,
 written into the run's temporary directory, as the csv-loocv benchmark
 workload does.  ``export-folds synth loocv`` is the largest export among
 these commands, and ``export-folds synth holdout:10x30``, whose 30 shuffles
-of 200 rows take 5,970 bounds, the largest draw.
+of 200 rows take 5,970 bounds, the largest draw.  ``inspect desharnais``
+runs the one subcommand the others leave out, on the bundled file that the
+``csv.reader`` path reads and whose recipe drops rows, casts a column to a
+factor and ignores another.
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ COMMANDS = {
     "export-folds synth holdout:10x30": ["export-folds", "--dataset", "projects.csv",
                                          "--schema", "projects.schema",
                                          "--plan", "holdout:10x30"],
+    "inspect desharnais": ["inspect", "--dataset", "desharnais", "--format", "json"],
 }
 
 

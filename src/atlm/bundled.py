@@ -34,7 +34,6 @@ _RECIPES = {
         drop_row_ids=(25, 32, 39),
         cast_to_categorical=("Language",),
         ignore_columns=("Project",),
-        set_response="Effort",
         notes=(
             "desharnais: 81 raw projects; the 4 rows with missing experience "
             "values are dropped.",
@@ -70,7 +69,7 @@ def load_builtin_raw(name: str) -> Dataset:
     """The bundled file as shipped, before any preparation."""
     _check(name)
     schema = load_schema(_DATA / f"{name}.schema")
-    return load_csv(_DATA / f"{name}.csv", schema, name=name)
+    return load_csv(_DATA / f"{name}.csv", schema)
 
 
 def load_builtin(name: str) -> Dataset:

@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Commands: ``inspect`` (schema and transform table), ``evaluate`` (run a
-validation plan and report metrics), ``reproduce`` (rerun the documented
-benchmark experiments with fixed seeds), ``export-folds`` (write fold
-assignments as JSON for other models to consume).
+validation plan and report metrics as a table, or as JSON with the
+fingerprint, plan, seed, notes and failures that trace them), ``reproduce``
+(rerun the documented benchmark experiments with fixed seeds),
+``export-folds`` (write fold assignments as JSON for other models to consume).
 
 Exit codes: 0 success, 1 computation failure, 2 usage/configuration error.
 Errors print a single line ``error[CODE]: message`` to stderr.
@@ -21,7 +22,6 @@ from .dataset import Dataset, PrepRecipe, apply_recipe, format_number, load_csv,
 from .errors import AtlmError, ConfigError
 from .report import (
     fold_assignment_json_text,
-    result_to_csv_text,
     result_to_json_dict,
     result_to_table_text,
     summary_table,
@@ -109,8 +109,6 @@ def _cmd_evaluate(args) -> int:
     result = run_validation(ds, plan)
     if args.format == "json":
         _emit(to_json_text(result_to_json_dict(result, notes=recipe.notes)), args.out)
-    elif args.format == "csv":
-        _emit(result_to_csv_text(result), args.out)
     else:
         _emit(result_to_table_text(result, notes=recipe.notes), args.out)
     return 0
@@ -165,7 +163,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="run a validation plan and report metrics")
     _add_dataset_options(p)
     _add_plan_options(p)
-    p.add_argument("--format", choices=("json", "csv", "table"), default="table")
+    p.add_argument("--format", choices=("json", "table"), default="table",
+                   help="table (default), or json: every fold, failure and note, "
+                        "with the dataset fingerprint, plan and seed")
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("reproduce", help="rerun the documented benchmark experiments")

@@ -392,10 +392,9 @@ def load_schema(path: str | Path) -> Schema:
     return Schema(columns)
 
 
-def load_csv(path: str | Path, schema: tuple[ColumnSchema, ...],
-             name: str | None = None) -> Dataset:
-    """Load a comma-separated UTF-8 file with a header row as the dataset
-    ``name``, text, which defaults to the file's stem.
+def load_csv(path: str | Path, schema: tuple[ColumnSchema, ...]) -> Dataset:
+    """Load a comma-separated UTF-8 file with a header row as a dataset named
+    by the file's stem.
 
     The header must contain exactly the schema's column names (any order).
     Numeric cells must parse as finite numbers; empty, ``?`` and ``NA``
@@ -457,8 +456,7 @@ def load_csv(path: str | Path, schema: tuple[ColumnSchema, ...],
             next(reader)
             _raise_first_bad_cell(path, reader, len(header), fields)
             raise
-    return Dataset(name if name is not None else path.stem, schema,
-                   tuple(range(values.shape[1])), values, levels)
+    return Dataset(path.stem, schema, tuple(range(values.shape[1])), values, levels)
 
 
 def _is_plain(text: str) -> bool:
@@ -559,16 +557,15 @@ class PrepRecipe:
     drops rows cannot be applied to its own result.  ``notes`` travel into
     evaluation reports so reproduction assumptions stay visible.
 
-    ``drop_rows_with_missing`` is a bool and ``set_response`` text or None;
-    every other field is a list or tuple of text, or of integers for
-    ``drop_row_ids``, stored as a tuple (row ids as ints).  The response may
-    not also be an ignored column.  Anything else is a RecipeError.
+    ``drop_rows_with_missing`` is a bool; every other field is a list or
+    tuple of text, or of integers for ``drop_row_ids``, stored as a tuple (row
+    ids as ints).  Anything else is a RecipeError.  The response is the one
+    the schema names: a recipe does not move it.
     """
 
     drop_rows_with_missing: bool = False
     drop_row_ids: tuple[int, ...] = ()
     cast_to_categorical: tuple[str, ...] = ()
-    set_response: str | None = None
     ignore_columns: tuple[str, ...] = ()
     notes: tuple[str, ...] = ()
 
@@ -580,8 +577,6 @@ class PrepRecipe:
             if isinstance(want, list):
                 object.__setattr__(self, key, tuple(map(operator.index, value)) if want == [int]
                                    else tuple(value))
-        if self.set_response is not None and self.set_response in self.ignore_columns:
-            raise RecipeError(f"the response {self.set_response!r} is also an ignored column")
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "PrepRecipe":
@@ -601,11 +596,9 @@ class PrepRecipe:
             raise RecipeError(f"{path}: {exc}") from None
 
 
-#: each recipe field's type: a type, a tuple of types, or [type] for a list or
-#: tuple of that type
+#: each recipe field's type: a type, or [type] for a list or tuple of that type
 _RECIPE_FIELDS = {"drop_rows_with_missing": bool, "drop_row_ids": [int],
-                  "cast_to_categorical": [str], "set_response": (str, type(None)),
-                  "ignore_columns": [str], "notes": [str]}
+                  "cast_to_categorical": [str], "ignore_columns": [str], "notes": [str]}
 
 
 def _has_type(value, want) -> bool:
@@ -617,20 +610,20 @@ def _has_type(value, want) -> bool:
 
 
 def apply_recipe(raw: Dataset, recipe: PrepRecipe) -> Dataset:
-    """Drop rows, re-type and ignore columns, designate the response.
+    """Drop rows, cast columns to factors and ignore columns.
 
     A recipe that keeps the schema and drops and casts nothing, such as
     ``PrepRecipe()`` or one that only holds notes, returns ``raw`` itself (a
     dataset is immutable).  Either way, a missing cell left in an active column
-    is a RecipeError that names it."""
+    is a RecipeError that names it.  A recipe that ignores the response, or
+    casts it to a factor, leaves a schema the :class:`Dataset` constructor
+    refuses with a SchemaError."""
     _instance(raw, Dataset, SchemaError, "a raw dataset")
     _instance(recipe, PrepRecipe, RecipeError, "a recipe")
     known = raw.schema.index
     for col in (*recipe.cast_to_categorical, *recipe.ignore_columns):
         if col not in known:
             raise RecipeError(f"recipe references unknown column {col!r}")
-    if recipe.set_response is not None and recipe.set_response not in known:
-        raise RecipeError(f"recipe response column {recipe.set_response!r} not found")
     held = set(raw.ids)
     for rid in recipe.drop_row_ids:
         if rid not in held:
@@ -642,14 +635,7 @@ def apply_recipe(raw: Dataset, recipe: PrepRecipe) -> Dataset:
     ignores = set(recipe.ignore_columns)
     for i, col in enumerate(schema):
         kind = CATEGORICAL if col.name in casts else col.kind
-        role = col.role
-        if col.name in ignores:
-            role = IGNORED
-        if recipe.set_response is not None:
-            if col.name == recipe.set_response:
-                role = RESPONSE
-            elif role == RESPONSE:
-                role = EXPLANATORY
+        role = IGNORED if col.name in ignores else col.role
         if (kind, role) != (col.kind, col.role):
             schema[i] = ColumnSchema(col.name, kind, role)
     if schema == list(raw.schema):  # unchanged: share the schema and its positions

@@ -1,4 +1,4 @@
-"""Rendering of evaluation results as JSON, CSV, and aligned text tables."""
+"""Rendering of evaluation results as JSON and aligned text tables."""
 
 from __future__ import annotations
 
@@ -8,8 +8,6 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .dataset import format_number
-from .metrics import METRIC_FIELDS, MetricReport
 from .transforms import TRANSFORM_KINDS, TransformTable
 from .validation import FoldAssignment, ValidationResult
 
@@ -34,7 +32,7 @@ def result_to_json_dict(result: ValidationResult, notes=()) -> dict:
         "seed": result.plan.seed,
         "n_folds": result.n_folds,
         "n_succeeded": result.n_succeeded,
-        "aggregate": result.summary.to_json_dict() if result.summary else None,
+        "aggregate": result.summary.to_json_dict(),
         "pooled": result.pooled_report.to_json_dict() if result.pooled_report else None,
         "folds": folds,
         "failures": [{"fold": f.fold, "code": f.code, "message": f.message}
@@ -127,27 +125,6 @@ def fold_assignment_json_text(assignment: FoldAssignment) -> str:
               encode_basestring_ascii(assignment.plan.label()),
               ',\n  "seed": ', int.__repr__(assignment.plan.seed), "\n}\n")
     return "".join(parts)
-
-
-def _metric_cells(r: MetricReport) -> str:
-    return ",".join([str(r.n)] + [format_number(getattr(r, m)) for m in METRIC_FIELDS])
-
-
-def result_to_csv_text(result: ValidationResult) -> str:
-    header = "fold,status," + ",".join(("n",) + METRIC_FIELDS)
-    lines = [header]
-    for o in result.outcomes:
-        if o.failed:
-            lines.append(f"{o.fold},{o.code}," + "," * len(METRIC_FIELDS))
-        elif o.report is not None:
-            lines.append(f"{o.fold},ok," + _metric_cells(o.report))
-    if result.pooled_report is not None:
-        lines.append("pooled,ok," + _metric_cells(result.pooled_report))
-    if result.summary is not None:
-        for stat, source in (("mean", result.summary.means), ("std", result.summary.stds)):
-            cells = [""] + [format_number(source[m]) for m in METRIC_FIELDS]
-            lines.append(f"{stat},," + ",".join(cells))
-    return "\n".join(lines) + "\n"
 
 
 def _aligned(rows) -> str:

@@ -248,16 +248,17 @@ class FoldOutcome:
 
 @dataclass(frozen=True)
 class ValidationResult:
-    """A plan's fold outcomes over one dataset, with their pooled report (LOOCV)
-    or summary (k-fold and holdout).  An output record, built by the package
-    and not checked (see :mod:`atlm`)."""
+    """A plan's fold outcomes over one dataset, with their pooled report (LOOCV
+    only) and the summary of the scored reports: the folds' (k-fold and
+    holdout), or the one pooled report (a single-sample summary).  An output
+    record, built by the package and not checked (see :mod:`atlm`)."""
 
     dataset_name: str
     dataset_fingerprint: str
     plan: ValidationPlan
     outcomes: tuple[FoldOutcome, ...]
     pooled_report: MetricReport | None
-    summary: MetricSummary | None
+    summary: MetricSummary
 
     @property
     def n_folds(self) -> int:

@@ -119,7 +119,7 @@ def test_a_schema_that_repeats_a_name_is_refused_by_the_constructor(tmp_path):
         assert str(caught.value) == "duplicate column names in 'small'"
 
 
-def reference_load_csv(path, schema, name=None) -> Dataset:
+def reference_load_csv(path, schema) -> Dataset:
     """The cell-by-cell loader: strip, missing test, ``float`` and
     ``math.isfinite`` for each cell, record by record.  An error of the csv
     reader is a ParseError naming the line of the record it was reading."""
@@ -178,8 +178,7 @@ def reference_load_csv(path, schema, name=None) -> Dataset:
                 else:
                     cells.append(text)
     n = len(columns[0]) if columns else 0
-    return Dataset.from_columns(name if name is not None else path.stem, schema,
-                                range(n), columns)
+    return Dataset.from_columns(path.stem, schema, range(n), columns)
 
 
 #: whitespace ``str.strip`` removes; ``float`` refuses the separators \x1c-\x1f
@@ -305,7 +304,8 @@ def loadtxt_calls(monkeypatch) -> list:
     ("x,f,y\n,a,2\n", 1),  # an empty first cell, which np.loadtxt refuses
     ("x,f,y\n1,a,", 1),  # an empty last cell
     ("x,f,y\n\n", 0),  # no data line
-    ("x,f,y\n1,a," + "9" * csv.field_size_limit() + "\n", 0),  # a line past the csv size limit
+    pytest.param("x,f,y\n1,a," + "9" * csv.field_size_limit() + "\n", 0,
+                 id="a-line-past-the-limit"),
     # short lines whose total is past the limit, which bounds a field, not the file
     pytest.param("x,f,y\n" + "1,a,2\n3,b,4\n" * (csv.field_size_limit() // 12 + 1), 1,
                  id="short-lines-past-the-limit"),
@@ -639,12 +639,13 @@ def test_reloading_the_same_cells_gives_an_equal_dataset(tmp_path):
     ds = make_dataset({"x": [0.1, 2.0000000001, 3e17], "f": ["u", "v", "u"],
                        "y": [1.25, None, 3.125]},
                       response="y", categorical=("f",))
-    csv_path = tmp_path / "out.csv"
-    schema_path = tmp_path / "out.schema"
+    # a loaded dataset is named by its file's stem
+    csv_path = tmp_path / f"{ds.name}.csv"
+    schema_path = tmp_path / f"{ds.name}.schema"
     csv_path.write_text("x,f,y\n0.1,u,1.25\n2.0000000001,v,\n3e17,u,3.125\n")
     schema_path.write_text("x numeric explanatory\nf categorical explanatory\n"
                            "y numeric response\n")
-    again = load_csv(csv_path, load_schema(schema_path), name=ds.name)
+    again = load_csv(csv_path, load_schema(schema_path))
     assert again == ds  # a missing cell is NaN in both, and equal
     assert again.fingerprint() == ds.fingerprint()
     for changed in (dataclasses.replace(ds, name="other"),
@@ -729,11 +730,6 @@ class TestApplyRecipe:
         prepared = apply_recipe(raw, builtin_recipe("cocomo81"))
         assert prepared is raw
         assert prepared.fingerprint()[:16] == LOADED_FINGERPRINTS["cocomo81"][1]
-
-    def test_set_response_moves_role(self, factor_dataset):
-        out = apply_recipe(factor_dataset, PrepRecipe(set_response="x"))
-        assert out.response_name == "x"
-        assert out.schema[out.column_index("y")].role == "explanatory"
 
     def test_drop_and_cast(self):
         ds = make_dataset({"lang": [1, 2, 3, 1], "y": [5, 6, 7, 8]}, response="y")
@@ -841,10 +837,8 @@ class TestApplyRecipe:
     ({"notes": 5}, "field 'notes' has the wrong type: 5"),
     ({"notes": "abc"}, "field 'notes' has the wrong type: 'abc'"),
     ({"drop_rows_with_missing": "x"}, "field 'drop_rows_with_missing' has the wrong type: 'x'"),
-    ({"set_response": "x", "ignore_columns": ["z", "x"]},
-     "the response 'x' is also an ignored column"),
 ], ids=["text-row-id", "int-row-ids", "float-row-id", "numpy-bool-row-id", "int-notes",
-        "text-notes", "text-flag", "ignored-response"])
+        "text-notes", "text-flag"])
 def test_a_recipe_checks_its_own_fields(fields, message):
     with pytest.raises(RecipeError) as caught:
         PrepRecipe(**fields)
@@ -864,11 +858,11 @@ class TestRecipeFile:
     def test_fields_load_as_tuples(self, tmp_path):
         path = tmp_path / "r.json"
         path.write_text('{"drop_rows_with_missing": true, "drop_row_ids": [3, 1], '
-                        '"cast_to_categorical": ["lang"], "set_response": "y", '
-                        '"ignore_columns": [], "notes": ["n"]}')
+                        '"cast_to_categorical": ["lang"], "ignore_columns": [], '
+                        '"notes": ["n"]}')
         assert PrepRecipe.from_json_file(path) == PrepRecipe(
             drop_rows_with_missing=True, drop_row_ids=(3, 1),
-            cast_to_categorical=("lang",), set_response="y", notes=("n",))
+            cast_to_categorical=("lang",), notes=("n",))
 
     @pytest.mark.parametrize("text", [
         "5", "[]", '"recipe"', "null",
@@ -888,8 +882,8 @@ class TestRecipeFile:
         ('{"drop_row_ids": [1.5]}', "field 'drop_row_ids' has the wrong type: [1.5]"),
         ('{"notes": [null]}', "field 'notes' has the wrong type: [None]"),
         ('{"mode": 1}', "unknown recipe fields ['mode']"),
-        ('{"set_response": "x", "ignore_columns": ["x"]}',
-         "the response 'x' is also an ignored column"),
+        # the response is the one the schema names
+        ('{"set_response": "Effort"}', "unknown recipe fields ['set_response']"),
     ])
     def test_a_file_error_is_the_constructor_error_after_the_path(self, tmp_path, text,
                                                                   message):
@@ -1018,6 +1012,16 @@ class TestSplit:
 
 
 class TestBundled:
+    @pytest.mark.parametrize("name, response", [("cocomo81", "effort"),
+                                                ("desharnais", "Effort"), ("maxwell", "effort")])
+    def test_a_bundled_dataset_keeps_its_name_and_its_schema_response(self, name, response):
+        # a recipe names no response and a loader no dataset: both come from the files
+        raw = load_builtin_raw(name)
+        prepared = load_builtin(name)
+        assert raw.name == prepared.name == name
+        assert [c.name for c in raw.schema if c.role == "response"] == [response]
+        assert prepared.response_name == response
+
     def test_cocomo81_shape(self):
         ds = load_builtin("cocomo81")
         assert len(ds) == 63

@@ -20,7 +20,7 @@ from atlm.dataset import (CATEGORICAL, EXPLANATORY, IGNORED, NUMERIC, RESPONSE, 
 from atlm.errors import (AtlmError, FitError, MetricError, MissingValueError, PlanError,
                          SchemaError, ValidationError)
 from atlm.linear import INTERCEPT, SINGULAR_FACTOR
-from atlm.metrics import report
+from atlm.metrics import METRIC_FIELDS, MetricSummary, report
 from atlm.pipeline import PredictionSet, atlm_fit, atlm_predict
 from atlm.report import fold_assignment_json_text
 from atlm.rng import Pcg32
@@ -281,6 +281,18 @@ class TestRunValidation:
         assert result.pooled_report is None
         assert sum(o.report is not None for o in result.outcomes) == 3
         assert result.summary.n_reports == 3
+
+    @pytest.mark.parametrize("plan, n_reports", [("loocv", 1), ("kfold:3", 3),
+                                                 ("holdout:4x2", 2)])
+    def test_every_plan_carries_a_summary(self, plan, n_reports):
+        # loocv summarises its one pooled report; the other plans their folds'
+        result = run_validation(noiseless_dataset(), ValidationPlan.parse(plan))
+        assert isinstance(result.summary, MetricSummary)
+        assert result.summary.n_reports == n_reports
+        assert result.summary.single_sample == (plan == "loocv")
+        if plan == "loocv":
+            assert result.summary.means == {
+                m: getattr(result.pooled_report, m) for m in METRIC_FIELDS}
 
     def test_no_leakage_fingerprints(self):
         # the harness's fold 0 must be exactly a model fitted on fold 0's
